@@ -49,7 +49,6 @@ from .nmr import (
     SpinSystem,
     WeightSolution,
     boltzmann_factors,
-    calibrate_depolarization,
     depolarize,
     equilibrium_state,
     expand_diagonal_state,

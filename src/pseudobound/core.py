@@ -360,9 +360,16 @@ def matrix_to_json(matrix) -> dict:
 
 
 def matrix_from_json(blob: dict) -> np.ndarray:
-    dim = int(blob["dim"])
-    re = np.asarray(blob["re"], dtype=float)
-    im = np.asarray(blob["im"], dtype=float)
+    if not isinstance(blob, dict):
+        raise ValueError("matrix JSON must be an object")
+    try:
+        dim = int(blob["dim"])
+        re = np.asarray(blob["re"], dtype=float)
+        im = np.asarray(blob["im"], dtype=float)
+    except KeyError as exc:
+        raise ValueError(f"matrix JSON lacks key {exc}") from None
+    except (TypeError, OverflowError):
+        raise ValueError("matrix JSON entries must be numbers") from None
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValueError("matrix JSON shape does not match declared dim")
     return check_operator(re + 1j * im)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import constants
 
-from .core import DensityOperator, check_operator, tensor, uhlmann_fidelity, PAULIS
+from .core import DensityOperator, check_operator, tensor, PAULIS
 from .states import StateParams, PseudoState, bound_entangled_state, pseudo_state
 
 DEFAULT_KAPPA_H = 8.4e-5
@@ -27,20 +27,14 @@ DEFAULT_KAPPA_H = 8.4e-5
 class SpinSystem:
     """The heteronuclear three-spin register (C, H, F).
 
-    Gyromagnetic ratios are in units of 1e7 / (T s); scalar couplings in Hz.
-    ``kappa_h`` is the thermal polarization of the proton at the working
-    field and temperature.
+    Gyromagnetic ratios are in units of 1e7 / (T s).  ``kappa_h`` is the
+    thermal polarization of the proton at the working field and
+    temperature.
     """
 
     labels: tuple[str, str, str] = ("C", "H", "F")
     gammas: tuple[float, float, float] = (6.73, 26.75, 25.18)
-    j12_hz: float = 161.3
-    j13_hz: float = -190.2
-    j23_hz: float = 47.0
     kappa_h: float = DEFAULT_KAPPA_H
-
-    def gamma_of(self, label: str) -> float:
-        return self.gammas[self.labels.index(label)]
 
 
 DEFAULT_SYSTEM = SpinSystem()
@@ -384,21 +378,3 @@ def depolarize(rho: DensityOperator, lam: float) -> DensityOperator:
     d = rho.dim
     m = (1.0 - lam) * rho.matrix + lam * np.eye(d) / d
     return DensityOperator(m, tolerance=rho.tolerance)
-
-
-def calibrate_depolarization(rho: DensityOperator, target_fidelity: float,
-                             tolerance: float = 1e-10) -> float:
-    """Depolarization weight at which the state's fidelity to itself-noisy
-    drops to the target, found by bisection (the fidelity is monotone)."""
-    if not 0.0 < target_fidelity < 1.0:
-        raise ValueError("target fidelity must be inside (0, 1)")
-    lo, hi = 0.0, 1.0
-    if uhlmann_fidelity(rho, depolarize(rho, 1.0)) > target_fidelity:
-        raise ValueError("even full depolarization stays above the target fidelity")
-    while hi - lo > tolerance:
-        mid = (lo + hi) / 2.0
-        if uhlmann_fidelity(rho, depolarize(rho, mid)) > target_fidelity:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0

@@ -6,9 +6,11 @@ fluorine onto carbon, and records the x and y quadratures of the four
 J-resolved carbon lines, i.e. the observables sigma_{x,y} on qubit 1
 tensored with a basis projector on qubits 2 and 3.  Running all seven
 settings with all three detected spins gives 168 linear equations for the
-63 real parameters of the traceless deviation, an overdetermined system
-solved by (weighted) least squares with the parameter covariance
-propagated to derived quantities such as witness expectations.
+63 real parameters of the traceless deviation.  One cached readout map
+per experiment (8 amplitudes x 63 parameters) serves both simulation and
+inversion, and one thin SVD of the weighted rows gives the estimate, the
+rank and the parameter covariance that is propagated to derived
+quantities such as witness expectations.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ _DETECT_QUBIT = {"C": 1, "H": 2, "F": 3}
 
 def parse_setting(setting: str) -> tuple[str, str, str]:
     """Split a setting id like 'Y1E2E3' into per-spin operations."""
-    if len(setting) != 6:
+    if not isinstance(setting, str) or len(setting) != 6:
         raise ValueError(f"bad setting id {setting!r}")
     ops = []
     for i in range(3):
@@ -87,16 +89,9 @@ def readout_unitary(setting: str, detect: str = "C") -> np.ndarray:
     return swap_unitary(1, q) @ rot
 
 
-@lru_cache(maxsize=None)
-def _observables() -> tuple[tuple[str, str, np.ndarray], ...]:
-    out = []
-    for j, line in enumerate(LINE_LABELS):
-        proj = np.zeros((4, 4), dtype=complex)
-        proj[j, j] = 1.0
-        for quad in QUADRATURES:
-            sigma = PAULIS["X"] if quad == "x" else PAULIS["Y"]
-            out.append((line, quad, np.kron(sigma, proj)))
-    return tuple(out)
+# position of each (line, quadrature) amplitude among an experiment's 8
+_ROW = {(line, quad): 2 * j + k
+        for j, line in enumerate(LINE_LABELS) for k, quad in enumerate(QUADRATURES)}
 
 
 def measure(rho: DensityOperator, setting: str, detect: str = "C") -> np.ndarray:
@@ -104,12 +99,7 @@ def measure(rho: DensityOperator, setting: str, detect: str = "C") -> np.ndarray
 
     Returns 8 reals ordered (line 00 x, line 00 y, line 01 x, ...).
     """
-    r = readout_unitary(setting, detect)
-    rotated = r @ rho.matrix @ r.conj().T
-    return np.array([
-        float(np.real(np.einsum("ij,ji->", obs, rotated)))
-        for _line, _quad, obs in _observables()
-    ])
+    return _readout_block(setting, detect) @ state_parameters(rho)
 
 
 def default_experiments() -> list[tuple[str, str]]:
@@ -144,16 +134,31 @@ def parameters_to_matrix(theta: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _design_row(setting: str, detect: str, line: str, quad: str) -> np.ndarray:
+def _readout_block(setting: str, detect: str) -> np.ndarray:
+    """8 x 63 map from the deviation parameters to one experiment's amplitudes.
+
+    Heisenberg picture: row (line, quad) holds tr(R^dag O R P_k) for the
+    readout unitary R, the line observable O and each Pauli product P_k.
+    The identity part of a state drops out because every O is traceless.
+    """
     r = readout_unitary(setting, detect)
-    for lbl, q, obs in _observables():
-        if (lbl, q) == (line, quad):
+    _, stack = parameter_basis()
+    block = np.empty((len(_ROW), len(stack)))
+    for j, line in enumerate(LINE_LABELS):
+        proj = np.zeros((4, 4))
+        proj[j, j] = 1.0
+        for quad in QUADRATURES:
+            obs = np.kron(PAULIS["X"] if quad == "x" else PAULIS["Y"], proj)
             back = r.conj().T @ obs @ r
-            _, stack = parameter_basis()
-            row = np.real(np.einsum("ij,kji->k", back, stack))
-            row.setflags(write=False)
-            return row
-    raise ValueError(f"unknown line/quadrature ({line!r}, {quad!r})")
+            block[_ROW[line, quad]] = np.real(np.einsum("ij,kji->k", back, stack))
+    block.setflags(write=False)
+    return block
+
+
+def _rank(singular_values: np.ndarray, shape: tuple[int, int]) -> int:
+    """Singular values above numpy's default cutoff, max(shape) * eps * s.max()."""
+    s = singular_values
+    return int(np.sum(s > s.max() * max(shape) * np.finfo(float).eps))
 
 
 @dataclass(frozen=True)
@@ -173,14 +178,11 @@ def design_matrix(experiments: list[tuple[str, str]] | None = None) -> DesignMat
     exps = default_experiments() if experiments is None else list(experiments)
     if not exps:
         raise ValueError("no experiments")
-    rows = []
-    blocks = []
-    for setting, detect in exps:
-        for line, quad, _obs in _observables():
-            rows.append((setting, detect, line, quad))
-            blocks.append(_design_row(setting, detect, line, quad))
-    a = np.vstack(blocks)
-    return DesignMatrix(matrix=a, rows=tuple(rows), rank=int(np.linalg.matrix_rank(a)))
+    a = np.vstack([_readout_block(setting, detect) for setting, detect in exps])
+    rows = tuple((setting, detect, line, quad)
+                 for setting, detect in exps for line, quad in _ROW)
+    return DesignMatrix(matrix=a, rows=rows,
+                        rank=_rank(np.linalg.svd(a, compute_uv=False), a.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +199,11 @@ class TomographyRecord:
     sigma: float
 
     def __post_init__(self):
+        parse_setting(self.setting)
+        if self.detect not in DETECT_SPINS:
+            raise ValueError(f"bad detected spin {self.detect!r}")
+        if self.line not in LINE_LABELS or self.quad not in QUADRATURES:
+            raise ValueError(f"unknown line/quadrature ({self.line!r}, {self.quad!r})")
         if self.sigma < 0:
             raise ValueError("sigma must be non-negative")
 
@@ -224,11 +231,19 @@ class TomographyDataset:
 
     @classmethod
     def from_json(cls, blobs: list[dict]) -> "TomographyDataset":
-        return cls(tuple(
-            TomographyRecord(b["setting"], b["detect"], b["line"], b["quad"],
-                             float(b["value"]), float(b["sigma"]))
-            for b in blobs
-        ))
+        if not isinstance(blobs, list):
+            raise ValueError("dataset JSON must be an array of records")
+        try:
+            return cls(tuple(
+                TomographyRecord(b["setting"], b["detect"], b["line"], b["quad"],
+                                 float(b["value"]), float(b["sigma"]))
+                for b in blobs
+            ))
+        except KeyError as exc:
+            raise ValueError(f"dataset record lacks key {exc}") from None
+        except (TypeError, OverflowError):
+            raise ValueError("dataset records must be objects with numeric "
+                             "value and sigma") from None
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -253,7 +268,7 @@ def generate_dataset(rho: DensityOperator,
         vals = measure(rho, setting, detect)
         if sigma > 0:
             vals = vals + rng.normal(0.0, sigma, size=vals.shape)
-        for (line, quad, _obs), v in zip(_observables(), vals):
+        for (line, quad), v in zip(_ROW, vals):
             records.append(TomographyRecord(setting, detect, line, quad,
                                             float(v), float(sigma)))
     return TomographyDataset(tuple(records))
@@ -278,33 +293,33 @@ def reconstruct(dataset: TomographyDataset,
                 tolerance: float = 1e-6) -> ReconstructionResult:
     """Solve the overdetermined linear system for the deviation parameters.
 
-    Heterogeneous record sigmas give a weighted fit with covariance
-    (A^T W A)^-1; a common sigma reduces to sigma^2 (A^T A)^-1; all-zero
-    sigmas mean exact data and a zero covariance.  No positivity projection
-    is applied; the estimate is Hermitian and unit-trace by construction.
+    The rows come from the same cached readout map that simulates the
+    data.  One thin SVD U S V^T of the rows weighted by 1/sigma gives the
+    rank, the estimate V S^-1 U^T (b/sigma) and the covariance
+    V S^-2 V^T = (A^T W A)^-1.  All-zero sigmas mean exact data: unit
+    weights and a zero covariance.  No positivity projection is applied;
+    the estimate is Hermitian and unit-trace by construction.
     """
+    if not dataset.records:
+        raise ValueError("empty dataset")
     labels, _ = parameter_basis()
-    rows = np.vstack([
-        _design_row(r.setting, r.detect, r.line, r.quad) for r in dataset.records
-    ])
-    rank = int(np.linalg.matrix_rank(rows))
+    rows = np.vstack([_readout_block(r.setting, r.detect)[_ROW[r.line, r.quad]]
+                      for r in dataset.records])
+    values = dataset.values()
+    sigmas = dataset.sigmas()
+    exact = not sigmas.any()
+    if not exact and not sigmas.all():
+        raise ValueError("datasets mixing exact and noisy records are not supported")
+    weights = np.ones_like(sigmas) if exact else 1.0 / sigmas
+
+    u, s, vt = np.linalg.svd(rows * weights[:, None], full_matrices=False)
+    rank = _rank(s, rows.shape)
     if rank < 63:
         raise ValueError(f"design matrix rank {rank} < 63 "
                          f"(deficient subspace dimension {63 - rank})")
-    values = dataset.values()
-    sigmas = dataset.sigmas()
-
-    if np.all(sigmas == 0):
-        theta, *_ = np.linalg.lstsq(rows, values, rcond=None)
-        cov = np.zeros((63, 63))
-    elif np.any(sigmas <= 0):
-        raise ValueError("datasets mixing exact and noisy records are not supported")
-    else:
-        aw = rows / sigmas[:, None]
-        bw = values / sigmas
-        theta, *_ = np.linalg.lstsq(aw, bw, rcond=None)
-        cov = np.linalg.inv(aw.T @ aw)
-        cov = (cov + cov.T) / 2.0
+    scaled = vt.T / s
+    theta = scaled @ (u.T @ (values * weights))
+    cov = np.zeros((63, 63)) if exact else scaled @ scaled.T
 
     rho_hat = DensityOperator.loose(parameters_to_matrix(theta),
                                     tolerance=tolerance, warn=False)

@@ -108,7 +108,6 @@ class ProductStateMinimum:
 
     value: float
     states: np.ndarray          # (3, 2) single-qubit vectors
-    angles: np.ndarray          # (3, 2) Bloch angles (theta, phi) per qubit
     restarts: int
 
 
@@ -144,12 +143,6 @@ def product_expectation(w, single_qubit_states) -> float:
     a, b, c = (np.asarray(s, dtype=complex) for s in single_qubit_states)
     psi = np.kron(np.kron(a, b), c)
     return float(np.real(psi.conj() @ m @ psi))
-
-
-def _bloch_angles(v: np.ndarray) -> tuple[float, float]:
-    theta = 2.0 * np.arctan2(abs(v[1]), abs(v[0]))
-    phi = float(np.angle(v[1]) - np.angle(v[0])) if abs(v[1]) > 1e-14 else 0.0
-    return float(theta), phi
 
 
 def min_over_product_states(w_bar, restarts: int = 200, seed: int = 0,
@@ -192,11 +185,9 @@ def min_over_product_states(w_bar, restarts: int = 200, seed: int = 0,
             best_states = [s.copy() for s in states]
 
     assert best_states is not None
-    angles = np.array([_bloch_angles(s) for s in best_states])
     return ProductStateMinimum(
         value=float(best_value),
         states=np.array(best_states),
-        angles=angles,
         restarts=restarts,
     )
 

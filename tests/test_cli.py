@@ -168,3 +168,40 @@ def test_cli_reports_bad_input(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert run(["ppt", "--state", str(missing)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+_RECORD = {"setting": "Y1E2E3", "detect": "C", "line": "00", "quad": "x",
+           "value": 0.0, "sigma": 1e-3}
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("ppt", {"dim": 8, "re": [[1]]}),
+    ("metrics", {"dim": 8, "re": [[1]]}),
+    ("ppt", [[1, 0], [0, 0]]),
+    ("ppt", {"dim": 2, "re": [["a", 0], [0, 0]], "im": [[0, 0], [0, 0]]}),
+    ("ppt", {"dim": None, "re": [[1]], "im": [[0]]}),
+    ("tomo", [{k: v for k, v in _RECORD.items() if k != "detect"}]),
+    ("tomo", {"records": [_RECORD]}),
+    ("tomo", []),
+    ("tomo", [dict(_RECORD, line="22")]),
+    ("tomo", [dict(_RECORD, setting="Y1E2")]),
+    ("tomo", [dict(_RECORD, detect="N")]),
+    ("tomo", [dict(_RECORD, quad="z")]),
+    ("tomo", [dict(_RECORD, value=None)]),
+    ("tomo", [dict(_RECORD, sigma="wide")]),
+    ("tomo", ["Y1E2E3"]),
+], ids=["ppt-missing-im", "metrics-missing-im", "ppt-list", "ppt-non-numeric",
+        "ppt-null-dim", "tomo-missing-detect", "tomo-object", "tomo-empty",
+        "tomo-bad-line", "tomo-bad-setting", "tomo-bad-detect", "tomo-bad-quad",
+        "tomo-null-value", "tomo-text-sigma", "tomo-non-object-record"])
+def test_malformed_input_exits_2(tmp_path, capsys, command, payload):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    rho = tmp_path / "rho.json"
+    run(["state", "--out", str(rho)])
+    argv = {"ppt": ["ppt", "--state", str(bad)],
+            "metrics": ["metrics", "--state", str(bad), "--reference", str(rho)],
+            "tomo": ["tomo", "reconstruct", "--data", str(bad)]}[command]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err

@@ -224,9 +224,3 @@ def test_depolarization_level_for_target_distance(rho_opt):
     assert 0.0 < lo < 1.0
     assert core.trace_distance(rho_opt, nmr.depolarize(rho_opt, lo)) == \
         pytest.approx(0.09, abs=1e-6)
-
-
-def test_calibrate_depolarization(rho_opt):
-    lam = nmr.calibrate_depolarization(rho_opt, 0.98)
-    assert core.uhlmann_fidelity(rho_opt, nmr.depolarize(rho_opt, lam)) == \
-        pytest.approx(0.98, abs=1e-6)

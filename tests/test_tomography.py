@@ -88,12 +88,24 @@ def test_design_matrix_rank():
 
 
 def test_design_matrix_agrees_with_measure(rng):
+    # independent Schroedinger-picture reference: tr(O R rho R^dag) with
+    # O = sigma_{x,y} on carbon tensored with a line projector on H and F
     rho = core.random_density_operator(rng)
-    dm = tomo.design_matrix()
-    predicted = dm.matrix @ tomo.state_parameters(rho)
+    expected = []
+    for setting, detect in tomo.default_experiments():
+        r = tomo.readout_unitary(setting, detect)
+        rotated = r @ rho.matrix @ r.conj().T
+        for j in range(4):
+            proj = np.zeros((4, 4))
+            proj[j, j] = 1.0
+            for sigma in (core.PAULI_X, core.PAULI_Y):
+                expected.append(np.real(np.trace(np.kron(sigma, proj) @ rotated)))
+    predicted = tomo.design_matrix().matrix @ tomo.state_parameters(rho)
     measured = np.concatenate([
         tomo.measure(rho, s, d) for s, d in tomo.default_experiments()])
-    np.testing.assert_allclose(predicted, measured, atol=1e-12)
+    assert len(expected) == 168
+    np.testing.assert_allclose(predicted, expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(measured, expected, rtol=0, atol=1e-12)
 
 
 def test_dataset_generation_determinism():
@@ -155,6 +167,33 @@ def test_reconstruct_rejects_mixed_sigmas():
                                        records[0].value, 0.0)
     with pytest.raises(ValueError, match="mixing"):
         tomo.reconstruct(tomo.TomographyDataset(tuple(records)))
+
+
+def test_weighted_fit_matches_normal_equations():
+    # one full dataset, a different sigma for every record, records shuffled
+    rng = np.random.default_rng(17)
+    noisy = tomo.generate_dataset(RHO_OPT, sigma=1e-3, seed=21)
+    records = [tomo.TomographyRecord(r.setting, r.detect, r.line, r.quad, r.value,
+                                     float(rng.uniform(5e-4, 4e-3)))
+               for r in noisy.records]
+    shuffled = [records[k] for k in rng.permutation(len(records))]
+    rec = tomo.reconstruct(tomo.TomographyDataset(tuple(shuffled)))
+
+    dm = tomo.design_matrix()
+    index = {row: i for i, row in enumerate(dm.rows)}
+    a = dm.matrix[[index[r.setting, r.detect, r.line, r.quad] for r in shuffled]]
+    sig = np.array([r.sigma for r in shuffled])
+    b = np.array([r.value for r in shuffled])
+    theta, *_ = np.linalg.lstsq(a / sig[:, None], b / sig, rcond=None)
+    cov = np.linalg.inv(a.T @ (a / sig[:, None] ** 2))
+
+    def rel(x, y):
+        return np.linalg.norm(x - y) / np.linalg.norm(y)
+
+    assert rel(rec.theta, theta) <= 1e-10
+    assert rel(rec.covariance, cov) <= 1e-10
+    in_order = tomo.reconstruct(tomo.TomographyDataset(tuple(records)))
+    assert rel(in_order.theta, rec.theta) <= 1e-10
 
 
 def test_reconstruction_unbiased():
