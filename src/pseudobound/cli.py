@@ -49,9 +49,16 @@ def _write_json(payload, path: str | None) -> None:
         print(text)
 
 
-def _load_matrix(path: str) -> np.ndarray:
+def _read_json(path: str):
     with open(path) as fh:
-        return core.matrix_from_json(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
+def _load_matrix(path: str) -> np.ndarray:
+    return core.matrix_from_json(_read_json(path))
 
 
 def _load_density(path: str, tolerance: float = 1e-6) -> core.DensityOperator:
@@ -157,8 +164,7 @@ def cmd_tomo_simulate(args) -> int:
 
 
 def cmd_tomo_reconstruct(args) -> int:
-    with open(args.data) as fh:
-        dataset = tomography.TomographyDataset.from_json(json.load(fh))
+    dataset = tomography.TomographyDataset.from_json(_read_json(args.data))
     result = tomography.reconstruct(dataset)
     rho = result.rho_hat
     if args.project:

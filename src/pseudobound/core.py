@@ -108,8 +108,8 @@ class DensityOperator:
     ``tolerance`` bounds the admissible Hermiticity defect, trace defect
     and most negative eigenvalue.  Exact synthetic states keep the tight
     default; noisy reconstructed states should go through
-    :meth:`DensityOperator.loose`, which widens the tolerance to whatever
-    the matrix actually violates.
+    :meth:`DensityOperator.loose`, which widens the tolerance to cover a
+    negative eigenvalue.
     """
 
     matrix: np.ndarray
@@ -135,17 +135,24 @@ class DensityOperator:
               context: str = "") -> "DensityOperator":
         """Wrap a matrix that may violate positivity, widening the tolerance.
 
-        With ``warn=True`` a warning is emitted when the violation exceeds
-        the requested tolerance (the state is still returned).
+        Unprojected estimates legitimately have small negative eigenvalues,
+        so only positivity is relaxed: a Hermiticity or trace defect beyond
+        ``tolerance`` means the matrix is no state and raises ValueError.
+        With ``warn=True`` a warning is emitted when the negative eigenvalue
+        exceeds the requested tolerance (the state is still returned).
         """
         m = check_operator(matrix)
         defect = float(np.max(np.abs(m - m.conj().T)))
-        tr_defect = abs(complex(np.trace(m)) - 1.0)
+        if defect > tolerance:
+            raise ValueError(f"not Hermitian: defect {defect:.3e} > tol {tolerance:.1e}")
+        tr = complex(np.trace(m))
+        if abs(tr - 1.0) > tolerance:
+            raise ValueError(f"trace {tr:.8g} != 1 beyond tol {tolerance:.1e}")
         lowest = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
-        needed = max(defect, tr_defect, -lowest, 0.0) * (1 + 1e-9) + 1e-15
+        needed = max(-lowest, 0.0) * (1 + 1e-9) + 1e-15
         if needed > tolerance and warn:
             warnings.warn(
-                f"{context or 'state'} violates positivity/trace by {needed:.3e} "
+                f"{context or 'state'} violates positivity by {needed:.3e} "
                 f"(beyond tolerance {tolerance:.1e}); widening tolerance",
                 stacklevel=2,
             )

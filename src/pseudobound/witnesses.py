@@ -6,8 +6,12 @@ and carries a negative GHZ coherence.  Subtracting epsilon times the
 identity then makes the expectation on the matching member strictly
 negative while staying non-negative on every separable state, provided
 epsilon does not exceed the minimum of the base operator over product
-states.  That minimum is certified numerically here by multi-start block
-coordinate descent over the three Bloch spheres.
+states.  That minimum is estimated here by block coordinate descent over
+the three single-qubit states, run from many random starts at once as one
+batch of array operations.  The value returned is the best local minimum
+found: an upper bound on the product-state minimum, not a certified lower
+bound, so a witness built from it is valid only if no start missed the
+global minimum.
 """
 
 from __future__ import annotations
@@ -111,32 +115,6 @@ class ProductStateMinimum:
     restarts: int
 
 
-def _ground_state_2x2(m: np.ndarray) -> tuple[float, np.ndarray]:
-    """Closed-form minimal eigenpair of a 2x2 Hermitian matrix."""
-    a = m[0, 0].real
-    d = m[1, 1].real
-    b = m[0, 1]
-    mid = (a + d) / 2.0
-    rad = np.hypot((a - d) / 2.0, abs(b))
-    lo = mid - rad
-    v = np.array([b, lo - a], dtype=complex)
-    norm = np.linalg.norm(v)
-    if norm < 1e-14:
-        v = np.array([1.0, 0.0], dtype=complex) if a <= d else np.array([0.0, 1.0], dtype=complex)
-    else:
-        v = v / norm
-    return float(lo), v
-
-
-def _effective_2x2(w6: np.ndarray, states: list[np.ndarray], qubit: int) -> np.ndarray:
-    a, b, c = states
-    if qubit == 0:
-        return np.einsum("ibcjef,b,c,e,f->ij", w6, b.conj(), c.conj(), b, c)
-    if qubit == 1:
-        return np.einsum("aicdjf,a,c,d,f->ij", w6, a.conj(), c.conj(), a, c)
-    return np.einsum("abidej,a,b,d,e->ij", w6, a.conj(), b.conj(), a, b)
-
-
 def product_expectation(w, single_qubit_states) -> float:
     """<abc| W |abc> for three single-qubit vectors."""
     m = check_operator(w)
@@ -145,49 +123,87 @@ def product_expectation(w, single_qubit_states) -> float:
     return float(np.real(psi.conj() @ m @ psi))
 
 
+# For each qubit: the axes of W reshaped to (2,)*6 that put that qubit's
+# bra and ket index first and the other two qubits (in order) after them.
+_QUBIT_FIRST = ((0, 3, 1, 2, 4, 5), (1, 4, 0, 2, 3, 5), (2, 5, 0, 1, 3, 4))
+_OTHERS = ((1, 2), (0, 2), (0, 1))
+
+
+def _ground_states(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form minimal eigenpairs of a stack of 2x2 Hermitian matrices.
+
+    Rows whose eigenvector formula degenerates (zero off-diagonal with the
+    lower diagonal entry first) fall back to the matching basis vector.
+    """
+    a = m[:, 0, 0].real
+    d = m[:, 1, 1].real
+    b = m[:, 0, 1]
+    lo = (a + d) / 2.0 - np.hypot((a - d) / 2.0, np.abs(b))
+    v = np.stack([b, lo - a], axis=-1)
+    norm = np.linalg.norm(v, axis=-1)
+    degenerate = norm < 1e-14
+    v /= np.where(degenerate, 1.0, norm)[:, None]
+    if degenerate.any():
+        v[degenerate] = np.where((a <= d)[degenerate, None], [1.0, 0.0], [0.0, 1.0])
+    return lo, v
+
+
 def min_over_product_states(w_bar, restarts: int = 200, seed: int = 0,
                             max_sweeps: int = 200) -> ProductStateMinimum:
-    """Minimize <abc| W |abc> over pure product states.
+    """Best local minimum of <abc| W |abc> over pure product states.
 
-    Multi-start block coordinate descent: with two qubits held fixed the
-    optimal third is the ground state of an effective 2x2 Hamiltonian, so
-    each sweep is exact per block and monotonically non-increasing.  Starts
-    are drawn sequentially from the seeded generator, which makes the
-    result deterministic and non-increasing in the number of restarts.
+    Block coordinate descent from ``restarts`` random starts, run on all
+    starts at once: with two qubits held fixed the optimal third is the
+    ground state of an effective 2x2 Hamiltonian, so each sweep over the
+    three qubits is exact per block and never increases the value.  A
+    start stops when a sweep lowers its value by less than 1e-14 relative,
+    or after ``max_sweeps`` sweeps; the lowest final value wins, the first
+    start on ties.  Starts are drawn in one block from the seeded
+    generator, start by start, so the result is deterministic and
+    non-increasing in the number of restarts.
+
+    The value is the best local minimum found, which is an upper bound on
+    the true product-state minimum, not a certified lower bound.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
+    if max_sweeps < 1:
+        raise ValueError("need at least one sweep")
     m = check_operator(w_bar)
     if m.shape[0] != 8:
         raise ValueError("product-state minimization expects an 8x8 operator")
-    w6 = np.asarray(m).reshape(2, 2, 2, 2, 2, 2)
-    rng = np.random.default_rng(seed)
+    w6 = m.reshape((2,) * 6)
+    # blocks[q][(k, l), (i, j)]: the entry of W with qubit q in row i and
+    # column j, the other two qubits jointly in row k and column l
+    blocks = [w6.transpose(axes).reshape(4, 16).T for axes in _QUBIT_FIRST]
 
-    best_value = np.inf
-    best_states: list[np.ndarray] | None = None
-    for _ in range(restarts):
-        states = []
-        for _q in range(3):
-            v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            states.append(v / np.linalg.norm(v))
-        value = np.inf
-        for _sweep in range(max_sweeps):
-            for q in range(3):
-                eff = _effective_2x2(w6, states, q)
-                val, vec = _ground_state_2x2(eff)
-                states[q] = vec
-            if value - val < 1e-14 * max(1.0, abs(val)):
-                value = val
-                break
-            value = val
-        if value < best_value:
-            best_value = value
-            best_states = [s.copy() for s in states]
+    draws = np.random.default_rng(seed).standard_normal((restarts, 3, 2, 2))
+    cur = draws[..., 0, :] + 1j * draws[..., 1, :]      # (restarts, 3, 2)
+    cur /= np.linalg.norm(cur, axis=-1, keepdims=True)
 
-    assert best_states is not None
+    states = np.empty_like(cur)
+    values = np.empty(restarts)
+    active = np.arange(restarts)        # starts still descending, rows of cur
+    value = np.full(restarts, np.inf)
+    for _sweep in range(max_sweeps):
+        for q in range(3):
+            x, y = (cur[:, o] for o in _OTHERS[q])
+            u = (x[:, :, None] * y[:, None, :]).reshape(-1, 4)
+            pairs = (u.conj()[:, :, None] * u[:, None, :]).reshape(-1, 16)
+            val, cur[:, q] = _ground_states((pairs @ blocks[q]).reshape(-1, 2, 2))
+        done = value - val < 1e-14 * np.maximum(1.0, np.abs(val))
+        states[active[done]] = cur[done]
+        values[active[done]] = val[done]
+        active, cur, value = active[~done], cur[~done], val[~done]
+        if active.size == 0:
+            break
+    states[active] = cur                # starts that ran out of sweeps
+    values[active] = value
+
+    best = int(np.argmin(values))
     return ProductStateMinimum(
-        value=float(best_value),
-        states=np.array(best_states),
+        value=float(values[best]),
+        states=states[best].copy(),
         restarts=restarts,
     )
 
@@ -236,7 +252,7 @@ class RobustnessReport:
 
 
 def certified_epsilon(a: float, restarts: int = 200, seed: int = 0) -> float:
-    """Product-state minimum of the base witness for a symmetric triple."""
+    """Best product-state minimum found for the base witness of a symmetric triple."""
     return min_over_product_states(
         witness_bar(StateParams.symmetric(a)), restarts=restarts, seed=seed
     ).value

@@ -173,6 +173,13 @@ def test_cli_reports_bad_input(tmp_path, capsys):
 _RECORD = {"setting": "Y1E2E3", "detect": "C", "line": "00", "quad": "x",
            "value": 0.0, "sigma": 1e-3}
 
+# raw file text: nested deeper than the interpreter's recursion limit
+_DEEP = "[" * 100_000
+
+
+_NOT_HERMITIAN = np.diag([5.0, 0, 0, 0, 0, 0, 0, -1.0])
+_NOT_HERMITIAN[0, 1] = 3.0
+
 
 @pytest.mark.parametrize("command, payload", [
     ("ppt", {"dim": 8, "re": [[1]]}),
@@ -190,13 +197,21 @@ _RECORD = {"setting": "Y1E2E3", "detect": "C", "line": "00", "quad": "x",
     ("tomo", [dict(_RECORD, value=None)]),
     ("tomo", [dict(_RECORD, sigma="wide")]),
     ("tomo", ["Y1E2E3"]),
+    ("ppt", _DEEP),
+    ("tomo", _DEEP),
+    ("metrics", _DEEP),
+    ("ppt", core.matrix_to_json(_NOT_HERMITIAN)),
+    ("metrics", core.matrix_to_json(_NOT_HERMITIAN)),
+    ("ppt", core.matrix_to_json(np.eye(8) / 4)),
 ], ids=["ppt-missing-im", "metrics-missing-im", "ppt-list", "ppt-non-numeric",
         "ppt-null-dim", "tomo-missing-detect", "tomo-object", "tomo-empty",
         "tomo-bad-line", "tomo-bad-setting", "tomo-bad-detect", "tomo-bad-quad",
-        "tomo-null-value", "tomo-text-sigma", "tomo-non-object-record"])
+        "tomo-null-value", "tomo-text-sigma", "tomo-non-object-record",
+        "ppt-deep", "tomo-deep", "metrics-deep", "ppt-not-hermitian",
+        "metrics-not-hermitian", "ppt-trace-2"])
 def test_malformed_input_exits_2(tmp_path, capsys, command, payload):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(payload))
+    bad.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     rho = tmp_path / "rho.json"
     run(["state", "--out", str(rho)])
     argv = {"ppt": ["ppt", "--state", str(bad)],

@@ -209,3 +209,7 @@ def test_loose_wrapper_warns():
     with pytest.warns(UserWarning, match="widening"):
         rho = core.DensityOperator.loose(bad, tolerance=1e-6, warn=True)
     assert rho.tolerance >= 0.2
+    # only positivity is relaxed: a matrix that is no state is refused
+    for no_state in (np.array([[0.5, 0.1], [0.0, 0.5]]), np.eye(2)):
+        with pytest.raises(ValueError):
+            core.DensityOperator.loose(no_state, tolerance=1e-6)

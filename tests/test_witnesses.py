@@ -118,6 +118,104 @@ def test_product_minimum_trivial_cases():
         witnesses.min_over_product_states(np.eye(8), restarts=0)
 
 
+def _oracle_min_over_product_states(w_bar, restarts, seed, max_sweeps=200):
+    """Reference: the same descent, one start and one qubit at a time."""
+    w6 = np.asarray(w_bar, dtype=complex).reshape(2, 2, 2, 2, 2, 2)
+    rng = np.random.default_rng(seed)
+
+    def effective(states, qubit):
+        a, b, c = states
+        if qubit == 0:
+            return np.einsum("ibcjef,b,c,e,f->ij", w6, b.conj(), c.conj(), b, c)
+        if qubit == 1:
+            return np.einsum("aicdjf,a,c,d,f->ij", w6, a.conj(), c.conj(), a, c)
+        return np.einsum("abidej,a,b,d,e->ij", w6, a.conj(), b.conj(), a, b)
+
+    def ground_state(m):
+        a, d, b = m[0, 0].real, m[1, 1].real, m[0, 1]
+        lo = (a + d) / 2.0 - np.hypot((a - d) / 2.0, abs(b))
+        v = np.array([b, lo - a], dtype=complex)
+        norm = np.linalg.norm(v)
+        if norm < 1e-14:
+            return lo, np.array([1.0, 0.0] if a <= d else [0.0, 1.0], dtype=complex)
+        return lo, v / norm
+
+    best_value, best_states = np.inf, None
+    for _ in range(restarts):
+        states = []
+        for _q in range(3):
+            v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            states.append(v / np.linalg.norm(v))
+        value = np.inf
+        for _sweep in range(max_sweeps):
+            for q in range(3):
+                val, states[q] = ground_state(effective(states, q))
+            if value - val < 1e-14 * max(1.0, abs(val)):
+                value = val
+                break
+            value = val
+        if value < best_value:
+            best_value, best_states = value, np.array(states)
+    return best_value, best_states
+
+
+def _random_hermitian(seed):
+    g = np.random.default_rng(seed)
+    h = g.standard_normal((8, 8)) + 1j * g.standard_normal((8, 8))
+    return h + h.conj().T
+
+
+_ORACLE_OPERATORS = {
+    **{f"witness_bar-{a}": witnesses.witness_bar(states.StateParams.symmetric(a))
+       for a in (0.1, 0.346, 0.5, 1.0)},
+    "identity": np.eye(8),
+    "ghz-projector": np.outer(states.ghz(-1), states.ghz(-1).conj()),
+    "random-hermitian": _random_hermitian(17),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_OPERATORS))
+def test_product_minimum_matches_per_restart_oracle(name):
+    w = _ORACLE_OPERATORS[name]
+    for seed in (0, 1, 2, 3):
+        got = witnesses.min_over_product_states(w, restarts=40, seed=seed)
+        want, _ = _oracle_min_over_product_states(w, restarts=40, seed=seed)
+        assert abs(got.value - want) <= 1e-14 * max(1.0, abs(want))
+        assert got.states.shape == (3, 2)
+        np.testing.assert_allclose(np.linalg.norm(got.states, axis=1), 1.0, atol=1e-14)
+        assert witnesses.product_expectation(w, got.states) == pytest.approx(
+            got.value, abs=1e-12)
+
+
+def test_product_minimum_sweep_limit_matches_oracle():
+    w = _ORACLE_OPERATORS["random-hermitian"]
+    for max_sweeps in (1, 2, 5):
+        got = witnesses.min_over_product_states(w, restarts=30, seed=5,
+                                                max_sweeps=max_sweeps)
+        want, _ = _oracle_min_over_product_states(w, 30, 5, max_sweeps=max_sweeps)
+        assert abs(got.value - want) <= 1e-14 * max(1.0, abs(want))
+    with pytest.raises(ValueError):
+        witnesses.min_over_product_states(w, max_sweeps=0)
+
+
+@pytest.mark.parametrize("diagonal", [np.arange(8.0), [0, 1, 1, 1, 1, 1, 1, 0]],
+                         ids=["ascending", "tied"])
+def test_product_minimum_degenerate_fallback(diagonal):
+    # every effective matrix is diagonal, so a ground-state update takes the
+    # basis-vector fallback whenever the |0> entry is the lower one; the
+    # tied operator reaches 0 at both |000> and |111>, and the first start
+    # to reach the minimum wins
+    w = np.diag(np.asarray(diagonal, dtype=float))
+    for seed in range(4):
+        result = witnesses.min_over_product_states(w, restarts=25, seed=seed)
+        want, want_states = _oracle_min_over_product_states(w, 25, seed)
+        assert result.value == want == 0.0
+        np.testing.assert_array_equal(result.states, want_states)
+        np.testing.assert_array_equal(np.linalg.norm(result.states, axis=1), 1.0)
+        if diagonal[-1] != 0:
+            np.testing.assert_array_equal(result.states, [[1, 0], [1, 0], [1, 0]])
+
+
 def test_product_minimum_at_working_point():
     wb = witnesses.witness_bar(states.StateParams.symmetric(A_OPT))
     result = witnesses.min_over_product_states(wb, restarts=400, seed=2)
