@@ -1,0 +1,226 @@
+"""One registry of invariant checks, read by ``pseudobound verify`` and pytest.
+
+Each ``CHECKS`` entry is ``(name, fn)``: ``fn(rng)`` returns a one-line
+detail and raises :class:`CheckFailed` when its invariant does not hold.
+Entries that are acceptance criteria keep the criterion's sample counts and
+tolerances; criterion 08 is too slow for ``verify`` and lives in the tests.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from . import cli, core, nmr, states, tomography, witnesses
+
+A_OPT = 0.3460
+EPS_OPT = 0.1069
+_PARAMS = states.StateParams.symmetric(A_OPT)
+_W_PARAMS = witnesses.WitnessParams.symmetric(A_OPT, EPS_OPT)
+
+
+class CheckFailed(AssertionError):
+    """An invariant does not hold; the message says where."""
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise CheckFailed(message)
+
+
+def family_ppt(rng) -> str:
+    for cut in core.is_ppt(states.bound_entangled_state(_PARAMS)).cuts:
+        _require(cut.min_eigenvalue >= -1e-10 and cut.ppt, f"working point {cut}")
+    for _ in range(30):
+        params = states.StateParams(*rng.uniform(0.1, 3.0, size=3))
+        _require(core.is_ppt(states.bound_entangled_state(params)).all_ppt,
+                 f"NPT at {params.as_tuple()}")
+    return "working point and 30 random triples PPT on all cuts"
+
+
+def witness_zero_trace(rng) -> str:
+    worst = 0.0
+    for _ in range(100):
+        params = states.StateParams(*rng.uniform(0.1, 3.0, size=3))
+        val = abs(witnesses.expectation(witnesses.witness_bar(params),
+                                        states.bound_entangled_state(params)))
+        _require(val <= 1e-12, f"|tr(Wbar rho)| = {val:.2e} at {params.as_tuple()}")
+        worst = max(worst, val)
+    at_opt = witnesses.expectation(witnesses.witness(_W_PARAMS),
+                                   states.bound_entangled_state(_PARAMS))
+    _require(abs(at_opt + EPS_OPT) <= 1e-4, f"<W> = {at_opt:.6f} at the working point")
+    return f"max |tr(Wbar rho)| = {worst:.2e}, <W> = {at_opt:.4f} at the working point"
+
+
+def witness_spectrum(rng) -> str:
+    lo, hi = witnesses.witness_spectrum_extremes(_W_PARAMS)
+    detail = f"spectrum [{lo:.4f}, {hi:.4f}]"
+    _require(-1.040 <= lo <= -1.028 and 1.815 <= hi <= 1.825, detail)
+    closed = -3 * A_OPT / (1 + A_OPT * A_OPT) - EPS_OPT
+    _require(abs(lo - closed) < 1e-10, f"{detail}, closed form {closed:.12f}")
+    return detail
+
+
+def pseudo_witness(rng) -> str:
+    for _ in range(20):
+        rho = core.random_density_operator(rng)
+        p = float(rng.uniform(1e-6, 1.0))
+        wmat = witnesses.witness_bar(states.StateParams(*rng.uniform(0.1, 3.0, size=3)))
+        lhs = witnesses.expectation(witnesses.pseudo_witness(wmat, p),
+                                    states.pseudo_state(rho, p).rho)
+        rhs = witnesses.expectation(wmat, rho)
+        _require(abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs)),
+                 f"identity off by {abs(lhs - rhs):.2e} at p={p:.2e}")
+    return "20 random (state, p) pairs"
+
+
+def peel_round_trip(rng) -> str:
+    worst = 0.0
+    for _ in range(20):
+        rho = core.random_density_operator(rng)
+        p = float(rng.uniform(1e-6, 1.0))
+        peeled = states.peel_identity(states.pseudo_state(rho, p))
+        worst = max(worst, float(np.max(np.abs(peeled.matrix - rho.matrix))))
+    _require(worst <= 1e-9, f"max round-trip error {worst:.2e}")
+    return f"max round-trip error {worst:.2e}"
+
+
+def family_rank(rng) -> str:
+    r = core.numeric_rank(states.bound_entangled_state(_PARAMS).matrix)
+    _require(r == 7, f"numeric rank {r}")
+    return f"numeric rank {r}"
+
+
+def preparation(rng) -> str:
+    u = nmr.preparation_unitary()
+    unitary = float(np.max(np.abs(u @ u.conj().T - np.eye(8))))
+    v_sel, v_cnot = nmr.factor_preparation()
+    product = float(np.max(np.abs(v_cnot @ v_sel - u)))
+    mods = np.abs(v_cnot)
+    perm = bool(np.all(np.isclose(mods, 0.0, atol=1e-14) | np.isclose(mods, 1.0, atol=1e-14)))
+    detail = f"unitarity {unitary:.1e}, factorization {product:.1e}, population-permutation {perm}"
+    _require(unitary < 1e-14 and product < 1e-14 and perm, detail)
+    return detail
+
+
+def temporal_weld(rng) -> str:
+    p = nmr.matched_fraction(_PARAMS, nmr.DEFAULT_KAPPA_H)
+    seed_spec = nmr.target_diagonal(_PARAMS, p)
+    five = nmr.initial_states(nmr.DEFAULT_SYSTEM, nmr.DEFAULT_KAPPA_H)
+    sol = nmr.solve_temporal_weights(five, seed_spec)
+    _require(sol.residual <= 1e-10, f"weights residual {sol.residual:.1e}")
+    u = nmr.preparation_unitary()
+    prepared = u @ nmr.mix_states(five, sol.weights).matrix @ u.conj().T
+    expected = states.pseudo_state(states.bound_entangled_state(_PARAMS),
+                                   sol.achieved_p).rho.matrix
+    gap = float(np.max(np.abs(prepared - expected)))
+    _require(gap <= 1e-12, f"weld gap {gap:.1e}")
+    # derived expansion coefficients against their two-digit values
+    coefficients = (seed_spec.single_spin[0], seed_spec.single_spin[1], seed_spec.three_spin)
+    _require(all(abs(c - ref) <= 0.01 for c, ref in zip(coefficients, (-0.78, -0.21, 3.85))),
+             f"seed coefficients {coefficients}")
+    return f"weights residual {sol.residual:.1e}, weld gap {gap:.1e}"
+
+
+def separable_boundary(rng) -> str:
+    params = states.StateParams(1.0, 1.0, 1.0)
+    rho = states.bound_entangled_state(params)
+    eps = witnesses.certified_epsilon(1.0, restarts=100, seed=11)
+    detected = witnesses.expectation(
+        witnesses.witness_bar(params) - eps * np.eye(8), rho) < -1e-9
+    detail = f"flag {params.entangled_regime}, eps {eps:.2e}, detected {detected}"
+    _require((not params.entangled_regime) and (not detected)
+             and core.is_ppt(rho).all_ppt and abs(eps) < 1e-6, detail)
+    return detail
+
+
+def witness_optimization(rng) -> str:
+    report = witnesses.optimize_parameters(search_range=(0.05, 1.0),
+                                           restarts=250, seed=7)
+    detail = (f"a {report.a:.4f}, eps {report.epsilon_certified:.4f}, "
+              f"q* {report.noise_threshold:.4f} over {report.total_restarts} restarts")
+    _require(report.total_restarts >= 10_000 and 0.33 <= report.a <= 0.36
+             and 0.10 <= report.epsilon_certified <= 0.11
+             and abs(report.noise_threshold - 0.786) <= 0.005, detail)
+    return detail
+
+
+def tomography_round_trip(rng) -> str:
+    dm = tomography.design_matrix()
+    _require(dm.rank == 63, f"rank {dm.rank} ({dm.matrix.shape[0]} rows)")
+    worst = 0.0
+    for _ in range(50):
+        rho = core.random_density_operator(rng)
+        rec = tomography.reconstruct(tomography.generate_dataset(rho, sigma=0.0))
+        dist = core.trace_distance(rec.rho_hat, rho)
+        _require(dist <= 1e-8, f"round-trip trace distance {dist:.2e}")
+        worst = max(worst, dist)
+    return f"rank {dm.rank} ({dm.matrix.shape[0]} rows), worst trace distance {worst:.2e}"
+
+
+def error_propagation(rng) -> str:
+    rho = states.bound_entangled_state(_PARAMS)
+    rec = tomography.reconstruct(tomography.generate_dataset(rho, sigma=1e-3, seed=3))
+    w = witnesses.witness(_W_PARAMS)
+    s_w = tomography.propagate_witness_error(rec, w)
+    s_id = tomography.propagate_witness_error(rec, np.eye(8))
+    s_shift = tomography.propagate_witness_error(rec, w + 3.7 * np.eye(8))
+    s_scaled = tomography.propagate_witness_error(rec, 2.0 * w)
+    detail = f"sigma_W {s_w:.2e}, identity {s_id:.1e}"
+    _require(s_id == 0.0 and abs(s_shift - s_w) < 1e-12 and abs(s_scaled - 2 * s_w) < 1e-12,
+             detail)
+    return detail
+
+
+def metric_sandwich(rng) -> str:
+    for _ in range(100):
+        a, b = core.random_density_operator(rng), core.random_density_operator(rng)
+        f = core.uhlmann_fidelity(a, b)
+        dt = core.trace_distance(a, b)
+        _require(1 - f <= dt + 1e-10 and dt <= np.sqrt(max(0.0, 1 - f * f)) + 1e-10,
+                 f"violated at F={f:.4f}, dt={dt:.4f}")
+    rho = core.random_density_operator(rng)
+    f_self = core.uhlmann_fidelity(rho, rho)
+    _require(abs(f_self - 1.0) <= 1e-12, f"F(rho, rho) = {f_self!r}")
+    d0, d7 = (core.DensityOperator(np.diag(np.eye(8)[k])) for k in (0, 7))
+    dt, f = core.trace_distance(d0, d7), core.uhlmann_fidelity(d0, d7)
+    _require(dt == 1.0 and f == 0.0, f"orthogonal pure states: dt={dt!r}, F={f!r}")
+    return "100 random pairs inside the bounds, exact endpoints"
+
+
+def projector_spectrum(rng) -> str:
+    v = core.random_unitary(rng)[:, :3]
+    vals = core.eigvalsh(v @ v.conj().T)
+    _require(bool(np.all((np.abs(vals) < 1e-9) | (np.abs(vals - 1) < 1e-9))),
+             f"projector eigenvalues {np.round(vals, 12)}")
+    return "projector eigenvalues in {0, 1}"
+
+
+def noisy_report(rng) -> str:
+    rep = cli.build_report(cli.RunConfig())
+    m, w = rep["metrics"], rep["witness"]
+    detail = (f"F {m['uhlmann_fidelity']:.4f}, dt {m['trace_distance']:.4f}, "
+              f"<W> {w['expectation']:+.4f} +/- {w['sigma']:.4f}")
+    # calibration context: fidelity near 0.98
+    _require(0.97 <= m["uhlmann_fidelity"] <= 0.995 and 0.05 <= m["trace_distance"] <= 0.13
+             and w["expectation"] < 0 and rep["ppt"]["all_ppt"] is True
+             and 0.005 <= w["sigma"] <= 0.02 and rep["entangled"] is True, detail)
+    return detail
+
+
+CHECKS = (
+    ("state family PPT", family_ppt),  # criterion 01
+    ("witness zero-trace identity", witness_zero_trace),  # criterion 02
+    ("witness spectrum", witness_spectrum),  # criterion 03
+    ("pseudo witness identity", pseudo_witness),
+    ("pseudo state peel round trip", peel_round_trip),
+    ("state family rank", family_rank),  # criterion 04
+    ("preparation unitary and factorization", preparation),
+    ("temporal averaging weld", temporal_weld),  # criterion 05
+    ("separable boundary behaviour", separable_boundary),
+    ("witness optimization", witness_optimization),  # criterion 06
+    ("tomography design rank and round trip", tomography_round_trip),  # criterion 07
+    ("witness error propagation", error_propagation),
+    ("fidelity/trace-distance sandwich", metric_sandwich),  # criterion 10
+    ("projector spectrum", projector_spectrum),
+    ("end-to-end noisy report", noisy_report),  # criterion 09
+)

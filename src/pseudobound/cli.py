@@ -291,175 +291,20 @@ def cmd_report(args) -> int:
 # verify: the invariant suite
 
 
-def _check_family_ppt(rng):
-    for _ in range(30):
-        params = states.StateParams(*rng.uniform(0.1, 3.0, size=3))
-        if not core.is_ppt(states.bound_entangled_state(params)).all_ppt:
-            return False, f"NPT at {params.as_tuple()}"
-    return True, "30 random triples PPT on all cuts"
-
-
-def _check_witness_zero_trace(rng):
-    worst = 0.0
-    for _ in range(100):
-        params = states.StateParams(*rng.uniform(0.1, 3.0, size=3))
-        val = witnesses.expectation(witnesses.witness_bar(params),
-                                    states.bound_entangled_state(params))
-        worst = max(worst, abs(val))
-    return worst <= 1e-12, f"max |tr(Wbar rho)| = {worst:.2e}"
-
-
-def _check_witness_spectrum(rng):
-    a, eps = 0.3460, 0.1069
-    lo, hi = witnesses.witness_spectrum_extremes(
-        witnesses.WitnessParams.symmetric(a, eps))
-    expect_lo = -3 * a / (1 + a * a) - eps
-    ok = abs(lo - expect_lo) < 1e-10 and -1.040 < lo < -1.028 and 1.815 < hi < 1.825
-    return ok, f"spectrum [{lo:.4f}, {hi:.4f}]"
-
-
-def _check_pseudo_witness(rng):
-    for _ in range(20):
-        rho = core.random_density_operator(rng)
-        p = float(rng.uniform(1e-6, 1.0))
-        wmat = witnesses.witness_bar(states.StateParams(*rng.uniform(0.1, 3.0, 3)))
-        lhs = witnesses.expectation(witnesses.pseudo_witness(wmat, p),
-                                    states.pseudo_state(rho, p).rho)
-        rhs = witnesses.expectation(wmat, rho)
-        if abs(lhs - rhs) > 1e-9 * max(1.0, abs(rhs)):
-            return False, f"identity off by {abs(lhs - rhs):.2e} at p={p:.2e}"
-    return True, "20 random (state, p) pairs"
-
-
-def _check_peel_round_trip(rng):
-    worst = 0.0
-    for _ in range(20):
-        rho = core.random_density_operator(rng)
-        p = float(rng.uniform(1e-6, 1.0))
-        peeled = states.peel_identity(states.pseudo_state(rho, p))
-        worst = max(worst, float(np.max(np.abs(peeled.matrix - rho.matrix))))
-    return worst <= 1e-9, f"max round-trip error {worst:.2e}"
-
-
-def _check_rank(rng):
-    r = core.numeric_rank(states.bound_entangled_state(
-        states.StateParams.symmetric(0.3460)).matrix)
-    return r == 7, f"numeric rank {r}"
-
-
-def _check_preparation(rng):
-    u = nmr.preparation_unitary()
-    unitary = float(np.max(np.abs(u @ u.conj().T - np.eye(8))))
-    v_sel, v_cnot = nmr.factor_preparation()
-    product = float(np.max(np.abs(v_cnot @ v_sel - u)))
-    mods = np.abs(v_cnot)
-    perm = bool(np.all(np.isclose(mods, 0.0, atol=1e-14) | np.isclose(mods, 1.0, atol=1e-14)))
-    ok = unitary < 1e-14 and product < 1e-14 and perm
-    return ok, f"unitarity {unitary:.1e}, factorization {product:.1e}, population-permutation {perm}"
-
-
-def _check_weld(rng):
-    params = states.StateParams.symmetric(0.3460)
-    kappa = 8.4e-5
-    p = nmr.matched_fraction(params, kappa)
-    five = nmr.initial_states(nmr.DEFAULT_SYSTEM, kappa)
-    sol = nmr.solve_temporal_weights(five, nmr.target_diagonal(params, p))
-    rho_d = nmr.mix_states(five, sol.weights)
-    u = nmr.preparation_unitary()
-    lhs = u @ rho_d.matrix @ u.conj().T
-    rhs = states.pseudo_state(states.bound_entangled_state(params), sol.achieved_p).rho.matrix
-    gap = float(np.max(np.abs(lhs - rhs)))
-    ok = sol.residual <= 1e-10 and gap <= 1e-12
-    return ok, f"weights residual {sol.residual:.1e}, weld gap {gap:.1e}"
-
-
-def _check_separable_boundary(rng):
-    params = states.StateParams(1.0, 1.0, 1.0)
-    rho = states.bound_entangled_state(params)
-    eps = witnesses.certified_epsilon(1.0, restarts=100, seed=11)
-    detected = witnesses.expectation(
-        witnesses.witness_bar(params) - eps * np.eye(8), rho) < -1e-9
-    ok = (not params.entangled_regime) and (not detected) \
-        and core.is_ppt(rho).all_ppt and abs(eps) < 1e-6
-    return ok, f"flag {params.entangled_regime}, eps {eps:.2e}, detected {detected}"
-
-
-def _check_design_rank(rng):
-    dm = tomography.design_matrix()
-    return dm.rank == 63, f"rank {dm.rank} ({dm.matrix.shape[0]} rows)"
-
-
-def _check_round_trip(rng):
-    worst = 0.0
-    for _ in range(5):
-        rho = core.random_density_operator(rng)
-        rec = tomography.reconstruct(tomography.generate_dataset(rho, sigma=0.0))
-        worst = max(worst, core.trace_distance(rec.rho_hat, rho))
-    return worst <= 1e-8, f"worst trace distance {worst:.2e}"
-
-
-def _check_error_propagation(rng):
-    rho = states.bound_entangled_state(states.StateParams.symmetric(0.3460))
-    rec = tomography.reconstruct(tomography.generate_dataset(rho, sigma=1e-3, seed=3))
-    w = witnesses.witness(witnesses.WitnessParams.symmetric(0.3460, 0.1069))
-    s_w = tomography.propagate_witness_error(rec, w)
-    s_id = tomography.propagate_witness_error(rec, np.eye(8))
-    s_shift = tomography.propagate_witness_error(rec, w + 3.7 * np.eye(8))
-    s_scaled = tomography.propagate_witness_error(rec, 2.0 * w)
-    ok = s_id == 0.0 and abs(s_shift - s_w) < 1e-12 and abs(s_scaled - 2 * s_w) < 1e-12
-    return ok, f"sigma_W {s_w:.2e}, identity {s_id:.1e}"
-
-
-def _check_metric_sandwich(rng):
-    for _ in range(100):
-        r1 = core.random_density_operator(rng)
-        r2 = core.random_density_operator(rng)
-        f = core.uhlmann_fidelity(r1, r2)
-        dt = core.trace_distance(r1, r2)
-        if not (1 - f <= dt + 1e-10 and dt <= np.sqrt(max(0.0, 1 - f * f)) + 1e-10):
-            return False, f"violated at F={f:.4f}, dt={dt:.4f}"
-    return True, "100 random pairs inside the bounds"
-
-
-def _check_projector_spectrum(rng):
-    v = core.random_unitary(rng)[:, :3]
-    proj = v @ v.conj().T
-    vals = core.eigvalsh(proj)
-    ok = bool(np.all((np.abs(vals) < 1e-9) | (np.abs(vals - 1) < 1e-9)))
-    return ok, "projector eigenvalues in {0, 1}"
-
-
-VERIFY_CHECKS = [
-    ("state family PPT", _check_family_ppt),
-    ("witness zero-trace identity", _check_witness_zero_trace),
-    ("witness spectrum", _check_witness_spectrum),
-    ("pseudo witness identity", _check_pseudo_witness),
-    ("pseudo state peel round trip", _check_peel_round_trip),
-    ("state family rank", _check_rank),
-    ("preparation unitary and factorization", _check_preparation),
-    ("temporal averaging weld", _check_weld),
-    ("separable boundary behaviour", _check_separable_boundary),
-    ("tomography design rank", _check_design_rank),
-    ("tomography round trip", _check_round_trip),
-    ("witness error propagation", _check_error_propagation),
-    ("fidelity/trace-distance sandwich", _check_metric_sandwich),
-    ("projector spectrum", _check_projector_spectrum),
-]
-
-
 def cmd_verify(args) -> int:
+    from . import checks   # imported here: checks needs cli for build_report
     rng = np.random.default_rng(args.seed)
     failures = 0
-    for name, check in VERIFY_CHECKS:
+    for name, check in checks.CHECKS:
         try:
-            ok, detail = check(rng)
+            ok, detail = True, check(rng)
+        except checks.CheckFailed as exc:
+            ok, detail = False, str(exc)
         except Exception as exc:   # a crash is a failure, not an abort
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        status = "PASS" if ok else "FAIL"
-        if not ok:
-            failures += 1
-        print(f"[{status}] {name}: {detail}")
-    print(f"{len(VERIFY_CHECKS) - failures}/{len(VERIFY_CHECKS)} checks passed")
+        failures += not ok
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+    print(f"{len(checks.CHECKS) - failures}/{len(checks.CHECKS)} checks passed")
     return EXIT_OK if failures == 0 else EXIT_INVARIANT
 
 

@@ -59,10 +59,6 @@ def num_qubits(dim: int) -> int:
     return n
 
 
-def dagger(matrix) -> np.ndarray:
-    return np.asarray(matrix).conj().T
-
-
 def tensor(*ops) -> np.ndarray:
     """Kronecker product of operators, leftmost factor most significant."""
     if not ops:
@@ -74,15 +70,15 @@ def tensor(*ops) -> np.ndarray:
     return reduce(np.kron, mats)
 
 
-def eigvalsh(h, hermiticity_tolerance: float = 1e-9) -> np.ndarray:
+def eigvalsh(h) -> np.ndarray:
     """Real eigenvalues of a Hermitian operator, ascending.
 
-    Raises if the input deviates from Hermiticity by more than the given
-    absolute tolerance.
+    Raises if the input deviates from Hermiticity by more than 1e-9
+    (absolute).
     """
     m = _as_matrix(h)
     defect = float(np.max(np.abs(m - m.conj().T)))
-    if defect > hermiticity_tolerance:
+    if defect > 1e-9:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
     return np.linalg.eigvalsh(m)
 
@@ -115,17 +111,28 @@ class DensityOperator:
     matrix: np.ndarray
     tolerance: float = 1e-10
 
-    def __post_init__(self):
+    def __post_init__(self, widen: bool = False, warn: bool = False, context: str = ""):
+        # the one validation pass; loose() calls it with widen=True
+        tol = self.tolerance
         m = check_operator(self.matrix)
         defect = float(np.max(np.abs(m - m.conj().T)))
-        if defect > self.tolerance:
-            raise ValueError(f"not Hermitian: defect {defect:.3e} > tol {self.tolerance:.1e}")
+        if defect > tol:
+            raise ValueError(f"not Hermitian: defect {defect:.3e} > tol {tol:.1e}")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > max(self.tolerance, 1e-12):
-            raise ValueError(f"trace {tr:.8g} != 1 beyond tol {self.tolerance:.1e}")
+        if abs(tr - 1.0) > (tol if widen else max(tol, 1e-12)):
+            raise ValueError(f"trace {tr:.8g} != 1 beyond tol {tol:.1e}")
         lowest = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
-        if lowest < -self.tolerance:
-            raise ValueError(f"negative eigenvalue {lowest:.3e} beyond tol {self.tolerance:.1e}")
+        if widen:
+            needed = max(-lowest, 0.0) * (1 + 1e-9) + 1e-15
+            if needed > tol and warn:
+                warnings.warn(
+                    f"{context or 'state'} violates positivity by {needed:.3e} "
+                    f"(beyond tolerance {tol:.1e}); widening tolerance",
+                    stacklevel=3,
+                )
+            object.__setattr__(self, "tolerance", max(tol, needed))
+        elif lowest < -tol:
+            raise ValueError(f"negative eigenvalue {lowest:.3e} beyond tol {tol:.1e}")
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -141,22 +148,12 @@ class DensityOperator:
         With ``warn=True`` a warning is emitted when the negative eigenvalue
         exceeds the requested tolerance (the state is still returned).
         """
-        m = check_operator(matrix)
-        defect = float(np.max(np.abs(m - m.conj().T)))
-        if defect > tolerance:
-            raise ValueError(f"not Hermitian: defect {defect:.3e} > tol {tolerance:.1e}")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > tolerance:
-            raise ValueError(f"trace {tr:.8g} != 1 beyond tol {tolerance:.1e}")
-        lowest = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
-        needed = max(-lowest, 0.0) * (1 + 1e-9) + 1e-15
-        if needed > tolerance and warn:
-            warnings.warn(
-                f"{context or 'state'} violates positivity by {needed:.3e} "
-                f"(beyond tolerance {tolerance:.1e}); widening tolerance",
-                stacklevel=2,
-            )
-        return cls(m, tolerance=max(tolerance, needed))
+        # skip __init__ so that the matrix is validated once, by the widening pass
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "matrix", matrix)
+        object.__setattr__(rho, "tolerance", tolerance)
+        rho.__post_init__(widen=True, warn=warn, context=context)
+        return rho
 
     @property
     def dim(self) -> int:
@@ -277,12 +274,10 @@ def is_ppt(rho: DensityOperator, tolerance: float | None = None) -> PPTReport:
     return PPTReport(tuple(results), tol)
 
 
-def numeric_rank(h, rank_tolerance: float | None = None) -> int:
-    """Count of eigenvalues above the cutoff (default 1e-7 x largest)."""
+def numeric_rank(h) -> int:
+    """Count of eigenvalues above 1e-7 x the largest."""
     vals = eigvalsh(h)
-    top = float(vals[-1])
-    tol = rank_tolerance if rank_tolerance is not None else 1e-7 * max(top, 0.0)
-    return int(np.sum(vals > tol))
+    return int(np.sum(vals > 1e-7 * max(float(vals[-1]), 0.0)))
 
 
 def uhlmann_fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
@@ -328,11 +323,6 @@ def pauli_product(label: str) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # random objects for sampling-based checks
-
-
-def random_state_vector(rng: np.random.Generator, dim: int = 8) -> np.ndarray:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
 
 
 def random_density_operator(rng: np.random.Generator, dim: int = 8,

@@ -27,14 +27,10 @@ DEFAULT_KAPPA_H = 8.4e-5
 class SpinSystem:
     """The heteronuclear three-spin register (C, H, F).
 
-    Gyromagnetic ratios are in units of 1e7 / (T s).  ``kappa_h`` is the
-    thermal polarization of the proton at the working field and
-    temperature.
+    Gyromagnetic ratios are in units of 1e7 / (T s).
     """
 
-    labels: tuple[str, str, str] = ("C", "H", "F")
     gammas: tuple[float, float, float] = (6.73, 26.75, 25.18)
-    kappa_h: float = DEFAULT_KAPPA_H
 
 
 DEFAULT_SYSTEM = SpinSystem()
@@ -153,9 +149,6 @@ class DiagonalStateSpec:
     three_spin: float
     scale: float
     state: DensityOperator
-
-    def coefficient_vector(self) -> np.ndarray:
-        return np.array([*self.single_spin, *self.two_spin, self.three_spin])
 
     def deviation(self) -> np.ndarray:
         """The traceless part of the state (as a matrix)."""

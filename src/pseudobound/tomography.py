@@ -16,8 +16,9 @@ quantities such as witness expectations.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -37,18 +38,15 @@ QUADRATURES = ("x", "y")
 
 _DETECT_QUBIT = {"C": 1, "H": 2, "F": 3}
 
+# the 27 setting ids: one of E, X, Y per spin
+_SETTING_IDS = frozenset(f"{a}1{b}2{c}3" for a, b, c in product("EXY", repeat=3))
+
 
 def parse_setting(setting: str) -> tuple[str, str, str]:
     """Split a setting id like 'Y1E2E3' into per-spin operations."""
-    if not isinstance(setting, str) or len(setting) != 6:
+    if not isinstance(setting, str) or setting not in _SETTING_IDS:
         raise ValueError(f"bad setting id {setting!r}")
-    ops = []
-    for i in range(3):
-        op, idx = setting[2 * i], setting[2 * i + 1]
-        if op not in "EXY" or idx != str(i + 1):
-            raise ValueError(f"bad setting id {setting!r}")
-        ops.append(op)
-    return tuple(ops)
+    return setting[0], setting[2], setting[4]
 
 
 @lru_cache(maxsize=None)
@@ -112,24 +110,23 @@ def default_experiments() -> list[tuple[str, str]]:
 
 
 @lru_cache(maxsize=None)
-def parameter_basis() -> tuple[tuple[str, ...], np.ndarray]:
-    """Labels and stacked matrices of the 63 non-identity Pauli products.
+def parameter_basis() -> np.ndarray:
+    """Stacked matrices of the 63 non-identity Pauli products, IIX to ZZZ.
 
     A state is Id/8 + sum_k theta_k * P_k with theta_k = tr(rho P_k)/8.
     """
-    labels = tuple(pauli_labels(3))
-    stack = np.stack([pauli_product(lbl) for lbl in labels])
+    stack = np.stack([pauli_product(lbl) for lbl in pauli_labels(3)])
     stack.setflags(write=False)
-    return labels, stack
+    return stack
 
 
 def state_parameters(rho: DensityOperator) -> np.ndarray:
-    _, stack = parameter_basis()
+    stack = parameter_basis()
     return np.real(np.einsum("kij,ji->k", stack, rho.matrix)) / 8.0
 
 
 def parameters_to_matrix(theta: np.ndarray) -> np.ndarray:
-    _, stack = parameter_basis()
+    stack = parameter_basis()
     return np.eye(8, dtype=complex) / 8.0 + np.einsum("k,kij->ij", theta, stack)
 
 
@@ -142,7 +139,7 @@ def _readout_block(setting: str, detect: str) -> np.ndarray:
     The identity part of a state drops out because every O is traceless.
     """
     r = readout_unitary(setting, detect)
-    _, stack = parameter_basis()
+    stack = parameter_basis()
     block = np.empty((len(_ROW), len(stack)))
     for j, line in enumerate(LINE_LABELS):
         proj = np.zeros((4, 4))
@@ -286,7 +283,6 @@ class ReconstructionResult:
     theta: np.ndarray
     covariance: np.ndarray
     residual_norm: float
-    basis_labels: tuple[str, ...] = field(repr=False, default=())
 
 
 def reconstruct(dataset: TomographyDataset,
@@ -302,7 +298,6 @@ def reconstruct(dataset: TomographyDataset,
     """
     if not dataset.records:
         raise ValueError("empty dataset")
-    labels, _ = parameter_basis()
     rows = np.vstack([_readout_block(r.setting, r.detect)[_ROW[r.line, r.quad]]
                       for r in dataset.records])
     values = dataset.values()
@@ -325,7 +320,7 @@ def reconstruct(dataset: TomographyDataset,
                                     tolerance=tolerance, warn=False)
     residual = float(np.linalg.norm(rows @ theta - values))
     return ReconstructionResult(rho_hat=rho_hat, theta=theta, covariance=cov,
-                                residual_norm=residual, basis_labels=labels)
+                                residual_norm=residual)
 
 
 def project_to_physical(rho_hat) -> DensityOperator:
@@ -359,7 +354,7 @@ def propagate_witness_error(result: ReconstructionResult, w) -> float:
     m = check_operator(w)
     if m.shape[0] != 8:
         raise ValueError("witness dimension mismatch")
-    _, stack = parameter_basis()
+    stack = parameter_basis()
     grad = np.real(np.einsum("ij,kji->k", m, stack))
     var = float(grad @ result.covariance @ grad)
     return float(np.sqrt(max(var, 0.0)))

@@ -1,6 +1,10 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
-Each test prints one [PASS]/[FAIL] line (run with -s to stream them).
+Criterion n runs its entry of the invariant registry ``checks.CHECKS``, which
+``pseudobound verify`` runs too, with ``default_rng(n)``; ``test_invariant``
+runs the other entries.  Criterion 08, a Monte Carlo over 1000 datasets, is
+too slow for ``verify`` and lives here alone.  Each criterion prints one
+[PASS]/[FAIL] line (run with -s to stream them).
 """
 
 import time
@@ -8,11 +12,24 @@ import time
 import numpy as np
 import pytest
 
-from pseudobound import cli, core, nmr, states, tomography as tomo, witnesses
-from conftest import A_OPT, EPS_OPT, KAPPA_H
+from pseudobound import checks, states, tomography as tomo, witnesses
+from conftest import A_OPT, EPS_OPT
 
 PARAMS = states.StateParams.symmetric(A_OPT)
 W_PARAMS = witnesses.WitnessParams.symmetric(A_OPT, EPS_OPT)
+
+# criterion number -> (registry entry, label, time budget in seconds)
+CRITERIA = {
+    1: ("state family PPT", "PPT on all three cuts at the working point", 1.0),
+    2: ("witness zero-trace identity", "witness expectation identities", 1.0),
+    3: ("witness spectrum", "witness spectrum endpoints", 1.0),
+    4: ("state family rank", "family member has numeric rank 7", None),
+    5: ("temporal averaging weld", "temporal averaging + gate sequence weld", 1.0),
+    6: ("witness optimization", "symmetric witness optimization", 300.0),
+    7: ("tomography design rank and round trip", "noiseless tomography round trip", 10.0),
+    9: ("end-to-end noisy report", "end-to-end noisy pipeline", 120.0),
+    10: ("fidelity/trace-distance sandwich", "fidelity / trace-distance sandwich", None),
+}
 
 
 def _criterion(number, label):
@@ -33,84 +50,33 @@ def _criterion(number, label):
     return _Reporter()
 
 
-def test_criterion_01_ppt_certification():
-    with _criterion(1, "PPT on all three cuts at the working point") as c:
-        rho = states.bound_entangled_state(PARAMS)
-        report = core.is_ppt(rho)
-        for cut in report.cuts:
-            assert cut.min_eigenvalue >= -1e-10, cut
-            assert cut.ppt
-        assert c.elapsed < 1.0
+def _registry_criterion(number):
+    name, label, budget = CRITERIA[number]
+    check = dict(checks.CHECKS)[name]
+
+    def test():
+        with _criterion(number, label) as c:
+            check(np.random.default_rng(number))
+            assert budget is None or c.elapsed < budget
+    return test
 
 
-def test_criterion_02_witness_identities():
-    with _criterion(2, "witness expectation identities") as c:
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            params = states.StateParams(*rng.uniform(0.1, 3.0, size=3))
-            val = witnesses.expectation(witnesses.witness_bar(params),
-                                        states.bound_entangled_state(params))
-            assert abs(val) <= 1e-12
-        at_opt = witnesses.expectation(witnesses.witness(W_PARAMS),
-                                       states.bound_entangled_state(PARAMS))
-        assert at_opt == pytest.approx(-0.1069, abs=1e-4)
-        assert c.elapsed < 1.0
+test_criterion_01_ppt_certification = _registry_criterion(1)
+test_criterion_02_witness_identities = _registry_criterion(2)
+test_criterion_03_witness_spectrum = _registry_criterion(3)
+test_criterion_04_rank = _registry_criterion(4)
+test_criterion_05_preparation_weld = _registry_criterion(5)
+test_criterion_06_witness_optimization = _registry_criterion(6)
+test_criterion_07_tomography_round_trip = _registry_criterion(7)
+test_criterion_09_end_to_end_noisy_run = _registry_criterion(9)
+test_criterion_10_metric_correctness = _registry_criterion(10)
 
 
-def test_criterion_03_witness_spectrum():
-    with _criterion(3, "witness spectrum endpoints") as c:
-        lo, hi = witnesses.witness_spectrum_extremes(W_PARAMS)
-        assert -1.040 <= lo <= -1.028
-        assert 1.815 <= hi <= 1.825
-        assert c.elapsed < 1.0
-
-
-def test_criterion_04_rank():
-    with _criterion(4, "family member has numeric rank 7"):
-        rho = states.bound_entangled_state(PARAMS)
-        assert core.numeric_rank(rho.matrix) == 7
-
-
-def test_criterion_05_preparation_weld():
-    with _criterion(5, "temporal averaging + gate sequence weld") as c:
-        p = nmr.matched_fraction(PARAMS, KAPPA_H)
-        seed_spec = nmr.target_diagonal(PARAMS, p)
-        five = nmr.initial_states(nmr.DEFAULT_SYSTEM, KAPPA_H)
-        sol = nmr.solve_temporal_weights(five, seed_spec)
-        assert sol.residual <= 1e-10
-        rho_d = nmr.mix_states(five, sol.weights)
-        u = nmr.preparation_unitary()
-        prepared = u @ rho_d.matrix @ u.conj().T
-        expected = states.pseudo_state(states.bound_entangled_state(PARAMS),
-                                       sol.achieved_p).rho.matrix
-        assert np.max(np.abs(prepared - expected)) <= 1e-12
-        # derived expansion coefficients against their two-digit values
-        assert seed_spec.single_spin[0] == pytest.approx(-0.78, abs=0.01)
-        assert seed_spec.single_spin[1] == pytest.approx(-0.21, abs=0.01)
-        assert seed_spec.three_spin == pytest.approx(3.85, abs=0.01)
-        assert c.elapsed < 1.0
-
-
-def test_criterion_06_witness_optimization():
-    with _criterion(6, "symmetric witness optimization") as c:
-        report = witnesses.optimize_parameters(search_range=(0.05, 1.0),
-                                               restarts=250, seed=7)
-        assert report.total_restarts >= 10_000
-        assert 0.33 <= report.a <= 0.36
-        assert 0.10 <= report.epsilon_certified <= 0.11
-        assert report.noise_threshold == pytest.approx(0.786, abs=0.005)
-        assert c.elapsed < 300.0
-
-
-def test_criterion_07_tomography_round_trip():
-    with _criterion(7, "noiseless tomography round trip") as c:
-        assert tomo.design_matrix().rank == 63
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            rho = core.random_density_operator(rng)
-            rec = tomo.reconstruct(tomo.generate_dataset(rho, sigma=0.0))
-            assert core.trace_distance(rec.rho_hat, rho) <= 1e-8
-        assert c.elapsed < 10.0
+@pytest.mark.parametrize("name", [
+    name for name, _ in checks.CHECKS
+    if name not in {entry for entry, _, _ in CRITERIA.values()}])
+def test_invariant(name):
+    dict(checks.CHECKS)[name](np.random.default_rng(0))
 
 
 def test_criterion_08_error_propagation_validity():
@@ -130,37 +96,3 @@ def test_criterion_08_error_propagation_validity():
         propagated = tomo.propagate_witness_error(first, w)
         assert mc_std == pytest.approx(propagated, rel=0.20)
         assert c.elapsed < 120.0
-
-
-def test_criterion_09_end_to_end_noisy_run():
-    with _criterion(9, "end-to-end noisy pipeline") as c:
-        rep = cli.build_report(cli.RunConfig())
-        # calibration context: fidelity near 0.98
-        assert 0.97 <= rep["metrics"]["uhlmann_fidelity"] <= 0.995
-        assert 0.05 <= rep["metrics"]["trace_distance"] <= 0.13
-        assert rep["witness"]["expectation"] < 0
-        assert rep["ppt"]["all_ppt"] is True
-        assert 0.005 <= rep["witness"]["sigma"] <= 0.02
-        assert rep["entangled"] is True
-        assert c.elapsed < 120.0
-
-
-def test_criterion_10_metric_correctness():
-    with _criterion(10, "fidelity / trace-distance sandwich"):
-        rng = np.random.default_rng(10)
-        for _ in range(100):
-            a = core.random_density_operator(rng)
-            b = core.random_density_operator(rng)
-            f = core.uhlmann_fidelity(a, b)
-            dt = core.trace_distance(a, b)
-            assert 1 - f <= dt + 1e-10
-            assert dt <= np.sqrt(max(0.0, 1 - f * f)) + 1e-10
-        rho = core.random_density_operator(rng)
-        assert core.uhlmann_fidelity(rho, rho) == pytest.approx(1.0, abs=1e-12)
-        zero, seven = np.zeros(8), np.zeros(8)
-        zero[0] = 1.0
-        seven[7] = 1.0
-        d0 = core.DensityOperator(np.outer(zero, zero))
-        d7 = core.DensityOperator(np.outer(seven, seven))
-        assert core.trace_distance(d0, d7) == 1.0
-        assert core.uhlmann_fidelity(d0, d7) == 0.0

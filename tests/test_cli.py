@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from pseudobound import cli, core, nmr
+from pseudobound import checks, cli, core, nmr
 from conftest import EPS_OPT
 
 
@@ -151,7 +151,8 @@ def test_verify_passes(capsys):
     assert run(["verify"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
-    assert "14/14 checks passed" in out
+    n = len(checks.CHECKS)
+    assert f"{n}/{n} checks passed" in out
 
 
 def test_verify_catches_broken_preparation(monkeypatch, capsys):
@@ -162,6 +163,20 @@ def test_verify_catches_broken_preparation(monkeypatch, capsys):
     assert run(["verify"]) == 2
     out = capsys.readouterr().out
     assert "[FAIL]" in out
+
+
+def test_verify_counts_a_crash_as_failure(monkeypatch, capsys):
+    def crash(rng):
+        raise RuntimeError("boom")
+
+    name = checks.CHECKS[2][0]
+    monkeypatch.setattr(checks, "CHECKS", tuple(
+        (n, crash if n == name else fn) for n, fn in checks.CHECKS))
+    assert run(["verify"]) == 2
+    lines, n = capsys.readouterr().out.splitlines(), len(checks.CHECKS)
+    assert f"[FAIL] {name}: raised RuntimeError: boom" in lines
+    assert sum(line.startswith("[PASS]") for line in lines) == n - 1
+    assert lines[-1] == f"{n - 1}/{n} checks passed"
 
 
 def test_cli_reports_bad_input(tmp_path, capsys):
