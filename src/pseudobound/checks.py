@@ -11,9 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import cli, core, nmr, states, tomography, witnesses
+from .states import A_OPT
+from .witnesses import EPS_OPT
 
-A_OPT = 0.3460
-EPS_OPT = 0.1069
 _PARAMS = states.StateParams.symmetric(A_OPT)
 _W_PARAMS = witnesses.WitnessParams.symmetric(A_OPT, EPS_OPT)
 
@@ -105,7 +105,7 @@ def preparation(rng) -> str:
 def temporal_weld(rng) -> str:
     p = nmr.matched_fraction(_PARAMS, nmr.DEFAULT_KAPPA_H)
     seed_spec = nmr.target_diagonal(_PARAMS, p)
-    five = nmr.initial_states(nmr.DEFAULT_SYSTEM, nmr.DEFAULT_KAPPA_H)
+    five = nmr.initial_states(nmr.DEFAULT_KAPPA_H)
     sol = nmr.solve_temporal_weights(five, seed_spec)
     _require(sol.residual <= 1e-10, f"weights residual {sol.residual:.1e}")
     u = nmr.preparation_unitary()

@@ -32,9 +32,9 @@ EXIT_INVARIANT = 2
 class RunConfig:
     """Defaults are the working point of the whole pipeline."""
 
-    a: float = 0.3460
-    epsilon: float = 0.1069
-    p: float = 8.4e-5 / 3.61
+    a: float = states.A_OPT
+    epsilon: float = witnesses.EPS_OPT
+    p: float = nmr.DEFAULT_P
     sigma: float = 0.010          # measurement noise relative to the deviation
     noise_lambda: float = 0.16    # depolarization of the embedded state
     seed: int = 0
@@ -49,20 +49,12 @@ def _write_json(payload, path: str | None) -> None:
         print(text)
 
 
-def _read_json(path: str):
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply") from None
-
-
 def _load_matrix(path: str) -> np.ndarray:
-    return core.matrix_from_json(_read_json(path))
+    return core.matrix_from_json(core.read_json(path))
 
 
-def _load_density(path: str, tolerance: float = 1e-6) -> core.DensityOperator:
-    return core.DensityOperator.loose(_load_matrix(path), tolerance=tolerance)
+def _load_density(path: str) -> core.DensityOperator:
+    return core.DensityOperator.loose(_load_matrix(path))
 
 
 def _params_from_args(args) -> states.StateParams:
@@ -132,7 +124,7 @@ def cmd_prepare(args) -> int:
     kappa = args.kappa
     p = args.p if args.p is not None else nmr.matched_fraction(params, kappa)
     seed = nmr.target_diagonal(params, p)
-    five = nmr.initial_states(nmr.DEFAULT_SYSTEM, kappa, a=args.a)
+    five = nmr.initial_states(kappa, a=args.a)
     sol = nmr.solve_temporal_weights(five, seed)
     ps = nmr.prepare_pseudo_state(params, p)
     payload = {
@@ -164,7 +156,7 @@ def cmd_tomo_simulate(args) -> int:
 
 
 def cmd_tomo_reconstruct(args) -> int:
-    dataset = tomography.TomographyDataset.from_json(_read_json(args.data))
+    dataset = tomography.TomographyDataset.load(args.data)
     result = tomography.reconstruct(dataset)
     rho = result.rho_hat
     if args.project:
@@ -312,13 +304,13 @@ def cmd_verify(args) -> int:
 
 
 def _add_params(parser, with_eps=False):
-    parser.add_argument("--a", type=float, default=0.3460,
+    parser.add_argument("--a", type=float, default=states.A_OPT,
                         help="symmetric family parameter")
     parser.add_argument("--a1", type=float, default=None)
     parser.add_argument("--a2", type=float, default=None)
     parser.add_argument("--a3", type=float, default=None)
     if with_eps:
-        parser.add_argument("--eps", type=float, default=0.1069)
+        parser.add_argument("--eps", type=float, default=witnesses.EPS_OPT)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -354,7 +346,7 @@ def make_parser() -> argparse.ArgumentParser:
     po.set_defaults(func=cmd_witness_optimize)
 
     p = sub.add_parser("prepare", help="temporal averaging + gate sequence")
-    p.add_argument("--a", type=float, default=0.3460)
+    p.add_argument("--a", type=float, default=states.A_OPT)
     p.add_argument("--p", type=float, default=None,
                    help="pseudo fraction (default: exactly synthesizable)")
     p.add_argument("--kappa", type=float, default=nmr.DEFAULT_KAPPA_H)
@@ -383,14 +375,15 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("report", help="full pipeline with certification summary")
-    p.add_argument("--a", type=float, default=0.3460)
-    p.add_argument("--eps", type=float, default=0.1069)
-    p.add_argument("--p", type=float, default=8.4e-5 / 3.61)
-    p.add_argument("--sigma", type=float, default=0.010,
+    defaults = RunConfig()
+    p.add_argument("--a", type=float, default=defaults.a)
+    p.add_argument("--eps", type=float, default=defaults.epsilon)
+    p.add_argument("--p", type=float, default=defaults.p)
+    p.add_argument("--sigma", type=float, default=defaults.sigma,
                    help="measurement noise relative to the deviation scale")
-    p.add_argument("--noise-lambda", type=float, default=0.16,
+    p.add_argument("--noise-lambda", type=float, default=defaults.noise_lambda,
                    help="depolarization applied to the embedded state")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=defaults.seed)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_report)
 

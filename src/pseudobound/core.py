@@ -7,6 +7,10 @@ operators get a thin validated wrapper so that every state constructed
 anywhere in the package is certified Hermitian, unit-trace and positive
 semidefinite (within tolerance) on creation.
 
+The 63 Pauli coordinates tr(op P_k)/8 of an 8x8 operator (``state_parameters``,
+inverted by ``parameters_to_matrix``) are the one map that the tomography
+readout model, its error propagation and the NMR seed expansion use.
+
 Everything here is a pure function of its inputs; wrapped matrices are
 frozen read-only, so values are safe to share between threads.
 """
@@ -14,9 +18,10 @@ frozen read-only, so values are safe to share between threads.
 from __future__ import annotations
 
 import itertools
+import json
 import warnings
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -309,16 +314,46 @@ def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
     return float(np.sum(np.abs(vals)) / 2)
 
 
-def pauli_labels(n: int = 3, include_identity: bool = False) -> list[str]:
-    labels = ["".join(p) for p in itertools.product("IXYZ", repeat=n)]
-    if not include_identity:
-        labels.remove("I" * n)
-    return labels
+def pauli_labels() -> list[str]:
+    """The 63 non-identity three-qubit Pauli labels, IIX to ZZZ."""
+    return ["".join(p) for p in itertools.product("IXYZ", repeat=3)][1:]
 
 
 def pauli_product(label: str) -> np.ndarray:
     """Tensor product of single-qubit Paulis named by a string like 'XIZ'."""
     return tensor(*(PAULIS[c] for c in label))
+
+
+@lru_cache(maxsize=None)
+def parameter_basis() -> np.ndarray:
+    """The 63 non-identity Pauli products flattened into a (63, 64) array.
+
+    A state is Id/8 + sum_k theta_k * P_k with theta_k = tr(rho P_k)/8.
+    """
+    basis = np.stack([pauli_product(lbl).ravel() for lbl in pauli_labels()])
+    basis.setflags(write=False)
+    return basis
+
+
+def state_parameters(op) -> np.ndarray:
+    """Pauli coordinates tr(op P_k)/8 of any 8x8 operator, real part.
+
+    The identity part tr(op)/8 * Id is subtracted first: it is orthogonal
+    to every P_k, and removing it keeps the ~1/8 background of a pseudo
+    state from swamping the sums of its tiny deviation.
+    """
+    m = _as_matrix(op)
+    if m.shape != (8, 8):
+        raise ValueError(f"Pauli coordinates need an 8x8 operator, got {m.shape}")
+    # tr(dev P) = sum_ij dev_ij P_ji: the flattened rows of P meet dev transposed
+    dev = m.T.copy()
+    dev.flat[::9] -= np.trace(m) / 8.0
+    return np.real(parameter_basis() @ dev.ravel()) / 8.0
+
+
+def parameters_to_matrix(theta) -> np.ndarray:
+    """The unit-trace operator Id/8 + sum_k theta_k * P_k."""
+    return np.eye(8, dtype=complex) / 8.0 + (theta @ parameter_basis()).reshape(8, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +380,15 @@ def random_unitary(rng: np.random.Generator, dim: int = 8) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # JSON wire format for matrices: {"dim": n, "re": [[...]], "im": [[...]]}
+
+
+def read_json(path):
+    """Parse a JSON file; nesting too deep for the parser is a ValueError."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def matrix_to_json(matrix) -> dict:

@@ -8,6 +8,10 @@ state, and a fixed unitary (a line-selective rotation followed by two
 controlled-NOT-like gates) turns that seed into the pseudo bound-entangled
 target.  Gradient-based spatial averaging is modelled as ideal, i.e. the
 five input states are taken as exactly diagonal.
+
+The seven z-orders of a diagonal state are seven of its Pauli coordinates
+in ``core``: the seed expansion reads them and the five inputs are built
+from them through that one map.
 """
 
 from __future__ import annotations
@@ -17,10 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import constants
 
-from .core import DensityOperator, check_operator, tensor, PAULIS
-from .states import StateParams, PseudoState, bound_entangled_state, pseudo_state
+from .core import (DensityOperator, PAULIS, check_operator, parameters_to_matrix,
+                   pauli_labels, state_parameters, tensor)
+from .states import A_OPT, StateParams, PseudoState, bound_entangled_state, pseudo_state
 
 DEFAULT_KAPPA_H = 8.4e-5
+DEFAULT_P = DEFAULT_KAPPA_H / 3.61   # what the five inputs reach (matched_fraction)
 
 
 @dataclass(frozen=True)
@@ -117,22 +123,11 @@ def factor_preparation() -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # diagonal seed state and product-operator coefficients
 
-_PRODUCT_TERMS = (
-    ("z1", (1,)),
-    ("z2", (2,)),
-    ("z3", (3,)),
-    ("z1z2", (1, 2)),
-    ("z1z3", (1, 3)),
-    ("z2z3", (2, 3)),
-    ("z1z2z3", (1, 2, 3)),
-)
-
-
-def _product_operator(qubits: tuple[int, ...]) -> np.ndarray:
-    op = np.eye(8, dtype=complex)
-    for q in qubits:
-        op = op @ spin_operator(q, "z")
-    return op
+# z1, z2, z3, z1z2, z1z3, z2z3, z1z2z3 as Pauli labels; a product of k spin operators
+# I_z is the Pauli product over 2^k, so its coefficient is 8 * 2^k * theta / scale
+_Z_ORDERS = ("ZII", "IZI", "IIZ", "ZZI", "ZIZ", "IZZ", "ZZZ")
+_Z_INDEX = [pauli_labels().index(label) for label in _Z_ORDERS]
+_Z_WEIGHT = np.array([2.0 ** label.count("Z") for label in _Z_ORDERS])
 
 
 @dataclass(frozen=True)
@@ -158,18 +153,13 @@ class DiagonalStateSpec:
 def expand_diagonal_state(state, scale: float) -> DiagonalStateSpec:
     """Read the z-product-operator coefficients off a diagonal state.
 
-    Coefficients come from trace inner products against the orthogonal
-    basis, in units where the deviation is (scale/8) times the expansion.
+    Coefficients are the state's Pauli coordinates at the seven z-orders,
+    in units where the deviation is (scale/8) times the expansion.
     """
     matrix = state.matrix if isinstance(state, DensityOperator) else check_operator(state)
     if np.max(np.abs(matrix - np.diag(np.diag(matrix)))) > 1e-12:
         raise ValueError("state is not diagonal")
-    dev = matrix - np.eye(8) / 8.0
-    coeffs = []
-    for _name, qubits in _PRODUCT_TERMS:
-        op = _product_operator(qubits)
-        coeffs.append(float(np.real(np.trace(dev @ op) / np.trace(op @ op)))
-                      * 8.0 / scale)
+    coeffs = (8.0 * _Z_WEIGHT * state_parameters(matrix)[_Z_INDEX] / scale).tolist()
     return DiagonalStateSpec(
         single_spin=tuple(coeffs[0:3]),
         two_spin=tuple(coeffs[3:6]),
@@ -210,7 +200,7 @@ THREE_SPIN_AMPLITUDE = 3.77
 TWO_SPIN_AMPLITUDES = (-2.0, -1.88, -2.0)   # on z1z2, z1z3, z2z3
 
 
-def single_spin_ratio(a: float = 0.3460) -> float:
+def single_spin_ratio(a: float = A_OPT) -> float:
     """Ratio of the H/F to the C single-spin coefficient in the seed state.
 
     The fifth input state must carry its three z-orders in exactly this
@@ -221,8 +211,7 @@ def single_spin_ratio(a: float = 0.3460) -> float:
     return expansion.single_spin[1] / expansion.single_spin[0]
 
 
-def initial_states(system: SpinSystem, scale: float,
-                   a: float = 0.3460) -> list[DensityOperator]:
+def initial_states(scale: float, a: float = A_OPT) -> list[DensityOperator]:
     """The five diagonal spin-order states used for temporal averaging.
 
     ``scale`` plays the role of the proton polarization; each state is
@@ -232,17 +221,16 @@ def initial_states(system: SpinSystem, scale: float,
     if not 0.0 < scale <= 1e-3:
         raise ValueError(f"scale {scale} outside (0, 1e-3]")
     r = single_spin_ratio(a)
-    iz = [spin_operator(q, "z") for q in (1, 2, 3)]
-    devs = [
-        THREE_SPIN_AMPLITUDE * (iz[0] @ iz[1] @ iz[2]),
-        TWO_SPIN_AMPLITUDES[0] * (iz[0] @ iz[1]),
-        TWO_SPIN_AMPLITUDES[1] * (iz[0] @ iz[2]),
-        TWO_SPIN_AMPLITUDES[2] * (iz[1] @ iz[2]),
-        -(iz[0] + r * iz[1] + r * iz[2]),
-    ]
+    # one row of z-order coefficients per state, in the order of _Z_ORDERS
+    orders = np.zeros((5, len(_Z_ORDERS)))
+    orders[0, 6] = THREE_SPIN_AMPLITUDE
+    orders[[1, 2, 3], [3, 4, 5]] = TWO_SPIN_AMPLITUDES
+    orders[4, :3] = (-1.0, -r, -r)
+    thetas = np.zeros((5, 63))
+    thetas[:, _Z_INDEX] = scale * orders / (8.0 * _Z_WEIGHT)
     out = []
-    for dev in devs:
-        m = np.eye(8, dtype=complex) / 8.0 + (scale / 8.0) * dev
+    for theta in thetas:
+        m = parameters_to_matrix(theta)
         if np.min(np.real(np.diag(m))) < 0:
             raise ValueError(f"scale {scale} too large: state loses positivity")
         out.append(DensityOperator(m))
@@ -357,7 +345,7 @@ def prepare_pseudo_state(params: StateParams, p: float) -> PseudoState:
     seed = target_diagonal(params, p)
     u = preparation_unitary()
     m = u @ seed.state.matrix @ u.conj().T
-    return PseudoState(DensityOperator(m), p, 8)
+    return PseudoState(DensityOperator(m), p)
 
 
 # ---------------------------------------------------------------------------

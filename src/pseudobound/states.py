@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityOperator, check_operator
+from .core import DensityOperator
 
 PRODUCT_ONE_TOLERANCE = 1e-12
+A_OPT = 0.3460   # the symmetric working point, found by witness optimization
 
 
 @dataclass(frozen=True)
@@ -79,31 +80,26 @@ def bound_entangled_state(params: StateParams) -> DensityOperator:
 
 @dataclass(frozen=True)
 class PseudoState:
-    """Mixture (1-p)/dim * Id + p * rho_deviation, the NMR-accessible form."""
+    """Mixture (1-p)/d * Id + p * rho_deviation, the NMR-accessible form."""
 
     rho: DensityOperator
     p: float
-    dim: int
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"mixing fraction p={self.p} outside [0, 1]")
-        if self.dim != self.rho.dim:
-            raise ValueError(f"dim {self.dim} does not match state dim {self.rho.dim}")
 
 
-def pseudo_state(rho_be: DensityOperator, p: float, dim: int | None = None) -> PseudoState:
+def pseudo_state(rho_be: DensityOperator, p: float) -> PseudoState:
     """Embed a state into the maximally mixed background with weight p."""
-    d = rho_be.dim if dim is None else int(dim)
-    if d != rho_be.dim:
-        raise ValueError(f"dim {d} does not match state dim {rho_be.dim}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixing fraction p={p} outside [0, 1]")
+    d = rho_be.dim
     m = (1.0 - p) / d * np.eye(d, dtype=complex) + p * rho_be.matrix
-    return PseudoState(DensityOperator(m, tolerance=rho_be.tolerance), p, d)
+    return PseudoState(DensityOperator(m, tolerance=rho_be.tolerance), p)
 
 
-def peel_identity(ps: PseudoState, tolerance: float = 1e-6) -> DensityOperator:
+def peel_identity(ps: PseudoState) -> DensityOperator:
     """Invert the pseudo-state embedding: (rho - (1-p)/d * Id) / p.
 
     Exact inputs round-trip to machine precision.  Reconstructed inputs may
@@ -112,16 +108,12 @@ def peel_identity(ps: PseudoState, tolerance: float = 1e-6) -> DensityOperator:
     """
     if ps.p <= 0.0:
         raise ValueError("peeling is undefined at p = 0 (no deviation to rescale)")
-    d = ps.dim
+    d = ps.rho.dim
     m = (ps.rho.matrix - (1.0 - ps.p) / d * np.eye(d)) / ps.p
-    return DensityOperator.loose(m, tolerance=tolerance, warn=True,
-                                 context="peeled state")
+    return DensityOperator.loose(m, warn=True, context="peeled state")
 
 
-def peel_matrix(matrix, p: float, dim: int | None = None,
-                tolerance: float = 1e-6) -> DensityOperator:
+def peel_matrix(matrix, p: float) -> DensityOperator:
     """Peel a raw matrix (e.g. a tomographic estimate) with known p."""
-    m = check_operator(matrix)
-    d = m.shape[0] if dim is None else int(dim)
-    rho = DensityOperator.loose(m, tolerance=tolerance, warn=False)
-    return peel_identity(PseudoState(rho, p, d), tolerance=tolerance)
+    rho = DensityOperator.loose(matrix, warn=False)
+    return peel_identity(PseudoState(rho, p))

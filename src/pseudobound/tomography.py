@@ -8,9 +8,10 @@ tensored with a basis projector on qubits 2 and 3.  Running all seven
 settings with all three detected spins gives 168 linear equations for the
 63 real parameters of the traceless deviation.  One cached readout map
 per experiment (8 amplitudes x 63 parameters) serves both simulation and
-inversion, and one thin SVD of the weighted rows gives the estimate, the
-rank and the parameter covariance that is propagated to derived
-quantities such as witness expectations.
+inversion; its rows are the Pauli coordinates (``core.state_parameters``)
+of the Heisenberg-picture line observables.  One thin SVD of the weighted
+rows gives the estimate, the rank and the parameter covariance that is
+propagated to derived quantities such as witness expectations.
 """
 
 from __future__ import annotations
@@ -26,8 +27,10 @@ from .core import (
     DensityOperator,
     PAULIS,
     check_operator,
-    pauli_labels,
-    pauli_product,
+    parameter_basis,
+    parameters_to_matrix,
+    read_json,
+    state_parameters,
     tensor,
 )
 
@@ -106,28 +109,7 @@ def default_experiments() -> list[tuple[str, str]]:
 
 
 # ---------------------------------------------------------------------------
-# linear model: 63 traceless-Hermitian parameters
-
-
-@lru_cache(maxsize=None)
-def parameter_basis() -> np.ndarray:
-    """Stacked matrices of the 63 non-identity Pauli products, IIX to ZZZ.
-
-    A state is Id/8 + sum_k theta_k * P_k with theta_k = tr(rho P_k)/8.
-    """
-    stack = np.stack([pauli_product(lbl) for lbl in pauli_labels(3)])
-    stack.setflags(write=False)
-    return stack
-
-
-def state_parameters(rho: DensityOperator) -> np.ndarray:
-    stack = parameter_basis()
-    return np.real(np.einsum("kij,ji->k", stack, rho.matrix)) / 8.0
-
-
-def parameters_to_matrix(theta: np.ndarray) -> np.ndarray:
-    stack = parameter_basis()
-    return np.eye(8, dtype=complex) / 8.0 + np.einsum("k,kij->ij", theta, stack)
+# linear model: the 63 Pauli coordinates of the deviation
 
 
 @lru_cache(maxsize=None)
@@ -139,15 +121,13 @@ def _readout_block(setting: str, detect: str) -> np.ndarray:
     The identity part of a state drops out because every O is traceless.
     """
     r = readout_unitary(setting, detect)
-    stack = parameter_basis()
-    block = np.empty((len(_ROW), len(stack)))
+    block = np.empty((len(_ROW), len(parameter_basis())))
     for j, line in enumerate(LINE_LABELS):
         proj = np.zeros((4, 4))
         proj[j, j] = 1.0
         for quad in QUADRATURES:
             obs = np.kron(PAULIS["X"] if quad == "x" else PAULIS["Y"], proj)
-            back = r.conj().T @ obs @ r
-            block[_ROW[line, quad]] = np.real(np.einsum("ij,kji->k", back, stack))
+            block[_ROW[line, quad]] = 8.0 * state_parameters(r.conj().T @ obs @ r)
     block.setflags(write=False)
     return block
 
@@ -248,8 +228,7 @@ class TomographyDataset:
 
     @classmethod
     def load(cls, path) -> "TomographyDataset":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(read_json(path))
 
 
 def generate_dataset(rho: DensityOperator,
@@ -285,8 +264,7 @@ class ReconstructionResult:
     residual_norm: float
 
 
-def reconstruct(dataset: TomographyDataset,
-                tolerance: float = 1e-6) -> ReconstructionResult:
+def reconstruct(dataset: TomographyDataset) -> ReconstructionResult:
     """Solve the overdetermined linear system for the deviation parameters.
 
     The rows come from the same cached readout map that simulates the
@@ -316,8 +294,7 @@ def reconstruct(dataset: TomographyDataset,
     theta = scaled @ (u.T @ (values * weights))
     cov = np.zeros((63, 63)) if exact else scaled @ scaled.T
 
-    rho_hat = DensityOperator.loose(parameters_to_matrix(theta),
-                                    tolerance=tolerance, warn=False)
+    rho_hat = DensityOperator.loose(parameters_to_matrix(theta), warn=False)
     residual = float(np.linalg.norm(rows @ theta - values))
     return ReconstructionResult(rho_hat=rho_hat, theta=theta, covariance=cov,
                                 residual_norm=residual)
@@ -351,10 +328,6 @@ def propagate_witness_error(result: ReconstructionResult, w) -> float:
     traceless parameter space), so the error is invariant under shifts
     W -> W + c*Id and scales linearly with W.
     """
-    m = check_operator(w)
-    if m.shape[0] != 8:
-        raise ValueError("witness dimension mismatch")
-    stack = parameter_basis()
-    grad = np.real(np.einsum("ij,kji->k", m, stack))
+    grad = 8.0 * state_parameters(w)
     var = float(grad @ result.covariance @ grad)
     return float(np.sqrt(max(var, 0.0)))

@@ -23,6 +23,8 @@ import numpy as np
 from .core import DensityOperator, check_operator, eigvalsh
 from .states import StateParams, bound_entangled_state, ghz
 
+EPS_OPT = 0.1069   # the identity shift at the working point states.A_OPT
+
 
 @dataclass(frozen=True)
 class WitnessParams:
@@ -74,7 +76,7 @@ def witness(params: WitnessParams) -> np.ndarray:
     return witness_bar(params.state_params) - params.epsilon * np.eye(8)
 
 
-def pseudo_witness(w, p: float, dim: int | None = None) -> np.ndarray:
+def pseudo_witness(w, p: float) -> np.ndarray:
     """Rescale a witness for pseudo states: (W - (1-p) tr(W)/d * Id) / p.
 
     Subtracting the identity contribution to the expectation (which scales
@@ -83,7 +85,7 @@ def pseudo_witness(w, p: float, dim: int | None = None) -> np.ndarray:
     for any witness normalization.  At p = 1 the witness is unchanged.
     """
     m = check_operator(w)
-    d = m.shape[0] if dim is None else int(dim)
+    d = m.shape[0]
     if p <= 0.0:
         raise ValueError("pseudo witness is undefined at p = 0")
     shift = (1.0 - p) / d * float(np.real(np.trace(m)))

@@ -1,4 +1,6 @@
-"""Tensor algebra, partial transpose, eigensolves and the two metrics."""
+"""Tensor algebra, Pauli coordinates, partial transpose, eigensolves and the two metrics."""
+
+import math
 
 import numpy as np
 import pytest
@@ -194,6 +196,39 @@ def test_matrix_json_round_trip(rng):
     blob["re"] = blob["re"][:4]
     with pytest.raises(ValueError):
         core.matrix_from_json(blob)
+
+
+def _fsum_parameters(m):
+    """tr(m P_k)/8 as exactly rounded sums: every product with a Pauli entry is exact."""
+    out = []
+    for label in core.pauli_labels():
+        pm = core.pauli_product(label)
+        out.append(math.fsum(m[i, j].real * pm[j, i].real - m[i, j].imag * pm[j, i].imag
+                             for i in range(8) for j in range(8)) / 8)
+    return np.array(out)
+
+
+def test_state_parameters_of_pseudo_states(rng):
+    # the ~1/8 background must not cost digits of the tiny deviation
+    family = states.bound_entangled_state(states.StateParams.symmetric(0.346))
+    for rho in (family, core.random_density_operator(rng)):
+        for p in (1e-5, 2.3e-5):
+            ps = states.pseudo_state(rho, p).rho
+            reference = _fsum_parameters(ps.matrix)
+            err = np.max(np.abs(core.state_parameters(ps) - reference))
+            assert err <= 1e-14 * np.max(np.abs(reference))
+
+
+def test_pauli_coordinates_round_trip(rng):
+    for _ in range(10):
+        g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        h = g + g.conj().T
+        expected = h - np.trace(h) / 8 * np.eye(8) + np.eye(8) / 8
+        np.testing.assert_allclose(
+            core.parameters_to_matrix(core.state_parameters(h)), expected, atol=1e-14)
+    assert len(core.pauli_labels()) == 63 and core.parameter_basis().shape == (63, 64)
+    with pytest.raises(ValueError, match="8x8"):
+        core.state_parameters(np.eye(4))
 
 
 def test_bipartition_validation():

@@ -1,5 +1,7 @@
 """Spin operators, thermal state, temporal averaging and the gate sequence."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -43,7 +45,7 @@ def test_equilibrium_state():
 
 
 def test_initial_states_structure():
-    five = nmr.initial_states(nmr.DEFAULT_SYSTEM, KAPPA_H)
+    five = nmr.initial_states(KAPPA_H)
     assert len(five) == 5
     for rho in five:
         m = rho.matrix
@@ -61,9 +63,9 @@ def test_initial_states_structure():
     np.testing.assert_allclose(
         np.sign(dev2), [-1, -1, 1, 1, 1, 1, -1, -1], atol=0)
     with pytest.raises(ValueError):
-        nmr.initial_states(nmr.DEFAULT_SYSTEM, 2e-3)
+        nmr.initial_states(2e-3)
     with pytest.raises(ValueError):
-        nmr.initial_states(nmr.DEFAULT_SYSTEM, 0.0)
+        nmr.initial_states(0.0)
 
 
 def test_target_diagonal_coefficients():
@@ -86,6 +88,36 @@ def test_target_diagonal_coefficients():
     assert d_a == pytest.approx(-0.78, abs=0.01)
     assert d_b == pytest.approx(-0.21, abs=0.01)
     assert d_e == pytest.approx(3.85, abs=0.01)
+
+
+def _product_operator_expansion(matrix, scale):
+    """Oracle: trace inner products against the products of spin operators I_z."""
+    iz = [nmr.spin_operator(q, "z") for q in (1, 2, 3)]
+    dev = matrix - np.eye(8) / 8.0
+    out = []
+    for qubits in ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)):
+        op = reduce(np.matmul, [iz[q] for q in qubits])
+        out.append(np.real(np.trace(dev @ op) / np.trace(op @ op)) * 8.0 / scale)
+    return np.array(out)
+
+
+def _coefficients(spec):
+    return np.array(spec.single_spin + spec.two_spin + (spec.three_spin,))
+
+
+def test_expansion_matches_product_operators(rng):
+    for a in (0.1, 0.346, 1.0, 3.0):
+        spec = nmr.target_diagonal(states.StateParams.symmetric(a), 2.3e-5)
+        oracle = _product_operator_expansion(spec.state.matrix, 2.3e-5)
+        np.testing.assert_allclose(_coefficients(spec), oracle, rtol=0, atol=1e-12)
+    for _ in range(20):
+        scale = 10 ** rng.uniform(-5, 0)
+        d = rng.uniform(-0.5, 0.5, size=8)
+        matrix = np.diag(1 / 8 + scale * (d - d.mean()) / 8).astype(complex)
+        spec = nmr.expand_diagonal_state(matrix, scale)
+        np.testing.assert_allclose(_coefficients(spec),
+                                   _product_operator_expansion(matrix, scale),
+                                   rtol=0, atol=1e-12)
 
 
 def test_target_diagonal_guards():
@@ -113,7 +145,7 @@ def test_matched_fraction():
 
 
 def test_weight_solver_exact_single_target():
-    five = nmr.initial_states(nmr.DEFAULT_SYSTEM, KAPPA_H)
+    five = nmr.initial_states(KAPPA_H)
     target = nmr.expand_diagonal_state(five[2], KAPPA_H)
     sol = nmr.solve_temporal_weights(five, target)
     np.testing.assert_allclose(sol.weights, [0, 0, 1, 0, 0], atol=1e-9)
@@ -123,7 +155,7 @@ def test_weight_solver_exact_single_target():
 
 def test_weight_solver_reaches_seed_exactly():
     p = nmr.matched_fraction(PARAMS, KAPPA_H)
-    five = nmr.initial_states(nmr.DEFAULT_SYSTEM, KAPPA_H)
+    five = nmr.initial_states(KAPPA_H)
     sol = nmr.solve_temporal_weights(five, nmr.target_diagonal(PARAMS, p))
     assert sol.residual <= 1e-10
     assert np.all(sol.weights >= 0)
@@ -136,7 +168,7 @@ def test_weight_solver_reaches_seed_exactly():
 
 
 def test_weight_solver_reports_infeasible_target():
-    five = nmr.initial_states(nmr.DEFAULT_SYSTEM, KAPPA_H)
+    five = nmr.initial_states(KAPPA_H)
     # a GHZ-corner-free diagonal state the five spin orders cannot reach
     odd = np.eye(8, dtype=complex) / 8.0
     odd[0, 0] += 5e-5
@@ -177,7 +209,7 @@ def test_preparation_weld():
     # the single assertion tying the seed, the five inputs, the weights and
     # the gate sequence together
     p = nmr.matched_fraction(PARAMS, KAPPA_H)
-    five = nmr.initial_states(nmr.DEFAULT_SYSTEM, KAPPA_H)
+    five = nmr.initial_states(KAPPA_H)
     sol = nmr.solve_temporal_weights(five, nmr.target_diagonal(PARAMS, p))
     rho_d = nmr.mix_states(five, sol.weights)
     u = nmr.preparation_unitary()

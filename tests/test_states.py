@@ -97,8 +97,6 @@ def test_pseudo_state_limits(rho_opt):
                                   rho_opt.matrix)
     with pytest.raises(ValueError):
         states.pseudo_state(rho_opt, 1.2)
-    with pytest.raises(ValueError):
-        states.pseudo_state(rho_opt, 0.5, dim=4)
 
 
 def test_pseudo_state_eigenvalue_box(rho_opt):
@@ -122,13 +120,13 @@ def test_peel_round_trip(rng, rho_opt):
 
 def test_peel_identity_of_background():
     mixed = core.maximally_mixed()
-    peeled = states.peel_identity(states.PseudoState(mixed, 0.5, 8))
+    peeled = states.peel_identity(states.PseudoState(mixed, 0.5))
     np.testing.assert_allclose(peeled.matrix, mixed.matrix, atol=1e-15)
 
 
 def test_peel_requires_positive_p(rho_opt):
     with pytest.raises(ValueError, match="p = 0"):
-        states.peel_identity(states.PseudoState(rho_opt, 0.0, 8))
+        states.peel_identity(states.PseudoState(rho_opt, 0.0))
 
 
 def test_peel_warns_on_nonpositive_result(rho_opt):

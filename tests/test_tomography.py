@@ -141,6 +141,13 @@ def test_dataset_json_round_trip(tmp_path):
         tomo.TomographyRecord("Y1E2E3", "C", "00", "x", 0.0, -1.0)
 
 
+def test_dataset_load_refuses_deep_nesting(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    with pytest.raises(ValueError, match="nested too deeply"):
+        tomo.TomographyDataset.load(path)
+
+
 def test_reconstruct_round_trip(rng):
     for _ in range(50):
         rho = core.random_density_operator(rng)
