@@ -17,7 +17,6 @@ from .core import (
     matrix_to_json,
     maximally_mixed,
     numeric_rank,
-    partial_trace,
     partial_transpose,
     tensor,
     trace_distance,
@@ -44,13 +43,9 @@ from .witnesses import (
     witness_bar,
 )
 from .nmr import (
-    DEFAULT_SYSTEM,
     DiagonalStateSpec,
-    SpinSystem,
     WeightSolution,
-    boltzmann_factors,
     depolarize,
-    equilibrium_state,
     expand_diagonal_state,
     factor_preparation,
     initial_states,
@@ -59,7 +54,6 @@ from .nmr import (
     preparation_unitary,
     prepare_pseudo_state,
     solve_temporal_weights,
-    spin_operator,
     target_diagonal,
 )
 from .tomography import (

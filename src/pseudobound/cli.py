@@ -3,7 +3,7 @@
 Subcommands: state | ppt | witness (eval|optimize) | prepare |
 tomo (simulate|reconstruct) | metrics | report | verify.
 
-Matrices travel as JSON objects {"dim": n, "re": [[...]], "im": [[...]]};
+Matrices travel as JSON objects {"dim": 8, "re": [[...]], "im": [[...]]};
 datasets as JSON arrays of measurement records.  Exit codes: 0 all good,
 1 entanglement not detected, 2 invariant violation or bad input.
 """

@@ -1,11 +1,12 @@
-"""Dense linear algebra for small qubit registers.
+"""Dense linear algebra for the three-qubit register.
 
-Operators are plain complex ndarrays in big-endian qubit ordering: qubit 1
-(the carbon spin in the three-spin register) is the most significant bit of
-the basis index, so |b1 b2 b3> lives at index 4*b1 + 2*b2 + b3.  Density
-operators get a thin validated wrapper so that every state constructed
-anywhere in the package is certified Hermitian, unit-trace and positive
-semidefinite (within tolerance) on creation.
+Operators are plain 8x8 complex ndarrays in big-endian qubit ordering:
+qubit 1 (the carbon spin) is the most significant bit of the basis index,
+so |b1 b2 b3> lives at index 4*b1 + 2*b2 + b3.  ``check_operator`` is the
+one place that enforces that shape.  Density operators get a thin
+validated wrapper so that every state constructed anywhere in the package
+is certified Hermitian, unit-trace and positive semidefinite (within
+tolerance) on creation.
 
 The 63 Pauli coordinates tr(op P_k)/8 of an 8x8 operator (``state_parameters``,
 inverted by ``parameters_to_matrix``) are the one map that the tomography
@@ -25,8 +26,6 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-MAX_DIM = 16
-
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -35,17 +34,13 @@ PAULIS = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 
 def check_operator(matrix) -> np.ndarray:
-    """Coerce to a complex square matrix and enforce the operator invariants.
+    """Coerce to a complex matrix and enforce the operator invariants.
 
-    The dimension must be a power of two between 2 and 16 and all entries
-    must be finite.
+    The matrix must be 8x8, the register's shape, with finite entries.
     """
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"operator must be square, got shape {m.shape}")
-    dim = m.shape[0]
-    if dim < 2 or dim > MAX_DIM or dim & (dim - 1):
-        raise ValueError(f"dimension {dim} not a power of 2 in [2, {MAX_DIM}]")
+    if m.shape != (8, 8):
+        raise ValueError(f"operator must be 8x8, got shape {m.shape}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError("operator entries must be finite")
     return m
@@ -57,22 +52,9 @@ def _as_matrix(op) -> np.ndarray:
     return check_operator(op)
 
 
-def num_qubits(dim: int) -> int:
-    n = int(dim).bit_length() - 1
-    if 2**n != dim:
-        raise ValueError(f"dimension {dim} is not a power of 2")
-    return n
-
-
 def tensor(*ops) -> np.ndarray:
-    """Kronecker product of operators, leftmost factor most significant."""
-    if not ops:
-        raise ValueError("tensor of nothing")
-    mats = [_as_matrix(op) for op in ops]
-    dim = int(np.prod([m.shape[0] for m in mats]))
-    if dim > MAX_DIM:
-        raise ValueError(f"tensor product dimension {dim} exceeds {MAX_DIM}")
-    return reduce(np.kron, mats)
+    """Kronecker product of 2x2 arrays, leftmost factor most significant."""
+    return reduce(np.kron, ops)
 
 
 def eigvalsh(h) -> np.ndarray:
@@ -164,59 +146,26 @@ class DensityOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def n_qubits(self) -> int:
-        return num_qubits(self.dim)
-
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
 
 
-def maximally_mixed(dim: int = 8) -> DensityOperator:
-    return DensityOperator(np.eye(dim, dtype=complex) / dim)
+def maximally_mixed() -> DensityOperator:
+    return DensityOperator(np.eye(8, dtype=complex) / 8)
 
 
-def partial_transpose(rho, transposed, n_qubits: int | None = None) -> np.ndarray:
-    """Transpose the given qubit subsystems (1-based indices) of an operator.
-
-    ``transposed`` may be an iterable of qubit indices or a Bipartition.
-    """
+def partial_transpose(rho, transposed) -> np.ndarray:
+    """Transpose the given qubit subsystems (1-based indices) of an operator."""
     m = _as_matrix(rho)
-    n = n_qubits if n_qubits is not None else num_qubits(m.shape[0])
-    if isinstance(transposed, Bipartition):
-        transposed = transposed.transposed
     subsystems = tuple(sorted(set(int(q) for q in transposed)))
     if not subsystems:
         raise ValueError("no subsystem to transpose")
-    if any(q < 1 or q > n for q in subsystems):
-        raise ValueError(f"subsystem indices {subsystems} out of range 1..{n}")
-    arr = m.reshape((2,) * (2 * n))
+    if any(q < 1 or q > 3 for q in subsystems):
+        raise ValueError(f"subsystem indices {subsystems} out of range 1..3")
+    arr = m.reshape((2,) * 6)
     for q in subsystems:
-        arr = np.swapaxes(arr, q - 1, n + q - 1)
+        arr = np.swapaxes(arr, q - 1, q + 2)
     return arr.reshape(m.shape)
-
-
-def partial_trace(rho, keep, n_qubits: int | None = None) -> np.ndarray:
-    """Reduced operator on the kept qubits (1-based indices, order preserved)."""
-    m = _as_matrix(rho)
-    n = n_qubits if n_qubits is not None else num_qubits(m.shape[0])
-    keep = tuple(int(q) for q in keep)
-    if any(q < 1 or q > n for q in keep) or len(set(keep)) != len(keep):
-        raise ValueError(f"bad keep list {keep}")
-    arr = m.reshape((2,) * (2 * n))
-    drop = [q for q in range(1, n + 1) if q not in keep]
-    for q in sorted(drop, reverse=True):
-        arr = np.trace(arr, axis1=q - 1, axis2=arr.ndim // 2 + q - 1)
-        # removing one row+col axis: remaining axes renumber consistently
-    d = 2 ** len(keep)
-    out = arr.reshape(d, d)
-    if keep != tuple(sorted(keep)):
-        order = np.argsort(np.argsort(keep))
-        k = len(keep)
-        out = out.reshape((2,) * (2 * k))
-        out = np.transpose(out, list(order) + [k + o for o in order])
-        out = out.reshape(d, d)
-    return out
 
 
 @dataclass(frozen=True)
@@ -224,19 +173,18 @@ class Bipartition:
     """A bipartite cut of the register, named by the transposed side."""
 
     transposed: tuple[int, ...]
-    n_qubits: int = 3
 
     def __post_init__(self):
         subs = tuple(sorted(set(int(q) for q in self.transposed)))
-        if not subs or len(subs) >= self.n_qubits:
+        if not subs or len(subs) >= 3:
             raise ValueError("transposed side must be a non-empty proper subset")
-        if any(q < 1 or q > self.n_qubits for q in subs):
+        if any(q < 1 or q > 3 for q in subs):
             raise ValueError(f"qubit indices {subs} out of range")
         object.__setattr__(self, "transposed", subs)
 
     @property
     def label(self) -> str:
-        rest = [q for q in range(1, self.n_qubits + 1) if q not in self.transposed]
+        rest = [q for q in (1, 2, 3) if q not in self.transposed]
         return "".join(map(str, self.transposed)) + "|" + "".join(map(str, rest))
 
 
@@ -267,10 +215,14 @@ class PPTReport:
 
 
 def is_ppt(rho: DensityOperator, tolerance: float | None = None) -> PPTReport:
-    """PPT verdict for every bipartite cut of a three-qubit state."""
-    if rho.dim != 8:
-        raise ValueError("PPT report is defined for the 8-dimensional register")
+    """PPT verdict for every bipartite cut of a three-qubit state.
+
+    ``tolerance`` must be finite and non-negative; it defaults to the
+    state's own.
+    """
     tol = rho.tolerance if tolerance is None else tolerance
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"PPT tolerance {tol} must be finite and non-negative")
     results = []
     for cut in THREE_QUBIT_CUTS:
         pt = partial_transpose(rho.matrix, cut.transposed)
@@ -292,8 +244,6 @@ def uhlmann_fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
     tolerances of the arguments, so loosely wrapped reconstructed states
     compare cleanly against exact ones.
     """
-    if rho.dim != sigma.dim:
-        raise ValueError("dimension mismatch")
     slack = max(1e-8, rho.tolerance, sigma.tolerance)
     root = matrix_sqrt_psd(rho.matrix, tolerance=slack)
     inner = root @ sigma.matrix @ root
@@ -308,8 +258,6 @@ def uhlmann_fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
 
 def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
     """Half the trace norm of rho - sigma."""
-    if rho.dim != sigma.dim:
-        raise ValueError("dimension mismatch")
     vals = np.linalg.eigvalsh(rho.matrix - sigma.matrix)
     return float(np.sum(np.abs(vals)) / 2)
 
@@ -343,8 +291,6 @@ def state_parameters(op) -> np.ndarray:
     state from swamping the sums of its tiny deviation.
     """
     m = _as_matrix(op)
-    if m.shape != (8, 8):
-        raise ValueError(f"Pauli coordinates need an 8x8 operator, got {m.shape}")
     # tr(dev P) = sum_ij dev_ij P_ji: the flattened rows of P meet dev transposed
     dev = m.T.copy()
     dev.flat[::9] -= np.trace(m) / 8.0
@@ -360,18 +306,16 @@ def parameters_to_matrix(theta) -> np.ndarray:
 # random objects for sampling-based checks
 
 
-def random_density_operator(rng: np.random.Generator, dim: int = 8,
-                            rank: int | None = None) -> DensityOperator:
+def random_density_operator(rng: np.random.Generator) -> DensityOperator:
     """Haar-ish random density matrix from a complex Gaussian factor."""
-    r = rank if rank is not None else dim
-    g = rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r))
+    g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     m = g @ g.conj().T
     return DensityOperator(m / np.trace(m).real)
 
 
-def random_unitary(rng: np.random.Generator, dim: int = 8) -> np.ndarray:
+def random_unitary(rng: np.random.Generator) -> np.ndarray:
     """Haar random unitary via QR with phase fixing."""
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
+    z = (rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     ph = np.diag(r).copy()
     ph /= np.abs(ph)
@@ -379,7 +323,7 @@ def random_unitary(rng: np.random.Generator, dim: int = 8) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# JSON wire format for matrices: {"dim": n, "re": [[...]], "im": [[...]]}
+# JSON wire format for matrices: {"dim": 8, "re": [[...]], "im": [[...]]}
 
 
 def read_json(path):

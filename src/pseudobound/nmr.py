@@ -19,59 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import constants
 
-from .core import (DensityOperator, PAULIS, check_operator, parameters_to_matrix,
-                   pauli_labels, state_parameters, tensor)
+from .core import (DensityOperator, check_operator, parameters_to_matrix, pauli_labels,
+                   state_parameters)
 from .states import A_OPT, StateParams, PseudoState, bound_entangled_state, pseudo_state
 
 DEFAULT_KAPPA_H = 8.4e-5
 DEFAULT_P = DEFAULT_KAPPA_H / 3.61   # what the five inputs reach (matched_fraction)
-
-
-@dataclass(frozen=True)
-class SpinSystem:
-    """The heteronuclear three-spin register (C, H, F).
-
-    Gyromagnetic ratios are in units of 1e7 / (T s).
-    """
-
-    gammas: tuple[float, float, float] = (6.73, 26.75, 25.18)
-
-
-DEFAULT_SYSTEM = SpinSystem()
-
-_AXES = {"x": PAULIS["X"], "y": PAULIS["Y"], "z": PAULIS["Z"]}
-
-
-def spin_operator(qubit: int, axis: str) -> np.ndarray:
-    """Angular momentum component (Pauli/2) of one spin, identity elsewhere."""
-    if qubit not in (1, 2, 3):
-        raise ValueError(f"qubit index {qubit} not in 1..3")
-    if axis not in _AXES:
-        raise ValueError(f"axis {axis!r} not one of x, y, z")
-    factors = [np.eye(2, dtype=complex)] * 3
-    factors[qubit - 1] = _AXES[axis] / 2.0
-    return tensor(*factors)
-
-
-def boltzmann_factors(system: SpinSystem, field_tesla: float,
-                      temperature_kelvin: float) -> tuple[float, float, float]:
-    """High-temperature polarizations hbar*B0*gamma_i/(k*T) per spin."""
-    if field_tesla <= 0 or temperature_kelvin <= 0:
-        raise ValueError("field and temperature must be positive")
-    scale = constants.hbar * field_tesla / (constants.k * temperature_kelvin)
-    return tuple(scale * g * 1e7 for g in system.gammas)
-
-
-def equilibrium_state(system: SpinSystem, field_tesla: float,
-                      temperature_kelvin: float) -> DensityOperator:
-    """Thermal state (Id + sum_i kappa_i I_zi)/8 in the high-T expansion."""
-    kappas = boltzmann_factors(system, field_tesla, temperature_kelvin)
-    m = np.eye(8, dtype=complex)
-    for qubit, kappa in enumerate(kappas, start=1):
-        m += kappa * spin_operator(qubit, "z")
-    return DensityOperator(m / 8.0)
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +99,6 @@ class DiagonalStateSpec:
     scale: float
     state: DensityOperator
 
-    def deviation(self) -> np.ndarray:
-        """The traceless part of the state (as a matrix)."""
-        return self.state.matrix - np.eye(8) / 8.0
-
 
 def expand_diagonal_state(state, scale: float) -> DiagonalStateSpec:
     """Read the z-product-operator coefficients off a diagonal state.
@@ -193,6 +143,19 @@ def target_diagonal(params: StateParams, p: float) -> DiagonalStateSpec:
     return expand_diagonal_state(seed, p)
 
 
+def _seed_orders(params: StateParams) -> np.ndarray:
+    """The seed's seven z-order coefficients, in the order of ``_Z_ORDERS``.
+
+    They do not depend on p: the Pauli coordinates of the seed at fraction
+    p are p times those of the preparation-conjugated family state.
+    """
+    if not params.is_symmetric:
+        raise ValueError("seed-state expansion is defined for symmetric triples")
+    u = preparation_unitary()
+    deviation = u.conj().T @ bound_entangled_state(params).matrix @ u
+    return 8.0 * _Z_WEIGHT * state_parameters(deviation)[_Z_INDEX]
+
+
 # ---------------------------------------------------------------------------
 # the five accessible diagonal states and temporal averaging
 
@@ -207,8 +170,8 @@ def single_spin_ratio(a: float = A_OPT) -> float:
     ratio for temporal averaging to reproduce the seed without residual;
     at the working point it is about 0.272 (quoted as 0.27 to two digits).
     """
-    expansion = target_diagonal(StateParams.symmetric(a), 1e-5)
-    return expansion.single_spin[1] / expansion.single_spin[0]
+    orders = _seed_orders(StateParams.symmetric(a))
+    return float(orders[1] / orders[0])
 
 
 def initial_states(scale: float, a: float = A_OPT) -> list[DensityOperator]:
@@ -244,13 +207,13 @@ def matched_fraction(params: StateParams, kappa: float) -> float:
     state that provides it forces the weights, and their normalization
     fixes p; at the working point p is kappa/3.61 to three digits.
     """
-    expansion = target_diagonal(params, 1e-5)
+    orders = _seed_orders(params)
     budget = (
-        expansion.three_spin / THREE_SPIN_AMPLITUDE
-        + expansion.two_spin[0] / TWO_SPIN_AMPLITUDES[0]
-        + expansion.two_spin[1] / TWO_SPIN_AMPLITUDES[1]
-        + expansion.two_spin[2] / TWO_SPIN_AMPLITUDES[2]
-        + expansion.single_spin[0] / -1.0
+        orders[6] / THREE_SPIN_AMPLITUDE
+        + orders[3] / TWO_SPIN_AMPLITUDES[0]
+        + orders[4] / TWO_SPIN_AMPLITUDES[1]
+        + orders[5] / TWO_SPIN_AMPLITUDES[2]
+        + orders[0] / -1.0
     )
     return float(kappa / budget)
 
@@ -291,9 +254,6 @@ def solve_temporal_weights(states: list[DensityOperator],
     """
     if len(states) == 0:
         raise ValueError("no input states")
-    dims = {s.dim for s in states}
-    if dims != {target.state.dim}:
-        raise ValueError("input and target dimensions differ")
     cols = np.column_stack([np.real(np.diag(s.matrix)) for s in states])
     t_full = np.real(np.diag(target.state.matrix))
     # With sum(q) = 1 the uniform background cancels exactly, so solve on
@@ -353,9 +313,8 @@ def prepare_pseudo_state(params: StateParams, p: float) -> PseudoState:
 
 
 def depolarize(rho: DensityOperator, lam: float) -> DensityOperator:
-    """(1 - lam) rho + lam Id/d."""
+    """(1 - lam) rho + lam Id/8."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"depolarization weight {lam} outside [0, 1]")
-    d = rho.dim
-    m = (1.0 - lam) * rho.matrix + lam * np.eye(d) / d
+    m = (1.0 - lam) * rho.matrix + lam * np.eye(8) / 8
     return DensityOperator(m, tolerance=rho.tolerance)

@@ -4,7 +4,7 @@ The family is diagonal except for a single GHZ coherence between |000> and
 |111>.  All members are PPT across every bipartite cut yet entangled
 whenever the product of the three parameters differs from one.  Room
 temperature NMR only reaches a highly mixed neighbourhood of the identity,
-hence the pseudo-state form (1-p)/d * Id + p * rho with tiny p.
+hence the pseudo-state form (1-p)/8 * Id + p * rho with tiny p.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ def bound_entangled_state(params: StateParams) -> DensityOperator:
 
 @dataclass(frozen=True)
 class PseudoState:
-    """Mixture (1-p)/d * Id + p * rho_deviation, the NMR-accessible form."""
+    """Mixture (1-p)/8 * Id + p * rho_deviation, the NMR-accessible form."""
 
     rho: DensityOperator
     p: float
@@ -94,13 +94,12 @@ def pseudo_state(rho_be: DensityOperator, p: float) -> PseudoState:
     """Embed a state into the maximally mixed background with weight p."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixing fraction p={p} outside [0, 1]")
-    d = rho_be.dim
-    m = (1.0 - p) / d * np.eye(d, dtype=complex) + p * rho_be.matrix
+    m = (1.0 - p) / 8 * np.eye(8, dtype=complex) + p * rho_be.matrix
     return PseudoState(DensityOperator(m, tolerance=rho_be.tolerance), p)
 
 
 def peel_identity(ps: PseudoState) -> DensityOperator:
-    """Invert the pseudo-state embedding: (rho - (1-p)/d * Id) / p.
+    """Invert the pseudo-state embedding: (rho - (1-p)/8 * Id) / p.
 
     Exact inputs round-trip to machine precision.  Reconstructed inputs may
     come out slightly non-positive; that is reported as a warning (and the
@@ -108,8 +107,7 @@ def peel_identity(ps: PseudoState) -> DensityOperator:
     """
     if ps.p <= 0.0:
         raise ValueError("peeling is undefined at p = 0 (no deviation to rescale)")
-    d = ps.rho.dim
-    m = (ps.rho.matrix - (1.0 - ps.p) / d * np.eye(d)) / ps.p
+    m = (ps.rho.matrix - (1.0 - ps.p) / 8 * np.eye(8)) / ps.p
     return DensityOperator.loose(m, warn=True, context="peeled state")
 
 

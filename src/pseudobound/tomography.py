@@ -17,6 +17,7 @@ propagated to derived quantities such as witness expectations.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -146,10 +147,6 @@ class DesignMatrix:
     rows: tuple[tuple[str, str, str, str], ...]   # (setting, detect, line, quad)
     rank: int
 
-    @property
-    def deficiency(self) -> int:
-        return 63 - self.rank
-
 
 def design_matrix(experiments: list[tuple[str, str]] | None = None) -> DesignMatrix:
     exps = default_experiments() if experiments is None else list(experiments)
@@ -181,8 +178,10 @@ class TomographyRecord:
             raise ValueError(f"bad detected spin {self.detect!r}")
         if self.line not in LINE_LABELS or self.quad not in QUADRATURES:
             raise ValueError(f"unknown line/quadrature ({self.line!r}, {self.quad!r})")
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
+        if not math.isfinite(self.value):
+            raise ValueError(f"record value {self.value} is not finite")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError(f"record sigma {self.sigma} must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -235,8 +234,8 @@ def generate_dataset(rho: DensityOperator,
                      experiments: list[tuple[str, str]] | None = None,
                      sigma: float = 0.0, seed: int = 0) -> TomographyDataset:
     """Simulated dataset: exact amplitudes plus iid Gaussian noise."""
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError(f"sigma {sigma} must be finite and non-negative")
     exps = default_experiments() if experiments is None else list(experiments)
     rng = np.random.default_rng(seed)
     records = []

@@ -77,7 +77,7 @@ def witness(params: WitnessParams) -> np.ndarray:
 
 
 def pseudo_witness(w, p: float) -> np.ndarray:
-    """Rescale a witness for pseudo states: (W - (1-p) tr(W)/d * Id) / p.
+    """Rescale a witness for pseudo states: (W - (1-p) tr(W)/8 * Id) / p.
 
     Subtracting the identity contribution to the expectation (which scales
     with tr(W)) and dividing by p makes the expectation on the pseudo state
@@ -85,18 +85,15 @@ def pseudo_witness(w, p: float) -> np.ndarray:
     for any witness normalization.  At p = 1 the witness is unchanged.
     """
     m = check_operator(w)
-    d = m.shape[0]
     if p <= 0.0:
         raise ValueError("pseudo witness is undefined at p = 0")
-    shift = (1.0 - p) / d * float(np.real(np.trace(m)))
-    return (m - shift * np.eye(d)) / p
+    shift = (1.0 - p) / 8 * float(np.real(np.trace(m)))
+    return (m - shift * np.eye(8)) / p
 
 
 def expectation(w, rho: DensityOperator) -> float:
     """tr(W rho) for a Hermitian observable, returned as a real number."""
     m = check_operator(w)
-    if m.shape[0] != rho.dim:
-        raise ValueError("dimension mismatch")
     defect = float(np.max(np.abs(m - m.conj().T)))
     if defect > 1e-9:
         raise ValueError(f"witness is not Hermitian (defect {defect:.3e})")
@@ -172,8 +169,6 @@ def min_over_product_states(w_bar, restarts: int = 200, seed: int = 0,
     if max_sweeps < 1:
         raise ValueError("need at least one sweep")
     m = check_operator(w_bar)
-    if m.shape[0] != 8:
-        raise ValueError("product-state minimization expects an 8x8 operator")
     w6 = m.reshape((2,) * 6)
     # blocks[q][(k, l), (i, j)]: the entry of W with qubit q in row i and
     # column j, the other two qubits jointly in row k and column l
@@ -215,14 +210,13 @@ def min_over_product_states(w_bar, restarts: int = 200, seed: int = 0,
 
 
 def white_noise_threshold(w, rho_be: DensityOperator) -> float:
-    """Smallest admixture q of the state into Id/d still detected by W.
+    """Smallest admixture q of the state into Id/8 still detected by W.
 
-    Solves tr(W [(1-q) Id/d + q rho]) = 0 in closed form.  Requires the
+    Solves tr(W [(1-q) Id/8 + q rho]) = 0 in closed form.  Requires the
     witness to detect the state at q = 1.
     """
     m = check_operator(w)
-    d = m.shape[0]
-    noise_term = float(np.real(np.trace(m))) / d
+    noise_term = float(np.real(np.trace(m))) / 8
     state_term = expectation(m, rho_be)
     if state_term >= 0:
         raise ValueError("witness does not detect the state at q = 1")

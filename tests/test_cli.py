@@ -1,10 +1,15 @@
 """End-to-end checks of the command-line interface."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import pseudobound
 from pseudobound import checks, cli, core, nmr
 from conftest import EPS_OPT
 
@@ -73,6 +78,14 @@ def test_prepare(tmp_path):
     weights = blob["temporal_weights"]["weights"]
     assert sum(weights) == pytest.approx(1.0, abs=1e-9)
     assert min(weights) >= 0
+
+
+def test_prepare_expands_the_seed_twice(tmp_path):
+    # once for the seed the weights are solved against, once for the
+    # prepared state; the fraction and the input ratio need only z-orders
+    with mock.patch.object(nmr, "target_diagonal", wraps=nmr.target_diagonal) as spy:
+        assert run(["prepare", "--out", str(tmp_path / "prep.json")]) == 0
+    assert spy.call_count == 2
 
 
 def test_tomo_pipeline_and_metrics(tmp_path):
@@ -235,3 +248,45 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, payload):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ppt", "--tolerance", "nan"],
+    ["ppt", "--tolerance", "inf"],
+    ["ppt", "--tolerance", "-1"],
+    ["tomo", "simulate", "--sigma", "nan"],
+    ["tomo", "simulate", "--sigma", "inf"],
+], ids=["ppt-nan-tolerance", "ppt-inf-tolerance", "ppt-negative-tolerance",
+        "tomo-nan-sigma", "tomo-inf-sigma"])
+def test_non_finite_or_negative_number_exits_2(tmp_path, capsys, argv):
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(json.dumps(core.matrix_to_json(np.eye(8) / 8)))
+    out = tmp_path / "out.json"
+    assert run([*argv, "--state", str(mixed), "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_register_state_exits_2(tmp_path, capsys):
+    # a well-formed 4x4 state is no state of the three-qubit register
+    four = tmp_path / "four.json"
+    four.write_text(json.dumps({"dim": 4, "re": (np.eye(4) / 4).tolist(),
+                                "im": np.zeros((4, 4)).tolist()}))
+    rho = tmp_path / "rho.json"
+    run(["state", "--out", str(rho)])
+    for argv in (["ppt", "--state", four],
+                 ["witness", "eval", "--state", four],
+                 ["tomo", "simulate", "--state", four],
+                 ["metrics", "--state", four, "--reference", four],
+                 ["metrics", "--state", rho, "--reference", four]):
+        assert run([str(a) for a in argv]) == 2, argv
+        assert "8x8" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy():
+    src = Path(pseudobound.__file__).resolve().parents[1]
+    code = ("import sys, pseudobound; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={"PYTHONPATH": str(src)}, timeout=60)
+    assert out.stdout.strip() == "[]"

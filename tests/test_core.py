@@ -8,49 +8,56 @@ import pytest
 from pseudobound import core, nmr, states
 from conftest import pure_state
 
+I2, Z = core.PAULI_I, core.PAULI_Z
+
+
+def _diag8(*head):
+    """8x8 diagonal matrix with the given leading entries, zeros after them."""
+    return np.diag(list(head) + [0.0] * (8 - len(head))).astype(complex)
+
 
 def test_tensor_identity():
-    out = core.tensor(np.eye(2), np.eye(2))
-    np.testing.assert_array_equal(out, np.eye(4))
+    out = core.tensor(I2, I2, I2)
+    np.testing.assert_array_equal(out, np.eye(8))
 
 
 def test_tensor_sign_pattern():
-    zz = core.tensor(core.PAULI_Z, core.PAULI_Z)
-    np.testing.assert_allclose(np.diag(zz), [1, -1, -1, 1])
+    zzi = core.tensor(Z, Z, I2)
+    np.testing.assert_allclose(np.diag(zzi), [1, 1, -1, -1, -1, -1, 1, 1])
 
 
 def test_tensor_three_spin_parity():
     # hand expansion: each basis state contributes (+-1/8) with the parity
     # of its set bits
-    op = nmr.spin_operator(1, "z") @ nmr.spin_operator(2, "z") @ nmr.spin_operator(3, "z")
+    iz = [core.tensor(*(Z / 2 if k == q else I2 for k in range(3))) for q in range(3)]
+    op = iz[0] @ iz[1] @ iz[2]
     expected = np.array([(-1) ** bin(k).count("1") for k in range(8)]) / 8.0
     np.testing.assert_allclose(np.diag(op).real, expected, atol=1e-15)
     assert np.max(np.abs(op - np.diag(np.diag(op)))) == 0.0
 
 
-def test_tensor_dimension_cap():
-    with pytest.raises(ValueError, match="exceeds"):
-        core.tensor(np.eye(8), np.eye(4))
-
-
 def test_operator_validation():
-    with pytest.raises(ValueError, match="square"):
-        core.check_operator(np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="power of 2"):
-        core.check_operator(np.zeros((3, 3)))
+    # the register is three qubits: every other shape is refused
+    for shape in ((8, 7), (2, 3), (3, 3), (2, 2), (4, 4), (16, 16), (8,), (1, 8, 8)):
+        with pytest.raises(ValueError, match="8x8"):
+            core.check_operator(np.zeros(shape))
     with pytest.raises(ValueError, match="finite"):
-        core.check_operator(np.full((2, 2), np.inf))
+        core.check_operator(np.full((8, 8), np.inf))
+    with pytest.raises(ValueError, match="finite"):
+        core.check_operator(_diag8(complex(0.5, np.nan)))
 
 
 def test_density_operator_invariants():
+    upper = _diag8(0.5, 0.5)
+    upper[0, 1] = 1.0
     with pytest.raises(ValueError, match="Hermitian"):
-        core.DensityOperator(np.array([[0.5, 1.0], [0.0, 0.5]]))
+        core.DensityOperator(upper)
     with pytest.raises(ValueError, match="trace"):
-        core.DensityOperator(np.eye(2))
+        core.DensityOperator(np.eye(8))
     with pytest.raises(ValueError, match="eigenvalue"):
-        core.DensityOperator(np.diag([1.5, -0.5]))
-    rho = core.DensityOperator(np.diag([0.25, 0.75]))
-    assert rho.dim == 2 and rho.n_qubits == 1
+        core.DensityOperator(_diag8(1.5, -0.5))
+    rho = core.DensityOperator(_diag8(0.25, 0.75))
+    assert rho.dim == 8
     with pytest.raises(ValueError):
         rho.matrix[0, 0] = 9.0   # frozen
 
@@ -103,6 +110,9 @@ def test_is_ppt_verdicts(rho_opt):
     assert report.all_ppt
     assert all(c.min_eigenvalue >= -1e-10 for c in report.cuts)
     assert set(report.as_dict()) == {"1|23", "2|13", "3|12"}
+    for tolerance in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError, match="tolerance"):
+            core.is_ppt(core.maximally_mixed(), tolerance=tolerance)
 
 
 def test_eigvalsh_basics(rng):
@@ -123,13 +133,13 @@ def test_projector_spectrum(rng):
 
 
 def test_matrix_sqrt_psd(rng, rho_opt):
-    np.testing.assert_allclose(core.matrix_sqrt_psd(np.eye(4)), np.eye(4))
+    np.testing.assert_allclose(core.matrix_sqrt_psd(np.eye(8)), np.eye(8))
     proj = np.zeros((8, 8)); proj[0, 0] = 4.0
     np.testing.assert_allclose(core.matrix_sqrt_psd(proj), proj / 2)
     root = core.matrix_sqrt_psd(rho_opt.matrix)
     np.testing.assert_allclose(root @ root, rho_opt.matrix, atol=1e-10)
     with pytest.raises(ValueError, match="PSD"):
-        core.matrix_sqrt_psd(np.diag([1.0, -1e-3]))
+        core.matrix_sqrt_psd(_diag8(1.0, -1e-3))
 
 
 def test_fidelity_basics(rng, rho_opt):
@@ -172,20 +182,6 @@ def test_numeric_rank(rng, rho_opt):
     assert core.numeric_rank(rho_opt.matrix) == 7
     assert core.numeric_rank(np.eye(8) / 8) == 8
     assert core.numeric_rank(pure_state(states.ghz(+1)).matrix) == 1
-
-
-def test_partial_trace(rng):
-    rho = core.random_density_operator(rng)
-    reduced = core.partial_trace(rho.matrix, (1,))
-    assert reduced.shape == (2, 2)
-    assert np.trace(reduced) == pytest.approx(1.0, abs=1e-12)
-    a = core.random_density_operator(rng, dim=2)
-    b = core.random_density_operator(rng, dim=4)
-    prod = core.tensor(a.matrix, b.matrix)
-    np.testing.assert_allclose(core.partial_trace(prod, (1,), n_qubits=3),
-                               a.matrix, atol=1e-14)
-    np.testing.assert_allclose(core.partial_trace(prod, (2, 3), n_qubits=3),
-                               b.matrix, atol=1e-14)
 
 
 def test_matrix_json_round_trip(rng):
@@ -240,11 +236,13 @@ def test_bipartition_validation():
 
 
 def test_loose_wrapper_warns():
-    bad = np.diag([1.2, -0.2]).astype(complex)
+    bad = _diag8(1.2, -0.2)
     with pytest.warns(UserWarning, match="widening"):
         rho = core.DensityOperator.loose(bad, tolerance=1e-6, warn=True)
     assert rho.tolerance >= 0.2
     # only positivity is relaxed: a matrix that is no state is refused
-    for no_state in (np.array([[0.5, 0.1], [0.0, 0.5]]), np.eye(2)):
+    upper = _diag8(0.5, 0.5)
+    upper[0, 1] = 0.1
+    for no_state in (upper, np.eye(8) / 4):
         with pytest.raises(ValueError):
             core.DensityOperator.loose(no_state, tolerance=1e-6)

@@ -1,4 +1,4 @@
-"""Property tests of the JSON loaders behind `ppt --state` and `tomo reconstruct`.
+"""Property tests of the JSON loaders behind the `--state` options and `tomo reconstruct`.
 
 Whatever JSON a file holds, the CLI must answer with an exit code (0 all
 good, 1 not detected, 2 bad input) and never raise.
@@ -8,9 +8,11 @@ import json
 import os
 import tempfile
 
+import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from pseudobound import cli
+from pseudobound import cli, core
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
@@ -22,9 +24,11 @@ json_values = st.recursive(
 # payloads shaped like the wire formats, so that the loaders get past the
 # first type check and meet bad keys, shapes and values further in
 matrices = st.fixed_dictionaries(
-    {}, optional={"dim": json_values | st.sampled_from([1, 2, 8]),
-                  "re": json_values | st.just([[0.5, 0.0], [0.0, 0.5]]),
-                  "im": json_values | st.just([[0.0, 0.0], [0.0, 0.0]])})
+    {}, optional={"dim": json_values | st.sampled_from([1, 2, 4, 8]),
+                  "re": json_values | st.sampled_from([[[0.5, 0.0], [0.0, 0.5]],
+                                                       (np.eye(8) / 8).tolist()]),
+                  "im": json_values | st.sampled_from([[[0.0, 0.0], [0.0, 0.0]],
+                                                       np.zeros((8, 8)).tolist()])})
 records = st.fixed_dictionaries(
     {}, optional={"setting": json_values | st.sampled_from(["Y1E2E3", "X1X2X3"]),
                   "detect": json_values | st.sampled_from(["C", "H", "F"]),
@@ -45,10 +49,17 @@ def _exit_code(tmp_path, payload, argv):
     return cli.main([*argv, path])
 
 
+@pytest.mark.parametrize("command", ["ppt", "witness-eval", "metrics"])
 @FUZZ
 @given(payload=json_values | matrices)
-def test_ppt_state_loader_never_raises(tmp_path, payload):
-    assert _exit_code(tmp_path, payload, ["ppt", "--state"]) in (0, 1, 2)
+def test_state_loader_never_raises(tmp_path, command, payload):
+    reference = tmp_path / "reference.json"
+    if not reference.exists():
+        reference.write_text(json.dumps(core.matrix_to_json(np.eye(8) / 8)))
+    argv = {"ppt": ["ppt", "--state"],
+            "witness-eval": ["witness", "eval", "--state"],
+            "metrics": ["metrics", "--reference", str(reference), "--state"]}[command]
+    assert _exit_code(tmp_path, payload, argv) in (0, 1, 2)
 
 
 @FUZZ

@@ -1,4 +1,4 @@
-"""Spin operators, thermal state, temporal averaging and the gate sequence."""
+"""Diagonal seed expansion, the five inputs, temporal averaging and the gate sequence."""
 
 from functools import reduce
 
@@ -9,39 +9,6 @@ from pseudobound import core, nmr, states
 from conftest import A_OPT, KAPPA_H
 
 PARAMS = states.StateParams.symmetric(A_OPT)
-
-
-def test_spin_operator_basics():
-    iz1 = nmr.spin_operator(1, "z")
-    assert np.trace(iz1) == 0
-    np.testing.assert_allclose(np.diag(iz1).real,
-                               [0.5] * 4 + [-0.5] * 4, atol=1e-15)
-    for q in (1, 2, 3):
-        for axis in "xyz":
-            vals = np.linalg.eigvalsh(nmr.spin_operator(q, axis))
-            np.testing.assert_allclose(np.sort(vals), [-0.5] * 4 + [0.5] * 4,
-                                       atol=1e-15)
-    comm = (nmr.spin_operator(1, "x") @ nmr.spin_operator(1, "y")
-            - nmr.spin_operator(1, "y") @ nmr.spin_operator(1, "x"))
-    np.testing.assert_allclose(comm, 1j * nmr.spin_operator(1, "z"), atol=1e-15)
-    with pytest.raises(ValueError):
-        nmr.spin_operator(4, "z")
-    with pytest.raises(ValueError):
-        nmr.spin_operator(1, "w")
-
-
-def test_equilibrium_state():
-    sys = nmr.DEFAULT_SYSTEM
-    kappas = nmr.boltzmann_factors(sys, 12.0, 290.0)
-    assert kappas[1] == pytest.approx(8.4e-5, rel=0.02)
-    assert kappas[0] / kappas[1] == pytest.approx(0.2516, abs=1e-4)
-    rho = nmr.equilibrium_state(sys, 12.0, 290.0)
-    assert np.max(np.abs(rho.matrix - np.diag(np.diag(rho.matrix)))) == 0.0
-    assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-15)
-    hot = nmr.equilibrium_state(sys, 12.0, 1e12)
-    assert np.max(np.abs(hot.matrix - np.eye(8) / 8)) < 1e-12
-    with pytest.raises(ValueError):
-        nmr.equilibrium_state(sys, -1.0, 290.0)
 
 
 def test_initial_states_structure():
@@ -92,7 +59,8 @@ def test_target_diagonal_coefficients():
 
 def _product_operator_expansion(matrix, scale):
     """Oracle: trace inner products against the products of spin operators I_z."""
-    iz = [nmr.spin_operator(q, "z") for q in (1, 2, 3)]
+    iz = [core.tensor(*(core.PAULI_Z / 2 if k == q else core.PAULI_I for k in range(3)))
+          for q in range(3)]
     dev = matrix - np.eye(8) / 8.0
     out = []
     for qubits in ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)):
@@ -128,8 +96,8 @@ def test_target_diagonal_guards():
 
 
 def test_target_diagonal_scaling_linearity():
-    base = nmr.target_diagonal(PARAMS, 1e-5).deviation()
-    scaled = nmr.target_diagonal(PARAMS, 3e-5).deviation()
+    base = nmr.target_diagonal(PARAMS, 1e-5).state.matrix - np.eye(8) / 8
+    scaled = nmr.target_diagonal(PARAMS, 3e-5).state.matrix - np.eye(8) / 8
     np.testing.assert_allclose(scaled, 3 * base, atol=1e-18)
 
 

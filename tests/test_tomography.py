@@ -1,9 +1,11 @@
 """Readout model, linear inversion and error propagation."""
 
+import json
+
 import numpy as np
 import pytest
 
-from pseudobound import core, nmr, states, tomography as tomo, witnesses
+from pseudobound import core, states, tomography as tomo, witnesses
 from conftest import A_OPT, EPS_OPT, pure_state
 
 RHO_OPT = states.bound_entangled_state(states.StateParams.symmetric(A_OPT))
@@ -26,22 +28,23 @@ def test_identity_setting_not_in_protocol():
 def test_rotation_convention():
     # a y-pulse turns longitudinal into transverse order: Iz -> +Ix
     r = tomo.readout_unitary("Y1E2E3", "C")
+    i2 = core.PAULI_I
     np.testing.assert_allclose(
-        r @ nmr.spin_operator(1, "z") @ r.conj().T,
-        nmr.spin_operator(1, "x"), atol=1e-14)
+        r @ core.tensor(core.PAULI_Z / 2, i2, i2) @ r.conj().T,
+        core.tensor(core.PAULI_X / 2, i2, i2), atol=1e-14)
 
 
 def test_swap_exchanges_marginals(rng):
-    rho = core.random_density_operator(rng)
-    for q in (2, 3):
-        s = tomo.swap_unitary(1, q)
-        swapped = s @ rho.matrix @ s.conj().T
-        np.testing.assert_allclose(core.partial_trace(swapped, (q,)),
-                                   core.partial_trace(rho.matrix, (1,)),
-                                   atol=1e-14)
-        np.testing.assert_allclose(core.partial_trace(swapped, (1,)),
-                                   core.partial_trace(rho.matrix, (q,)),
-                                   atol=1e-14)
+    # S (a x b x c) S^T is the product with the two factors exchanged, so
+    # the swap exchanges the marginals of any state
+    for q1, q2 in ((1, 2), (1, 3), (2, 3)):
+        factors = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                   for _ in range(3)]
+        permuted = list(factors)
+        permuted[q1 - 1], permuted[q2 - 1] = factors[q2 - 1], factors[q1 - 1]
+        s = tomo.swap_unitary(q1, q2)
+        np.testing.assert_allclose(s @ core.tensor(*factors) @ s.T,
+                                   core.tensor(*permuted), atol=1e-14)
     with pytest.raises(ValueError):
         tomo.swap_unitary(1, 1)
 
@@ -72,7 +75,7 @@ def test_line_sum_gives_total_transverse_signal(rng):
         vals = tomo.measure(rho, setting, detect)
         r = tomo.readout_unitary(setting, detect)
         rotated = r @ rho.matrix @ r.conj().T
-        sigma_x1 = core.tensor(core.PAULI_X, np.eye(4))
+        sigma_x1 = core.tensor(core.PAULI_X, core.PAULI_I, core.PAULI_I)
         total_x = float(np.real(np.trace(sigma_x1 @ rotated)))
         assert np.sum(vals[0::2]) == pytest.approx(total_x, abs=1e-12)
 
@@ -80,7 +83,7 @@ def test_line_sum_gives_total_transverse_signal(rng):
 def test_design_matrix_rank():
     full = tomo.design_matrix()
     assert full.matrix.shape == (168, 63)
-    assert full.rank == 63 and full.deficiency == 0
+    assert full.rank == 63 and full.matrix.shape[1] - full.rank == 0
     single = tomo.design_matrix([("Y1E2E3", "C")])
     assert single.rank < 63
     with pytest.raises(ValueError):
@@ -137,8 +140,16 @@ def test_dataset_json_round_trip(tmp_path):
     path = tmp_path / "data.json"
     ds.save(path)
     assert tomo.TomographyDataset.load(path) == ds
-    with pytest.raises(ValueError):
-        tomo.TomographyRecord("Y1E2E3", "C", "00", "x", 0.0, -1.0)
+    for value, sigma in ((0.0, -1.0), (0.0, np.nan), (0.0, np.inf), (np.nan, 1e-3),
+                         (-np.inf, 1e-3)):
+        with pytest.raises(ValueError):
+            tomo.TomographyRecord("Y1E2E3", "C", "00", "x", value, sigma)
+    # a dataset file with a NaN sigma is refused when it is read
+    blobs = ds.to_json()
+    blobs[5]["sigma"] = float("nan")
+    path.write_text(json.dumps(blobs))
+    with pytest.raises(ValueError, match="sigma"):
+        tomo.TomographyDataset.load(path)
 
 
 def test_dataset_load_refuses_deep_nesting(tmp_path):
@@ -251,8 +262,8 @@ def test_equivariance_under_readout_change(rng):
 def test_project_to_physical_cases():
     np.testing.assert_allclose(tomo.project_to_physical(RHO_OPT).matrix,
                                RHO_OPT.matrix, atol=1e-12)
-    toy = tomo.project_to_physical(np.diag([1.1, -0.1]).astype(complex))
-    np.testing.assert_allclose(toy.matrix, np.diag([1.0, 0.0]), atol=1e-12)
+    toy = tomo.project_to_physical(np.diag([1.1, -0.1] + [0.0] * 6).astype(complex))
+    np.testing.assert_allclose(toy.matrix, np.diag([1.0] + [0.0] * 7), atol=1e-12)
 
 
 def test_projection_improves_estimates():
