@@ -126,7 +126,7 @@ def cmd_prepare(args) -> int:
     seed = nmr.target_diagonal(params, p)
     five = nmr.initial_states(kappa, a=args.a)
     sol = nmr.solve_temporal_weights(five, seed)
-    ps = nmr.prepare_pseudo_state(params, p)
+    ps = nmr.prepare_pseudo_state(seed)
     payload = {
         "pseudo_state": core.matrix_to_json(ps.rho.matrix),
         "p": p,

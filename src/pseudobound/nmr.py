@@ -227,72 +227,47 @@ class WeightSolution:
     achieved_p: float
 
 
-def _equality_ls(m: np.ndarray, t: np.ndarray, support: list[int]) -> tuple[np.ndarray, float]:
-    """Least squares min ||M q - t|| with sum(q) = 1 on the given support."""
-    ms = m[:, support]
-    k = len(support)
-    kkt = np.zeros((k + 1, k + 1))
-    kkt[:k, :k] = 2.0 * ms.T @ ms
-    kkt[:k, k] = 1.0
-    kkt[k, :k] = 1.0
-    rhs = np.concatenate([2.0 * ms.T @ t, [1.0]])
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError:
-        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-    return sol[:k], float(sol[k])
-
-
 def solve_temporal_weights(states: list[DensityOperator],
                            target: DiagonalStateSpec) -> WeightSolution:
     """Non-negative weights summing to one that best mix the inputs into the seed.
 
-    Frobenius-norm objective with simplex constraints, solved by a small
-    active-set method on the diagonals (everything involved is diagonal),
-    so consistent inputs resolve to machine precision.  An inconsistent
-    target is reported through the residual, not raised.
+    Frobenius-norm objective with simplex constraints.  With sum(q) = 1 the
+    Id/8 background cancels; the inputs carry disjoint spin orders, so
+    their deviations d_k are orthogonal and the problem separates.  With
+    t the target's deviation, n_k = |d_k|^2 and c_k = <d_k, t>/n_k the
+    exact minimizer is q_k = max(0, c_k - mu/n_k), mu fixed by sum(q) = 1
+    on the longest prefix, in descending <d_k, t>, whose weights stay
+    positive.  Inputs with zero or non-orthogonal deviations are refused;
+    an inconsistent target is reported through the residual, not raised.
     """
     if len(states) == 0:
         raise ValueError("no input states")
-    cols = np.column_stack([np.real(np.diag(s.matrix)) for s in states])
-    t_full = np.real(np.diag(target.state.matrix))
-    # With sum(q) = 1 the uniform background cancels exactly, so solve on
-    # deviations rescaled to O(1); this keeps the tiny spin orders from
-    # drowning in the 1/8 offset numerically.
-    background = np.full(8, 1.0 / 8.0)
-    dev = cols - background[:, None]
-    t_dev = t_full - background
-    s = max(np.max(np.linalg.norm(dev, axis=0)), np.linalg.norm(t_dev), 1e-300)
-    m = dev / s
-    t = t_dev / s
+    dev = np.column_stack([np.real(np.diag(s.matrix)) for s in states]) - 1.0 / 8.0
+    t = np.real(np.diag(target.state.matrix)) - 1.0 / 8.0
+    gram = dev.T @ dev
+    n = np.diag(gram)
+    if not np.all(n > 0):
+        raise ValueError("an input state has no deviation from Id/8")
+    overlap = np.abs(gram - np.diag(n)) / np.sqrt(np.outer(n, n))
+    if np.max(overlap) > 1e-9:
+        raise ValueError(
+            f"input deviations are not orthogonal (relative overlap {np.max(overlap):.1e})")
 
-    n = m.shape[1]
-    support = list(range(n))
-    q_full = np.zeros(n)
-    for _ in range(4 * n):
-        q, lam = _equality_ls(m, t, support)
-        if np.min(q) < -1e-12:
-            worst = support[int(np.argmin(q))]
-            support = [i for i in support if i != worst]
-            if not support:
-                raise RuntimeError("active set emptied; target infeasible for simplex")
-            continue
-        q_full = np.zeros(n)
-        q_full[support] = q
-        # dual feasibility: can any dropped weight improve the fit?
-        resid = m @ q_full - t
-        grads = 2.0 * m.T @ resid + lam
-        blocked = [i for i in range(n) if i not in support and grads[i] < -1e-10]
-        if not blocked:
-            break
-        support.append(int(blocked[int(np.argmin(grads[blocked]))]))
-        support.sort()
+    b = dev.T @ t   # <d_k, t> = c_k * n_k
+    c = b / n
+    order = np.argsort(-b)
+    # mu for each prefix of the sorted inputs, and whether the last weight of
+    # that prefix is still positive; the one-input prefix always is, up to rounding
+    mu = (np.cumsum(c[order]) - 1.0) / np.cumsum(1.0 / n[order])
+    positive = np.append(c[order] - mu / n[order] > 0, False)
+    support = max(int(np.argmin(positive)), 1)
+    q = np.maximum(c - mu[support - 1] / n, 0.0)
 
-    mix_dev = m @ q_full
+    mix_dev = dev @ q
     denom = float(t @ t)
     achieved = target.scale * float(mix_dev @ t) / denom if denom > 0 else 0.0
-    residual = float(np.linalg.norm(m @ q_full - t)) * s
-    return WeightSolution(weights=q_full, residual=residual, achieved_p=achieved)
+    residual = float(np.linalg.norm(mix_dev - t))
+    return WeightSolution(weights=q, residual=residual, achieved_p=achieved)
 
 
 def mix_states(states: list[DensityOperator], weights: np.ndarray) -> DensityOperator:
@@ -300,12 +275,11 @@ def mix_states(states: list[DensityOperator], weights: np.ndarray) -> DensityOpe
     return DensityOperator(m)
 
 
-def prepare_pseudo_state(params: StateParams, p: float) -> PseudoState:
-    """The ideal prepared state: diagonal seed conjugated by the gate sequence."""
-    seed = target_diagonal(params, p)
+def prepare_pseudo_state(seed: DiagonalStateSpec) -> PseudoState:
+    """The ideal prepared state: the seed (scale p) conjugated by the gate sequence."""
     u = preparation_unitary()
     m = u @ seed.state.matrix @ u.conj().T
-    return PseudoState(DensityOperator(m), p)
+    return PseudoState(DensityOperator(m), seed.scale)
 
 
 # ---------------------------------------------------------------------------

@@ -21,15 +21,16 @@ A_OPT = 0.3460   # the symmetric working point, found by witness optimization
 
 @dataclass(frozen=True)
 class StateParams:
-    """Positive parameter triple (a1, a2, a3) of the state family."""
+    """Finite positive parameter triple (a1, a2, a3) of the state family."""
 
     a1: float
     a2: float
     a3: float
 
     def __post_init__(self):
-        if min(self.a1, self.a2, self.a3) <= 0:
-            raise ValueError(f"parameters must be positive, got {self.as_tuple()}")
+        if not all(0.0 < a < np.inf for a in self.as_tuple()):
+            raise ValueError("state parameters a1, a2, a3 must be finite and positive, "
+                             f"got {self.as_tuple()}")
 
     @classmethod
     def symmetric(cls, a: float) -> "StateParams":

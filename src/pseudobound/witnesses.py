@@ -21,9 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import DensityOperator, check_operator, eigvalsh
-from .states import StateParams, bound_entangled_state, ghz
+from .states import StateParams, ghz
 
 EPS_OPT = 0.1069   # the identity shift at the working point states.A_OPT
+GRID_POINTS = 24         # coarse scan of optimize_parameters
+REFINE_ITERATIONS = 24   # golden-section steps after the scan
 
 
 @dataclass(frozen=True)
@@ -36,10 +38,9 @@ class WitnessParams:
     epsilon: float
 
     def __post_init__(self):
-        if min(self.a1, self.a2, self.a3) <= 0:
-            raise ValueError("witness parameters must be positive")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
+        StateParams(self.a1, self.a2, self.a3)   # the family's own check of the triple
+        if not 0.0 <= self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be finite and non-negative, got {self.epsilon}")
 
     @classmethod
     def symmetric(cls, a: float, epsilon: float) -> "WitnessParams":
@@ -255,24 +256,21 @@ def certified_epsilon(a: float, restarts: int = 200, seed: int = 0) -> float:
 
 
 def optimize_parameters(search_range: tuple[float, float] = (0.05, 1.0),
-                        restarts: int = 250, seed: int = 0,
-                        grid_points: int = 24,
-                        refine_iterations: int = 24) -> RobustnessReport:
+                        restarts: int = 250, seed: int = 0) -> RobustnessReport:
     """Pick the symmetric triple whose certified witness tolerates the most noise.
 
-    For a symmetric triple the base-witness expectation vanishes on the
-    matching state, so the noise threshold is minimized exactly where the
-    certified epsilon is maximized.  A coarse grid scan brackets the
-    optimum, golden-section refinement polishes it; every epsilon
-    evaluation is an independent multi-start minimization with its own
-    derived seed, so the whole search is deterministic.  Objective ties
-    within 1e-9 break toward the smaller parameter.
+    The base witness has trace 4 and vanishes on the matching state, so the
+    white-noise threshold of W_bar - eps Id is 1 - 2 eps in closed form (1,
+    no tolerance, where eps collapses to zero on the separable boundary)
+    and is minimized where the certified epsilon is maximized.  A grid scan
+    brackets the optimum, golden-section steps polish it; each epsilon is
+    an independent multi-start minimization with its own derived seed, so
+    the search is deterministic.  Objective ties within 1e-9 break toward
+    the smaller parameter.
     """
     lo, hi = float(search_range[0]), float(search_range[1])
-    if not (0 < lo < hi):
-        raise ValueError(f"bad search range {search_range}")
-    if grid_points < 3:
-        raise ValueError("grid needs at least 3 points")
+    if not (0 < lo < hi < np.inf):
+        raise ValueError(f"bad search range {search_range}: need finite 0 < lo < hi")
 
     trace: list[tuple[float, float, float]] = []
     evaluations = 0
@@ -281,28 +279,21 @@ def optimize_parameters(search_range: tuple[float, float] = (0.05, 1.0),
         nonlocal evaluations
         eps = certified_epsilon(a, restarts=restarts, seed=seed + 7919 * evaluations)
         evaluations += 1
-        params = StateParams.symmetric(a)
-        w = witness_bar(params) - eps * np.eye(8)
-        try:
-            q = white_noise_threshold(w, bound_entangled_state(params))
-        except ValueError:
-            # certified epsilon collapses to zero (separable boundary of the
-            # family): the witness tolerates no noise at all
-            q = 1.0
+        q = 1.0 - 2.0 * max(eps, 0.0)
         trace.append((a, eps, q))
         return q
 
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(lo, hi, GRID_POINTS)
     values = [objective(a) for a in grid]
     best_idx = int(np.argmin(values))
     left = grid[max(best_idx - 1, 0)]
-    right = grid[min(best_idx + 1, grid_points - 1)]
+    right = grid[min(best_idx + 1, GRID_POINTS - 1)]
 
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     x1 = right - invphi * (right - left)
     x2 = left + invphi * (right - left)
     f1, f2 = objective(x1), objective(x2)
-    for _ in range(refine_iterations):
+    for _ in range(REFINE_ITERATIONS):
         if f1 < f2 or (abs(f1 - f2) <= 1e-9 and x1 < x2):
             right, x2, f2 = x2, x1, f1
             x1 = right - invphi * (right - left)

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -80,12 +81,12 @@ def test_prepare(tmp_path):
     assert min(weights) >= 0
 
 
-def test_prepare_expands_the_seed_twice(tmp_path):
-    # once for the seed the weights are solved against, once for the
-    # prepared state; the fraction and the input ratio need only z-orders
+def test_prepare_expands_the_seed_once(tmp_path):
+    # the seed the weights are solved against is also the one prepared; the
+    # fraction and the input ratio need only z-orders
     with mock.patch.object(nmr, "target_diagonal", wraps=nmr.target_diagonal) as spy:
         assert run(["prepare", "--out", str(tmp_path / "prep.json")]) == 0
-    assert spy.call_count == 2
+    assert spy.call_count == 1
 
 
 def test_tomo_pipeline_and_metrics(tmp_path):
@@ -264,6 +265,24 @@ def test_non_finite_or_negative_number_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "out.json"
     assert run([*argv, "--state", str(mixed), "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["prepare", "--a", "nan"], "a1, a2, a3"),
+    (["state", "--a", "inf"], "a1, a2, a3"),
+    (["report", "--a", "inf"], "a1, a2, a3"),
+    (["report", "--eps", "nan"], "epsilon"),
+    (["witness", "optimize", "--range", "0.1:inf"], "search range"),
+], ids=["prepare-nan-a", "state-inf-a", "report-inf-a", "report-nan-eps",
+        "optimize-inf-range"])
+def test_non_finite_parameter_exits_2(tmp_path, capsys, argv, name):
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run([*argv, "--out", str(out)]) == 2
+    assert name in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 """Diagonal seed expansion, the five inputs, temporal averaging and the gate sequence."""
 
 from functools import reduce
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -146,6 +147,63 @@ def test_weight_solver_reports_infeasible_target():
     assert sol.residual > 1e-6 * KAPPA_H
 
 
+def _oracle_weights(states_, target):
+    """Best feasible sum-to-one least-squares fit over all supports."""
+    dev = np.column_stack([np.diag(s.matrix).real for s in states_]) - 1 / 8
+    t = np.diag(target.state.matrix).real - 1 / 8
+    scale = np.max(np.linalg.norm(dev, axis=0))
+    dev, t = dev / scale, t / scale
+    best, best_value = None, np.inf
+    for size in range(1, dev.shape[1] + 1):
+        for support in combinations(range(dev.shape[1]), size):
+            # the last weight of the support is one minus the others
+            cols = dev[:, support]
+            free, *_ = np.linalg.lstsq(cols[:, :-1] - cols[:, -1:], t - cols[:, -1],
+                                       rcond=None)
+            q = np.zeros(dev.shape[1])
+            q[list(support)] = np.append(free, 1 - free.sum())
+            value = np.linalg.norm(dev @ q - t)
+            if q.min() >= 0 and value < best_value:
+                best, best_value = q, value
+    return best
+
+
+def _weight_cases():
+    rng = np.random.default_rng(7)
+    five = nmr.initial_states(KAPPA_H)
+    for a in (0.25, 0.346, 0.45, 1.0, 2.0):
+        params = states.StateParams.symmetric(a)
+        inputs = nmr.initial_states(KAPPA_H, a=a)
+        matched = nmr.matched_fraction(params, KAPPA_H)   # negative at a = 2
+        for p in ([matched] if matched > 0 else []) + [1e-5, 5e-5, 1e-4]:
+            yield f"a={a} p={p:.3g}", inputs, nmr.target_diagonal(params, p)
+    for k in range(20):
+        dev = rng.standard_normal(8) * KAPPA_H / 8
+        target = np.diag(1 / 8 + dev - dev.mean()).astype(complex)
+        yield f"random {k}", five, nmr.expand_diagonal_state(target, KAPPA_H)
+    yield "zero target", five, nmr.expand_diagonal_state(np.eye(8) / 8, KAPPA_H)
+    seed = nmr.target_diagonal(PARAMS, nmr.matched_fraction(PARAMS, KAPPA_H))
+    for k in range(5):
+        yield f"without input {k}", five[:k] + five[k + 1:], seed
+
+
+def test_weight_solver_matches_support_enumeration():
+    for label, inputs, target in _weight_cases():
+        sol = nmr.solve_temporal_weights(inputs, target)
+        np.testing.assert_allclose(sol.weights, _oracle_weights(inputs, target),
+                                   rtol=0, atol=1e-12, err_msg=label)
+
+
+def test_weight_solver_refuses_degenerate_inputs():
+    five = nmr.initial_states(KAPPA_H)
+    target = nmr.target_diagonal(PARAMS, 1e-5)
+    for inputs, message in ((five + [five[0]], "orthogonal"),
+                            (five[:4] + [nmr.mix_states(five[3:], [0.5, 0.5])], "orthogonal"),
+                            (five + [core.DensityOperator(np.eye(8) / 8)], "no deviation")):
+        with pytest.raises(ValueError, match=message):
+            nmr.solve_temporal_weights(inputs, target)
+
+
 def test_preparation_unitary():
     u = nmr.preparation_unitary()
     np.testing.assert_allclose(u @ u.conj().T, np.eye(8), atol=1e-14)
@@ -189,7 +247,7 @@ def test_preparation_weld():
 
 def test_prepare_pseudo_state_any_scale():
     for p in (1e-5, 5e-4):
-        ps = nmr.prepare_pseudo_state(PARAMS, p)
+        ps = nmr.prepare_pseudo_state(nmr.target_diagonal(PARAMS, p))
         expected = states.pseudo_state(states.bound_entangled_state(PARAMS), p)
         assert np.max(np.abs(ps.rho.matrix - expected.rho.matrix)) <= 1e-12
 

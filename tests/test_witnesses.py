@@ -275,8 +275,7 @@ def test_white_noise_threshold_values(rho_opt):
 
 
 def test_optimizer_smoke_and_determinism():
-    kwargs = dict(search_range=(0.2, 0.6), restarts=60, seed=5,
-                  grid_points=9, refine_iterations=10)
+    kwargs = dict(search_range=(0.2, 0.6), restarts=60, seed=5)
     rep1 = witnesses.optimize_parameters(**kwargs)
     rep2 = witnesses.optimize_parameters(**kwargs)
     assert rep1 == rep2
@@ -286,3 +285,18 @@ def test_optimizer_smoke_and_determinism():
     assert rep1.total_restarts == len(rep1.trace) * 60
     with pytest.raises(ValueError):
         witnesses.optimize_parameters(search_range=(0.5, 0.1))
+
+
+def test_optimizer_threshold_matches_white_noise_threshold():
+    # the range ends on the separable boundary a = 1, where epsilon is zero
+    report = witnesses.optimize_parameters(search_range=(0.2, 1.0), restarts=60, seed=5)
+    assert any(eps <= 0 for _, eps, _ in report.trace)
+    for a, eps, q in report.trace:
+        if eps <= 0:
+            assert q == 1.0
+            continue
+        params = states.StateParams.symmetric(a)
+        reference = witnesses.white_noise_threshold(
+            witnesses.witness_bar(params) - eps * np.eye(8),
+            states.bound_entangled_state(params))
+        assert q == pytest.approx(reference, rel=0, abs=1e-12)
