@@ -157,6 +157,24 @@ def tomography_round_trip(rng) -> str:
     return f"rank {dm.rank} ({dm.matrix.shape[0]} rows), worst trace distance {worst:.2e}"
 
 
+def diagonal_normal_matrix(rng) -> str:
+    # the closed-form fit in tomography.reconstruct rests on this
+    worst = 0.0
+    for setting, detect in tomography._EXPERIMENTS:
+        block = tomography._readout_block(setting, detect)
+        gram = block.T @ block
+        diag = np.diag(gram)
+        off = float(np.max(np.abs(gram - np.diag(diag))))
+        _require(off <= 1e-12 * diag.max(),
+                 f"Gram of ({setting}, {detect}) off-diagonal {off:.1e}")
+        worst = max(worst, off / diag.max())
+    full = np.sum(tomography.design_matrix().matrix ** 2, axis=0)
+    detail = (f"{len(tomography._EXPERIMENTS)} block Grams diagonal to {worst:.1e}, "
+              f"design diagonal in [{full.min():.2f}, {full.max():.2f}]")
+    _require(16 - 1e-9 <= full.min() and full.max() <= 96 + 1e-9, detail)
+    return detail
+
+
 def error_propagation(rng) -> str:
     rho = states.bound_entangled_state(_PARAMS)
     rec = tomography.reconstruct(tomography.generate_dataset(rho, sigma=1e-3, seed=3))
@@ -219,6 +237,7 @@ CHECKS = (
     ("separable boundary behaviour", separable_boundary),
     ("witness optimization", witness_optimization),  # criterion 06
     ("tomography design rank and round trip", tomography_round_trip),  # criterion 07
+    ("diagonal tomography normal matrix", diagonal_normal_matrix),
     ("witness error propagation", error_propagation),
     ("fidelity/trace-distance sandwich", metric_sandwich),  # criterion 10
     ("projector spectrum", projector_spectrum),

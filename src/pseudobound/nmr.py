@@ -205,7 +205,9 @@ def matched_fraction(params: StateParams, kappa: float) -> float:
 
     Matching each spin-order component of the seed against the one input
     state that provides it forces the weights, and their normalization
-    fixes p; at the working point p is kappa/3.61 to three digits.
+    fixes p; at the working point p is kappa/3.61 to three digits.  Above
+    a of about 1.39 that normalization is not positive and no fraction
+    exists: ``ValueError``.
     """
     orders = _seed_orders(params)
     budget = (
@@ -215,6 +217,11 @@ def matched_fraction(params: StateParams, kappa: float) -> float:
         + orders[5] / TWO_SPIN_AMPLITUDES[2]
         + orders[0] / -1.0
     )
+    if budget <= 0:
+        raise ValueError(
+            f"the five input states cannot synthesize the seed at a={params.a1:g} "
+            f"(z-order budget {budget:.3g} is not positive); pass --p to choose "
+            "the pseudo-state fraction")
     return float(kappa / budget)
 
 

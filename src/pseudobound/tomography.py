@@ -9,16 +9,19 @@ settings with all three detected spins gives 168 linear equations for the
 63 real parameters of the traceless deviation.  One cached readout map
 per experiment (8 amplitudes x 63 parameters) serves both simulation and
 inversion; its rows are the Pauli coordinates (``core.state_parameters``)
-of the Heisenberg-picture line observables.  One thin SVD of the weighted
-rows gives the estimate, the rank and the parameter covariance that is
-propagated to derived quantities such as witness expectations.
+of the Heisenberg-picture line observables.  Datasets are arrays; record
+objects exist only at the JSON boundary.  Every block's Gram matrix is
+diagonal, so for whole experiments with one sigma each the weighted fit
+is a closed form; any other dataset takes one thin SVD of the weighted
+rows.  Both give the estimate, the rank and the parameter covariance that
+is propagated to derived quantities such as witness expectations.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import product
 
@@ -44,6 +47,9 @@ _DETECT_QUBIT = {"C": 1, "H": 2, "F": 3}
 
 # the 27 setting ids: one of E, X, Y per spin
 _SETTING_IDS = frozenset(f"{a}1{b}2{c}3" for a, b, c in product("EXY", repeat=3))
+# every (setting, detected spin) experiment; datasets store indices into it
+_EXPERIMENTS = tuple(product(sorted(_SETTING_IDS), DETECT_SPINS))
+_EXPERIMENT_INDEX = {exp: k for k, exp in enumerate(_EXPERIMENTS)}
 
 
 def parse_setting(setting: str) -> tuple[str, str, str]:
@@ -94,6 +100,7 @@ def readout_unitary(setting: str, detect: str = "C") -> np.ndarray:
 # position of each (line, quadrature) amplitude among an experiment's 8
 _ROW = {(line, quad): 2 * j + k
         for j, line in enumerate(LINE_LABELS) for k, quad in enumerate(QUADRATURES)}
+_ROW_LABELS = tuple(_ROW)
 
 
 def measure(rho: DensityOperator, setting: str, detect: str = "C") -> np.ndarray:
@@ -184,26 +191,68 @@ class TomographyRecord:
             raise ValueError(f"record sigma {self.sigma} must be finite and non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class TomographyDataset:
-    records: tuple[TomographyRecord, ...]
+    """Measurement records held as four read-only arrays of equal length.
 
-    def __post_init__(self):
-        if len(self.records) > 168:
+    ``experiment`` indexes ``_EXPERIMENTS`` and ``row`` the amplitude within
+    that experiment's 8 (``_ROW``).  :class:`TomographyRecord` objects are
+    built only at the boundary: from a tuple of records, by ``records`` and
+    by the JSON round trip.
+    """
+
+    experiment: np.ndarray
+    row: np.ndarray
+    value: np.ndarray
+    sigma: np.ndarray
+
+    def __init__(self, records: tuple[TomographyRecord, ...]):
+        self._fill([_EXPERIMENT_INDEX[r.setting, r.detect] for r in records],
+                   [_ROW[r.line, r.quad] for r in records],
+                   [r.value for r in records], [r.sigma for r in records])
+
+    @classmethod
+    def _from_arrays(cls, experiment, row, value, sigma) -> "TomographyDataset":
+        dataset = cls.__new__(cls)
+        dataset._fill(experiment, row, value, sigma)
+        return dataset
+
+    def _fill(self, experiment, row, value, sigma) -> None:
+        if len(value) > 168:
             raise ValueError("more records than the full experiment set provides")
+        for name, data, dtype in (("experiment", experiment, np.intp), ("row", row, np.intp),
+                                  ("value", value, float), ("sigma", sigma, float)):
+            array = np.asarray(data, dtype=dtype)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+
+    def _labelled(self):
+        # (setting, detect, line, quad, value, sigma) per record, as Python scalars
+        for e, r, v, s in zip(self.experiment.tolist(), self.row.tolist(),
+                              self.value.tolist(), self.sigma.tolist()):
+            yield (*_EXPERIMENTS[e], *_ROW_LABELS[r], v, s)
+
+    @property
+    def records(self) -> tuple[TomographyRecord, ...]:
+        return tuple(TomographyRecord(*labels) for labels in self._labelled())
+
+    def __eq__(self, other):
+        if not isinstance(other, TomographyDataset):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, name), getattr(other, name))
+                   for name in ("experiment", "row", "value", "sigma"))
+
+    def __hash__(self):
+        return hash(self.records)
 
     def values(self) -> np.ndarray:
-        return np.array([r.value for r in self.records])
+        return self.value
 
     def sigmas(self) -> np.ndarray:
-        return np.array([r.sigma for r in self.records])
+        return self.sigma
 
     def to_json(self) -> list[dict]:
-        return [
-            {"setting": r.setting, "detect": r.detect, "line": r.line,
-             "quad": r.quad, "value": r.value, "sigma": r.sigma}
-            for r in self.records
-        ]
+        return [dict(zip(_RECORD_KEYS, labels)) for labels in self._labelled()]
 
     @classmethod
     def from_json(cls, blobs: list[dict]) -> "TomographyDataset":
@@ -230,23 +279,27 @@ class TomographyDataset:
         return cls.from_json(read_json(path))
 
 
+_RECORD_KEYS = tuple(f.name for f in fields(TomographyRecord))
+
+
 def generate_dataset(rho: DensityOperator,
                      experiments: list[tuple[str, str]] | None = None,
                      sigma: float = 0.0, seed: int = 0) -> TomographyDataset:
-    """Simulated dataset: exact amplitudes plus iid Gaussian noise."""
+    """Simulated dataset: exact amplitudes plus iid Gaussian noise.
+
+    One ``normal(0, sigma, 8k)`` draw for k experiments reproduces, bit for
+    bit, k consecutive draws of 8.
+    """
     if not 0.0 <= sigma < math.inf:
         raise ValueError(f"sigma {sigma} must be finite and non-negative")
     exps = default_experiments() if experiments is None else list(experiments)
-    rng = np.random.default_rng(seed)
-    records = []
-    for setting, detect in exps:
-        vals = measure(rho, setting, detect)
-        if sigma > 0:
-            vals = vals + rng.normal(0.0, sigma, size=vals.shape)
-        for (line, quad), v in zip(_ROW, vals):
-            records.append(TomographyRecord(setting, detect, line, quad,
-                                            float(v), float(sigma)))
-    return TomographyDataset(tuple(records))
+    values = np.array([measure(rho, setting, detect) for setting, detect in exps]).reshape(-1)
+    if sigma > 0:
+        values = values + np.random.default_rng(seed).normal(0.0, sigma, size=values.shape)
+    n = len(_ROW)
+    return TomographyDataset._from_arrays(
+        np.repeat([_EXPERIMENT_INDEX[exp] for exp in exps], n), np.tile(np.arange(n), len(exps)),
+        values, np.full(values.shape, float(sigma)))
 
 
 # ---------------------------------------------------------------------------
@@ -263,35 +316,63 @@ class ReconstructionResult:
     residual_norm: float
 
 
+def _whole_experiments(dataset: TomographyDataset) -> bool:
+    """True if the records are whole experiments, in row order, with one sigma each."""
+    n = len(_ROW)
+    if len(dataset.row) % n:
+        return False
+    exps, sigmas = dataset.experiment.reshape(-1, n), dataset.sigma.reshape(-1, n)
+    return bool((dataset.row.reshape(-1, n) == np.arange(n)).all()
+                and (exps == exps[:, :1]).all() and (sigmas == sigmas[:, :1]).all())
+
+
+def _check_rank(singular_values: np.ndarray, shape: tuple[int, int]) -> None:
+    rank = _rank(singular_values, shape)
+    if rank < 63:
+        raise ValueError(f"design matrix rank {rank} < 63 "
+                         f"(deficient subspace dimension {63 - rank})")
+
+
 def reconstruct(dataset: TomographyDataset) -> ReconstructionResult:
     """Solve the overdetermined linear system for the deviation parameters.
 
     The rows come from the same cached readout map that simulates the
-    data.  One thin SVD U S V^T of the rows weighted by 1/sigma gives the
-    rank, the estimate V S^-1 U^T (b/sigma) and the covariance
-    V S^-2 V^T = (A^T W A)^-1.  All-zero sigmas mean exact data: unit
-    weights and a zero covariance.  No positivity projection is applied;
-    the estimate is Hermitian and unit-trace by construction.
+    data, with weights 1/sigma.  When the records are whole experiments
+    with one sigma each, as every generated dataset is, the normal matrix
+    A^T W A is diagonal (every block's Gram B^T B is; ``checks`` asserts
+    it), so the estimate is (A^T W b) / diag(A^T W A), the covariance
+    diag(1/diag(A^T W A)) and the singular values sqrt(diag(A^T W A)).
+    Any other dataset (shuffled, partial blocks or a sigma per record)
+    takes one thin SVD U S V^T of the weighted rows: the estimate is
+    V S^-1 U^T (b/sigma) and the covariance V S^-2 V^T.  All-zero sigmas
+    mean exact data: unit weights and a zero covariance.  No positivity
+    projection is applied; the estimate is Hermitian and unit-trace by
+    construction.
     """
-    if not dataset.records:
+    if not len(dataset.value):
         raise ValueError("empty dataset")
-    rows = np.vstack([_readout_block(r.setting, r.detect)[_ROW[r.line, r.quad]]
-                      for r in dataset.records])
-    values = dataset.values()
-    sigmas = dataset.sigmas()
+    values, sigmas = dataset.value, dataset.sigma
     exact = not sigmas.any()
     if not exact and not sigmas.all():
         raise ValueError("datasets mixing exact and noisy records are not supported")
     weights = np.ones_like(sigmas) if exact else 1.0 / sigmas
+    # only the blocks the dataset uses: building all 81 costs milliseconds
+    exps, inverse = np.unique(dataset.experiment, return_inverse=True)
+    blocks = np.stack([_readout_block(*_EXPERIMENTS[e]) for e in exps.tolist()])
+    rows = blocks[inverse, dataset.row]
 
-    u, s, vt = np.linalg.svd(rows * weights[:, None], full_matrices=False)
-    rank = _rank(s, rows.shape)
-    if rank < 63:
-        raise ValueError(f"design matrix rank {rank} < 63 "
-                         f"(deficient subspace dimension {63 - rank})")
-    scaled = vt.T / s
-    theta = scaled @ (u.T @ (values * weights))
-    cov = np.zeros((63, 63)) if exact else scaled @ scaled.T
+    if _whole_experiments(dataset):
+        w2 = weights * weights
+        gram = w2 @ (rows * rows)   # diag(A^T W A)
+        _check_rank(np.sqrt(gram), rows.shape)
+        theta = ((values * w2) @ rows) / gram
+        cov = np.zeros((63, 63)) if exact else np.diag(1.0 / gram)
+    else:
+        u, s, vt = np.linalg.svd(rows * weights[:, None], full_matrices=False)
+        _check_rank(s, rows.shape)
+        scaled = vt.T / s
+        theta = scaled @ (u.T @ (values * weights))
+        cov = np.zeros((63, 63)) if exact else scaled @ scaled.T
 
     rho_hat = DensityOperator.loose(parameters_to_matrix(theta), warn=False)
     residual = float(np.linalg.norm(rows @ theta - values))

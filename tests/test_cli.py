@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import pseudobound
-from pseudobound import checks, cli, core, nmr
+from pseudobound import checks, cli, core, nmr, tomography
 from conftest import EPS_OPT
 
 
@@ -87,6 +87,28 @@ def test_prepare_expands_the_seed_once(tmp_path):
     with mock.patch.object(nmr, "target_diagonal", wraps=nmr.target_diagonal) as spy:
         assert run(["prepare", "--out", str(tmp_path / "prep.json")]) == 0
     assert spy.call_count == 1
+
+
+def test_prepare_without_p_past_the_reachable_a_exits_2(tmp_path, capsys):
+    assert run(["prepare", "--a", "2", "--out", str(tmp_path / "prep.json")]) == 2
+    err = capsys.readouterr().err
+    assert "a=2" in err and "--p" in err
+
+
+def test_build_report_stays_array_native():
+    # one report: no per-record objects, one measure call per experiment
+    # and the six state validations the benchmark pins
+    post_inits = {cls: vars(cls)["__post_init__"]
+                  for cls in (tomography.TomographyRecord, core.DensityOperator)}
+    with mock.patch.object(tomography, "measure", wraps=tomography.measure) as measure, \
+            mock.patch.object(tomography.TomographyRecord, "__post_init__", autospec=True,
+                              side_effect=post_inits[tomography.TomographyRecord]) as records, \
+            mock.patch.object(core.DensityOperator, "__post_init__", autospec=True,
+                              side_effect=post_inits[core.DensityOperator]) as validations:
+        cli.build_report(cli.RunConfig())
+    assert records.call_count == 0
+    assert measure.call_count == 21
+    assert validations.call_count == 6
 
 
 def test_tomo_pipeline_and_metrics(tmp_path):

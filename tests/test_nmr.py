@@ -111,6 +111,9 @@ def test_single_spin_ratio():
 def test_matched_fraction():
     p = nmr.matched_fraction(PARAMS, KAPPA_H)
     assert KAPPA_H / p == pytest.approx(3.61, abs=0.01)
+    # past a of about 1.39 the five inputs' z-order budget changes sign
+    with pytest.raises(ValueError, match="cannot synthesize the seed at a=1.4"):
+        nmr.matched_fraction(states.StateParams.symmetric(1.4), KAPPA_H)
 
 
 def test_weight_solver_exact_single_target():
@@ -174,8 +177,8 @@ def _weight_cases():
     for a in (0.25, 0.346, 0.45, 1.0, 2.0):
         params = states.StateParams.symmetric(a)
         inputs = nmr.initial_states(KAPPA_H, a=a)
-        matched = nmr.matched_fraction(params, KAPPA_H)   # negative at a = 2
-        for p in ([matched] if matched > 0 else []) + [1e-5, 5e-5, 1e-4]:
+        matched = [nmr.matched_fraction(params, KAPPA_H)] if a < 1.3 else []
+        for p in matched + [1e-5, 5e-5, 1e-4]:
             yield f"a={a} p={p:.3g}", inputs, nmr.target_diagonal(params, p)
     for k in range(20):
         dev = rng.standard_normal(8) * KAPPA_H / 8

@@ -123,6 +123,17 @@ def test_dataset_generation_determinism():
     np.testing.assert_array_equal(exact.values(), measured)
 
 
+def test_one_noise_draw_equals_the_per_experiment_draws():
+    sigma = 1e-3
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        per_experiment = np.concatenate([
+            tomo.measure(RHO_OPT, s, d) + rng.normal(0.0, sigma, size=8)
+            for s, d in tomo.default_experiments()])
+        np.testing.assert_array_equal(
+            tomo.generate_dataset(RHO_OPT, sigma=sigma, seed=seed).values(), per_experiment)
+
+
 def test_dataset_noise_scale():
     # pooled over many seeds the injected noise reproduces sigma
     sigma = 1e-3
@@ -173,6 +184,7 @@ def test_reconstruct_round_trip(rng):
 
 def test_reconstruct_rejects_deficient_dataset():
     ds = tomo.generate_dataset(RHO_OPT, experiments=[("Y1E2E3", "C")])
+    assert tomo._whole_experiments(ds)   # the closed form refuses it
     with pytest.raises(ValueError, match="rank"):
         tomo.reconstruct(ds)
 
@@ -212,6 +224,30 @@ def test_weighted_fit_matches_normal_equations():
     assert rel(rec.covariance, cov) <= 1e-10
     in_order = tomo.reconstruct(tomo.TomographyDataset(tuple(records)))
     assert rel(in_order.theta, rec.theta) <= 1e-10
+
+
+def test_closed_form_matches_the_svd():
+    # whole experiments in row order take the closed form, the same records
+    # shuffled take the SVD; a default dataset and one sigma per experiment
+    rng = np.random.default_rng(5)
+    default = tomo.generate_dataset(RHO_OPT, sigma=1e-3, seed=8)
+    per_experiment = tomo.TomographyDataset(tuple(
+        tomo.TomographyRecord(r.setting, r.detect, r.line, r.quad, r.value,
+                              1e-3 * (1 + k // 8))
+        for k, r in enumerate(default.records)))
+
+    def rel(x, y):
+        return np.linalg.norm(x - y) / np.linalg.norm(y)
+
+    for ds in (default, per_experiment):
+        records = ds.records
+        shuffled = tomo.TomographyDataset(
+            tuple(records[k] for k in rng.permutation(len(records))))
+        assert tomo._whole_experiments(ds) and not tomo._whole_experiments(shuffled)
+        closed, svd = tomo.reconstruct(ds), tomo.reconstruct(shuffled)
+        assert rel(closed.theta, svd.theta) <= 1e-12
+        assert rel(closed.covariance, svd.covariance) <= 1e-12
+        assert closed.residual_norm == pytest.approx(svd.residual_norm, rel=1e-12)
 
 
 def test_reconstruction_unbiased():
