@@ -41,12 +41,10 @@ class RunConfig:
 
 
 def _write_json(payload, path: str | None) -> None:
-    text = json.dumps(payload, indent=1, sort_keys=False)
     if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        core.write_json(payload, path)
     else:
-        print(text)
+        print(json.dumps(payload, indent=1))
 
 
 def _load_matrix(path: str) -> np.ndarray:

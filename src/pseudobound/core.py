@@ -10,7 +10,10 @@ tolerance) on creation.
 
 The 63 Pauli coordinates tr(op P_k)/8 of an 8x8 operator (``state_parameters``,
 inverted by ``parameters_to_matrix``) are the one map that the tomography
-readout model, its error propagation and the NMR seed expansion use.
+readout model, its error propagation and the NMR seed expansion use.  The
+other jobs shared by several modules are done here once too: the
+Hermiticity test ``check_hermitian``, ``simplex_projection`` (the NMR
+weights and the physical projection), ``_as_matrix`` and ``write_json``.
 
 Everything here is a pure function of its inputs; wrapped matrices are
 frozen read-only, so values are safe to share between threads.
@@ -52,6 +55,30 @@ def _as_matrix(op) -> np.ndarray:
     return check_operator(op)
 
 
+def check_hermitian(m: np.ndarray, tolerance: float, what: str) -> None:
+    """Raise ValueError if max|m - m^dag| exceeds ``tolerance`` (absolute)."""
+    defect = float(np.max(np.abs(m - m.conj().T)))
+    if defect > tolerance:
+        raise ValueError(f"{what} is not Hermitian (defect {defect:.3e} > tol {tolerance:.1e})")
+
+
+def simplex_projection(c, n=None) -> np.ndarray:
+    """Minimizer of sum_k n_k (q_k - c_k)^2 over the probability simplex.
+
+    With positive weights ``n`` (all ones by default) the minimizer is
+    q_k = max(0, c_k - mu/n_k), mu fixed by sum(q) = 1 on the longest
+    prefix, in descending n_k c_k, whose weights stay positive.
+    """
+    c = np.asarray(c, dtype=float)
+    n = np.ones_like(c) if n is None else np.asarray(n, dtype=float)
+    order = np.argsort(-(n * c))
+    # mu per prefix; the one-entry prefix's weight is positive up to rounding
+    mu = (np.cumsum(c[order]) - 1.0) / np.cumsum(1.0 / n[order])
+    positive = np.append(c[order] - mu / n[order] > 0, False)
+    support = max(int(np.argmin(positive)), 1)
+    return np.maximum(c - mu[support - 1] / n, 0.0)
+
+
 def tensor(*ops) -> np.ndarray:
     """Kronecker product of 2x2 arrays, leftmost factor most significant."""
     return reduce(np.kron, ops)
@@ -64,9 +91,7 @@ def eigvalsh(h) -> np.ndarray:
     (absolute).
     """
     m = _as_matrix(h)
-    defect = float(np.max(np.abs(m - m.conj().T)))
-    if defect > 1e-9:
-        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
+    check_hermitian(m, 1e-9, "matrix")
     return np.linalg.eigvalsh(m)
 
 
@@ -98,22 +123,20 @@ class DensityOperator:
     matrix: np.ndarray
     tolerance: float = 1e-10
 
-    def __post_init__(self, widen: bool = False, warn: bool = False, context: str = ""):
+    def __post_init__(self, widen: bool = False, context: str | None = None):
         # the one validation pass; loose() calls it with widen=True
         tol = self.tolerance
         m = check_operator(self.matrix)
-        defect = float(np.max(np.abs(m - m.conj().T)))
-        if defect > tol:
-            raise ValueError(f"not Hermitian: defect {defect:.3e} > tol {tol:.1e}")
+        check_hermitian(m, tol, "state")
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > (tol if widen else max(tol, 1e-12)):
             raise ValueError(f"trace {tr:.8g} != 1 beyond tol {tol:.1e}")
         lowest = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
         if widen:
             needed = max(-lowest, 0.0) * (1 + 1e-9) + 1e-15
-            if needed > tol and warn:
+            if needed > tol and context is not None:
                 warnings.warn(
-                    f"{context or 'state'} violates positivity by {needed:.3e} "
+                    f"{context} violates positivity by {needed:.3e} "
                     f"(beyond tolerance {tol:.1e}); widening tolerance",
                     stacklevel=3,
                 )
@@ -125,21 +148,20 @@ class DensityOperator:
         object.__setattr__(self, "matrix", m)
 
     @classmethod
-    def loose(cls, matrix, tolerance: float = 1e-6, warn: bool = False,
-              context: str = "") -> "DensityOperator":
+    def loose(cls, matrix, context: str | None = None) -> "DensityOperator":
         """Wrap a matrix that may violate positivity, widening the tolerance.
 
         Unprojected estimates legitimately have small negative eigenvalues,
         so only positivity is relaxed: a Hermiticity or trace defect beyond
-        ``tolerance`` means the matrix is no state and raises ValueError.
-        With ``warn=True`` a warning is emitted when the negative eigenvalue
-        exceeds the requested tolerance (the state is still returned).
+        1e-6 means the matrix is no state and raises ValueError.  Given a
+        ``context`` naming the matrix, a warning is emitted when the negative
+        eigenvalue exceeds 1e-6 (the state is still returned).
         """
         # skip __init__ so that the matrix is validated once, by the widening pass
         rho = object.__new__(cls)
         object.__setattr__(rho, "matrix", matrix)
-        object.__setattr__(rho, "tolerance", tolerance)
-        rho.__post_init__(widen=True, warn=warn, context=context)
+        object.__setattr__(rho, "tolerance", 1e-6)
+        rho.__post_init__(widen=True, context=context)
         return rho
 
     @property
@@ -333,6 +355,12 @@ def read_json(path):
             return json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
+def write_json(payload, path) -> None:
+    """Write ``payload`` as indented JSON text ending in a newline."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(payload, indent=1) + "\n")
 
 
 def matrix_to_json(matrix) -> dict:

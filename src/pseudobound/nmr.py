@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DensityOperator, check_operator, parameters_to_matrix, pauli_labels,
-                   state_parameters)
+from .core import (DensityOperator, _as_matrix, parameters_to_matrix, pauli_labels,
+                   simplex_projection, state_parameters)
 from .states import A_OPT, StateParams, PseudoState, bound_entangled_state, pseudo_state
 
 DEFAULT_KAPPA_H = 8.4e-5
@@ -103,19 +103,21 @@ class DiagonalStateSpec:
 def expand_diagonal_state(state, scale: float) -> DiagonalStateSpec:
     """Read the z-product-operator coefficients off a diagonal state.
 
-    Coefficients are the state's Pauli coordinates at the seven z-orders,
-    in units where the deviation is (scale/8) times the expansion.
+    Coefficients are the Pauli coordinates of its real diagonal at the seven
+    z-orders, in units of scale/8; an off-diagonal above 1e-12 is a ValueError.
     """
-    matrix = state.matrix if isinstance(state, DensityOperator) else check_operator(state)
-    if np.max(np.abs(matrix - np.diag(np.diag(matrix)))) > 1e-12:
-        raise ValueError("state is not diagonal")
-    coeffs = (8.0 * _Z_WEIGHT * state_parameters(matrix)[_Z_INDEX] / scale).tolist()
+    matrix = _as_matrix(state)
+    off = float(np.max(np.abs(matrix - np.diag(np.diag(matrix)))))
+    if off > 1e-12:
+        raise ValueError(f"state is not diagonal (off-diagonal {off:.3e} > 1e-12)")
+    diagonal = np.diag(np.real(np.diag(matrix))).astype(complex)
+    coeffs = (8.0 * _Z_WEIGHT * state_parameters(diagonal)[_Z_INDEX] / scale).tolist()
     return DiagonalStateSpec(
         single_spin=tuple(coeffs[0:3]),
         two_spin=tuple(coeffs[3:6]),
         three_spin=coeffs[6],
         scale=scale,
-        state=DensityOperator(matrix),
+        state=DensityOperator(diagonal),
     )
 
 
@@ -123,9 +125,9 @@ def target_diagonal(params: StateParams, p: float) -> DiagonalStateSpec:
     """Diagonal seed whose image under the preparation is the pseudo state.
 
     Obtained by conjugating the pseudo state with the inverse preparation;
-    the result must come out diagonal, which is asserted rather than
-    assumed.  Coefficients are read off by trace inner products against the
-    orthogonal z-product-operator basis.
+    the result must come out diagonal, which ``expand_diagonal_state``
+    checks rather than assumes.  Coefficients are read off by trace inner
+    products against the orthogonal z-product-operator basis.
     """
     if not params.is_symmetric:
         raise ValueError("seed-state expansion is defined for symmetric triples")
@@ -133,14 +135,7 @@ def target_diagonal(params: StateParams, p: float) -> DiagonalStateSpec:
         raise ValueError(f"fraction p={p} outside (0, 1)")
     target = pseudo_state(bound_entangled_state(params), p).rho.matrix
     u = preparation_unitary()
-    seed = u.conj().T @ target @ u
-    off = seed - np.diag(np.diag(seed))
-    if np.max(np.abs(off)) > 1e-12:
-        raise RuntimeError(
-            f"conjugated target is not diagonal (off-diagonal {np.max(np.abs(off)):.3e})"
-        )
-    seed = np.diag(np.real(np.diag(seed))).astype(complex)
-    return expand_diagonal_state(seed, p)
+    return expand_diagonal_state(u.conj().T @ target @ u, p)
 
 
 def _seed_orders(params: StateParams) -> np.ndarray:
@@ -174,15 +169,19 @@ def single_spin_ratio(a: float = A_OPT) -> float:
     return float(orders[1] / orders[0])
 
 
+def _check_kappa(kappa: float) -> None:
+    if not 0.0 < kappa <= 1e-3:
+        raise ValueError(f"kappa={kappa} outside (0, 1e-3]")
+
+
 def initial_states(scale: float, a: float = A_OPT) -> list[DensityOperator]:
     """The five diagonal spin-order states used for temporal averaging.
 
-    ``scale`` plays the role of the proton polarization; each state is
-    Id/8 plus a single spin-order term (three-spin order, the three
+    ``scale`` is kappa, the proton polarization, in (0, 1e-3]; each state
+    is Id/8 plus a single spin-order term (three-spin order, the three
     two-spin orders, and a fixed single-spin combination).
     """
-    if not 0.0 < scale <= 1e-3:
-        raise ValueError(f"scale {scale} outside (0, 1e-3]")
+    _check_kappa(scale)
     r = single_spin_ratio(a)
     # one row of z-order coefficients per state, in the order of _Z_ORDERS
     orders = np.zeros((5, len(_Z_ORDERS)))
@@ -207,8 +206,9 @@ def matched_fraction(params: StateParams, kappa: float) -> float:
     state that provides it forces the weights, and their normalization
     fixes p; at the working point p is kappa/3.61 to three digits.  Above
     a of about 1.39 that normalization is not positive and no fraction
-    exists: ``ValueError``.
+    exists: ``ValueError``, as for kappa outside (0, 1e-3].
     """
+    _check_kappa(kappa)
     orders = _seed_orders(params)
     budget = (
         orders[6] / THREE_SPIN_AMPLITUDE
@@ -242,10 +242,9 @@ def solve_temporal_weights(states: list[DensityOperator],
     Id/8 background cancels; the inputs carry disjoint spin orders, so
     their deviations d_k are orthogonal and the problem separates.  With
     t the target's deviation, n_k = |d_k|^2 and c_k = <d_k, t>/n_k the
-    exact minimizer is q_k = max(0, c_k - mu/n_k), mu fixed by sum(q) = 1
-    on the longest prefix, in descending <d_k, t>, whose weights stay
-    positive.  Inputs with zero or non-orthogonal deviations are refused;
-    an inconsistent target is reported through the residual, not raised.
+    weights are ``core.simplex_projection(c, n)``.  Inputs with zero or
+    non-orthogonal deviations are refused; an inconsistent target is
+    reported through the residual, not raised.
     """
     if len(states) == 0:
         raise ValueError("no input states")
@@ -260,16 +259,7 @@ def solve_temporal_weights(states: list[DensityOperator],
         raise ValueError(
             f"input deviations are not orthogonal (relative overlap {np.max(overlap):.1e})")
 
-    b = dev.T @ t   # <d_k, t> = c_k * n_k
-    c = b / n
-    order = np.argsort(-b)
-    # mu for each prefix of the sorted inputs, and whether the last weight of
-    # that prefix is still positive; the one-input prefix always is, up to rounding
-    mu = (np.cumsum(c[order]) - 1.0) / np.cumsum(1.0 / n[order])
-    positive = np.append(c[order] - mu / n[order] > 0, False)
-    support = max(int(np.argmin(positive)), 1)
-    q = np.maximum(c - mu[support - 1] / n, 0.0)
-
+    q = simplex_projection(dev.T @ t / n, n)
     mix_dev = dev @ q
     denom = float(t @ t)
     achieved = target.scale * float(mix_dev @ t) / denom if denom > 0 else 0.0

@@ -109,10 +109,10 @@ def peel_identity(ps: PseudoState) -> DensityOperator:
     if ps.p <= 0.0:
         raise ValueError("peeling is undefined at p = 0 (no deviation to rescale)")
     m = (ps.rho.matrix - (1.0 - ps.p) / 8 * np.eye(8)) / ps.p
-    return DensityOperator.loose(m, warn=True, context="peeled state")
+    return DensityOperator.loose(m, context="peeled state")
 
 
 def peel_matrix(matrix, p: float) -> DensityOperator:
     """Peel a raw matrix (e.g. a tomographic estimate) with known p."""
-    rho = DensityOperator.loose(matrix, warn=False)
+    rho = DensityOperator.loose(matrix)
     return peel_identity(PseudoState(rho, p))

@@ -19,7 +19,6 @@ is propagated to derived quantities such as witness expectations.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -30,12 +29,14 @@ import numpy as np
 from .core import (
     DensityOperator,
     PAULIS,
-    check_operator,
+    _as_matrix,
     parameter_basis,
     parameters_to_matrix,
     read_json,
+    simplex_projection,
     state_parameters,
     tensor,
+    write_json,
 )
 
 SETTINGS = ("Y1E2E3", "E1E2Y3", "E1E2X3", "Y1Y2E3", "E1X2X3", "Y1Y2Y3", "X1X2X3")
@@ -242,15 +243,6 @@ class TomographyDataset:
         return all(np.array_equal(getattr(self, name), getattr(other, name))
                    for name in ("experiment", "row", "value", "sigma"))
 
-    def __hash__(self):
-        return hash(self.records)
-
-    def values(self) -> np.ndarray:
-        return self.value
-
-    def sigmas(self) -> np.ndarray:
-        return self.sigma
-
     def to_json(self) -> list[dict]:
         return [dict(zip(_RECORD_KEYS, labels)) for labels in self._labelled()]
 
@@ -271,8 +263,7 @@ class TomographyDataset:
                              "value and sigma") from None
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=1)
+        write_json(self.to_json(), path)
 
     @classmethod
     def load(cls, path) -> "TomographyDataset":
@@ -374,7 +365,7 @@ def reconstruct(dataset: TomographyDataset) -> ReconstructionResult:
         theta = scaled @ (u.T @ (values * weights))
         cov = np.zeros((63, 63)) if exact else scaled @ scaled.T
 
-    rho_hat = DensityOperator.loose(parameters_to_matrix(theta), warn=False)
+    rho_hat = DensityOperator.loose(parameters_to_matrix(theta))
     residual = float(np.linalg.norm(rows @ theta - values))
     return ReconstructionResult(rho_hat=rho_hat, theta=theta, covariance=cov,
                                 residual_norm=residual)
@@ -383,21 +374,15 @@ def reconstruct(dataset: TomographyDataset) -> ReconstructionResult:
 def project_to_physical(rho_hat) -> DensityOperator:
     """Frobenius-nearest unit-trace PSD matrix, by spectrum clipping.
 
-    The eigenvalues are clipped against the shifted level that restores
-    unit trace (the simplex projection of the spectrum); eigenvectors are
-    kept.  PSD unit-trace input passes through unchanged.  Optional
-    post-processing only; reconstruction never applies it implicitly.
+    The spectrum goes through ``core.simplex_projection``, the projection
+    that also gives the NMR temporal weights; eigenvectors are kept.  PSD
+    unit-trace input passes through unchanged.  Optional post-processing
+    only; reconstruction never applies it implicitly.
     """
-    m = check_operator(rho_hat if not isinstance(rho_hat, DensityOperator)
-                       else rho_hat.matrix)
+    m = _as_matrix(rho_hat)
     m = (m + m.conj().T) / 2.0
     vals, vecs = np.linalg.eigh(m)
-    desc = vals[::-1]
-    cumulative = np.cumsum(desc)
-    levels = (cumulative - 1.0) / np.arange(1, len(desc) + 1)
-    keep = int(np.nonzero(desc - levels > 0)[0][-1])
-    clipped = np.clip(vals - levels[keep], 0.0, None)
-    out = (vecs * clipped) @ vecs.conj().T
+    out = (vecs * simplex_projection(vals)) @ vecs.conj().T
     return DensityOperator(out, tolerance=1e-9)
 
 

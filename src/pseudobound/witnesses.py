@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DensityOperator, check_operator, eigvalsh
+from .core import DensityOperator, check_hermitian, check_operator, eigvalsh
 from .states import StateParams, ghz
 
 EPS_OPT = 0.1069   # the identity shift at the working point states.A_OPT
@@ -95,9 +95,7 @@ def pseudo_witness(w, p: float) -> np.ndarray:
 def expectation(w, rho: DensityOperator) -> float:
     """tr(W rho) for a Hermitian observable, returned as a real number."""
     m = check_operator(w)
-    defect = float(np.max(np.abs(m - m.conj().T)))
-    if defect > 1e-9:
-        raise ValueError(f"witness is not Hermitian (defect {defect:.3e})")
+    check_hermitian(m, 1e-9, "witness")
     val = complex(np.trace(m @ rho.matrix))
     return float(val.real)
 

@@ -142,6 +142,16 @@ def test_tomo_simulate_deterministic(tmp_path):
     assert d1.read_text() == d2.read_text()
 
 
+def test_dataset_save_matches_tomo_simulate_bytes(tmp_path):
+    rho_path, cli_path, saved = (tmp_path / name for name in ("rho.json", "d.json", "s.json"))
+    run(["state", "--out", str(rho_path)])
+    run(["tomo", "simulate", "--state", str(rho_path), "--out", str(cli_path)])
+    rho = core.DensityOperator.loose(core.matrix_from_json(core.read_json(rho_path)))
+    tomography.generate_dataset(rho, sigma=1e-3, seed=7).save(saved)
+    assert saved.read_bytes() == cli_path.read_bytes()
+    assert saved.read_bytes().endswith(b"]\n")
+
+
 def test_report_exact_run(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = run(["report", "--sigma", "0", "--noise-lambda", "0",
@@ -305,6 +315,16 @@ def test_non_finite_parameter_exits_2(tmp_path, capsys, argv, name):
         assert run([*argv, "--out", str(out)]) == 2
     assert name in capsys.readouterr().err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("p", [[], ["--p", "1e-5"]], ids=["matched-p", "given-p"])
+@pytest.mark.parametrize("kappa", ["0", "-1", "nan", "inf", "1"])
+def test_prepare_bad_kappa_names_kappa(tmp_path, capsys, kappa, p):
+    out = tmp_path / "out.json"
+    assert run(["prepare", "--kappa", kappa, *p, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "kappa" in err and "fraction p=" not in err
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 """Tensor algebra, Pauli coordinates, partial transpose, eigensolves and the two metrics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -50,7 +51,8 @@ def test_operator_validation():
 def test_density_operator_invariants():
     upper = _diag8(0.5, 0.5)
     upper[0, 1] = 1.0
-    with pytest.raises(ValueError, match="Hermitian"):
+    with pytest.raises(ValueError,
+                       match=r"^state is not Hermitian \(defect 1.000e\+00 > tol 1.0e-10\)$"):
         core.DensityOperator(upper)
     with pytest.raises(ValueError, match="trace"):
         core.DensityOperator(np.eye(8))
@@ -120,7 +122,7 @@ def test_eigvalsh_basics(rng):
     vals = core.eigvalsh(pure_state(states.ghz(+1)).matrix)
     np.testing.assert_allclose(vals, [0] * 7 + [1], atol=1e-12)
     h = rng.standard_normal((8, 8))
-    with pytest.raises(ValueError, match="Hermitian"):
+    with pytest.raises(ValueError, match=r"^matrix is not Hermitian \(defect .* > tol 1.0e-09\)$"):
         core.eigvalsh(h + 1e-3 * (h - h.T))
     sym = h + h.T
     assert np.sum(core.eigvalsh(sym)) == pytest.approx(np.trace(sym), abs=1e-10)
@@ -237,12 +239,51 @@ def test_bipartition_validation():
 
 def test_loose_wrapper_warns():
     bad = _diag8(1.2, -0.2)
-    with pytest.warns(UserWarning, match="widening"):
-        rho = core.DensityOperator.loose(bad, tolerance=1e-6, warn=True)
+    with pytest.warns(UserWarning, match="estimate violates positivity.*widening"):
+        rho = core.DensityOperator.loose(bad, context="estimate")
     assert rho.tolerance >= 0.2
+    # without a context the widening is silent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert core.DensityOperator.loose(bad).tolerance == rho.tolerance
     # only positivity is relaxed: a matrix that is no state is refused
     upper = _diag8(0.5, 0.5)
     upper[0, 1] = 0.1
     for no_state in (upper, np.eye(8) / 4):
         with pytest.raises(ValueError):
-            core.DensityOperator.loose(no_state, tolerance=1e-6)
+            core.DensityOperator.loose(no_state)
+
+
+def _simplex_oracle(c, n):
+    """Bisection on mu for sum_k max(0, c_k - mu/n_k) = 1."""
+    lo, hi = np.min(n * c) - np.max(n), np.max(n * c)   # the sum is >= 1 at lo, 0 at hi
+    for _ in range(200):
+        mu = (lo + hi) / 2
+        if np.maximum(c - mu / n, 0.0).sum() > 1.0:
+            lo = mu
+        else:
+            hi = mu
+    return np.maximum(c - (lo + hi) / 2 / n, 0.0)
+
+
+def _simplex_cases():
+    rng = np.random.default_rng(5)
+    for k in range(40):
+        size = int(rng.integers(1, 9))
+        c = rng.standard_normal(size) * 10.0 ** rng.uniform(-3, 1)
+        yield f"weighted {k}", c, 10.0 ** rng.uniform(-2, 2, size)
+        yield f"unit {k}", c, None
+    yield "ties", np.array([0.3, 0.3, 0.3, -0.1, 0.3]), None
+    yield "weighted ties", np.array([0.2, 0.2, 0.2, 0.2]), np.array([1.0, 2.0, 1.0, 2.0])
+    yield "all negative", np.array([-0.5, -0.2, -0.9, -0.2]), None
+    yield "all negative weighted", np.array([-3.0, -1.0, -2.0]), np.array([0.5, 4.0, 1.0])
+    yield "dominant", np.array([5.0, 1e-3, -2e-3, 0.0]), None
+    yield "dominant weighted", np.array([1e-3, 7.0, 0.0]), np.array([3.0, 0.1, 10.0])
+
+
+def test_simplex_projection_matches_bisection():
+    for label, c, n in _simplex_cases():
+        q = core.simplex_projection(c, n)
+        expected = _simplex_oracle(c, np.ones_like(c) if n is None else n)
+        np.testing.assert_allclose(q, expected, rtol=0, atol=1e-12, err_msg=label)
+        assert q.min() >= 0.0 and q.sum() == pytest.approx(1.0, abs=1e-12), label

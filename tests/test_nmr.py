@@ -96,6 +96,19 @@ def test_target_diagonal_guards():
         nmr.target_diagonal(PARAMS, 0.0)
 
 
+def test_expand_diagonal_state_checks_diagonality():
+    seed = np.diag([1 / 8 + 1e-5] + [1 / 8] * 6 + [1 / 8 - 1e-5]).astype(complex)
+    seed[[1, 2], [1, 2]] += [3e-14j, -3e-14j]   # rounding-level imaginary populations
+    refused, accepted = seed.copy(), seed.copy()
+    refused[2, 5], refused[5, 2] = 2e-12j, -2e-12j
+    accepted[2, 5], accepted[5, 2] = 5e-13j, -5e-13j
+    with pytest.raises(ValueError, match=r"not diagonal \(off-diagonal 2.000e-12"):
+        nmr.expand_diagonal_state(refused, 1e-5)
+    state = nmr.expand_diagonal_state(accepted, 1e-5).state.matrix
+    assert np.all(np.imag(state) == 0)
+    np.testing.assert_array_equal(state, np.diag(np.real(np.diag(seed))))
+
+
 def test_target_diagonal_scaling_linearity():
     base = nmr.target_diagonal(PARAMS, 1e-5).state.matrix - np.eye(8) / 8
     scaled = nmr.target_diagonal(PARAMS, 3e-5).state.matrix - np.eye(8) / 8

@@ -117,10 +117,12 @@ def test_dataset_generation_determinism():
     assert ds1 == ds2
     ds3 = tomo.generate_dataset(RHO_OPT, sigma=1e-3, seed=12)
     assert ds1 != ds3
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(ds1)   # like the ndarrays it holds
     exact = tomo.generate_dataset(RHO_OPT, sigma=0.0)
     measured = np.concatenate([
         tomo.measure(RHO_OPT, s, d) for s, d in tomo.default_experiments()])
-    np.testing.assert_array_equal(exact.values(), measured)
+    np.testing.assert_array_equal(exact.value, measured)
 
 
 def test_one_noise_draw_equals_the_per_experiment_draws():
@@ -131,16 +133,16 @@ def test_one_noise_draw_equals_the_per_experiment_draws():
             tomo.measure(RHO_OPT, s, d) + rng.normal(0.0, sigma, size=8)
             for s, d in tomo.default_experiments()])
         np.testing.assert_array_equal(
-            tomo.generate_dataset(RHO_OPT, sigma=sigma, seed=seed).values(), per_experiment)
+            tomo.generate_dataset(RHO_OPT, sigma=sigma, seed=seed).value, per_experiment)
 
 
 def test_dataset_noise_scale():
     # pooled over many seeds the injected noise reproduces sigma
     sigma = 1e-3
-    exact = tomo.generate_dataset(RHO_OPT, sigma=0.0).values()
+    exact = tomo.generate_dataset(RHO_OPT, sigma=0.0).value
     pooled = []
     for seed in range(60):
-        noisy = tomo.generate_dataset(RHO_OPT, sigma=sigma, seed=seed).values()
+        noisy = tomo.generate_dataset(RHO_OPT, sigma=sigma, seed=seed).value
         pooled.append(noisy - exact)
     std = float(np.std(np.concatenate(pooled), ddof=1))
     assert std == pytest.approx(sigma, rel=0.05)

@@ -55,7 +55,8 @@ def test_witness_expectations(rho_opt):
 def test_expectation_rejects_non_hermitian(rho_opt):
     w = np.zeros((8, 8), dtype=complex)
     w[0, 1] = 1.0
-    with pytest.raises(ValueError, match="Hermitian"):
+    with pytest.raises(ValueError,
+                       match=r"^witness is not Hermitian \(defect 1.000e\+00 > tol 1.0e-09\)$"):
         witnesses.expectation(w, rho_opt)
 
 
