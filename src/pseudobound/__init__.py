@@ -60,7 +60,6 @@ from .tomography import (
     DesignMatrix,
     ReconstructionResult,
     TomographyDataset,
-    TomographyRecord,
     design_matrix,
     generate_dataset,
     measure,

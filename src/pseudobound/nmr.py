@@ -179,7 +179,8 @@ def initial_states(scale: float, a: float = A_OPT) -> list[DensityOperator]:
 
     ``scale`` is kappa, the proton polarization, in (0, 1e-3]; each state
     is Id/8 plus a single spin-order term (three-spin order, the three
-    two-spin orders, and a fixed single-spin combination).
+    two-spin orders, and a fixed single-spin combination).  Only the last
+    can lose positivity, where r diverges near a = 1 + sqrt(2): ValueError.
     """
     _check_kappa(scale)
     r = single_spin_ratio(a)
@@ -194,7 +195,7 @@ def initial_states(scale: float, a: float = A_OPT) -> list[DensityOperator]:
     for theta in thetas:
         m = parameters_to_matrix(theta)
         if np.min(np.real(np.diag(m))) < 0:
-            raise ValueError(f"scale {scale} too large: state loses positivity")
+            raise ValueError(f"single-spin input loses positivity at a={a:g}, r={r:.3g}")
         out.append(DensityOperator(m))
     return out
 

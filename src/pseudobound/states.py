@@ -104,12 +104,17 @@ def peel_identity(ps: PseudoState) -> DensityOperator:
 
     Exact inputs round-trip to machine precision.  Reconstructed inputs may
     come out slightly non-positive; that is reported as a warning (and the
-    wrapper tolerance widened), not an error.
+    wrapper tolerance widened), not an error.  A trace or Hermiticity
+    defect is the validated input's rounding amplified by 1/p: ValueError.
     """
     if ps.p <= 0.0:
         raise ValueError("peeling is undefined at p = 0 (no deviation to rescale)")
     m = (ps.rho.matrix - (1.0 - ps.p) / 8 * np.eye(8)) / ps.p
-    return DensityOperator.loose(m, context="peeled state")
+    try:
+        return DensityOperator.loose(m, context="peeled state")
+    except ValueError as exc:
+        raise ValueError(f"peeling at p={ps.p:g} amplifies the rounding of the input "
+                         f"state by 1/p = {1.0 / ps.p:.3g}: {exc}") from None
 
 
 def peel_matrix(matrix, p: float) -> DensityOperator:

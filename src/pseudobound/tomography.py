@@ -9,8 +9,8 @@ settings with all three detected spins gives 168 linear equations for the
 63 real parameters of the traceless deviation.  One cached readout map
 per experiment (8 amplitudes x 63 parameters) serves both simulation and
 inversion; its rows are the Pauli coordinates (``core.state_parameters``)
-of the Heisenberg-picture line observables.  Datasets are arrays; record
-objects exist only at the JSON boundary.  Every block's Gram matrix is
+of the Heisenberg-picture line observables.  A dataset is four validated
+arrays from the JSON file to the fit.  Every block's Gram matrix is
 diagonal, so for whole experiments with one sigma each the weighted fit
 is a closed form; any other dataset takes one thin SVD of the weighted
 rows.  Both give the estimate, the rank and the parameter covariance that
@@ -20,7 +20,7 @@ is propagated to derived quantities such as witness expectations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -152,44 +152,20 @@ class DesignMatrix:
     """Linear map from the 63 deviation parameters to predicted amplitudes."""
 
     matrix: np.ndarray
-    rows: tuple[tuple[str, str, str, str], ...]   # (setting, detect, line, quad)
     rank: int
 
 
-def design_matrix(experiments: list[tuple[str, str]] | None = None) -> DesignMatrix:
-    exps = default_experiments() if experiments is None else list(experiments)
-    if not exps:
-        raise ValueError("no experiments")
-    a = np.vstack([_readout_block(setting, detect) for setting, detect in exps])
-    rows = tuple((setting, detect, line, quad)
-                 for setting, detect in exps for line, quad in _ROW)
-    return DesignMatrix(matrix=a, rows=rows,
-                        rank=_rank(np.linalg.svd(a, compute_uv=False), a.shape))
+def design_matrix() -> DesignMatrix:
+    a = np.vstack([_readout_block(setting, detect) for setting, detect in default_experiments()])
+    return DesignMatrix(matrix=a, rank=_rank(np.linalg.svd(a, compute_uv=False), a.shape))
 
 
 # ---------------------------------------------------------------------------
 # datasets
 
 
-@dataclass(frozen=True)
-class TomographyRecord:
-    setting: str
-    detect: str
-    line: str
-    quad: str
-    value: float
-    sigma: float
-
-    def __post_init__(self):
-        parse_setting(self.setting)
-        if self.detect not in DETECT_SPINS:
-            raise ValueError(f"bad detected spin {self.detect!r}")
-        if self.line not in LINE_LABELS or self.quad not in QUADRATURES:
-            raise ValueError(f"unknown line/quadrature ({self.line!r}, {self.quad!r})")
-        if not math.isfinite(self.value):
-            raise ValueError(f"record value {self.value} is not finite")
-        if not 0.0 <= self.sigma < math.inf:
-            raise ValueError(f"record sigma {self.sigma} must be finite and non-negative")
+_RECORD_KEYS = ("setting", "detect", "line", "quad", "value", "sigma")
+SIGMA_RANGE = (1e-150, 1e150)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -197,9 +173,11 @@ class TomographyDataset:
     """Measurement records held as four read-only arrays of equal length.
 
     ``experiment`` indexes ``_EXPERIMENTS`` and ``row`` the amplitude within
-    that experiment's 8 (``_ROW``).  :class:`TomographyRecord` objects are
-    built only at the boundary: from a tuple of records, by ``records`` and
-    by the JSON round trip.
+    that experiment's 8 (``_ROW``).  The constructor is the one validation
+    of a dataset, simulated or read from a file: equal 1-D lengths, at most
+    168 records, indices in range, finite values and each sigma either 0
+    (exact data) or within ``SIGMA_RANGE``, so that the fit weight
+    1/sigma^2 is a finite normal float.
     """
 
     experiment: np.ndarray
@@ -207,35 +185,30 @@ class TomographyDataset:
     value: np.ndarray
     sigma: np.ndarray
 
-    def __init__(self, records: tuple[TomographyRecord, ...]):
-        self._fill([_EXPERIMENT_INDEX[r.setting, r.detect] for r in records],
-                   [_ROW[r.line, r.quad] for r in records],
-                   [r.value for r in records], [r.sigma for r in records])
-
-    @classmethod
-    def _from_arrays(cls, experiment, row, value, sigma) -> "TomographyDataset":
-        dataset = cls.__new__(cls)
-        dataset._fill(experiment, row, value, sigma)
-        return dataset
-
-    def _fill(self, experiment, row, value, sigma) -> None:
-        if len(value) > 168:
-            raise ValueError("more records than the full experiment set provides")
+    def __init__(self, experiment, row, value, sigma):
         for name, data, dtype in (("experiment", experiment, np.intp), ("row", row, np.intp),
                                   ("value", value, float), ("sigma", sigma, float)):
-            array = np.asarray(data, dtype=dtype)
+            array = np.array(data, dtype=dtype)
             array.setflags(write=False)
             object.__setattr__(self, name, array)
-
-    def _labelled(self):
-        # (setting, detect, line, quad, value, sigma) per record, as Python scalars
-        for e, r, v, s in zip(self.experiment.tolist(), self.row.tolist(),
-                              self.value.tolist(), self.sigma.tolist()):
-            yield (*_EXPERIMENTS[e], *_ROW_LABELS[r], v, s)
-
-    @property
-    def records(self) -> tuple[TomographyRecord, ...]:
-        return tuple(TomographyRecord(*labels) for labels in self._labelled())
+        experiment, row, value, sigma = self.experiment, self.row, self.value, self.sigma
+        if value.ndim != 1 or not experiment.shape == row.shape == value.shape == sigma.shape:
+            raise ValueError("dataset arrays must be 1-D and of equal length")
+        if len(value) > 168:
+            raise ValueError("more records than the full experiment set provides")
+        # as unsigned integers, negative indices compare above every bound
+        if experiment.view(np.uintp).max(initial=0) >= len(_EXPERIMENTS):
+            raise ValueError(f"experiment index outside [0, {len(_EXPERIMENTS)})")
+        if row.view(np.uintp).max(initial=0) >= len(_ROW):
+            raise ValueError(f"row index outside [0, {len(_ROW)})")
+        finite = np.isfinite(value)
+        if not finite.all():
+            raise ValueError(f"record value {value[~finite][0]} is not finite")
+        lo, hi = SIGMA_RANGE
+        valid = (sigma == 0.0) | ((sigma >= lo) & (sigma <= hi))
+        if not valid.all():
+            raise ValueError(f"record sigma {sigma[~valid][0]} must be 0 or within "
+                             f"[{lo:g}, {hi:g}], so that 1/sigma^2 stays a normal float")
 
     def __eq__(self, other):
         if not isinstance(other, TomographyDataset):
@@ -244,23 +217,33 @@ class TomographyDataset:
                    for name in ("experiment", "row", "value", "sigma"))
 
     def to_json(self) -> list[dict]:
-        return [dict(zip(_RECORD_KEYS, labels)) for labels in self._labelled()]
+        return [dict(zip(_RECORD_KEYS, (*_EXPERIMENTS[e], *_ROW_LABELS[r], v, s)))
+                for e, r, v, s in zip(self.experiment.tolist(), self.row.tolist(),
+                                      self.value.tolist(), self.sigma.tolist())]
 
     @classmethod
     def from_json(cls, blobs: list[dict]) -> "TomographyDataset":
         if not isinstance(blobs, list):
             raise ValueError("dataset JSON must be an array of records")
-        try:
-            return cls(tuple(
-                TomographyRecord(b["setting"], b["detect"], b["line"], b["quad"],
-                                 float(b["value"]), float(b["sigma"]))
-                for b in blobs
-            ))
-        except KeyError as exc:
-            raise ValueError(f"dataset record lacks key {exc}") from None
-        except (TypeError, OverflowError):
-            raise ValueError("dataset records must be objects with numeric "
-                             "value and sigma") from None
+        experiment, row, value, sigma = [], [], [], []
+        for b in blobs:
+            try:
+                setting, detect, line, quad = b["setting"], b["detect"], b["line"], b["quad"]
+                value.append(float(b["value"]))
+                sigma.append(float(b["sigma"]))
+            except KeyError as exc:
+                raise ValueError(f"dataset record lacks key {exc}") from None
+            except (TypeError, OverflowError):
+                raise ValueError("dataset records must be objects with numeric "
+                                 "value and sigma") from None
+            parse_setting(setting)
+            if detect not in DETECT_SPINS:
+                raise ValueError(f"bad detected spin {detect!r}")
+            if line not in LINE_LABELS or quad not in QUADRATURES:
+                raise ValueError(f"unknown line/quadrature ({line!r}, {quad!r})")
+            experiment.append(_EXPERIMENT_INDEX[setting, detect])
+            row.append(_ROW[line, quad])
+        return cls(experiment, row, value, sigma)
 
     def save(self, path) -> None:
         write_json(self.to_json(), path)
@@ -270,25 +253,22 @@ class TomographyDataset:
         return cls.from_json(read_json(path))
 
 
-_RECORD_KEYS = tuple(f.name for f in fields(TomographyRecord))
+def generate_dataset(rho: DensityOperator, sigma: float = 0.0,
+                     seed: int = 0) -> TomographyDataset:
+    """The 21 default experiments' exact amplitudes plus iid Gaussian noise.
 
-
-def generate_dataset(rho: DensityOperator,
-                     experiments: list[tuple[str, str]] | None = None,
-                     sigma: float = 0.0, seed: int = 0) -> TomographyDataset:
-    """Simulated dataset: exact amplitudes plus iid Gaussian noise.
-
-    One ``normal(0, sigma, 8k)`` draw for k experiments reproduces, bit for
-    bit, k consecutive draws of 8.
+    One ``normal(0, sigma, 168)`` draw reproduces, bit for bit, 21
+    consecutive draws of 8.  The dataset constructor validates the result
+    like a dataset read from a file.
     """
     if not 0.0 <= sigma < math.inf:
         raise ValueError(f"sigma {sigma} must be finite and non-negative")
-    exps = default_experiments() if experiments is None else list(experiments)
+    exps = default_experiments()
     values = np.array([measure(rho, setting, detect) for setting, detect in exps]).reshape(-1)
     if sigma > 0:
         values = values + np.random.default_rng(seed).normal(0.0, sigma, size=values.shape)
     n = len(_ROW)
-    return TomographyDataset._from_arrays(
+    return TomographyDataset(
         np.repeat([_EXPERIMENT_INDEX[exp] for exp in exps], n), np.tile(np.arange(n), len(exps)),
         values, np.full(values.shape, float(sigma)))
 

@@ -110,7 +110,6 @@ class ProductStateMinimum:
 
     value: float
     states: np.ndarray          # (3, 2) single-qubit vectors
-    restarts: int
 
 
 def product_expectation(w, single_qubit_states) -> float:
@@ -197,11 +196,7 @@ def min_over_product_states(w_bar, restarts: int = 200, seed: int = 0,
     values[active] = value
 
     best = int(np.argmin(values))
-    return ProductStateMinimum(
-        value=float(values[best]),
-        states=states[best].copy(),
-        restarts=restarts,
-    )
+    return ProductStateMinimum(value=float(values[best]), states=states[best].copy())
 
 
 # ---------------------------------------------------------------------------

@@ -95,18 +95,24 @@ def test_prepare_without_p_past_the_reachable_a_exits_2(tmp_path, capsys):
     assert "a=2" in err and "--p" in err
 
 
+def test_prepare_near_the_diverging_ratio_names_a(tmp_path, capsys):
+    # near a = 1 + sqrt(2) the single-spin input's ratio r diverges; the
+    # default kappa is valid, so the message names a and r, not the scale
+    out = tmp_path / "prep.json"
+    assert run(["prepare", "--a", "2.41421356", "--p", "1e-5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "a=2.414" in err and "r=" in err and "scale" not in err
+    assert not out.exists()
+
+
 def test_build_report_stays_array_native():
-    # one report: no per-record objects, one measure call per experiment
-    # and the six state validations the benchmark pins
-    post_inits = {cls: vars(cls)["__post_init__"]
-                  for cls in (tomography.TomographyRecord, core.DensityOperator)}
+    # one report: one measure call per experiment and the six state
+    # validations the benchmark pins
+    post_init = vars(core.DensityOperator)["__post_init__"]
     with mock.patch.object(tomography, "measure", wraps=tomography.measure) as measure, \
-            mock.patch.object(tomography.TomographyRecord, "__post_init__", autospec=True,
-                              side_effect=post_inits[tomography.TomographyRecord]) as records, \
             mock.patch.object(core.DensityOperator, "__post_init__", autospec=True,
-                              side_effect=post_inits[core.DensityOperator]) as validations:
+                              side_effect=post_init) as validations:
         cli.build_report(cli.RunConfig())
-    assert records.call_count == 0
     assert measure.call_count == 21
     assert validations.call_count == 6
 
@@ -193,6 +199,14 @@ def test_report_refuses_p_zero(capsys):
     assert "p = 0" in capsys.readouterr().err
 
 
+def test_report_names_p_when_peeling_amplifies_rounding(capsys):
+    # the estimate passed validation; 1/p blows its rounding past the trace check
+    assert run(["report", "--p", "1e-12"]) == 2
+    err = capsys.readouterr().err
+    assert "p=1e-12" in err and "1/p" in err
+    assert run(["report", "--p", "1e-11"]) == 0
+
+
 def test_verify_passes(capsys):
     assert run(["verify"]) == 0
     out = capsys.readouterr().out
@@ -242,35 +256,46 @@ _NOT_HERMITIAN = np.diag([5.0, 0, 0, 0, 0, 0, 0, -1.0])
 _NOT_HERMITIAN[0, 1] = 3.0
 
 
-@pytest.mark.parametrize("command, payload", [
-    ("ppt", {"dim": 8, "re": [[1]]}),
-    ("metrics", {"dim": 8, "re": [[1]]}),
-    ("ppt", [[1, 0], [0, 0]]),
-    ("ppt", {"dim": 2, "re": [["a", 0], [0, 0]], "im": [[0, 0], [0, 0]]}),
-    ("ppt", {"dim": None, "re": [[1]], "im": [[0]]}),
-    ("tomo", [{k: v for k, v in _RECORD.items() if k != "detect"}]),
-    ("tomo", {"records": [_RECORD]}),
-    ("tomo", []),
-    ("tomo", [dict(_RECORD, line="22")]),
-    ("tomo", [dict(_RECORD, setting="Y1E2")]),
-    ("tomo", [dict(_RECORD, detect="N")]),
-    ("tomo", [dict(_RECORD, quad="z")]),
-    ("tomo", [dict(_RECORD, value=None)]),
-    ("tomo", [dict(_RECORD, sigma="wide")]),
-    ("tomo", ["Y1E2E3"]),
-    ("ppt", _DEEP),
-    ("tomo", _DEEP),
-    ("metrics", _DEEP),
-    ("ppt", core.matrix_to_json(_NOT_HERMITIAN)),
-    ("metrics", core.matrix_to_json(_NOT_HERMITIAN)),
-    ("ppt", core.matrix_to_json(np.eye(8) / 4)),
+# a full dataset file whose every sigma is too large for a finite fit weight
+_FULL = [dict(_RECORD, setting=s, detect=d, line=line, quad=q, sigma=1e300)
+         for s, d in tomography.default_experiments()
+         for line in tomography.LINE_LABELS for q in tomography.QUADRATURES]
+_NUMERIC = "objects with numeric value and sigma"
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    ("ppt", {"dim": 8, "re": [[1]]}, "error:"),
+    ("metrics", {"dim": 8, "re": [[1]]}, "error:"),
+    ("ppt", [[1, 0], [0, 0]], "error:"),
+    ("ppt", {"dim": 2, "re": [["a", 0], [0, 0]], "im": [[0, 0], [0, 0]]}, "error:"),
+    ("ppt", {"dim": None, "re": [[1]], "im": [[0]]}, "error:"),
+    ("tomo", [{k: v for k, v in _RECORD.items() if k != "detect"}],
+     "dataset record lacks key 'detect'"),
+    ("tomo", {"records": [_RECORD]}, "dataset JSON must be an array of records"),
+    ("tomo", [], "empty dataset"),
+    ("tomo", [dict(_RECORD, line="22")], "unknown line/quadrature ('22', 'x')"),
+    ("tomo", [dict(_RECORD, setting="Y1E2")], "bad setting id 'Y1E2'"),
+    ("tomo", [dict(_RECORD, detect="N")], "bad detected spin 'N'"),
+    ("tomo", [dict(_RECORD, quad="z")], "unknown line/quadrature ('00', 'z')"),
+    ("tomo", [dict(_RECORD, value=None)], _NUMERIC),
+    ("tomo", [dict(_RECORD, sigma="wide")], "could not convert string to float: 'wide'"),
+    ("tomo", ["Y1E2E3"], _NUMERIC),
+    ("tomo", [dict(_RECORD, value=0.5, sigma=5e-324)], "record sigma 5e-324"),
+    ("tomo", _FULL, "record sigma 1e+300"),
+    ("ppt", _DEEP, "error:"),
+    ("tomo", _DEEP, "JSON nested too deeply"),
+    ("metrics", _DEEP, "error:"),
+    ("ppt", core.matrix_to_json(_NOT_HERMITIAN), "error:"),
+    ("metrics", core.matrix_to_json(_NOT_HERMITIAN), "error:"),
+    ("ppt", core.matrix_to_json(np.eye(8) / 4), "error:"),
 ], ids=["ppt-missing-im", "metrics-missing-im", "ppt-list", "ppt-non-numeric",
         "ppt-null-dim", "tomo-missing-detect", "tomo-object", "tomo-empty",
         "tomo-bad-line", "tomo-bad-setting", "tomo-bad-detect", "tomo-bad-quad",
         "tomo-null-value", "tomo-text-sigma", "tomo-non-object-record",
+        "tomo-tiny-sigma", "tomo-huge-sigma",
         "ppt-deep", "tomo-deep", "metrics-deep", "ppt-not-hermitian",
         "metrics-not-hermitian", "ppt-trace-2"])
-def test_malformed_input_exits_2(tmp_path, capsys, command, payload):
+def test_malformed_input_exits_2(tmp_path, capsys, command, payload, message):
     bad = tmp_path / "bad.json"
     bad.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     rho = tmp_path / "rho.json"
@@ -280,7 +305,7 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, payload):
             "tomo": ["tomo", "reconstruct", "--data", str(bad)]}[command]
     assert run(argv) == 2
     err = capsys.readouterr().err
-    assert "error:" in err and "Traceback" not in err
+    assert "error:" in err and message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

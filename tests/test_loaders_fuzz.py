@@ -10,7 +10,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from pseudobound import cli, core
 
@@ -64,5 +64,7 @@ def test_state_loader_never_raises(tmp_path, command, payload):
 
 @FUZZ
 @given(payload=json_values | st.lists(records, max_size=4))
+@example(payload=[{"setting": "Y1E2E3", "detect": "C", "line": "00", "quad": "x",
+                   "value": 0.5, "sigma": 5e-324}])   # 1/sigma overflows
 def test_tomo_data_loader_never_raises(tmp_path, payload):
     assert _exit_code(tmp_path, payload, ["tomo", "reconstruct", "--data"]) in (0, 1, 2)

@@ -84,10 +84,6 @@ def test_design_matrix_rank():
     full = tomo.design_matrix()
     assert full.matrix.shape == (168, 63)
     assert full.rank == 63 and full.matrix.shape[1] - full.rank == 0
-    single = tomo.design_matrix([("Y1E2E3", "C")])
-    assert single.rank < 63
-    with pytest.raises(ValueError):
-        tomo.design_matrix([])
 
 
 def test_design_matrix_agrees_with_measure(rng):
@@ -156,13 +152,44 @@ def test_dataset_json_round_trip(tmp_path):
     for value, sigma in ((0.0, -1.0), (0.0, np.nan), (0.0, np.inf), (np.nan, 1e-3),
                          (-np.inf, 1e-3)):
         with pytest.raises(ValueError):
-            tomo.TomographyRecord("Y1E2E3", "C", "00", "x", value, sigma)
+            tomo.TomographyDataset([0], [0], [value], [sigma])
+    # a nonzero sigma keeps 1/sigma^2 a finite normal float
+    lo, hi = tomo.SIGMA_RANGE
+    for sigma in (0.0, lo, hi):
+        assert tomo.TomographyDataset([0], [0], [0.0], [sigma]).sigma[0] == sigma
+    for sigma in (np.nextafter(lo, 0.0), np.nextafter(hi, np.inf), 5e-324, 1e300):
+        with pytest.raises(ValueError, match="sigma"):
+            tomo.TomographyDataset([0], [0], [0.0], [sigma])
     # a dataset file with a NaN sigma is refused when it is read
     blobs = ds.to_json()
     blobs[5]["sigma"] = float("nan")
     path.write_text(json.dumps(blobs))
     with pytest.raises(ValueError, match="sigma"):
         tomo.TomographyDataset.load(path)
+
+
+def test_dataset_constructor_checks_shapes_and_indices():
+    full = tomo.generate_dataset(RHO_OPT)
+    zero = np.zeros(1)
+    for experiment, row, value, sigma, message in (
+            ([0, 1], [0], zero, zero, "equal length"),
+            ([[0]], [[0]], [[0.0]], [[0.0]], "1-D"),
+            ([-1], [0], zero, zero, "experiment index"),
+            ([81], [0], zero, zero, "experiment index"),
+            ([0], [-1], zero, zero, "row index"),
+            ([0], [8], zero, zero, "row index"),
+            (*(np.append(a, a[:1]) for a in (full.experiment, full.row, full.value,
+                                             full.sigma)), "more records")):
+        with pytest.raises(ValueError, match=message):
+            tomo.TomographyDataset(experiment, row, value, sigma)
+    edge = tomo.TomographyDataset([80, 0], [7, 0], [1.0, -1.0], [0.0, 0.0])
+    assert edge.experiment.tolist() == [80, 0] and edge.row.tolist() == [7, 0]
+    assert not tomo.TomographyDataset([], [], [], []).value.size
+    # the dataset copies its inputs and cannot be written through
+    sigma = full.sigma.copy()
+    ds = tomo.TomographyDataset(full.experiment, full.row, full.value, sigma)
+    sigma[0] = 1.0
+    assert ds.sigma[0] == 0.0 and not ds.sigma.flags.writeable
 
 
 def test_dataset_load_refuses_deep_nesting(tmp_path):
@@ -185,7 +212,9 @@ def test_reconstruct_round_trip(rng):
 
 
 def test_reconstruct_rejects_deficient_dataset():
-    ds = tomo.generate_dataset(RHO_OPT, experiments=[("Y1E2E3", "C")])
+    full = tomo.generate_dataset(RHO_OPT)
+    ds = tomo.TomographyDataset(full.experiment[:8], full.row[:8], full.value[:8],
+                                full.sigma[:8])
     assert tomo._whole_experiments(ds)   # the closed form refuses it
     with pytest.raises(ValueError, match="rank"):
         tomo.reconstruct(ds)
@@ -193,29 +222,24 @@ def test_reconstruct_rejects_deficient_dataset():
 
 def test_reconstruct_rejects_mixed_sigmas():
     ds = tomo.generate_dataset(RHO_OPT, sigma=1e-3, seed=0)
-    records = list(ds.records)
-    records[0] = tomo.TomographyRecord(records[0].setting, records[0].detect,
-                                       records[0].line, records[0].quad,
-                                       records[0].value, 0.0)
+    sigma = ds.sigma.copy()
+    sigma[0] = 0.0
     with pytest.raises(ValueError, match="mixing"):
-        tomo.reconstruct(tomo.TomographyDataset(tuple(records)))
+        tomo.reconstruct(tomo.TomographyDataset(ds.experiment, ds.row, ds.value, sigma))
 
 
 def test_weighted_fit_matches_normal_equations():
     # one full dataset, a different sigma for every record, records shuffled
     rng = np.random.default_rng(17)
     noisy = tomo.generate_dataset(RHO_OPT, sigma=1e-3, seed=21)
-    records = [tomo.TomographyRecord(r.setting, r.detect, r.line, r.quad, r.value,
-                                     float(rng.uniform(5e-4, 4e-3)))
-               for r in noisy.records]
-    shuffled = [records[k] for k in rng.permutation(len(records))]
-    rec = tomo.reconstruct(tomo.TomographyDataset(tuple(shuffled)))
+    sigma = rng.uniform(5e-4, 4e-3, size=len(noisy.value))
+    order = rng.permutation(len(noisy.value))
+    rec = tomo.reconstruct(tomo.TomographyDataset(
+        noisy.experiment[order], noisy.row[order], noisy.value[order], sigma[order]))
 
-    dm = tomo.design_matrix()
-    index = {row: i for i, row in enumerate(dm.rows)}
-    a = dm.matrix[[index[r.setting, r.detect, r.line, r.quad] for r in shuffled]]
-    sig = np.array([r.sigma for r in shuffled])
-    b = np.array([r.value for r in shuffled])
+    # a generated dataset holds its records in the design matrix's row order
+    a = tomo.design_matrix().matrix[order]
+    sig, b = sigma[order], noisy.value[order]
     theta, *_ = np.linalg.lstsq(a / sig[:, None], b / sig, rcond=None)
     cov = np.linalg.inv(a.T @ (a / sig[:, None] ** 2))
 
@@ -224,7 +248,8 @@ def test_weighted_fit_matches_normal_equations():
 
     assert rel(rec.theta, theta) <= 1e-10
     assert rel(rec.covariance, cov) <= 1e-10
-    in_order = tomo.reconstruct(tomo.TomographyDataset(tuple(records)))
+    in_order = tomo.reconstruct(tomo.TomographyDataset(noisy.experiment, noisy.row,
+                                                       noisy.value, sigma))
     assert rel(in_order.theta, rec.theta) <= 1e-10
 
 
@@ -233,18 +258,16 @@ def test_closed_form_matches_the_svd():
     # shuffled take the SVD; a default dataset and one sigma per experiment
     rng = np.random.default_rng(5)
     default = tomo.generate_dataset(RHO_OPT, sigma=1e-3, seed=8)
-    per_experiment = tomo.TomographyDataset(tuple(
-        tomo.TomographyRecord(r.setting, r.detect, r.line, r.quad, r.value,
-                              1e-3 * (1 + k // 8))
-        for k, r in enumerate(default.records)))
+    per_experiment = tomo.TomographyDataset(default.experiment, default.row, default.value,
+                                            1e-3 * (1 + np.arange(168) // 8))
 
     def rel(x, y):
         return np.linalg.norm(x - y) / np.linalg.norm(y)
 
     for ds in (default, per_experiment):
-        records = ds.records
-        shuffled = tomo.TomographyDataset(
-            tuple(records[k] for k in rng.permutation(len(records))))
+        order = rng.permutation(len(ds.value))
+        shuffled = tomo.TomographyDataset(ds.experiment[order], ds.row[order],
+                                          ds.value[order], ds.sigma[order])
         assert tomo._whole_experiments(ds) and not tomo._whole_experiments(shuffled)
         closed, svd = tomo.reconstruct(ds), tomo.reconstruct(shuffled)
         assert rel(closed.theta, svd.theta) <= 1e-12
