@@ -225,6 +225,21 @@ def noisy_report(rng) -> str:
     return detail
 
 
+def product_bloch_form(rng) -> str:
+    # the product-state minimiser descends on this form
+    w = witnesses.witness_bar(_PARAMS)
+    t = witnesses.bloch_tensor(w)
+    worst = 0.0
+    for _ in range(50):
+        psi = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        bloch = [[np.vdot(v, s @ v).real for s in core.PAULIS.values()] for v in psi]
+        gap = abs(np.einsum("ijk,i,j,k->", t, *bloch) - witnesses.product_expectation(w, psi))
+        _require(gap <= 1e-12, f"Bloch form off by {gap:.1e} at {np.round(psi, 4).tolist()}")
+        worst = max(worst, gap)
+    return f"50 random product states at the working point, worst gap {worst:.1e}"
+
+
 CHECKS = (
     ("state family PPT", family_ppt),  # criterion 01
     ("witness zero-trace identity", witness_zero_trace),  # criterion 02
@@ -242,4 +257,5 @@ CHECKS = (
     ("fidelity/trace-distance sandwich", metric_sandwich),  # criterion 10
     ("projector spectrum", projector_spectrum),
     ("end-to-end noisy report", noisy_report),  # criterion 09
+    ("product-state Bloch form", product_bloch_form),
 )

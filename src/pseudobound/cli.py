@@ -110,9 +110,12 @@ def cmd_witness_eval(args) -> int:
 
 def cmd_witness_optimize(args) -> int:
     lo, _, hi = args.range.partition(":")
+    try:
+        search_range = (float(lo), float(hi))
+    except ValueError:
+        raise ValueError(f"--range must be LO:HI, got {args.range!r}") from None
     report = witnesses.optimize_parameters(
-        search_range=(float(lo), float(hi)),
-        restarts=args.restarts, seed=args.seed)
+        search_range=search_range, restarts=args.restarts, seed=args.seed)
     _write_json(report.as_dict(), args.out)
     return EXIT_OK
 
@@ -189,6 +192,14 @@ def build_report(cfg: RunConfig) -> dict:
         raise ValueError(
             "p must be positive: the peel step divides the reconstructed "
             "deviation by p and is undefined at p = 0")
+    # measurement noise is quoted relative to the deviation amplitude, so
+    # the absolute record sigma scales with p
+    sigma_abs = cfg.sigma * cfg.p
+    lo, hi = tomography.SIGMA_RANGE
+    if not (sigma_abs == 0.0 or lo <= sigma_abs <= hi):
+        raise ValueError(
+            f"--sigma {cfg.sigma!r} times --p {cfg.p!r} must be 0 or within "
+            f"[{lo:g}, {hi:g}], so that the record weight 1/sigma^2 stays a normal float")
     params = states.StateParams.symmetric(cfg.a)
     wparams = witnesses.WitnessParams.symmetric(cfg.a, cfg.epsilon)
     rho_ideal = states.bound_entangled_state(params)
@@ -197,9 +208,6 @@ def build_report(cfg: RunConfig) -> dict:
     embedded = nmr.depolarize(rho_ideal, cfg.noise_lambda)
     ps = states.pseudo_state(embedded, cfg.p)
 
-    # measurement noise is quoted relative to the deviation amplitude, so
-    # the absolute record sigma scales with p
-    sigma_abs = cfg.sigma * cfg.p
     dataset = tomography.generate_dataset(ps.rho, sigma=sigma_abs, seed=cfg.seed)
     result = tomography.reconstruct(dataset)
     with warnings.catch_warnings():

@@ -117,6 +117,14 @@ def default_experiments() -> list[tuple[str, str]]:
     return [(s, d) for s in SETTINGS for d in DETECT_SPINS]
 
 
+# experiment and row index of each of the 168 records of a simulated dataset
+_DEFAULT_EXPERIMENT = np.repeat([_EXPERIMENT_INDEX[exp] for exp in default_experiments()],
+                                len(_ROW))
+_DEFAULT_ROW = np.tile(np.arange(len(_ROW)), len(SETTINGS) * len(DETECT_SPINS))
+_DEFAULT_EXPERIMENT.setflags(write=False)
+_DEFAULT_ROW.setflags(write=False)
+
+
 # ---------------------------------------------------------------------------
 # linear model: the 63 Pauli coordinates of the deviation
 
@@ -263,14 +271,12 @@ def generate_dataset(rho: DensityOperator, sigma: float = 0.0,
     """
     if not 0.0 <= sigma < math.inf:
         raise ValueError(f"sigma {sigma} must be finite and non-negative")
-    exps = default_experiments()
-    values = np.array([measure(rho, setting, detect) for setting, detect in exps]).reshape(-1)
+    values = np.array([measure(rho, setting, detect)
+                       for setting, detect in default_experiments()]).reshape(-1)
     if sigma > 0:
         values = values + np.random.default_rng(seed).normal(0.0, sigma, size=values.shape)
-    n = len(_ROW)
-    return TomographyDataset(
-        np.repeat([_EXPERIMENT_INDEX[exp] for exp in exps], n), np.tile(np.arange(n), len(exps)),
-        values, np.full(values.shape, float(sigma)))
+    return TomographyDataset(_DEFAULT_EXPERIMENT, _DEFAULT_ROW, values,
+                             np.full(values.shape, float(sigma)))
 
 
 # ---------------------------------------------------------------------------

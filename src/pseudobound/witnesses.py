@@ -6,12 +6,13 @@ and carries a negative GHZ coherence.  Subtracting epsilon times the
 identity then makes the expectation on the matching member strictly
 negative while staying non-negative on every separable state, provided
 epsilon does not exceed the minimum of the base operator over product
-states.  That minimum is estimated here by block coordinate descent over
-the three single-qubit states, run from many random starts at once as one
-batch of array operations.  The value returned is the best local minimum
-found: an upper bound on the product-state minimum, not a certified lower
-bound, so a witness built from it is valid only if no start missed the
-global minimum.
+states.  On a product state the base operator is a real trilinear form in
+the three single-qubit Bloch vectors; that minimum is estimated by block
+coordinate descent on those vectors, each block step a closed form, run
+from many random starts at once as one batch of array operations.  The
+value returned is the best local minimum found: an upper bound on the
+product-state minimum, not a certified lower bound, so a witness built
+from it is valid only if no start missed the global minimum.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DensityOperator, check_hermitian, check_operator, eigvalsh
+from .core import DensityOperator, check_hermitian, check_operator, eigvalsh, state_parameters
 from .states import StateParams, ghz
 
 EPS_OPT = 0.1069   # the identity shift at the working point states.A_OPT
@@ -120,61 +121,56 @@ def product_expectation(w, single_qubit_states) -> float:
     return float(np.real(psi.conj() @ m @ psi))
 
 
-# For each qubit: the axes of W reshaped to (2,)*6 that put that qubit's
-# bra and ket index first and the other two qubits (in order) after them.
-_QUBIT_FIRST = ((0, 3, 1, 2, 4, 5), (1, 4, 0, 2, 3, 5), (2, 5, 0, 1, 3, 4))
-_OTHERS = ((1, 2), (0, 2), (0, 1))
+def bloch_tensor(w) -> np.ndarray:
+    """T[i, j, k] = Re tr(W s_i x s_j x s_k) / 8 with s = (Id, X, Y, Z).
 
-
-def _ground_states(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form minimal eigenpairs of a stack of 2x2 Hermitian matrices.
-
-    Rows whose eigenvector formula degenerates (zero off-diagonal with the
-    lower diagonal entry first) fall back to the matching basis vector.
+    <abc| W |abc> = sum T[i, j, k] a_i b_j c_k for the qubits' Bloch vectors
+    (1, x, y, z); only the Hermitian part of W enters.
     """
-    a = m[:, 0, 0].real
-    d = m[:, 1, 1].real
-    b = m[:, 0, 1]
-    lo = (a + d) / 2.0 - np.hypot((a - d) / 2.0, np.abs(b))
-    v = np.stack([b, lo - a], axis=-1)
-    norm = np.linalg.norm(v, axis=-1)
-    degenerate = norm < 1e-14
-    v /= np.where(degenerate, 1.0, norm)[:, None]
-    if degenerate.any():
-        v[degenerate] = np.where((a <= d)[degenerate, None], [1.0, 0.0], [0.0, 1.0])
-    return lo, v
+    m = check_operator(w)
+    return np.concatenate(([np.trace(m).real / 8.0], state_parameters(m))).reshape(4, 4, 4)
+
+
+def _state_vectors(r: np.ndarray) -> np.ndarray:
+    """Unit vectors of Bloch 4-vectors: [1+z, x+iy] if z >= 0, else [-(x-iy), z-1]."""
+    x, y, z = r[..., 1], r[..., 2], r[..., 3]
+    v = np.where((z >= 0)[..., None], np.stack([1.0 + z, x + 1j * y], axis=-1),
+                 np.stack([-(x - 1j * y), z - 1.0], axis=-1))
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+_OTHERS = ((1, 2), (0, 2), (0, 1))
 
 
 def min_over_product_states(w_bar, restarts: int = 200, seed: int = 0,
                             max_sweeps: int = 200) -> ProductStateMinimum:
     """Best local minimum of <abc| W |abc> over pure product states.
 
-    Block coordinate descent from ``restarts`` random starts, run on all
-    starts at once: with two qubits held fixed the optimal third is the
-    ground state of an effective 2x2 Hamiltonian, so each sweep over the
-    three qubits is exact per block and never increases the value.  A
-    start stops when a sweep lowers its value by less than 1e-14 relative,
+    Block coordinate descent on the Bloch vectors r = (1, x, y, z) from
+    ``restarts`` random starts, all at once.  With two qubits held fixed the
+    trilinear form ``bloch_tensor`` is g_0 + g . r in the third, minimal at
+    r = -g/|g| (|0> when g = 0) with value g_0 - |g|, so no sweep raises the
+    value.  A start stops when a sweep lowers it by less than 1e-14 relative,
     or after ``max_sweeps`` sweeps; the lowest final value wins, the first
-    start on ties.  Starts are drawn in one block from the seeded
-    generator, start by start, so the result is deterministic and
-    non-increasing in the number of restarts.
-
-    The value is the best local minimum found, which is an upper bound on
-    the true product-state minimum, not a certified lower bound.
+    start on ties.  The starts are one seeded draw, start by start, so the
+    result is deterministic and non-increasing in ``restarts``.  Only the
+    Hermitian part of W enters.  The value is the best local minimum found:
+    an upper bound on the product-state minimum, not a certified lower bound.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
     if max_sweeps < 1:
         raise ValueError("need at least one sweep")
-    m = check_operator(w_bar)
-    w6 = m.reshape((2,) * 6)
-    # blocks[q][(k, l), (i, j)]: the entry of W with qubit q in row i and
-    # column j, the other two qubits jointly in row k and column l
-    blocks = [w6.transpose(axes).reshape(4, 16).T for axes in _QUBIT_FIRST]
+    t = bloch_tensor(w_bar)
+    # blocks[q][(j, k), i]: T with qubit q in i, the other two jointly in (j, k)
+    blocks = [np.moveaxis(t, q, -1).reshape(16, 4) for q in range(3)]
 
     draws = np.random.default_rng(seed).standard_normal((restarts, 3, 2, 2))
-    cur = draws[..., 0, :] + 1j * draws[..., 1, :]      # (restarts, 3, 2)
-    cur /= np.linalg.norm(cur, axis=-1, keepdims=True)
+    psi = draws[..., 0, :] + 1j * draws[..., 1, :]
+    psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+    coherence = 2.0 * psi[..., 0].conj() * psi[..., 1]
+    cur = np.stack([np.ones(coherence.shape), coherence.real, coherence.imag,
+                    np.abs(psi[..., 0]) ** 2 - np.abs(psi[..., 1]) ** 2], axis=-1)
 
     states = np.empty_like(cur)
     values = np.empty(restarts)
@@ -183,9 +179,12 @@ def min_over_product_states(w_bar, restarts: int = 200, seed: int = 0,
     for _sweep in range(max_sweeps):
         for q in range(3):
             x, y = (cur[:, o] for o in _OTHERS[q])
-            u = (x[:, :, None] * y[:, None, :]).reshape(-1, 4)
-            pairs = (u.conj()[:, :, None] * u[:, None, :]).reshape(-1, 16)
-            val, cur[:, q] = _ground_states((pairs @ blocks[q]).reshape(-1, 2, 2))
+            g = (x[:, :, None] * y[:, None, :]).reshape(-1, 16) @ blocks[q]
+            size = np.sqrt(np.einsum("ij,ij->i", g[:, 1:], g[:, 1:]))
+            val = g[:, 0] - size
+            flat = size == 0.0
+            g[flat, 3], size[flat] = -1.0, 1.0
+            cur[:, q, 1:] = -g[:, 1:] / size[:, None]
         done = value - val < 1e-14 * np.maximum(1.0, np.abs(val))
         states[active[done]] = cur[done]
         values[active[done]] = val[done]
@@ -196,7 +195,7 @@ def min_over_product_states(w_bar, restarts: int = 200, seed: int = 0,
     values[active] = value
 
     best = int(np.argmin(values))
-    return ProductStateMinimum(value=float(values[best]), states=states[best].copy())
+    return ProductStateMinimum(value=float(values[best]), states=_state_vectors(states[best]))
 
 
 # ---------------------------------------------------------------------------

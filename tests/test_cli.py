@@ -207,6 +207,15 @@ def test_report_names_p_when_peeling_amplifies_rounding(capsys):
     assert run(["report", "--p", "1e-11"]) == 0
 
 
+@pytest.mark.parametrize("flag, typed", [("--p", "1e-300"), ("--sigma", "1e-200")])
+def test_report_names_the_flags_behind_the_record_sigma(capsys, flag, typed):
+    # the record sigma is --sigma times --p; the message quotes what was typed
+    assert run(["report", flag, typed]) == 2
+    err = capsys.readouterr().err
+    assert f"{flag} {typed}" in err and "--sigma" in err and "--p" in err
+    assert "record sigma" not in err
+
+
 def test_verify_passes(capsys):
     assert run(["verify"]) == 0
     out = capsys.readouterr().out
@@ -331,8 +340,9 @@ def test_non_finite_or_negative_number_exits_2(tmp_path, capsys, argv):
     (["report", "--a", "inf"], "a1, a2, a3"),
     (["report", "--eps", "nan"], "epsilon"),
     (["witness", "optimize", "--range", "0.1:inf"], "search range"),
+    (["witness", "optimize", "--range", "0.5"], "--range must be LO:HI, got '0.5'"),
 ], ids=["prepare-nan-a", "state-inf-a", "report-inf-a", "report-nan-eps",
-        "optimize-inf-range"])
+        "optimize-inf-range", "optimize-range-without-colon"])
 def test_non_finite_parameter_exits_2(tmp_path, capsys, argv, name):
     out = tmp_path / "out.json"
     with warnings.catch_warnings(record=True) as caught:

@@ -202,10 +202,10 @@ def test_product_minimum_sweep_limit_matches_oracle():
 @pytest.mark.parametrize("diagonal", [np.arange(8.0), [0, 1, 1, 1, 1, 1, 1, 0]],
                          ids=["ascending", "tied"])
 def test_product_minimum_degenerate_fallback(diagonal):
-    # every effective matrix is diagonal, so a ground-state update takes the
-    # basis-vector fallback whenever the |0> entry is the lower one; the
-    # tied operator reaches 0 at both |000> and |111>, and the first start
-    # to reach the minimum wins
+    # the Bloch tensor has no x or y entries, so every update lands exactly
+    # on a pole, |0> = [1, 0] or |1> = [0, -1] as the oracle's 2x2 fallback
+    # gives them; the tied operator reaches 0 at both |000> and |111>, and
+    # the first start to reach the minimum wins
     w = np.diag(np.asarray(diagonal, dtype=float))
     for seed in range(4):
         result = witnesses.min_over_product_states(w, restarts=25, seed=seed)
@@ -215,6 +215,61 @@ def test_product_minimum_degenerate_fallback(diagonal):
         np.testing.assert_array_equal(np.linalg.norm(result.states, axis=1), 1.0)
         if diagonal[-1] != 0:
             np.testing.assert_array_equal(result.states, [[1, 0], [1, 0], [1, 0]])
+
+
+@pytest.mark.parametrize("w", [np.eye(8), np.zeros((8, 8))], ids=["identity", "zero"])
+def test_product_minimum_flat_field_takes_0(w):
+    # g = 0 on every update: each qubit takes |0>, as the oracle's a <= d rule
+    result = witnesses.min_over_product_states(w, restarts=5, seed=1)
+    _, want_states = _oracle_min_over_product_states(w, 5, 1)
+    np.testing.assert_array_equal(result.states, want_states)
+    np.testing.assert_array_equal(result.states, [[1, 0], [1, 0], [1, 0]])
+
+
+def _bloch(v):
+    # <v| s |v> for s = Id, X, Y, Z
+    return np.array([np.vdot(v, s @ v).real for s in core.PAULIS.values()])
+
+
+@pytest.mark.parametrize("name", ["witness_bar-0.346", "random-hermitian", "identity",
+                                  "ghz-projector"])
+def test_bloch_tensor_matches_product_expectation(name, rng):
+    w = _ORACLE_OPERATORS[name]
+    t = witnesses.bloch_tensor(w)
+    for _ in range(50):
+        vectors = random_product_vectors(rng)
+        value = np.einsum("ijk,i,j,k->", t, *(_bloch(v) for v in vectors))
+        assert value == pytest.approx(witnesses.product_expectation(w, vectors), abs=1e-12)
+
+
+@pytest.mark.parametrize("pole", [1.0, -1.0], ids=["near-0", "near-1"])
+def test_state_vectors_near_a_pole(pole, rng):
+    # Bloch vectors made like a descent update, -g/|g|, with z = +-(1 - 1e-12):
+    # the vector built from the far pole would be off by about 1e-9 here
+    w = _ORACLE_OPERATORS["random-hermitian"]
+    t = witnesses.bloch_tensor(w)
+    for _ in range(20):
+        phase = rng.uniform(0.0, 2 * np.pi, size=3)
+        g = np.column_stack([np.sqrt(2e-12) * np.cos(phase), np.sqrt(2e-12) * np.sin(phase),
+                             -pole * np.ones(3)]) * rng.uniform(0.5, 3.0, size=(3, 1))
+        r = np.column_stack([np.ones(3), -g / np.linalg.norm(g, axis=1, keepdims=True)])
+        np.testing.assert_allclose(r[:, 3], pole * (1 - 1e-12), rtol=0, atol=1e-15)
+        vectors = witnesses._state_vectors(r)
+        np.testing.assert_allclose(np.linalg.norm(vectors, axis=1), 1.0, atol=1e-15)
+        assert witnesses.product_expectation(w, vectors) == pytest.approx(
+            np.einsum("ijk,i,j,k->", t, *r), abs=1e-12)
+
+
+def test_product_minimum_uses_the_hermitian_part():
+    h = _ORACLE_OPERATORS["random-hermitian"]
+    g = np.random.default_rng(3).standard_normal((2, 8, 8))
+    skew = (g[0] + 1j * g[1]) - (g[0] + 1j * g[1]).conj().T
+    for seed in (0, 1):
+        got = witnesses.min_over_product_states(h + skew, restarts=40, seed=seed)
+        want = witnesses.min_over_product_states(h, restarts=40, seed=seed)
+        assert got.value == pytest.approx(want.value, abs=1e-12)
+        assert witnesses.product_expectation(h, got.states) == pytest.approx(got.value,
+                                                                              abs=1e-12)
 
 
 def test_product_minimum_at_working_point():
