@@ -37,6 +37,36 @@ def family_ppt(rng) -> str:
     return "working point and 30 random triples PPT on all cuts"
 
 
+def _pure(vector) -> core.DensityOperator:
+    return core.DensityOperator(np.outer(vector, np.conj(vector)))
+
+
+def _require_verdicts(name: str, rho: core.DensityOperator, ppt_cut: str | None) -> None:
+    # minimum eigenvalue 0 on the cut labelled ppt_cut; -1/2 on every other,
+    # across which the state is maximally entangled
+    for label, cut in core.is_ppt(rho).as_dict().items():
+        lo, ppt = cut["min_eigenvalue"], label == ppt_cut
+        _require(cut["ppt"] is ppt and abs(lo - (0.0 if ppt else -0.5)) <= 1e-12,
+                 f"{name}: cut {label} min eigenvalue {lo:.3e}, ppt {cut['ppt']}")
+
+
+def ghz_npt(rng) -> str:
+    # negative control: GHZ is NPT under every partial transpose, PPT under the full one
+    _require_verdicts("GHZ", _pure(states.ghz(+1)), None)
+    return "GHZ NPT on 1|23, 2|13 and 3|12"
+
+
+def bell_pair_npt(rng) -> str:
+    # a Bell pair on two qubits, |0> on the third: PPT exactly on the third
+    # qubit's cut, so every wrong cut-to-label mapping flips a verdict
+    for third, pair in ((3, (1, 2)), (2, (1, 3)), (1, (2, 3))):
+        vector = np.zeros(8)
+        vector[0] = vector[sum(4 >> (q - 1) for q in pair)] = np.sqrt(0.5)
+        _require_verdicts(f"Bell({pair[0]},{pair[1]}) with |0> on {third}", _pure(vector),
+                          core.Bipartition((third,)).label)
+    return "Bell(1,2), Bell(1,3), Bell(2,3) with |0>: PPT only on the cut of the |0> qubit"
+
+
 def witness_zero_trace(rng) -> str:
     worst = 0.0
     for _ in range(100):
@@ -103,9 +133,7 @@ def preparation(rng) -> str:
 
 
 def temporal_weld(rng) -> str:
-    p = nmr.matched_fraction(_PARAMS, nmr.DEFAULT_KAPPA_H)
-    seed_spec = nmr.target_diagonal(_PARAMS, p)
-    five = nmr.initial_states(nmr.DEFAULT_KAPPA_H)
+    _, seed_spec, five = nmr.preparation_inputs(_PARAMS, nmr.DEFAULT_KAPPA_H)
     sol = nmr.solve_temporal_weights(five, seed_spec)
     _require(sol.residual <= 1e-10, f"weights residual {sol.residual:.1e}")
     u = nmr.preparation_unitary()
@@ -242,6 +270,8 @@ def product_bloch_form(rng) -> str:
 
 CHECKS = (
     ("state family PPT", family_ppt),  # criterion 01
+    ("PPT negative control: GHZ", ghz_npt),
+    ("PPT negative control: Bell pair and |0>", bell_pair_npt),
     ("witness zero-trace identity", witness_zero_trace),  # criterion 02
     ("witness spectrum", witness_spectrum),  # criterion 03
     ("pseudo witness identity", pseudo_witness),

@@ -114,6 +114,8 @@ def cmd_witness_optimize(args) -> int:
         search_range = (float(lo), float(hi))
     except ValueError:
         raise ValueError(f"--range must be LO:HI, got {args.range!r}") from None
+    if args.restarts < 1:
+        raise ValueError(f"--restarts {args.restarts} must be at least 1")
     report = witnesses.optimize_parameters(
         search_range=search_range, restarts=args.restarts, seed=args.seed)
     _write_json(report.as_dict(), args.out)
@@ -123,9 +125,7 @@ def cmd_witness_optimize(args) -> int:
 def cmd_prepare(args) -> int:
     params = states.StateParams.symmetric(args.a)
     kappa = args.kappa
-    p = args.p if args.p is not None else nmr.matched_fraction(params, kappa)
-    seed = nmr.target_diagonal(params, p)
-    five = nmr.initial_states(kappa, a=args.a)
+    p, seed, five = nmr.preparation_inputs(params, kappa, args.p)
     sol = nmr.solve_temporal_weights(five, seed)
     ps = nmr.prepare_pseudo_state(seed)
     payload = {

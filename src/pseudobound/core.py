@@ -6,7 +6,9 @@ so |b1 b2 b3> lives at index 4*b1 + 2*b2 + b3.  ``check_operator`` is the
 one place that enforces that shape.  Density operators get a thin
 validated wrapper so that every state constructed anywhere in the package
 is certified Hermitian, unit-trace and positive semidefinite (within
-tolerance) on creation.
+tolerance) on creation.  A validated state carries its spectrum, the
+validation's one eigensolve, and its Pauli coordinates, worked out on first
+use; a state is diagonalised and mapped to Pauli coordinates at most once.
 
 The 63 Pauli coordinates tr(op P_k)/8 of an 8x8 operator (``state_parameters``,
 inverted by ``parameters_to_matrix``) are the one map that the tomography
@@ -24,8 +26,8 @@ from __future__ import annotations
 import itertools
 import json
 import warnings
-from dataclasses import dataclass
-from functools import lru_cache, reduce
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -44,7 +46,7 @@ def check_operator(matrix) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (8, 8):
         raise ValueError(f"operator must be 8x8, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():   # complex: both parts
         raise ValueError("operator entries must be finite")
     return m
 
@@ -118,10 +120,15 @@ class DensityOperator:
     default; noisy reconstructed states should go through
     :meth:`DensityOperator.loose`, which widens the tolerance to cover a
     negative eigenvalue.
+
+    The validation's eigensolve is kept as ``spectrum``, and the Pauli
+    coordinates are worked out on first use (``parameters``); both are
+    read-only arrays, computed at most once per state.
     """
 
     matrix: np.ndarray
     tolerance: float = 1e-10
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, widen: bool = False, context: str | None = None):
         # the one validation pass; loose() calls it with widen=True
@@ -131,7 +138,9 @@ class DensityOperator:
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > (tol if widen else max(tol, 1e-12)):
             raise ValueError(f"trace {tr:.8g} != 1 beyond tol {tol:.1e}")
-        lowest = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
+        spectrum = np.linalg.eigvalsh((m + m.conj().T) / 2)
+        spectrum.setflags(write=False)
+        lowest = float(spectrum[0])
         if widen:
             needed = max(-lowest, 0.0) * (1 + 1e-9) + 1e-15
             if needed > tol and context is not None:
@@ -146,6 +155,7 @@ class DensityOperator:
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "spectrum", spectrum)
 
     @classmethod
     def loose(cls, matrix, context: str | None = None) -> "DensityOperator":
@@ -169,7 +179,21 @@ class DensityOperator:
         return self.matrix.shape[0]
 
     def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
+        """The spectrum, ascending, read-only: the one validation eigensolve.
+
+        It is that of the Hermitian part (m + m^dag)/2, which equals
+        ``np.linalg.eigvalsh(matrix)`` bit for bit when the matrix is exactly
+        Hermitian; a matrix Hermitian only within tolerance gets the spectrum
+        of its Hermitian part.
+        """
+        return self.spectrum
+
+    @cached_property
+    def parameters(self) -> np.ndarray:
+        """The 63 Pauli coordinates ``state_parameters(matrix)``, read-only."""
+        theta = state_parameters(self.matrix)
+        theta.setflags(write=False)
+        return theta
 
 
 def maximally_mixed() -> DensityOperator:
@@ -245,12 +269,11 @@ def is_ppt(rho: DensityOperator, tolerance: float | None = None) -> PPTReport:
     tol = rho.tolerance if tolerance is None else tolerance
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"PPT tolerance {tol} must be finite and non-negative")
-    results = []
-    for cut in THREE_QUBIT_CUTS:
-        pt = partial_transpose(rho.matrix, cut.transposed)
-        lo = float(np.linalg.eigvalsh(pt)[0])
-        results.append(CutResult(cut, lo, lo >= -tol))
-    return PPTReport(tuple(results), tol)
+    # one eigensolve of the (3, 8, 8) stack; row k belongs to THREE_QUBIT_CUTS[k]
+    stack = np.stack([partial_transpose(rho, cut.transposed) for cut in THREE_QUBIT_CUTS])
+    lows = np.linalg.eigvalsh(stack)[:, 0].tolist()
+    return PPTReport(tuple(CutResult(cut, lo, lo >= -tol)
+                           for cut, lo in zip(THREE_QUBIT_CUTS, lows)), tol)
 
 
 def numeric_rank(h) -> int:

@@ -107,9 +107,10 @@ _ROW_LABELS = tuple(_ROW)
 def measure(rho: DensityOperator, setting: str, detect: str = "C") -> np.ndarray:
     """Quadrature amplitudes of the four carbon lines for one experiment.
 
-    Returns 8 reals ordered (line 00 x, line 00 y, line 01 x, ...).
+    Returns 8 reals ordered (line 00 x, line 00 y, line 01 x, ...).  The
+    state's Pauli coordinates are its cached ``parameters``.
     """
-    return _readout_block(setting, detect) @ state_parameters(rho)
+    return _readout_block(setting, detect) @ rho.parameters
 
 
 def default_experiments() -> list[tuple[str, str]]:

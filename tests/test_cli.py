@@ -89,6 +89,17 @@ def test_prepare_expands_the_seed_once(tmp_path):
     assert spy.call_count == 1
 
 
+@pytest.mark.parametrize("p", [[], ["--p", "1e-5"]], ids=["matched-p", "given-p"])
+def test_prepare_builds_the_family_and_its_seed_orders_once(tmp_path, p):
+    # the fraction, the seed and the single-spin ratio share one family state
+    with mock.patch.object(nmr, "_seed_orders", wraps=nmr._seed_orders) as orders, \
+            mock.patch.object(nmr, "bound_entangled_state",
+                              wraps=nmr.bound_entangled_state) as family:
+        assert run(["prepare", *p, "--out", str(tmp_path / "prep.json")]) == 0
+    assert orders.call_count == 1
+    assert family.call_count == 1
+
+
 def test_prepare_without_p_past_the_reachable_a_exits_2(tmp_path, capsys):
     assert run(["prepare", "--a", "2", "--out", str(tmp_path / "prep.json")]) == 2
     err = capsys.readouterr().err
@@ -297,13 +308,16 @@ _NUMERIC = "objects with numeric value and sigma"
     ("ppt", core.matrix_to_json(_NOT_HERMITIAN), "error:"),
     ("metrics", core.matrix_to_json(_NOT_HERMITIAN), "error:"),
     ("ppt", core.matrix_to_json(np.eye(8) / 4), "error:"),
+    ("optimize", "0", "--restarts 0 must be at least 1"),
+    ("optimize", "-3", "--restarts -3 must be at least 1"),
 ], ids=["ppt-missing-im", "metrics-missing-im", "ppt-list", "ppt-non-numeric",
         "ppt-null-dim", "tomo-missing-detect", "tomo-object", "tomo-empty",
         "tomo-bad-line", "tomo-bad-setting", "tomo-bad-detect", "tomo-bad-quad",
         "tomo-null-value", "tomo-text-sigma", "tomo-non-object-record",
         "tomo-tiny-sigma", "tomo-huge-sigma",
         "ppt-deep", "tomo-deep", "metrics-deep", "ppt-not-hermitian",
-        "metrics-not-hermitian", "ppt-trace-2"])
+        "metrics-not-hermitian", "ppt-trace-2", "optimize-zero-restarts",
+        "optimize-negative-restarts"])
 def test_malformed_input_exits_2(tmp_path, capsys, command, payload, message):
     bad = tmp_path / "bad.json"
     bad.write_text(payload if isinstance(payload, str) else json.dumps(payload))
@@ -311,7 +325,8 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, payload, message):
     run(["state", "--out", str(rho)])
     argv = {"ppt": ["ppt", "--state", str(bad)],
             "metrics": ["metrics", "--state", str(bad), "--reference", str(rho)],
-            "tomo": ["tomo", "reconstruct", "--data", str(bad)]}[command]
+            "tomo": ["tomo", "reconstruct", "--data", str(bad)],
+            "optimize": ["witness", "optimize", "--restarts", str(payload)]}[command]
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert "error:" in err and message in err and "Traceback" not in err

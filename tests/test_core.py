@@ -44,8 +44,11 @@ def test_operator_validation():
             core.check_operator(np.zeros(shape))
     with pytest.raises(ValueError, match="finite"):
         core.check_operator(np.full((8, 8), np.inf))
-    with pytest.raises(ValueError, match="finite"):
-        core.check_operator(_diag8(complex(0.5, np.nan)))
+    # one isfinite over the complex entries covers both parts
+    for bad in (np.nan, np.inf, -np.inf):
+        for entry in (complex(bad, 0.0), complex(0.5, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                core.check_operator(_diag8(0.5, entry))
 
 
 def test_density_operator_invariants():
@@ -62,6 +65,43 @@ def test_density_operator_invariants():
     assert rho.dim == 8
     with pytest.raises(ValueError):
         rho.matrix[0, 0] = 9.0   # frozen
+
+
+def test_state_carries_its_parameters(rng):
+    for rho in (core.random_density_operator(rng), core.maximally_mixed()):
+        theta = rho.parameters
+        np.testing.assert_array_equal(theta, core.state_parameters(rho.matrix))
+        assert rho.parameters is theta   # worked out once
+        with pytest.raises(ValueError):
+            theta[0] = 1.0
+        with pytest.raises(AttributeError):
+            rho.parameters = np.zeros(63)
+
+
+def test_state_carries_its_spectrum(rng):
+    m = core.random_density_operator(rng).matrix
+    rho = core.DensityOperator((m + m.conj().T) / 2)   # exactly Hermitian
+    assert np.array_equal(rho.matrix, rho.matrix.conj().T)
+    np.testing.assert_array_equal(rho.eigenvalues(), np.linalg.eigvalsh(rho.matrix))
+    assert rho.eigenvalues() is rho.spectrum
+    with pytest.raises(ValueError):
+        rho.spectrum[0] = 1.0
+    # Hermitian only within tolerance: the spectrum of the Hermitian part
+    skew = rng.standard_normal((8, 8)) * 1e-12
+    near = rho.matrix + 1j * (skew + skew.T)
+    assert not np.array_equal(near, near.conj().T)
+    loose = core.DensityOperator(near)
+    np.testing.assert_array_equal(loose.eigenvalues(),
+                                  np.linalg.eigvalsh((near + near.conj().T) / 2))
+
+
+def test_is_ppt_matches_each_cut_eigensolve(rng):
+    rho = core.random_density_operator(rng)
+    report = core.is_ppt(rho)
+    for cut in report.cuts:
+        pt = core.partial_transpose(rho.matrix, cut.cut.transposed)
+        assert cut.min_eigenvalue == np.linalg.eigvalsh(pt)[0]
+    assert len({c.min_eigenvalue for c in report.cuts}) == 3
 
 
 def test_partial_transpose_involution_and_trace(rng):

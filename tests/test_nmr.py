@@ -129,6 +129,18 @@ def test_matched_fraction():
         nmr.matched_fraction(states.StateParams.symmetric(1.4), KAPPA_H)
 
 
+@pytest.mark.parametrize("a, p", [(A_OPT, None), (0.3, 1e-5), (1.0, None)])
+def test_preparation_inputs_match_the_steps_one_by_one(a, p):
+    params = states.StateParams.symmetric(a)
+    got_p, seed, five = nmr.preparation_inputs(params, KAPPA_H, p)
+    assert got_p == (nmr.matched_fraction(params, KAPPA_H) if p is None else p)
+    expected = nmr.target_diagonal(params, got_p)
+    assert _coefficients(seed).tolist() == _coefficients(expected).tolist()
+    np.testing.assert_array_equal(seed.state.matrix, expected.state.matrix)
+    for got, want in zip(five, nmr.initial_states(KAPPA_H, a=a), strict=True):
+        np.testing.assert_array_equal(got.matrix, want.matrix)
+
+
 def test_weight_solver_exact_single_target():
     five = nmr.initial_states(KAPPA_H)
     target = nmr.expand_diagonal_state(five[2], KAPPA_H)

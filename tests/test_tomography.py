@@ -1,6 +1,7 @@
 """Readout model, linear inversion and error propagation."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -119,6 +120,17 @@ def test_dataset_generation_determinism():
     measured = np.concatenate([
         tomo.measure(RHO_OPT, s, d) for s, d in tomo.default_experiments()])
     np.testing.assert_array_equal(exact.value, measured)
+
+
+def test_dataset_computes_the_state_parameters_once():
+    rho = states.pseudo_state(RHO_OPT, 2.3e-5).rho
+    with mock.patch.object(core, "state_parameters", wraps=core.state_parameters) as spy, \
+            mock.patch.object(tomo, "measure", wraps=tomo.measure) as measure:
+        tomo.generate_dataset(rho, sigma=1e-7, seed=3)
+        assert (spy.call_count, measure.call_count) == (1, 21)
+        # a second dataset of the same state reuses its Pauli coordinates
+        tomo.generate_dataset(rho, sigma=1e-7, seed=4)
+        assert (spy.call_count, measure.call_count) == (1, 42)
 
 
 def test_one_noise_draw_equals_the_per_experiment_draws():
