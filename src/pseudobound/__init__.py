@@ -51,7 +51,6 @@ from .nmr import (
     initial_states,
     matched_fraction,
     mix_states,
-    preparation_inputs,
     preparation_unitary,
     prepare_pseudo_state,
     solve_temporal_weights,

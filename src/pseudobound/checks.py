@@ -133,7 +133,9 @@ def preparation(rng) -> str:
 
 
 def temporal_weld(rng) -> str:
-    _, seed_spec, five = nmr.preparation_inputs(_PARAMS, nmr.DEFAULT_KAPPA_H)
+    p = nmr.matched_fraction(_PARAMS, nmr.DEFAULT_KAPPA_H)
+    seed_spec = nmr.target_diagonal(_PARAMS, p)
+    five = nmr.initial_states(nmr.DEFAULT_KAPPA_H)
     sol = nmr.solve_temporal_weights(five, seed_spec)
     _require(sol.residual <= 1e-10, f"weights residual {sol.residual:.1e}")
     u = nmr.preparation_unitary()
@@ -142,11 +144,14 @@ def temporal_weld(rng) -> str:
                                    sol.achieved_p).rho.matrix
     gap = float(np.max(np.abs(prepared - expected)))
     _require(gap <= 1e-12, f"weld gap {gap:.1e}")
-    # derived expansion coefficients against their two-digit values
-    coefficients = (seed_spec.single_spin[0], seed_spec.single_spin[1], seed_spec.three_spin)
+    # derived expansion coefficients against their closed form and two-digit values
+    orders = (*seed_spec.single_spin, *seed_spec.two_spin, seed_spec.three_spin)
+    closed = float(np.max(np.abs(nmr._seed_orders(A_OPT) - orders)))
+    _require(closed <= 1e-9, f"seed z-orders off their closed form by {closed:.1e}")
+    coefficients = (orders[0], orders[1], orders[6])
     _require(all(abs(c - ref) <= 0.01 for c, ref in zip(coefficients, (-0.78, -0.21, 3.85))),
              f"seed coefficients {coefficients}")
-    return f"weights residual {sol.residual:.1e}, weld gap {gap:.1e}"
+    return f"weights residual {sol.residual:.1e}, weld gap {gap:.1e}, closed form {closed:.1e}"
 
 
 def separable_boundary(rng) -> str:
@@ -203,6 +208,17 @@ def diagonal_normal_matrix(rng) -> str:
     return detail
 
 
+def whole_experiment_covariance(rng) -> str:
+    # one sigma over whole experiments: the covariance is sigma^2 / diag(A^T A)
+    sigma = 1e-3
+    rec = tomography.reconstruct(
+        tomography.generate_dataset(core.random_density_operator(rng), sigma=sigma))
+    expected = np.diag(sigma ** 2 / np.sum(tomography.design_matrix().matrix ** 2, axis=0))
+    gap = float(np.max(np.abs(rec.covariance - expected)) / np.max(expected))
+    _require(gap <= 1e-12, f"covariance off sigma^2/diag(A^T A) by {gap:.1e} relative")
+    return f"covariance equals sigma^2/diag(A^T A) to {gap:.1e} relative"
+
+
 def error_propagation(rng) -> str:
     rho = states.bound_entangled_state(_PARAMS)
     rec = tomography.reconstruct(tomography.generate_dataset(rho, sigma=1e-3, seed=3))
@@ -253,6 +269,16 @@ def noisy_report(rng) -> str:
     return detail
 
 
+def exact_report(rng) -> str:
+    # exact data and no depolarization: the pipeline must hand back the family state
+    rep = cli.build_report(cli.RunConfig(sigma=0.0, noise_lambda=0.0))
+    dist, w = rep["metrics"]["trace_distance"], rep["witness"]
+    detail = f"dt {dist:.1e}, <W> + eps {w['expectation'] + EPS_OPT:.1e}, sigma_W {w['sigma']}"
+    _require(dist <= 1e-9 and abs(w["expectation"] + EPS_OPT) <= 1e-9 and w["sigma"] == 0.0,
+             detail)
+    return detail
+
+
 def product_bloch_form(rng) -> str:
     # the product-state minimiser descends on this form
     w = witnesses.witness_bar(_PARAMS)
@@ -283,9 +309,11 @@ CHECKS = (
     ("witness optimization", witness_optimization),  # criterion 06
     ("tomography design rank and round trip", tomography_round_trip),  # criterion 07
     ("diagonal tomography normal matrix", diagonal_normal_matrix),
+    ("whole-experiment covariance", whole_experiment_covariance),
     ("witness error propagation", error_propagation),
     ("fidelity/trace-distance sandwich", metric_sandwich),  # criterion 10
     ("projector spectrum", projector_spectrum),
     ("end-to-end noisy report", noisy_report),  # criterion 09
+    ("end-to-end exact report", exact_report),
     ("product-state Bloch form", product_bloch_form),
 )

@@ -125,7 +125,9 @@ def cmd_witness_optimize(args) -> int:
 def cmd_prepare(args) -> int:
     params = states.StateParams.symmetric(args.a)
     kappa = args.kappa
-    p, seed, five = nmr.preparation_inputs(params, kappa, args.p)
+    p = nmr.matched_fraction(params, kappa) if args.p is None else args.p
+    seed = nmr.target_diagonal(params, p)
+    five = nmr.initial_states(kappa, a=params.a1)
     sol = nmr.solve_temporal_weights(five, seed)
     ps = nmr.prepare_pseudo_state(seed)
     payload = {
@@ -403,6 +405,9 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
+        # checked here, so that even a command that would not use it refuses it
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed {args.seed} must be a non-negative integer")
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

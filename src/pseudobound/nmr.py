@@ -10,8 +10,9 @@ target.  Gradient-based spatial averaging is modelled as ideal, i.e. the
 five input states are taken as exactly diagonal.
 
 The seven z-orders of a diagonal state are seven of its Pauli coordinates
-in ``core``: the seed expansion reads them and the five inputs are built
-from them through that one map.
+in ``core``.  The seed is read off the conjugated family state; the
+matched fraction and the fifth input's ratio come from the seed's
+closed-form z-orders (``_seed_orders``) and need no state.
 """
 
 from __future__ import annotations
@@ -121,40 +122,35 @@ def expand_diagonal_state(state, scale: float) -> DiagonalStateSpec:
     )
 
 
-def _symmetric_family(params: StateParams) -> DensityOperator:
-    if not params.is_symmetric:
-        raise ValueError("seed-state expansion is defined for symmetric triples")
-    return bound_entangled_state(params)
-
-
-def target_diagonal(params: StateParams, p: float,
-                    family: DensityOperator | None = None) -> DiagonalStateSpec:
+def target_diagonal(params: StateParams, p: float) -> DiagonalStateSpec:
     """Diagonal seed whose image under the preparation is the pseudo state.
 
     Obtained by conjugating the pseudo state with the inverse preparation;
     the result must come out diagonal, which ``expand_diagonal_state``
     checks rather than assumes.  Coefficients are read off by trace inner
-    products against the orthogonal z-product-operator basis.  ``family``
-    is ``bound_entangled_state(params)`` when the caller has built it.
+    products against the orthogonal z-product-operator basis.
     """
-    if family is None:
-        family = _symmetric_family(params)
+    if not params.is_symmetric:
+        raise ValueError("seed-state expansion is defined for symmetric triples")
     if not 0.0 < p < 1.0:
         raise ValueError(f"fraction p={p} outside (0, 1)")
-    target = pseudo_state(family, p).rho.matrix
+    target = pseudo_state(bound_entangled_state(params), p).rho.matrix
     u = preparation_unitary()
     return expand_diagonal_state(u.conj().T @ target @ u, p)
 
 
-def _seed_orders(family: DensityOperator) -> np.ndarray:
-    """The seed's seven z-order coefficients, in the order of ``_Z_ORDERS``.
+def _seed_orders(a: float) -> np.ndarray:
+    """The seed's z-order coefficients (the same at every p), in ``_Z_ORDERS`` order.
 
-    They do not depend on p: the Pauli coordinates of the seed at fraction
-    p are p times those of the preparation-conjugated family state.
+    Closed form of what ``target_diagonal`` reads off the conjugated family
+    state: (d, b, b, 2d, 2d, 2b, e), written in u = 1/(1+a^2) and
+    s = a/(1+a^2) as ``witness_bar`` is, so every positive float gives
+    finite values.
     """
-    u = preparation_unitary()
-    deviation = u.conj().T @ family.matrix @ u
-    return 8.0 * _Z_WEIGHT * state_parameters(deviation)[_Z_INDEX]
+    u, s = 1.0 / (1.0 + a * a), a / (1.0 + a * a)
+    m = 3.0 + 2.0 * s
+    d, b = 2.0 * (1.0 - 2.0 * u - 2.0 * s) / m, -2.0 * (1.0 - 2.0 * s) / m
+    return np.array([d, b, b, 2.0 * d, 2.0 * d, 2.0 * b, 48.0 * u / m - 8.0])
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +166,12 @@ def single_spin_ratio(a: float = A_OPT) -> float:
     The fifth input state must carry its three z-orders in exactly this
     ratio for temporal averaging to reproduce the seed without residual;
     at the working point it is about 0.272 (quoted as 0.27 to two digits).
+    Where the C order is zero (a = 1 + sqrt(2) to rounding): ValueError.
     """
-    orders = _seed_orders(bound_entangled_state(StateParams.symmetric(a)))
-    return float(orders[1] / orders[0])
+    d, b = _seed_orders(StateParams.symmetric(a).a1)[:2]
+    if d == 0.0:
+        raise ValueError(f"the single-spin ratio diverges at a={a!r} (zero C order)")
+    return float(b / d)
 
 
 def _check_kappa(kappa: float) -> None:
@@ -180,18 +179,16 @@ def _check_kappa(kappa: float) -> None:
         raise ValueError(f"kappa={kappa} outside (0, 1e-3]")
 
 
-def initial_states(scale: float, a: float = A_OPT,
-                   ratio: float | None = None) -> list[DensityOperator]:
+def initial_states(scale: float, a: float = A_OPT) -> list[DensityOperator]:
     """The five diagonal spin-order states used for temporal averaging.
 
     ``scale`` is kappa, the proton polarization, in (0, 1e-3]; each state
     is Id/8 plus a single spin-order term (three-spin order, the three
     two-spin orders, and a fixed single-spin combination).  Only the last
     can lose positivity, where r diverges near a = 1 + sqrt(2): ValueError.
-    ``ratio`` is ``single_spin_ratio(a)`` when the caller has computed it.
     """
     _check_kappa(scale)
-    r = single_spin_ratio(a) if ratio is None else ratio
+    r = single_spin_ratio(a)
     # one row of z-order coefficients per state, in the order of _Z_ORDERS
     orders = np.zeros((5, len(_Z_ORDERS)))
     orders[0, 6] = THREE_SPIN_AMPLITUDE
@@ -217,41 +214,19 @@ def matched_fraction(params: StateParams, kappa: float) -> float:
     a of about 1.39 that normalization is not positive and no fraction
     exists: ``ValueError``, as for kappa outside (0, 1e-3].
     """
-    return _fraction(_seed_orders(_symmetric_family(params)), kappa, params.a1)
-
-
-def _fraction(orders: np.ndarray, kappa: float, a: float) -> float:
+    if not params.is_symmetric:
+        raise ValueError("seed-state expansion is defined for symmetric triples")
     _check_kappa(kappa)
-    budget = (
-        orders[6] / THREE_SPIN_AMPLITUDE
-        + orders[3] / TWO_SPIN_AMPLITUDES[0]
-        + orders[4] / TWO_SPIN_AMPLITUDES[1]
-        + orders[5] / TWO_SPIN_AMPLITUDES[2]
-        + orders[0] / -1.0
-    )
+    orders = _seed_orders(params.a1)
+    # each input's weight is p/kappa times its order over its amplitude
+    budget = (orders[6] / THREE_SPIN_AMPLITUDE + np.sum(orders[3:6] / TWO_SPIN_AMPLITUDES)
+              - orders[0])
     if budget <= 0:
         raise ValueError(
-            f"the five input states cannot synthesize the seed at a={a:g} "
+            f"the five input states cannot synthesize the seed at a={params.a1:g} "
             f"(z-order budget {budget:.3g} is not positive); pass --p to choose "
             "the pseudo-state fraction")
     return float(kappa / budget)
-
-
-def preparation_inputs(params: StateParams, kappa: float, p: float | None = None
-                       ) -> tuple[float, DiagonalStateSpec, list[DensityOperator]]:
-    """The fraction p, the seed at p and the five inputs at kappa, from one family state.
-
-    The same values as ``matched_fraction`` (unless ``p`` is given),
-    ``target_diagonal`` and ``initial_states`` one by one, with the family
-    state built and its z-orders expanded once for all three.
-    """
-    family = _symmetric_family(params)
-    orders = _seed_orders(family)
-    if p is None:
-        p = _fraction(orders, kappa, params.a1)
-    seed = target_diagonal(params, p, family=family)
-    five = initial_states(kappa, a=params.a1, ratio=float(orders[1] / orders[0]))
-    return p, seed, five
 
 
 @dataclass(frozen=True)

@@ -17,19 +17,25 @@ from .core import DensityOperator
 
 PRODUCT_ONE_TOLERANCE = 1e-12
 A_OPT = 0.3460   # the symmetric working point, found by witness optimization
+PARAM_RANGE = (1e-150, 1e150)
 
 
 @dataclass(frozen=True)
 class StateParams:
-    """Finite positive parameter triple (a1, a2, a3) of the state family."""
+    """Parameter triple (a1, a2, a3) of the state family, each within ``PARAM_RANGE``.
+
+    The range keeps a, 1/a and a^2 finite normal floats, so that the state,
+    its normalization and the witness can be formed.
+    """
 
     a1: float
     a2: float
     a3: float
 
     def __post_init__(self):
-        if not all(0.0 < a < np.inf for a in self.as_tuple()):
-            raise ValueError("state parameters a1, a2, a3 must be finite and positive, "
+        lo, hi = PARAM_RANGE
+        if not all(lo <= a <= hi for a in self.as_tuple()):
+            raise ValueError(f"state parameters a1, a2, a3 must lie within [{lo:g}, {hi:g}], "
                              f"got {self.as_tuple()}")
 
     @classmethod

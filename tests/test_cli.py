@@ -91,8 +91,9 @@ def test_prepare_expands_the_seed_once(tmp_path):
 
 @pytest.mark.parametrize("p", [[], ["--p", "1e-5"]], ids=["matched-p", "given-p"])
 def test_prepare_builds_the_family_and_its_seed_orders_once(tmp_path, p):
-    # the fraction, the seed and the single-spin ratio share one family state
-    with mock.patch.object(nmr, "_seed_orders", wraps=nmr._seed_orders) as orders, \
+    # only the seed needs the family state and its Pauli coordinates; the
+    # fraction and the single-spin ratio come from the closed-form z-orders
+    with mock.patch.object(nmr, "state_parameters", wraps=nmr.state_parameters) as orders, \
             mock.patch.object(nmr, "bound_entangled_state",
                               wraps=nmr.bound_entangled_state) as family:
         assert run(["prepare", *p, "--out", str(tmp_path / "prep.json")]) == 0
@@ -310,6 +311,13 @@ _NUMERIC = "objects with numeric value and sigma"
     ("ppt", core.matrix_to_json(np.eye(8) / 4), "error:"),
     ("optimize", "0", "--restarts 0 must be at least 1"),
     ("optimize", "-3", "--restarts -3 must be at least 1"),
+    ("seed", ["report", "--seed", "-1"], "--seed -1"),
+    ("seed", ["tomo", "simulate", "--state", "{rho}", "--seed", "-1"], "--seed -1"),
+    ("seed", ["tomo", "simulate", "--state", "{rho}", "--sigma", "0", "--seed", "-1"],
+     "--seed -1"),
+    ("seed", ["witness", "optimize", "--seed", "-1", "--restarts", "2", "--range", "0.3:0.31"],
+     "--seed -1"),
+    ("seed", ["verify", "--seed", "-1"], "--seed -1"),
 ], ids=["ppt-missing-im", "metrics-missing-im", "ppt-list", "ppt-non-numeric",
         "ppt-null-dim", "tomo-missing-detect", "tomo-object", "tomo-empty",
         "tomo-bad-line", "tomo-bad-setting", "tomo-bad-detect", "tomo-bad-quad",
@@ -317,16 +325,20 @@ _NUMERIC = "objects with numeric value and sigma"
         "tomo-tiny-sigma", "tomo-huge-sigma",
         "ppt-deep", "tomo-deep", "metrics-deep", "ppt-not-hermitian",
         "metrics-not-hermitian", "ppt-trace-2", "optimize-zero-restarts",
-        "optimize-negative-restarts"])
+        "optimize-negative-restarts", "report-negative-seed", "tomo-negative-seed",
+        "tomo-exact-negative-seed", "optimize-negative-seed", "verify-negative-seed"])
 def test_malformed_input_exits_2(tmp_path, capsys, command, payload, message):
     bad = tmp_path / "bad.json"
     bad.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     rho = tmp_path / "rho.json"
     run(["state", "--out", str(rho)])
-    argv = {"ppt": ["ppt", "--state", str(bad)],
-            "metrics": ["metrics", "--state", str(bad), "--reference", str(rho)],
-            "tomo": ["tomo", "reconstruct", "--data", str(bad)],
-            "optimize": ["witness", "optimize", "--restarts", str(payload)]}[command]
+    if command == "seed":   # the payload is the command line itself
+        argv = [arg.format(rho=rho) for arg in payload]
+    else:
+        argv = {"ppt": ["ppt", "--state", str(bad)],
+                "metrics": ["metrics", "--state", str(bad), "--reference", str(rho)],
+                "tomo": ["tomo", "reconstruct", "--data", str(bad)],
+                "optimize": ["witness", "optimize", "--restarts", str(payload)]}[command]
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert "error:" in err and message in err and "Traceback" not in err
@@ -366,6 +378,45 @@ def test_non_finite_parameter_exits_2(tmp_path, capsys, argv, name):
     assert name in capsys.readouterr().err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
+
+
+def _family_argv(command, a, rho):
+    return {"state": ["state", "--a", a],
+            "witness-eval": ["witness", "eval", "--a", a, "--state", str(rho)],
+            "report": ["report", "--a", a],
+            "prepare": ["prepare", "--a", a],
+            "prepare-given-p": ["prepare", "--a", a, "--p", "1e-5"]}[command]
+
+
+_FAMILY_COMMANDS = ["state", "witness-eval", "report", "prepare", "prepare-given-p"]
+
+
+@pytest.mark.parametrize("a", ["5e-324", "1e-308", "1e200"])
+@pytest.mark.parametrize("command", _FAMILY_COMMANDS)
+def test_family_parameter_outside_the_range_exits_2(tmp_path, capsys, command, a):
+    # a state or witness that cannot be formed in floating point is refused
+    # up front, naming the triple, and raises no warning on the way
+    rho = tmp_path / "rho.json"
+    run(["state", "--out", str(rho)])
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([*_family_argv(command, a, rho), "--out", str(out)]) == 2
+    assert "a1, a2, a3 must lie within [1e-150, 1e+150]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("a", ["1e-150", "1e150"])
+@pytest.mark.parametrize("command", _FAMILY_COMMANDS)
+def test_family_parameter_at_the_range_edges_runs(tmp_path, capsys, command, a):
+    rho = tmp_path / "rho.json"
+    run(["state", "--out", str(rho)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run([*_family_argv(command, a, rho), "--out", str(tmp_path / "out.json")])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2) and "Traceback" not in err
+    assert code != 2 or "a=" in err
 
 
 @pytest.mark.parametrize("p", [[], ["--p", "1e-5"]], ids=["matched-p", "given-p"])

@@ -129,16 +129,49 @@ def test_matched_fraction():
         nmr.matched_fraction(states.StateParams.symmetric(1.4), KAPPA_H)
 
 
-@pytest.mark.parametrize("a, p", [(A_OPT, None), (0.3, 1e-5), (1.0, None)])
-def test_preparation_inputs_match_the_steps_one_by_one(a, p):
-    params = states.StateParams.symmetric(a)
-    got_p, seed, five = nmr.preparation_inputs(params, KAPPA_H, p)
-    assert got_p == (nmr.matched_fraction(params, KAPPA_H) if p is None else p)
-    expected = nmr.target_diagonal(params, got_p)
-    assert _coefficients(seed).tolist() == _coefficients(expected).tolist()
-    np.testing.assert_array_equal(seed.state.matrix, expected.state.matrix)
-    for got, want in zip(five, nmr.initial_states(KAPPA_H, a=a), strict=True):
-        np.testing.assert_array_equal(got.matrix, want.matrix)
+# a from 1e-3 to 1e3, without the single-spin ratio's pole at 1 + sqrt(2) and
+# the matched fraction's budget root near 1.3818
+_CLOSED_FORM_A = [a for a in np.geomspace(1e-3, 1e3, 200)
+                  if abs(a - (1 + np.sqrt(2))) > 1e-2 and abs(a - 1.3818) > 1e-2]
+# the reference seed's fraction: the larger p, the less the Id/8 background's
+# rounding weighs in the coefficients read off the conjugated state
+_REFERENCE_P = 0.9
+
+
+def test_seed_orders_match_the_conjugated_family():
+    for a in np.geomspace(1e-3, 1e3, 200):
+        spec = nmr.target_diagonal(states.StateParams.symmetric(a), _REFERENCE_P)
+        np.testing.assert_allclose(nmr._seed_orders(a), _coefficients(spec),
+                                   rtol=0, atol=1e-12, err_msg=f"a={a}")
+
+
+def test_ratio_and_fraction_match_the_conjugated_family():
+    # each z-order's input amplitude, in the order z1, z1z2, z1z3, z2z3, z1z2z3
+    amplitudes = np.array([-1.0, *nmr.TWO_SPIN_AMPLITUDES, nmr.THREE_SPIN_AMPLITUDE])
+    for a in _CLOSED_FORM_A:
+        params = states.StateParams.symmetric(a)
+        c = _coefficients(nmr.target_diagonal(params, _REFERENCE_P))
+        assert nmr.single_spin_ratio(a) == pytest.approx(c[1] / c[0], rel=1e-12, abs=0)
+        budget = float(c[[0, 3, 4, 5, 6]] @ (1 / amplitudes))
+        if budget > 0:
+            assert nmr.matched_fraction(params, KAPPA_H) == pytest.approx(
+                KAPPA_H / budget, rel=1e-12, abs=0)
+        else:
+            with pytest.raises(ValueError, match="cannot synthesize"):
+                nmr.matched_fraction(params, KAPPA_H)
+
+
+def test_initial_states_name_a_at_the_diverging_ratio():
+    # within 1000 ulps of 1 + sqrt(2) the C single-spin order of the seed
+    # is zero or tiny: either the ratio or the input's positivity fails
+    pole = 1 + np.sqrt(2)
+    below = pole - np.spacing(pole) * np.arange(1000, 0, -1)
+    above = pole + np.spacing(pole) * np.arange(0, 1001)
+    for a in np.concatenate([below, above]).tolist():
+        with pytest.raises(ValueError, match=r"a=2\.414"):
+            nmr.initial_states(KAPPA_H, a)
+    with pytest.raises(ValueError, match="single-spin ratio diverges at a=2.414213562373095"):
+        nmr.single_spin_ratio(2.414213562373095)
 
 
 def test_weight_solver_exact_single_target():

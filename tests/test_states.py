@@ -18,6 +18,13 @@ def test_ghz_vectors():
 def test_params_validation_and_flag():
     with pytest.raises(ValueError):
         states.StateParams(0.0, 1.0, 1.0)
+    lo, hi = states.PARAM_RANGE
+    for a in (lo, hi):
+        states.StateParams(a, 1.0, 1.0)
+    for a in (-1.0, 0.0, 5e-324, 1e-308, np.nextafter(lo, 0), np.nextafter(hi, np.inf),
+              1e200, np.inf, np.nan):
+        with pytest.raises(ValueError, match=r"a1, a2, a3 must lie within .* got \(1\.0, "):
+            states.StateParams(1.0, 1.0, a)
     assert states.StateParams(2.0, 1.0, 0.5).entangled_regime is False
     assert states.StateParams(2.0, 1.0, 0.5 + 1e-6).entangled_regime is True
     assert states.StateParams.symmetric(A_OPT).entangled_regime is True
