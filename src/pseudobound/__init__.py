@@ -46,7 +46,6 @@ from .nmr import (
     DiagonalStateSpec,
     WeightSolution,
     depolarize,
-    expand_diagonal_state,
     factor_preparation,
     initial_states,
     matched_fraction,

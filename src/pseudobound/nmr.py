@@ -10,9 +10,9 @@ target.  Gradient-based spatial averaging is modelled as ideal, i.e. the
 five input states are taken as exactly diagonal.
 
 The seven z-orders of a diagonal state are seven of its Pauli coordinates
-in ``core``.  The seed is read off the conjugated family state; the
-matched fraction and the fifth input's ratio come from the seed's
-closed-form z-orders (``_seed_orders``) and need no state.
+in ``core``.  One map (``_z_order_matrix``) builds the five inputs and the
+seed from their z-orders; the seed's are the closed form ``_seed_orders``,
+which also gives the matched fraction and the fifth input's ratio.
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DensityOperator, _as_matrix, parameters_to_matrix, pauli_labels,
-                   simplex_projection, state_parameters)
-from .states import A_OPT, StateParams, PseudoState, bound_entangled_state, pseudo_state
+from .core import DensityOperator, parameters_to_matrix, pauli_labels, simplex_projection
+from .states import A_OPT, StateParams, PseudoState
 
 DEFAULT_KAPPA_H = 8.4e-5
 DEFAULT_P = DEFAULT_KAPPA_H / 3.61   # what the five inputs reach (matched_fraction)
@@ -101,49 +100,35 @@ class DiagonalStateSpec:
     state: DensityOperator
 
 
-def expand_diagonal_state(state, scale: float) -> DiagonalStateSpec:
-    """Read the z-product-operator coefficients off a diagonal state.
-
-    Coefficients are the Pauli coordinates of its real diagonal at the seven
-    z-orders, in units of scale/8; an off-diagonal above 1e-12 is a ValueError.
-    """
-    matrix = _as_matrix(state)
-    off = float(np.max(np.abs(matrix - np.diag(np.diag(matrix)))))
-    if off > 1e-12:
-        raise ValueError(f"state is not diagonal (off-diagonal {off:.3e} > 1e-12)")
-    diagonal = np.diag(np.real(np.diag(matrix))).astype(complex)
-    coeffs = (8.0 * _Z_WEIGHT * state_parameters(diagonal)[_Z_INDEX] / scale).tolist()
-    return DiagonalStateSpec(
-        single_spin=tuple(coeffs[0:3]),
-        two_spin=tuple(coeffs[3:6]),
-        three_spin=coeffs[6],
-        scale=scale,
-        state=DensityOperator(diagonal),
-    )
+def _z_order_matrix(orders, scale: float) -> np.ndarray:
+    """Id/8 + (scale/8) * sum(orders[k] * operator k), in the order of ``_Z_ORDERS``."""
+    theta = np.zeros(63)
+    theta[_Z_INDEX] = scale * orders / (8.0 * _Z_WEIGHT)
+    return parameters_to_matrix(theta)
 
 
 def target_diagonal(params: StateParams, p: float) -> DiagonalStateSpec:
     """Diagonal seed whose image under the preparation is the pseudo state.
 
-    Obtained by conjugating the pseudo state with the inverse preparation;
-    the result must come out diagonal, which ``expand_diagonal_state``
-    checks rather than assumes.  Coefficients are read off by trace inner
-    products against the orthogonal z-product-operator basis.
+    Built at scale p from the closed-form z-orders ``_seed_orders``, so its
+    coefficients do not depend on p.  It equals the pseudo state conjugated
+    by the inverse preparation, the reference it is tested against.
     """
     if not params.is_symmetric:
         raise ValueError("seed-state expansion is defined for symmetric triples")
     if not 0.0 < p < 1.0:
         raise ValueError(f"fraction p={p} outside (0, 1)")
-    target = pseudo_state(bound_entangled_state(params), p).rho.matrix
-    u = preparation_unitary()
-    return expand_diagonal_state(u.conj().T @ target @ u, p)
+    orders = _seed_orders(params.a1)
+    c = orders.tolist()
+    return DiagonalStateSpec(single_spin=tuple(c[0:3]), two_spin=tuple(c[3:6]), three_spin=c[6],
+                             scale=p, state=DensityOperator(_z_order_matrix(orders, p)))
 
 
 def _seed_orders(a: float) -> np.ndarray:
     """The seed's z-order coefficients (the same at every p), in ``_Z_ORDERS`` order.
 
-    Closed form of what ``target_diagonal`` reads off the conjugated family
-    state: (d, b, b, 2d, 2d, 2b, e), written in u = 1/(1+a^2) and
+    The z-orders of the family state conjugated by the inverse preparation,
+    in closed form: (d, b, b, 2d, 2d, 2b, e), written in u = 1/(1+a^2) and
     s = a/(1+a^2) as ``witness_bar`` is, so every positive float gives
     finite values.
     """
@@ -194,11 +179,9 @@ def initial_states(scale: float, a: float = A_OPT) -> list[DensityOperator]:
     orders[0, 6] = THREE_SPIN_AMPLITUDE
     orders[[1, 2, 3], [3, 4, 5]] = TWO_SPIN_AMPLITUDES
     orders[4, :3] = (-1.0, -r, -r)
-    thetas = np.zeros((5, 63))
-    thetas[:, _Z_INDEX] = scale * orders / (8.0 * _Z_WEIGHT)
     out = []
-    for theta in thetas:
-        m = parameters_to_matrix(theta)
+    for row in orders:
+        m = _z_order_matrix(row, scale)
         if np.min(np.real(np.diag(m))) < 0:
             raise ValueError(f"single-spin input loses positivity at a={a:g}, r={r:.3g}")
         out.append(DensityOperator(m))

@@ -90,15 +90,14 @@ def test_prepare_expands_the_seed_once(tmp_path):
 
 
 @pytest.mark.parametrize("p", [[], ["--p", "1e-5"]], ids=["matched-p", "given-p"])
-def test_prepare_builds_the_family_and_its_seed_orders_once(tmp_path, p):
-    # only the seed needs the family state and its Pauli coordinates; the
-    # fraction and the single-spin ratio come from the closed-form z-orders
-    with mock.patch.object(nmr, "state_parameters", wraps=nmr.state_parameters) as orders, \
-            mock.patch.object(nmr, "bound_entangled_state",
-                              wraps=nmr.bound_entangled_state) as family:
+def test_prepare_validates_seven_states(tmp_path, p):
+    # the seed, the five inputs and the prepared state: the seed is built from
+    # its closed-form z-orders, not from a validated family and pseudo state
+    post_init = vars(core.DensityOperator)["__post_init__"]
+    with mock.patch.object(core.DensityOperator, "__post_init__", autospec=True,
+                           side_effect=post_init) as validations:
         assert run(["prepare", *p, "--out", str(tmp_path / "prep.json")]) == 0
-    assert orders.call_count == 1
-    assert family.call_count == 1
+    assert validations.call_count == 7
 
 
 def test_prepare_without_p_past_the_reachable_a_exits_2(tmp_path, capsys):
@@ -208,7 +207,8 @@ def test_report_determinism():
 def test_report_refuses_p_zero(capsys):
     code = run(["report", "--p", "0"])
     assert code == 2
-    assert "p = 0" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "p = 0" in err
 
 
 def test_report_names_p_when_peeling_amplifies_rounding(capsys):

@@ -74,19 +74,33 @@ def _coefficients(spec):
     return np.array(spec.single_spin + spec.two_spin + (spec.three_spin,))
 
 
-def test_expansion_matches_product_operators(rng):
+def _spec(matrix, scale):
+    """A diagonal target state with its coefficients read off by the oracle."""
+    c = _product_operator_expansion(matrix, scale).tolist()
+    return nmr.DiagonalStateSpec(single_spin=tuple(c[0:3]), two_spin=tuple(c[3:6]),
+                                 three_spin=c[6], scale=scale,
+                                 state=core.DensityOperator(matrix))
+
+
+# the fraction at which coefficients are read off a state: the larger p, the less
+# the Id/8 background's rounding weighs in them
+_REFERENCE_P = 0.9
+
+
+def _conjugated_family(params, p):
+    """The reference seed: the pseudo state conjugated by the inverse preparation."""
+    u = nmr.preparation_unitary()
+    return u.conj().T @ states.pseudo_state(states.bound_entangled_state(params), p).rho.matrix @ u
+
+
+def test_expansion_matches_product_operators():
     for a in (0.1, 0.346, 1.0, 3.0):
-        spec = nmr.target_diagonal(states.StateParams.symmetric(a), 2.3e-5)
-        oracle = _product_operator_expansion(spec.state.matrix, 2.3e-5)
+        params = states.StateParams.symmetric(a)
+        seed = nmr.target_diagonal(params, 2.3e-5).state.matrix
+        assert np.max(np.abs(seed - _conjugated_family(params, 2.3e-5))) <= 1e-15
+        spec = nmr.target_diagonal(params, _REFERENCE_P)
+        oracle = _product_operator_expansion(spec.state.matrix, _REFERENCE_P)
         np.testing.assert_allclose(_coefficients(spec), oracle, rtol=0, atol=1e-12)
-    for _ in range(20):
-        scale = 10 ** rng.uniform(-5, 0)
-        d = rng.uniform(-0.5, 0.5, size=8)
-        matrix = np.diag(1 / 8 + scale * (d - d.mean()) / 8).astype(complex)
-        spec = nmr.expand_diagonal_state(matrix, scale)
-        np.testing.assert_allclose(_coefficients(spec),
-                                   _product_operator_expansion(matrix, scale),
-                                   rtol=0, atol=1e-12)
 
 
 def test_target_diagonal_guards():
@@ -94,19 +108,6 @@ def test_target_diagonal_guards():
         nmr.target_diagonal(states.StateParams(0.3, 0.3, 0.4), 1e-5)
     with pytest.raises(ValueError):
         nmr.target_diagonal(PARAMS, 0.0)
-
-
-def test_expand_diagonal_state_checks_diagonality():
-    seed = np.diag([1 / 8 + 1e-5] + [1 / 8] * 6 + [1 / 8 - 1e-5]).astype(complex)
-    seed[[1, 2], [1, 2]] += [3e-14j, -3e-14j]   # rounding-level imaginary populations
-    refused, accepted = seed.copy(), seed.copy()
-    refused[2, 5], refused[5, 2] = 2e-12j, -2e-12j
-    accepted[2, 5], accepted[5, 2] = 5e-13j, -5e-13j
-    with pytest.raises(ValueError, match=r"not diagonal \(off-diagonal 2.000e-12"):
-        nmr.expand_diagonal_state(refused, 1e-5)
-    state = nmr.expand_diagonal_state(accepted, 1e-5).state.matrix
-    assert np.all(np.imag(state) == 0)
-    np.testing.assert_array_equal(state, np.diag(np.real(np.diag(seed))))
 
 
 def test_target_diagonal_scaling_linearity():
@@ -133,15 +134,13 @@ def test_matched_fraction():
 # the matched fraction's budget root near 1.3818
 _CLOSED_FORM_A = [a for a in np.geomspace(1e-3, 1e3, 200)
                   if abs(a - (1 + np.sqrt(2))) > 1e-2 and abs(a - 1.3818) > 1e-2]
-# the reference seed's fraction: the larger p, the less the Id/8 background's
-# rounding weighs in the coefficients read off the conjugated state
-_REFERENCE_P = 0.9
 
 
 def test_seed_orders_match_the_conjugated_family():
     for a in np.geomspace(1e-3, 1e3, 200):
-        spec = nmr.target_diagonal(states.StateParams.symmetric(a), _REFERENCE_P)
-        np.testing.assert_allclose(nmr._seed_orders(a), _coefficients(spec),
+        reference = _product_operator_expansion(
+            _conjugated_family(states.StateParams.symmetric(a), _REFERENCE_P), _REFERENCE_P)
+        np.testing.assert_allclose(nmr._seed_orders(a), reference,
                                    rtol=0, atol=1e-12, err_msg=f"a={a}")
 
 
@@ -150,7 +149,7 @@ def test_ratio_and_fraction_match_the_conjugated_family():
     amplitudes = np.array([-1.0, *nmr.TWO_SPIN_AMPLITUDES, nmr.THREE_SPIN_AMPLITUDE])
     for a in _CLOSED_FORM_A:
         params = states.StateParams.symmetric(a)
-        c = _coefficients(nmr.target_diagonal(params, _REFERENCE_P))
+        c = _product_operator_expansion(_conjugated_family(params, _REFERENCE_P), _REFERENCE_P)
         assert nmr.single_spin_ratio(a) == pytest.approx(c[1] / c[0], rel=1e-12, abs=0)
         budget = float(c[[0, 3, 4, 5, 6]] @ (1 / amplitudes))
         if budget > 0:
@@ -176,7 +175,7 @@ def test_initial_states_name_a_at_the_diverging_ratio():
 
 def test_weight_solver_exact_single_target():
     five = nmr.initial_states(KAPPA_H)
-    target = nmr.expand_diagonal_state(five[2], KAPPA_H)
+    target = _spec(five[2].matrix, KAPPA_H)
     sol = nmr.solve_temporal_weights(five, target)
     np.testing.assert_allclose(sol.weights, [0, 0, 1, 0, 0], atol=1e-9)
     assert sol.residual <= 1e-12
@@ -203,8 +202,7 @@ def test_weight_solver_reports_infeasible_target():
     odd = np.eye(8, dtype=complex) / 8.0
     odd[0, 0] += 5e-5
     odd[1, 1] -= 5e-5
-    sol = nmr.solve_temporal_weights(
-        five, nmr.expand_diagonal_state(odd, KAPPA_H))
+    sol = nmr.solve_temporal_weights(five, _spec(odd, KAPPA_H))
     assert sol.residual > 1e-6 * KAPPA_H
 
 
@@ -241,8 +239,8 @@ def _weight_cases():
     for k in range(20):
         dev = rng.standard_normal(8) * KAPPA_H / 8
         target = np.diag(1 / 8 + dev - dev.mean()).astype(complex)
-        yield f"random {k}", five, nmr.expand_diagonal_state(target, KAPPA_H)
-    yield "zero target", five, nmr.expand_diagonal_state(np.eye(8) / 8, KAPPA_H)
+        yield f"random {k}", five, _spec(target, KAPPA_H)
+    yield "zero target", five, _spec(np.eye(8, dtype=complex) / 8, KAPPA_H)
     seed = nmr.target_diagonal(PARAMS, nmr.matched_fraction(PARAMS, KAPPA_H))
     for k in range(5):
         yield f"without input {k}", five[:k] + five[k + 1:], seed

@@ -1,0 +1,143 @@
+"""Mutant kill matrix for the invariant registry ``checks.CHECKS``.
+
+Each mutant replaces one module attribute that the package looks up at call
+time (as ``module.attr`` or as a module global) with a wrong version.  Before
+a mutant counts, its probe must read differently with the patch than without:
+a patch that misses the call sites the registry uses would otherwise pass as
+a survivor, or as a kill for the wrong reason.  The registry then runs in
+order on one ``default_rng(0)``, as ``pseudobound verify`` does, and stops at
+the first entry that fails (a ``CheckFailed`` or any other exception, which
+``verify`` also counts as a failure).  That entry must be the one the row
+names.  The unmutated entries are run by ``test_acceptance.py``.
+
+The witness optimization (criterion 06) is left out: it takes seconds, and no
+mutant here reaches the product-state search.
+
+A mutant that transposes only the first listed qubit of a cut is not in the
+table.  ``core.is_ppt`` transposes one qubit per cut, so that mutant never
+takes effect and would survive every entry without being wrong anywhere the
+registry looks.  A rotated cut-to-label mapping takes its place.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from pseudobound import checks, core, nmr, states, tomography
+from conftest import A_OPT
+
+PARAMS = states.StateParams.symmetric(A_OPT)
+FAMILY = states.bound_entangled_state(PARAMS)
+
+_partial_transpose = core.partial_transpose
+_is_ppt = core.is_ppt
+_peel_matrix = states.peel_matrix
+_reconstruct = tomography.reconstruct
+_seed_orders = nmr._seed_orders
+_preparation_unitary = nmr.preparation_unitary
+
+
+def _full_transpose(rho, transposed):
+    return core._as_matrix(rho).T
+
+
+def _rotated_transpose(rho, transposed):
+    # the cut labelled by qubit q transposes qubit q mod 3 + 1
+    return _partial_transpose(rho, [q % 3 + 1 for q in transposed])
+
+
+def _loose_is_ppt(rho, tolerance=None):
+    return _is_ppt(rho, tolerance=1e-2)
+
+
+def _overpeel(matrix, p):
+    return _peel_matrix(matrix, 1.01 * p)
+
+
+def _inflated_covariance(dataset):
+    result = _reconstruct(dataset)
+    return dataclasses.replace(result, covariance=1.5 * result.covariance)
+
+
+def _flipped_order(k):
+    def seed_orders(a):
+        orders = _seed_orders(a)
+        orders[k] = -orders[k]
+        return orders
+    return seed_orders
+
+
+def _flipped_unitary():
+    # negating the |111> row keeps the sequence unitary and its factors a
+    # rotation and a population permutation, but flips the GHZ corner it prepares
+    u = _preparation_unitary()
+    u[7] = -u[7]
+    return u
+
+
+def _ppt_verdicts():
+    ghz = np.outer(states.ghz(+1), states.ghz(+1).conj())
+    bell_12 = np.zeros((8, 8))
+    bell_12[np.ix_([0, 6], [0, 6])] = 0.5
+    noisy_ghz = 0.2016 * ghz + 0.7984 * np.eye(8) / 8
+    return [cut.ppt for m in (ghz, bell_12, noisy_ghz)
+            for cut in core.is_ppt(core.DensityOperator(m)).cuts]
+
+
+def _peeled():
+    return states.peel_matrix(states.pseudo_state(FAMILY, 0.5).rho.matrix, 0.5).matrix
+
+
+def _covariance():
+    dataset = tomography.generate_dataset(FAMILY, sigma=1e-3, seed=1)
+    return tomography.reconstruct(dataset).covariance
+
+
+def _seed_coefficients():
+    spec = nmr.target_diagonal(PARAMS, 1e-5)
+    return [*spec.single_spin, *spec.two_spin, spec.three_spin]
+
+
+def _prepared():
+    return nmr.prepare_pseudo_state(nmr.target_diagonal(PARAMS, 1e-5)).rho.matrix
+
+
+# name, (module, attribute, replacement), probe, the first registry entry to fail
+MUTANTS = [
+    ("full transpose", (core, "partial_transpose", _full_transpose), _ppt_verdicts,
+     "PPT negative control: GHZ"),
+    ("rotated cut-to-label mapping", (core, "partial_transpose", _rotated_transpose),
+     _ppt_verdicts, "PPT negative control: Bell pair and |0>"),
+    ("is_ppt tolerance 1e-2", (core, "is_ppt", _loose_is_ppt), _ppt_verdicts,
+     "PPT boundary control: noisy GHZ"),
+    ("peeling with 1.01 p", (states, "peel_matrix", _overpeel), _peeled,
+     "end-to-end exact report"),
+    ("covariance x1.5", (tomography, "reconstruct", _inflated_covariance), _covariance,
+     "whole-experiment covariance"),
+    *((f"seed order {label} sign", (nmr, "_seed_orders", _flipped_order(k)), _seed_coefficients,
+       "temporal averaging weld") for k, label in enumerate(nmr._Z_ORDERS)),
+    ("preparation |111> row sign", (nmr, "preparation_unitary", _flipped_unitary), _prepared,
+     "temporal averaging weld"),
+]
+
+
+def _first_failure():
+    rng = np.random.default_rng(0)
+    for name, check in checks.CHECKS:
+        if name == "witness optimization":
+            continue
+        try:
+            check(rng)
+        except Exception:
+            return name
+    return None
+
+
+@pytest.mark.parametrize("patch, probe, killer", [m[1:] for m in MUTANTS],
+                         ids=[m[0] for m in MUTANTS])
+def test_mutant_takes_effect_and_is_killed(monkeypatch, patch, probe, killer):
+    before = probe()
+    monkeypatch.setattr(*patch)
+    assert not np.array_equal(probe(), before), "the mutant did not take effect"
+    assert _first_failure() == killer
