@@ -170,6 +170,36 @@ def temporal_weld(rng) -> str:
     return f"weights residual {sol.residual:.1e}, weld gap {gap:.1e}, seed gap {seed_gap:.1e}"
 
 
+def synthesis_domain(rng) -> str:
+    # on (0, A_MAX] the matched fraction's weights are (p/kappa) * order / amplitude,
+    # all non-negative, and the solver reaches them; the Id/8 background's
+    # rounding, against deviations of size kappa, leaves about 5e-16/kappa
+    kappa = nmr.DEFAULT_KAPPA_H
+    tol = 1e-15 / kappa
+    amplitudes = np.array([nmr.THREE_SPIN_AMPLITUDE, *nmr.TWO_SPIN_AMPLITUDES, -1.0])
+    worst = np.zeros(3)
+    for a in (*np.linspace(nmr.A_MAX / 24, nmr.A_MAX, 24), A_OPT):
+        params = states.StateParams.symmetric(a)
+        p = nmr.matched_fraction(params, kappa)
+        seed = nmr.target_diagonal(params, p)
+        sol = nmr.solve_temporal_weights(nmr.initial_states(kappa, a=a), seed)
+        exact = p / kappa * nmr._seed_orders(a)[[6, 3, 4, 5, 0]] / amplitudes
+        deviation = float(np.linalg.norm(np.real(np.diag(seed.state.matrix)) - 1.0 / 8.0))
+        errors = np.array([np.max(np.abs(sol.weights - exact)), abs(sol.achieved_p / p - 1.0),
+                           sol.residual / deviation])
+        _require(exact.min() >= -1e-15 and np.all(errors <= tol),
+                 f"a={a:.4g}: weights {exact}, weight/p/residual errors {errors}")
+        worst = np.maximum(worst, errors)
+    # just past A_MAX the three-spin weight is negative: no matched fraction
+    try:
+        p = nmr.matched_fraction(states.StateParams.symmetric(0.7208), kappa)
+    except ValueError:
+        p = None
+    _require(p is None, f"a=0.7208 outside the domain, yet matched fraction {p}")
+    return (f"25 a in (0, {nmr.A_MAX:.6f}]: weight/p/residual errors at most "
+            f"{worst[0]:.1e}/{worst[1]:.1e}/{worst[2]:.1e}; a=0.7208 refused")
+
+
 def separable_boundary(rng) -> str:
     params = states.StateParams(1.0, 1.0, 1.0)
     rho = states.bound_entangled_state(params)
@@ -322,6 +352,7 @@ CHECKS = (
     ("state family rank", family_rank),  # criterion 04
     ("preparation unitary and factorization", preparation),
     ("temporal averaging weld", temporal_weld),  # criterion 05
+    ("temporal synthesis is exact on its domain", synthesis_domain),
     ("separable boundary behaviour", separable_boundary),
     ("witness optimization", witness_optimization),  # criterion 06
     ("tomography design rank and round trip", tomography_round_trip),  # criterion 07

@@ -11,6 +11,7 @@ datasets as JSON arrays of measurement records.  Exit codes: 0 all good,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -192,7 +193,7 @@ def build_report(cfg: RunConfig) -> dict:
     """prepare -> noise -> simulate -> reconstruct -> peel -> certify."""
     if cfg.p <= 0:
         raise ValueError(
-            "p must be positive: the peel step divides the reconstructed "
+            f"--p {cfg.p!r} must be positive: the peel step divides the reconstructed "
             "deviation by p and is undefined at p = 0")
     # measurement noise is quoted relative to the deviation amplitude, so
     # the absolute record sigma scales with p
@@ -317,7 +318,14 @@ def _add_params(parser, with_eps=False):
         parser.add_argument("--eps", type=float, default=witnesses.EPS_OPT)
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it.
+
+    Every ``main`` call in the process parses with this one parser, so do
+    not mutate it: an added argument or default would reach every later call.
+    It binds each subcommand to its ``cmd_*`` function when it is built.
+    """
     parser = argparse.ArgumentParser(
         prog="pseudobound",
         description="pseudo bound entanglement toolkit (three-qubit register)")

@@ -144,6 +144,12 @@ def _seed_orders(a: float) -> np.ndarray:
 THREE_SPIN_AMPLITUDE = 3.77
 TWO_SPIN_AMPLITUDES = (-2.0, -1.88, -2.0)   # on z1z2, z1z3, z2z3
 
+# The largest a at which the five inputs synthesize the seed: the seed's
+# three-spin order 48u/m - 8, and with it that input's weight, is negative
+# exactly where 3a^2 + 2a - 3 > 0.  The other four weights are non-negative
+# up to a = 1 + sqrt(2).
+A_MAX = (np.sqrt(10.0) - 1.0) / 3.0
+
 
 def single_spin_ratio(a: float = A_OPT) -> float:
     """Ratio of the H/F to the C single-spin coefficient in the seed state.
@@ -159,15 +165,22 @@ def single_spin_ratio(a: float = A_OPT) -> float:
     return float(b / d)
 
 
+# kappa, the proton polarization: from 1e-7 up, each input's deviation from
+# Id/8 outweighs that background's rounding enough for the weight solver's
+# orthogonality test (1e-9 relative), whose worst overlap is 8.3e-17/kappa
+KAPPA_RANGE = (1e-7, 1e-3)
+
+
 def _check_kappa(kappa: float) -> None:
-    if not 0.0 < kappa <= 1e-3:
-        raise ValueError(f"kappa={kappa} outside (0, 1e-3]")
+    lo, hi = KAPPA_RANGE
+    if not lo <= kappa <= hi:
+        raise ValueError(f"kappa={kappa} outside [{lo:g}, {hi:g}]")
 
 
 def initial_states(scale: float, a: float = A_OPT) -> list[DensityOperator]:
     """The five diagonal spin-order states used for temporal averaging.
 
-    ``scale`` is kappa, the proton polarization, in (0, 1e-3]; each state
+    ``scale`` is kappa, the proton polarization, within ``KAPPA_RANGE``; each state
     is Id/8 plus a single spin-order term (three-spin order, the three
     two-spin orders, and a fixed single-spin combination).  Only the last
     can lose positivity, where r diverges near a = 1 + sqrt(2): ValueError.
@@ -192,23 +205,25 @@ def matched_fraction(params: StateParams, kappa: float) -> float:
     """The pseudo-state fraction the five inputs can synthesize exactly.
 
     Matching each spin-order component of the seed against the one input
-    state that provides it forces the weights, and their normalization
-    fixes p; at the working point p is kappa/3.61 to three digits.  Above
-    a of about 1.39 that normalization is not positive and no fraction
-    exists: ``ValueError``, as for kappa outside (0, 1e-3].
+    state that provides it forces the weights, (p/kappa) * order / amplitude,
+    and their normalization fixes p; at the working point p is kappa/3.61
+    to three digits.  All five weights are non-negative exactly for
+    a <= ``A_MAX``; above it the three-spin order is negative and no
+    fraction is reached exactly: ``ValueError``, as for kappa outside
+    ``KAPPA_RANGE``.
     """
     if not params.is_symmetric:
         raise ValueError("seed-state expansion is defined for symmetric triples")
     _check_kappa(kappa)
+    if params.a1 > A_MAX:
+        raise ValueError(
+            f"the five input states cannot synthesize the seed at a={params.a1:g}: "
+            f"its three-spin order is negative above a = (sqrt(10) - 1)/3 = {A_MAX:.12g}; "
+            "pass --p to choose the pseudo-state fraction")
     orders = _seed_orders(params.a1)
     # each input's weight is p/kappa times its order over its amplitude
     budget = (orders[6] / THREE_SPIN_AMPLITUDE + np.sum(orders[3:6] / TWO_SPIN_AMPLITUDES)
               - orders[0])
-    if budget <= 0:
-        raise ValueError(
-            f"the five input states cannot synthesize the seed at a={params.a1:g} "
-            f"(z-order budget {budget:.3g} is not positive); pass --p to choose "
-            "the pseudo-state fraction")
     return float(kappa / budget)
 
 

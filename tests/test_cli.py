@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -106,6 +107,19 @@ def test_prepare_without_p_past_the_reachable_a_exits_2(tmp_path, capsys):
     assert "a=2" in err and "--p" in err
 
 
+def test_prepare_without_p_stops_at_the_synthesis_domain(tmp_path, capsys):
+    # a_max = (sqrt(10) - 1)/3 = 0.72076: past it the three-spin weight is negative
+    out = tmp_path / "prep.json"
+    assert run(["prepare", "--a", "0.7207", "--out", str(out)]) == 0
+    blob = json.loads(out.read_text())
+    assert blob["temporal_weights"]["achieved_p"] == pytest.approx(blob["p"], rel=1e-10)
+    out.unlink()
+    assert run(["prepare", "--a", "0.7208", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "a=0.7208" in err and "(sqrt(10) - 1)/3 = 0.720759220056" in err and "--p" in err
+    assert not out.exists()
+
+
 def test_prepare_near_the_diverging_ratio_names_a(tmp_path, capsys):
     # near a = 1 + sqrt(2) the single-spin input's ratio r diverges; the
     # default kappa is valid, so the message names a and r, not the scale
@@ -205,10 +219,10 @@ def test_report_determinism():
 
 
 def test_report_refuses_p_zero(capsys):
-    code = run(["report", "--p", "0"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "p = 0" in err
+    for typed in ("0", "-0", "-1"):
+        assert run(["report", "--p", typed]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --p {float(typed)!r} must be positive") and "p = 0" in err
 
 
 def test_report_names_p_when_peeling_amplifies_rounding(capsys):
@@ -419,14 +433,23 @@ def test_family_parameter_at_the_range_edges_runs(tmp_path, capsys, command, a):
     assert code != 2 or "a=" in err
 
 
+# below 1e-7 the inputs' deviations drown in the Id/8 background's rounding
 @pytest.mark.parametrize("p", [[], ["--p", "1e-5"]], ids=["matched-p", "given-p"])
-@pytest.mark.parametrize("kappa", ["0", "-1", "nan", "inf", "1"])
+@pytest.mark.parametrize("kappa", ["0", "-1", "nan", "inf", "1",
+                                   "5e-324", "1e-300", "1e-16", "1e-8", "9.9e-8"])
 def test_prepare_bad_kappa_names_kappa(tmp_path, capsys, kappa, p):
     out = tmp_path / "out.json"
     assert run(["prepare", "--kappa", kappa, *p, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "kappa" in err and "fraction p=" not in err
+    assert f"kappa={float(kappa)} outside [1e-07, 0.001]" in err and "fraction p=" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kappa", ["1e-7", "1e-3"])
+def test_prepare_kappa_at_the_range_ends_runs(tmp_path, kappa):
+    out = tmp_path / "out.json"
+    assert run(["prepare", "--kappa", kappa, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["temporal_weights"]["residual"] <= 1e-15
 
 
 def test_non_register_state_exits_2(tmp_path, capsys):
@@ -452,3 +475,88 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={"PYTHONPATH": str(src)}, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+# one call per subcommand, a usage error, help, a malformed file and a negative
+# seed; {out} is the call's output file, the other names are prepared inputs
+_CORPUS = [
+    ["state", "--out", "{out}"],
+    ["state", "--a", "0.3", "--p", "2.3e-5", "--out", "{out}"],
+    ["state", "--a1", "0.2", "--a2", "0.3", "--a3", "0.4"],
+    ["ppt", "--state", "{rho}", "--tolerance", "1e-6", "--out", "{out}"],
+    ["ppt", "--state", "{rho}"],
+    ["witness", "eval", "--a", "0.3", "--eps", "0.1", "--state", "{rho}", "--out", "{out}"],
+    ["witness", "optimize", "--range", "0.3:0.4", "--restarts", "3", "--seed", "1",
+     "--out", "{out}"],
+    ["prepare", "--out", "{out}"],
+    ["prepare", "--a", "0.3", "--p", "1e-5", "--kappa", "5e-5", "--out", "{out}"],
+    ["tomo", "simulate", "--state", "{ps}", "--sigma", "1e-7", "--seed", "3", "--out", "{out}"],
+    ["tomo", "reconstruct", "--data", "{data}", "--project", "--out", "{out}"],
+    ["tomo", "reconstruct", "--data", "{data}", "--out", "{out}"],
+    ["metrics", "--state", "{rho}", "--reference", "{ps}", "--out", "{out}"],
+    ["report", "--sigma", "0.02", "--seed", "4", "--out", "{out}"],
+    ["report"],
+    ["verify", "--seed", "1"],
+    ["tomo", "simulate", "--sigma", "1e-3"],
+    ["--help"],
+    ["witness", "optimize", "--help"],
+    ["ppt", "--state", "{bad}"],
+    ["report", "--seed", "-1"],
+]
+
+
+def _corpus_call(argv, paths, capsys):
+    """Exit code, stdout, stderr and output file bytes of one ``main`` call."""
+    out = paths["out"]
+    try:
+        code = run([arg.format(**paths) for arg in argv])
+    except SystemExit as exc:   # argparse exits on usage errors and --help
+        code = exc.code
+    captured = capsys.readouterr()
+    written = out.read_bytes() if out.exists() else None
+    out.unlink(missing_ok=True)
+    return code, captured.out, captured.err, written
+
+
+def test_a_reused_parser_leaks_no_state(tmp_path, monkeypatch, capsys):
+    paths = {name: tmp_path / f"{name}.json" for name in ("out", "rho", "ps", "data", "bad")}
+    run(["state", "--out", str(paths["rho"])])
+    run(["state", "--p", "2.3e-5", "--out", str(paths["ps"])])
+    run(["tomo", "simulate", "--state", str(paths["ps"]), "--sigma", "1e-7",
+         "--out", str(paths["data"])])
+    paths["bad"].write_text("not json{")
+    monkeypatch.setattr(checks, "CHECKS", checks.CHECKS[:3])   # the parser is under test
+    capsys.readouterr()
+    fresh = []
+    for argv in _CORPUS:
+        cli.make_parser.cache_clear()
+        fresh.append(_corpus_call(argv, paths, capsys))
+    assert {result[0] for result in fresh} == {0, 1, 2}
+    order = [*range(len(_CORPUS)), *reversed(range(len(_CORPUS)))]
+    for k in order:
+        assert _corpus_call(_CORPUS[k], paths, capsys) == fresh[k], _CORPUS[k]
+
+
+def test_main_builds_one_parser_per_process(tmp_path):
+    # counted in a fresh interpreter: nothing at import, one tree over 20 calls
+    src = Path(pseudobound.__file__).resolve().parents[1]
+    code = ("import argparse, sys\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "from pseudobound import cli\n"
+            "counts = [len(built)]\n"
+            "for k in range(20):\n"
+            "    cli.main(['state', '--a', str(0.1 + k / 100), '--out', sys.argv[1]])\n"
+            "    counts.append(len(built))\n"
+            "print(*counts)")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "rho.json")],
+                         capture_output=True, text=True, check=True,
+                         env={"PYTHONPATH": str(src)}, timeout=60)
+    imported, one_tree, *later = map(int, out.stdout.split())
+    assert imported == 0
+    assert one_tree >= 13   # the root, the eight commands and the four second-level ones
+    assert later == [one_tree] * 19

@@ -3,6 +3,7 @@
 from functools import reduce
 from itertools import combinations
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -125,15 +126,17 @@ def test_single_spin_ratio():
 def test_matched_fraction():
     p = nmr.matched_fraction(PARAMS, KAPPA_H)
     assert KAPPA_H / p == pytest.approx(3.61, abs=0.01)
-    # past a of about 1.39 the five inputs' z-order budget changes sign
-    with pytest.raises(ValueError, match="cannot synthesize the seed at a=1.4"):
-        nmr.matched_fraction(states.StateParams.symmetric(1.4), KAPPA_H)
+    assert nmr.A_MAX == pytest.approx(0.720759220056, abs=1e-12)
+    nmr.matched_fraction(states.StateParams.symmetric(0.7207), KAPPA_H)
+    # past a_max the seed's three-spin order, and that input's weight, is negative
+    for a in (0.7208, 1.0, 1.4):
+        with pytest.raises(ValueError, match=rf"cannot synthesize the seed at a={a:g}:.*"
+                                             r"\(sqrt\(10\) - 1\)/3 = 0\.72075922005.*--p"):
+            nmr.matched_fraction(states.StateParams.symmetric(a), KAPPA_H)
 
 
-# a from 1e-3 to 1e3, without the single-spin ratio's pole at 1 + sqrt(2) and
-# the matched fraction's budget root near 1.3818
-_CLOSED_FORM_A = [a for a in np.geomspace(1e-3, 1e3, 200)
-                  if abs(a - (1 + np.sqrt(2))) > 1e-2 and abs(a - 1.3818) > 1e-2]
+# a from 1e-3 to 1e3, without the single-spin ratio's pole at 1 + sqrt(2)
+_CLOSED_FORM_A = [a for a in np.geomspace(1e-3, 1e3, 200) if abs(a - (1 + np.sqrt(2))) > 1e-2]
 
 
 def test_seed_orders_match_the_conjugated_family():
@@ -151,8 +154,9 @@ def test_ratio_and_fraction_match_the_conjugated_family():
         params = states.StateParams.symmetric(a)
         c = _product_operator_expansion(_conjugated_family(params, _REFERENCE_P), _REFERENCE_P)
         assert nmr.single_spin_ratio(a) == pytest.approx(c[1] / c[0], rel=1e-12, abs=0)
-        budget = float(c[[0, 3, 4, 5, 6]] @ (1 / amplitudes))
-        if budget > 0:
+        # every weight order/amplitude is non-negative where the three-spin order is
+        if c[6] >= 0:
+            budget = float(c[[0, 3, 4, 5, 6]] @ (1 / amplitudes))
             assert nmr.matched_fraction(params, KAPPA_H) == pytest.approx(
                 KAPPA_H / budget, rel=1e-12, abs=0)
         else:
@@ -233,7 +237,7 @@ def _weight_cases():
     for a in (0.25, 0.346, 0.45, 1.0, 2.0):
         params = states.StateParams.symmetric(a)
         inputs = nmr.initial_states(KAPPA_H, a=a)
-        matched = [nmr.matched_fraction(params, KAPPA_H)] if a < 1.3 else []
+        matched = [nmr.matched_fraction(params, KAPPA_H)] if a <= nmr.A_MAX else []
         for p in matched + [1e-5, 5e-5, 1e-4]:
             yield f"a={a} p={p:.3g}", inputs, nmr.target_diagonal(params, p)
     for k in range(20):
@@ -261,6 +265,50 @@ def test_weight_solver_refuses_degenerate_inputs():
                             (five + [core.DensityOperator(np.eye(8) / 8)], "no deviation")):
         with pytest.raises(ValueError, match=message):
             nmr.solve_temporal_weights(inputs, target)
+
+
+def _exact_weights(a):
+    """Oracle: the five weights at the matched fraction, to 50 digits.
+
+    From the seed's z-orders (d, b, b, 2d, 2d, 2b, e) as rational functions
+    of a; each weight is order/amplitude, normalized to sum to one.
+    """
+    with mpmath.workdps(50):
+        a = mpmath.mpf(float(a))
+        m = a * (3 * a + 2) + 3
+        d, b, e = 2 * ((a - 2) * a - 1) / m, -2 * (a - 1) ** 2 / m, 48 / m - 8
+        amplitudes = [nmr.THREE_SPIN_AMPLITUDE, *nmr.TWO_SPIN_AMPLITUDES, -1.0]
+        x = [order / mpmath.mpf(amp) for order, amp in zip((e, 2 * d, 2 * d, 2 * b, d), amplitudes)]
+        return [float(v / sum(x)) for v in x]
+
+
+def test_weights_match_the_exact_synthesis_on_its_domain():
+    # the Id/8 background's rounding, against deviations of size kappa, leaves
+    # errors of up to about 2e-16/kappa on the solved weights
+    for a in (*np.linspace(nmr.A_MAX / 40, nmr.A_MAX, 40), A_OPT, 0.7207):
+        params = states.StateParams.symmetric(a)
+        seed = nmr.target_diagonal(params, nmr.matched_fraction(params, KAPPA_H))
+        sol = nmr.solve_temporal_weights(nmr.initial_states(KAPPA_H, a=a), seed)
+        np.testing.assert_allclose(sol.weights, _exact_weights(a), rtol=0, atol=1e-15 / KAPPA_H,
+                                   err_msg=f"a={a}")
+    with mpmath.workdps(50):
+        # the domain ends at the root of 3a^2 + 2a - 3, where the three-spin order vanishes
+        assert abs(nmr.A_MAX - (mpmath.sqrt(10) - 1) / 3) <= 1e-16
+        assert _exact_weights(0.7207)[0] > 0 > _exact_weights(0.7208)[0]
+
+
+def test_weight_solver_accepts_the_inputs_at_the_smallest_kappa():
+    # the rounding gives the inputs' deviations a relative overlap of up to
+    # 8.3e-17/kappa, so from KAPPA_RANGE's 1e-7 it stays below the solver's 1e-9
+    kappa = nmr.KAPPA_RANGE[0]
+    for a in np.linspace(nmr.A_MAX / 200, nmr.A_MAX, 200):
+        params = states.StateParams.symmetric(a)
+        seed = nmr.target_diagonal(params, nmr.matched_fraction(params, kappa))
+        sol = nmr.solve_temporal_weights(nmr.initial_states(kappa, a=a), seed)
+        np.testing.assert_allclose(sol.weights, _exact_weights(a), rtol=0, atol=1e-15 / kappa,
+                                   err_msg=f"a={a}")
+    with pytest.raises(ValueError, match=r"kappa=9\.9e-08 outside \[1e-07, 0\.001\]"):
+        nmr.initial_states(9.9e-8)
 
 
 def test_preparation_unitary():

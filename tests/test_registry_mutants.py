@@ -68,6 +68,17 @@ def _flipped_order(k):
     return seed_orders
 
 
+def _budget_only_fraction(params, kappa):
+    # the old rule: refuse only where the z-order budget is not positive, so
+    # that a negative three-spin weight passes as an exact synthesis
+    orders = _seed_orders(params.a1)
+    budget = (orders[6] / nmr.THREE_SPIN_AMPLITUDE
+              + np.sum(orders[3:6] / nmr.TWO_SPIN_AMPLITUDES) - orders[0])
+    if budget <= 0:
+        raise ValueError(f"z-order budget {budget:.3g} is not positive")
+    return float(kappa / budget)
+
+
 def _flipped_unitary():
     # negating the |111> row keeps the sequence unitary and its factors a
     # rotation and a population permutation, but flips the GHZ corner it prepares
@@ -99,6 +110,16 @@ def _seed_coefficients():
     return [*spec.single_spin, *spec.two_spin, spec.three_spin]
 
 
+def _fractions():
+    out = []
+    for a in (0.7207, 0.7208, 1.0):
+        try:
+            out.append(nmr.matched_fraction(states.StateParams.symmetric(a), nmr.DEFAULT_KAPPA_H))
+        except ValueError:
+            out.append(-1.0)
+    return out
+
+
 def _prepared():
     return nmr.prepare_pseudo_state(nmr.target_diagonal(PARAMS, 1e-5)).rho.matrix
 
@@ -119,6 +140,8 @@ MUTANTS = [
        "temporal averaging weld") for k, label in enumerate(nmr._Z_ORDERS)),
     ("preparation |111> row sign", (nmr, "preparation_unitary", _flipped_unitary), _prepared,
      "temporal averaging weld"),
+    ("matched fraction on the budget's sign only", (nmr, "matched_fraction", _budget_only_fraction),
+     _fractions, "temporal synthesis is exact on its domain"),
 ]
 
 
