@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import cli, core, nmr, states, tomography, witnesses
+from . import core, nmr, pipeline, states, tomography, witnesses
 from .states import A_OPT
 from .witnesses import EPS_OPT
 
@@ -304,7 +304,7 @@ def projector_spectrum(rng) -> str:
 
 
 def noisy_report(rng) -> str:
-    rep = cli.build_report(cli.RunConfig())
+    rep = pipeline.build_report(pipeline.RunConfig())
     m, w = rep["metrics"], rep["witness"]
     detail = (f"F {m['uhlmann_fidelity']:.4f}, dt {m['trace_distance']:.4f}, "
               f"<W> {w['expectation']:+.4f} +/- {w['sigma']:.4f}")
@@ -317,7 +317,7 @@ def noisy_report(rng) -> str:
 
 def exact_report(rng) -> str:
     # exact data and no depolarization: the pipeline must hand back the family state
-    rep = cli.build_report(cli.RunConfig(sigma=0.0, noise_lambda=0.0))
+    rep = pipeline.build_report(pipeline.RunConfig(sigma=0.0, noise_lambda=0.0))
     dist, w = rep["metrics"]["trace_distance"], rep["witness"]
     detail = f"dt {dist:.1e}, <W> + eps {w['expectation'] + EPS_OPT:.1e}, sigma_W {w['sigma']}"
     _require(dist <= 1e-9 and abs(w["expectation"] + EPS_OPT) <= 1e-9 and w["sigma"] == 0.0,

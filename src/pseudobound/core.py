@@ -15,7 +15,8 @@ inverted by ``parameters_to_matrix``) are the one map that the tomography
 readout model, its error propagation and the NMR seed expansion use.  The
 other jobs shared by several modules are done here once too: the
 Hermiticity test ``check_hermitian``, ``simplex_projection`` (the NMR
-weights and the physical projection), ``_as_matrix`` and ``write_json``.
+weights and the physical projection), ``_as_matrix`` and ``json_text``, the
+one JSON text format of files and standard output.
 
 Everything here is a pure function of its inputs; wrapped matrices are
 frozen read-only, so values are safe to share between threads.
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 
@@ -130,7 +130,7 @@ class DensityOperator:
     tolerance: float = 1e-10
     spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, widen: bool = False, context: str | None = None):
+    def __post_init__(self, widen: bool = False):
         # the one validation pass; loose() calls it with widen=True
         tol = self.tolerance
         m = check_operator(self.matrix)
@@ -142,14 +142,7 @@ class DensityOperator:
         spectrum.setflags(write=False)
         lowest = float(spectrum[0])
         if widen:
-            needed = max(-lowest, 0.0) * (1 + 1e-9) + 1e-15
-            if needed > tol and context is not None:
-                warnings.warn(
-                    f"{context} violates positivity by {needed:.3e} "
-                    f"(beyond tolerance {tol:.1e}); widening tolerance",
-                    stacklevel=3,
-                )
-            object.__setattr__(self, "tolerance", max(tol, needed))
+            object.__setattr__(self, "tolerance", max(tol, -lowest * (1 + 1e-9) + 1e-15))
         elif lowest < -tol:
             raise ValueError(f"negative eigenvalue {lowest:.3e} beyond tol {tol:.1e}")
         m = m.copy()
@@ -158,20 +151,20 @@ class DensityOperator:
         object.__setattr__(self, "spectrum", spectrum)
 
     @classmethod
-    def loose(cls, matrix, context: str | None = None) -> "DensityOperator":
+    def loose(cls, matrix) -> "DensityOperator":
         """Wrap a matrix that may violate positivity, widening the tolerance.
 
         Unprojected estimates legitimately have small negative eigenvalues,
         so only positivity is relaxed: a Hermiticity or trace defect beyond
-        1e-6 means the matrix is no state and raises ValueError.  Given a
-        ``context`` naming the matrix, a warning is emitted when the negative
-        eigenvalue exceeds 1e-6 (the state is still returned).
+        1e-6 means the matrix is no state and raises ValueError.  A positivity
+        defect is not an error and raises no warning: it stays visible as
+        ``eigenvalues()[0] < 0`` and as a ``tolerance`` widened past 1e-6.
         """
         # skip __init__ so that the matrix is validated once, by the widening pass
         rho = object.__new__(cls)
         object.__setattr__(rho, "matrix", matrix)
         object.__setattr__(rho, "tolerance", 1e-6)
-        rho.__post_init__(widen=True, context=context)
+        rho.__post_init__(widen=True)
         return rho
 
     @property
@@ -380,10 +373,14 @@ def read_json(path):
             raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
+def json_text(payload) -> str:
+    """``payload`` as indented JSON text ending in a newline."""
+    return json.dumps(payload, indent=1) + "\n"
+
+
 def write_json(payload, path) -> None:
-    """Write ``payload`` as indented JSON text ending in a newline."""
     with open(path, "w") as fh:
-        fh.write(json.dumps(payload, indent=1) + "\n")
+        fh.write(json_text(payload))
 
 
 def matrix_to_json(matrix) -> dict:

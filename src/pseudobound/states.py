@@ -16,7 +16,9 @@ import numpy as np
 from .core import DensityOperator
 
 PRODUCT_ONE_TOLERANCE = 1e-12
-A_OPT = 0.3460   # the symmetric working point, found by witness optimization
+# the symmetric working point found by witness optimization; it sits 1.43e-5 below
+# a* = (1 + sqrt5 - sqrt(2 + 2 sqrt5))/2 = 0.3460143392, the root of a + 1/a = 1 + sqrt5
+A_OPT = 0.3460
 PARAM_RANGE = (1e-150, 1e150)
 
 
@@ -56,7 +58,8 @@ class StateParams:
 
     @property
     def is_symmetric(self) -> bool:
-        return abs(self.a1 - self.a2) < 1e-12 and abs(self.a2 - self.a3) < 1e-12
+        a1, a2, a3 = self.as_tuple()
+        return abs(a1 - a2) <= 1e-12 * max(a1, a2) and abs(a2 - a3) <= 1e-12 * max(a2, a3)
 
 
 def ghz(sign: int = +1) -> np.ndarray:
@@ -109,15 +112,16 @@ def peel_identity(ps: PseudoState) -> DensityOperator:
     """Invert the pseudo-state embedding: (rho - (1-p)/8 * Id) / p.
 
     Exact inputs round-trip to machine precision.  Reconstructed inputs may
-    come out slightly non-positive; that is reported as a warning (and the
-    wrapper tolerance widened), not an error.  A trace or Hermiticity
+    come out slightly non-positive; that is no error and raises no warning,
+    but shows in the result's ``eigenvalues()[0]`` and its widened
+    ``tolerance``.  A trace or Hermiticity
     defect is the validated input's rounding amplified by 1/p: ValueError.
     """
     if ps.p <= 0.0:
         raise ValueError("peeling is undefined at p = 0 (no deviation to rescale)")
     m = (ps.rho.matrix - (1.0 - ps.p) / 8 * np.eye(8)) / ps.p
     try:
-        return DensityOperator.loose(m, context="peeled state")
+        return DensityOperator.loose(m)
     except ValueError as exc:
         raise ValueError(f"peeling at p={ps.p:g} amplifies the rounding of the input "
                          f"state by 1/p = {1.0 / ps.p:.3g}: {exc}") from None

@@ -24,7 +24,9 @@ import numpy as np
 from .core import DensityOperator, check_hermitian, check_operator, eigvalsh, state_parameters
 from .states import StateParams, ghz
 
-EPS_OPT = 0.1069   # the identity shift at the working point states.A_OPT
+# the identity shift at the working point states.A_OPT; it sits 2.43e-5 below
+# eps* = a*/(1 + sqrt5) = a*^2/(1 + a*^2) = 0.1069243111, its closed form at a*
+EPS_OPT = 0.1069
 GRID_POINTS = 24         # coarse scan of optimize_parameters
 REFINE_ITERATIONS = 24   # golden-section steps after the scan
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import pseudobound
-from pseudobound import checks, cli, core, nmr, tomography
+from pseudobound import checks, cli, core, nmr, pipeline, tomography
 from conftest import EPS_OPT
 
 
@@ -475,6 +475,16 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={"PYTHONPATH": str(src)}, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_checks_import_loads_no_cli():
+    # the registry reaches the report through pipeline, not through the front end
+    src = Path(pseudobound.__file__).resolve().parents[1]
+    code = "import sys, pseudobound.checks; print('pseudobound.cli' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={"PYTHONPATH": str(src)}, timeout=60)
+    assert out.stdout.strip() == "False"
+    assert cli.build_report is pipeline.build_report and cli.RunConfig is pipeline.RunConfig
 
 
 # one call per subcommand, a usage error, help, a malformed file and a negative

@@ -105,8 +105,13 @@ def test_expansion_matches_product_operators():
 
 
 def test_target_diagonal_guards():
-    with pytest.raises(ValueError, match="symmetric"):
-        nmr.target_diagonal(states.StateParams(0.3, 0.3, 0.4), 1e-5)
+    # symmetry is relative: tiny distinct entries are refused, rounding at 1e6 is not
+    for triple in ((0.3, 0.3, 0.4), (1e-13, 5e-13, 9e-13)):
+        with pytest.raises(ValueError, match="symmetric"):
+            nmr.target_diagonal(states.StateParams(*triple), 1e-5)
+    rounded = nmr.target_diagonal(states.StateParams(1e6, 1e6 * (1 + 1e-15), 1e6), 1e-5)
+    exact = nmr.target_diagonal(states.StateParams.symmetric(1e6), 1e-5)
+    np.testing.assert_array_equal(rounded.state.matrix, exact.state.matrix)
     with pytest.raises(ValueError):
         nmr.target_diagonal(PARAMS, 0.0)
 

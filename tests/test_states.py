@@ -1,5 +1,7 @@
 """State family construction and the pseudo-state embedding."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -136,15 +138,17 @@ def test_peel_requires_positive_p(rho_opt):
         states.peel_identity(states.PseudoState(rho_opt, 0.0))
 
 
-def test_peel_warns_on_nonpositive_result(rho_opt):
+def test_peel_reports_negativity_through_spectrum(rho_opt):
     # push weight out of the zero mode of the family so the peeled state
-    # dips negative: a warning, not a failure
+    # dips negative: no error and no warning, the spectrum shows it
     p = 1e-4
     ps = states.pseudo_state(rho_opt, p)
     minus = states.ghz(-1)
     bump = np.zeros((8, 8), dtype=complex)
     bump[1, 1] = 1.0
     tilt = p * 1e-4 * (bump - np.outer(minus, minus.conj()))
-    with pytest.warns(UserWarning, match="peeled state"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         peeled = states.peel_matrix(ps.rho.matrix + tilt, p)
     assert peeled.eigenvalues()[0] < -1e-6
+    assert peeled.tolerance >= -peeled.eigenvalues()[0]

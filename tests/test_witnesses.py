@@ -282,6 +282,20 @@ def test_product_minimum_at_working_point():
         wb, [basis[0], basis[1], basis[1]]) + 1e-12
 
 
+def test_working_point_constants_against_closed_form():
+    a, eps = states.A_OPT, witnesses.EPS_OPT
+    # <101|W_bar|101> = a^2/(1 + a^2) bounds the product minimum: a larger
+    # shift would make W negative on a product state, and no witness
+    wb = witnesses.witness_bar(states.StateParams.symmetric(a))
+    assert wb[5, 5].real == pytest.approx(a**2 / (1 + a**2), rel=1e-14)
+    assert eps <= a**2 / (1 + a**2)
+    # the closed form solves a + 1/a = 1 + sqrt5, with eps* = a*/(1 + sqrt5)
+    a_star = (1 + np.sqrt(5) - np.sqrt(2 + 2 * np.sqrt(5))) / 2
+    assert a_star + 1 / a_star == pytest.approx(1 + np.sqrt(5), rel=1e-15)
+    assert abs(a - a_star) < 2e-5
+    assert abs(eps - a_star / (1 + np.sqrt(5))) < 3e-5
+
+
 def test_product_minimum_monotone_in_restarts():
     wb = witnesses.witness_bar(states.StateParams.symmetric(0.5))
     few = witnesses.min_over_product_states(wb, restarts=10, seed=9)
