@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
+import stat
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 
@@ -379,8 +381,31 @@ def json_text(payload) -> str:
 
 
 def write_json(payload, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(json_text(payload))
+    """Write ``json_text(payload)`` to ``path``, overwriting it in place.
+
+    The text is encoded before the file is opened, so a payload that cannot
+    be encoded leaves an existing file untouched.  The file is opened
+    without ``O_TRUNC`` and written from offset 0, then trimmed to the new
+    length when it is a regular file (``/dev/null`` and FIFOs are never
+    trimmed): truncating to zero first would make ext4 and XFS flush the
+    file on close.  Symlinks and hard links are written through; a new file
+    gets mode ``0o666 & ~umask``.  Not atomic, as truncating first was not:
+    that could leave an empty or short file, this can leave new bytes
+    followed by old ones.  Killed between the write and the trim, the file
+    holds the whole new text and then the old file's tail, which
+    ``read_json`` refuses as extra data (a tail that is a lone newline reads
+    as the new payload).
+    """
+    data = json_text(payload).encode()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def matrix_to_json(matrix) -> dict:

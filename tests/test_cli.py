@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -278,6 +279,21 @@ def test_cli_reports_bad_input(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert run(["ppt", "--state", str(missing)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_out_dev_null_exits_0(capsys):
+    assert run(["state", "--out", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("target, message", [
+    ("", "[Errno 21] Is a directory"),
+    ("missing/dir/x.json", "[Errno 2] No such file or directory"),
+], ids=["directory", "missing-directory"])
+def test_unwritable_out_exits_2(tmp_path, capsys, target, message):
+    out = str(tmp_path / target)
+    assert run(["state", "--out", out]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}: {out!r}\n")
 
 
 _RECORD = {"setting": "Y1E2E3", "detect": "C", "line": "00", "quad": "x",

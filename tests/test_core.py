@@ -1,6 +1,8 @@
 """Tensor algebra, Pauli coordinates, partial transpose, eigensolves and the two metrics."""
 
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -320,3 +322,79 @@ def test_simplex_projection_matches_bisection():
         expected = _simplex_oracle(c, np.ones_like(c) if n is None else n)
         np.testing.assert_allclose(q, expected, rtol=0, atol=1e-12, err_msg=label)
         assert q.min() >= 0.0 and q.sum() == pytest.approx(1.0, abs=1e-12), label
+
+
+_SHORT = {"x": 1}
+_LONG = {"x": list(range(50)), "y": "long"}
+
+
+@pytest.mark.parametrize("old, new", [(_LONG, _SHORT), (_SHORT, _LONG)],
+                         ids=["longer-to-shorter", "shorter-to-longer"])
+def test_write_json_overwrites_in_place(tmp_path, old, new):
+    path = tmp_path / "out.json"
+    core.write_json(old, path)
+    inode = path.stat().st_ino
+    core.write_json(new, path)
+    assert path.read_text() == core.json_text(new)
+    assert path.stat().st_ino == inode
+
+
+def test_write_json_keeps_the_old_file_when_encoding_fails(tmp_path):
+    path = tmp_path / "out.json"
+    core.write_json(_LONG, path)
+    with pytest.raises(TypeError):
+        core.write_json({"x": object()}, path)
+    assert path.read_text() == core.json_text(_LONG)
+
+
+def test_write_json_writes_through_links(tmp_path):
+    target, link, hard = tmp_path / "target.json", tmp_path / "link.json", tmp_path / "hard.json"
+    core.write_json(_LONG, target)
+    link.symlink_to(target)
+    os.link(target, hard)
+    core.write_json(_SHORT, link)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text() == hard.read_text() == core.json_text(_SHORT)
+
+
+def test_write_json_new_file_mode(tmp_path):
+    old = os.umask(0o027)
+    try:
+        core.write_json(_SHORT, tmp_path / "new.json")
+    finally:
+        os.umask(old)
+    assert (tmp_path / "new.json").stat().st_mode & 0o777 == 0o666 & ~0o027
+
+
+def test_write_json_never_truncates_to_zero(tmp_path, monkeypatch):
+    flags = []
+    real_open = os.open
+
+    def spy(path, flag, *args):
+        flags.append(flag)
+        return real_open(path, flag, *args)
+
+    monkeypatch.setattr(os, "open", spy)
+    core.write_json(_LONG, tmp_path / "out.json")
+    core.write_json(_SHORT, tmp_path / "out.json")
+    assert len(flags) == 2 and not any(flag & os.O_TRUNC for flag in flags)
+
+
+def test_write_json_to_a_fifo(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()))
+    reader.start()
+    core.write_json(_LONG, fifo)
+    reader.join(timeout=10)
+    assert not reader.is_alive() and got == [core.json_text(_LONG)]
+
+
+def test_read_json_refuses_new_text_over_an_old_tail(tmp_path):
+    # the file a writer killed between its write and its trim leaves behind
+    path = tmp_path / "out.json"
+    old, new = core.json_text(_LONG), core.json_text(_SHORT)
+    path.write_text(new + old[len(new):])
+    with pytest.raises(ValueError, match="Extra data"):
+        core.read_json(path)
