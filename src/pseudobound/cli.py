@@ -97,6 +97,8 @@ def cmd_witness_optimize(args) -> int:
         raise ValueError(f"--range must be LO:HI, got {args.range!r}") from None
     if args.restarts < 1:
         raise ValueError(f"--restarts {args.restarts} must be at least 1")
+    if args.restarts > witnesses.MAX_RESTARTS:
+        raise ValueError(f"--restarts {args.restarts} must be at most {witnesses.MAX_RESTARTS}")
     report = witnesses.optimize_parameters(
         search_range=search_range, restarts=args.restarts, seed=args.seed)
     _write_json(report.as_dict(), args.out)

@@ -142,6 +142,7 @@ def _state_vectors(r: np.ndarray) -> np.ndarray:
 
 
 _OTHERS = ((1, 2), (0, 2), (0, 1))
+MAX_RESTARTS = 10**5     # the descent keeps about 0.7 KB per start
 
 
 def min_over_product_states(w_bar, restarts: int = 200, seed: int = 0,
@@ -149,55 +150,74 @@ def min_over_product_states(w_bar, restarts: int = 200, seed: int = 0,
     """Best local minimum of <abc| W |abc> over pure product states.
 
     Block coordinate descent on the Bloch vectors r = (1, x, y, z) from
-    ``restarts`` random starts, all at once.  With two qubits held fixed the
-    trilinear form ``bloch_tensor`` is g_0 + g . r in the third, minimal at
-    r = -g/|g| (|0> when g = 0) with value g_0 - |g|, so no sweep raises the
-    value.  A start stops when a sweep lowers it by less than 1e-14 relative,
-    or after ``max_sweeps`` sweeps; the lowest final value wins, the first
-    start on ties.  The starts are one seeded draw, start by start, so the
-    result is deterministic and non-increasing in ``restarts``.  Only the
-    Hermitian part of W enters.  The value is the best local minimum found:
-    an upper bound on the product-state minimum, not a certified lower bound.
+    ``restarts`` random starts (at most ``MAX_RESTARTS``), all at once.
+    With two qubits held fixed the trilinear form ``bloch_tensor`` is
+    g_0 + g . r in the third, minimal at r = -g/|g| (|0> when g = 0) with
+    value g_0 - |g|, so no sweep raises the value.  A start stops when a
+    sweep lowers it by less than 1e-14 relative, or after ``max_sweeps``
+    sweeps; the lowest final value wins, the first start on ties.  The
+    starts are one seeded draw, start by start, so the result is
+    deterministic and non-increasing in ``restarts``.  Only the Hermitian
+    part of W enters.  The value is the best local minimum found: an upper
+    bound on the product-state minimum, not a certified lower bound.
+
+    The vectors are stored component-major, (qubit, component, start), so
+    each block step is a fixed handful of whole-array operations; with the
+    few hundred starts a call runs, its time follows the number of sweeps,
+    not the number of starts.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
+    if restarts > MAX_RESTARTS:
+        raise ValueError(f"restarts {restarts} exceeds MAX_RESTARTS = {MAX_RESTARTS}")
     if max_sweeps < 1:
         raise ValueError("need at least one sweep")
     t = bloch_tensor(w_bar)
     # blocks[q][(j, k), i]: T with qubit q in i, the other two jointly in (j, k)
-    blocks = [np.moveaxis(t, q, -1).reshape(16, 4) for q in range(3)]
+    blocks = [t.transpose(j, k, q).reshape(16, 4) for q, (j, k) in enumerate(_OTHERS)]
 
     draws = np.random.default_rng(seed).standard_normal((restarts, 3, 2, 2))
     psi = draws[..., 0, :] + 1j * draws[..., 1, :]
     psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
-    coherence = 2.0 * psi[..., 0].conj() * psi[..., 1]
+    coherence = (2.0 * psi[..., 0].conj() * psi[..., 1]).T
     cur = np.stack([np.ones(coherence.shape), coherence.real, coherence.imag,
-                    np.abs(psi[..., 0]) ** 2 - np.abs(psi[..., 1]) ** 2], axis=-1)
+                    (np.abs(psi[..., 0]) ** 2 - np.abs(psi[..., 1]) ** 2).T], axis=1)
 
     states = np.empty_like(cur)
     values = np.empty(restarts)
-    active = np.arange(restarts)        # starts still descending, rows of cur
-    value = np.full(restarts, np.inf)
-    for _sweep in range(max_sweeps):
-        for q in range(3):
-            x, y = (cur[:, o] for o in _OTHERS[q])
-            g = (x[:, :, None] * y[:, None, :]).reshape(-1, 16) @ blocks[q]
+    active = np.arange(restarts)        # starts still descending, columns of cur
+    for sweep in range(max_sweeps):
+        # row i: the held qubits' outer product; C-contiguous, because a transposed
+        # operand takes another BLAS path and rounds differently
+        outer = np.empty((active.size, 16))
+        by_component = outer.reshape(-1, 4, 4).transpose(1, 2, 0)
+        for q, (j, k) in enumerate(_OTHERS):
+            np.multiply(cur[j, :, None], cur[k, None], out=by_component)
+            g = outer @ blocks[q]
             size = np.sqrt(np.einsum("ij,ij->i", g[:, 1:], g[:, 1:]))
-            val = g[:, 0] - size
-            flat = size == 0.0
-            g[flat, 3], size[flat] = -1.0, 1.0
-            cur[:, q, 1:] = -g[:, 1:] / size[:, None]
-        done = value - val < 1e-14 * np.maximum(1.0, np.abs(val))
-        states[active[done]] = cur[done]
-        values[active[done]] = val[done]
-        active, cur, value = active[~done], cur[~done], val[~done]
+            if q == 2:
+                val = g[:, 0] - size    # before the g = 0 patch below
+            if not size.all():
+                flat = size == 0.0
+                g[flat, 3], size[flat] = -1.0, 1.0
+            np.divide(g[:, 1:].T, -size, out=cur[q, 1:])
+        if sweep:                       # sweep 1 has no earlier value to compare
+            done = value - val < 1e-14 * np.maximum(1.0, np.abs(val))
+            if done.any():
+                stopped = active[done]
+                states[..., stopped] = cur[..., done]
+                values[stopped] = val[done]
+                keep = ~done
+                active, cur, val = active[keep], cur[..., keep], val[keep]
+        value = val
         if active.size == 0:
             break
-    states[active] = cur                # starts that ran out of sweeps
+    states[..., active] = cur           # starts that ran out of sweeps
     values[active] = value
 
     best = int(np.argmin(values))
-    return ProductStateMinimum(value=float(values[best]), states=_state_vectors(states[best]))
+    return ProductStateMinimum(value=float(values[best]),
+                               states=_state_vectors(states[..., best]))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import pseudobound
-from pseudobound import checks, cli, core, nmr, pipeline, tomography
+from pseudobound import checks, cli, core, nmr, pipeline, tomography, witnesses
 from conftest import EPS_OPT
 
 
@@ -341,6 +341,9 @@ _NUMERIC = "objects with numeric value and sigma"
     ("ppt", core.matrix_to_json(np.eye(8) / 4), "error:"),
     ("optimize", "0", "--restarts 0 must be at least 1"),
     ("optimize", "-3", "--restarts -3 must be at least 1"),
+    ("optimize", "10000000000000", "--restarts 10000000000000 must be at most 100000"),
+    ("optimize", str(witnesses.MAX_RESTARTS + 1),
+     f"--restarts {witnesses.MAX_RESTARTS + 1} must be at most {witnesses.MAX_RESTARTS}"),
     ("seed", ["report", "--seed", "-1"], "--seed -1"),
     ("seed", ["tomo", "simulate", "--state", "{rho}", "--seed", "-1"], "--seed -1"),
     ("seed", ["tomo", "simulate", "--state", "{rho}", "--sigma", "0", "--seed", "-1"],
@@ -355,7 +358,8 @@ _NUMERIC = "objects with numeric value and sigma"
         "tomo-tiny-sigma", "tomo-huge-sigma",
         "ppt-deep", "tomo-deep", "metrics-deep", "ppt-not-hermitian",
         "metrics-not-hermitian", "ppt-trace-2", "optimize-zero-restarts",
-        "optimize-negative-restarts", "report-negative-seed", "tomo-negative-seed",
+        "optimize-negative-restarts", "optimize-huge-restarts",
+        "optimize-restarts-over-cap", "report-negative-seed", "tomo-negative-seed",
         "tomo-exact-negative-seed", "optimize-negative-seed", "verify-negative-seed"])
 def test_malformed_input_exits_2(tmp_path, capsys, command, payload, message):
     bad = tmp_path / "bad.json"

@@ -117,6 +117,13 @@ def test_product_minimum_trivial_cases():
     assert val == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
         witnesses.min_over_product_states(np.eye(8), restarts=0)
+    # the restarts guard runs before anything is built: over the cap it
+    # refuses at once, and at the cap it lets the call go on to the operator's
+    # own shape check, which refuses a 2x2 operator before any start is drawn
+    with pytest.raises(ValueError, match="exceeds MAX_RESTARTS"):
+        witnesses.min_over_product_states(np.eye(8), restarts=witnesses.MAX_RESTARTS + 1)
+    with pytest.raises(ValueError, match="operator must be 8x8"):
+        witnesses.min_over_product_states(np.eye(2), restarts=witnesses.MAX_RESTARTS)
 
 
 def _oracle_min_over_product_states(w_bar, restarts, seed, max_sweeps=200):
@@ -217,13 +224,17 @@ def test_product_minimum_degenerate_fallback(diagonal):
             np.testing.assert_array_equal(result.states, [[1, 0], [1, 0], [1, 0]])
 
 
-@pytest.mark.parametrize("w", [np.eye(8), np.zeros((8, 8))], ids=["identity", "zero"])
-def test_product_minimum_flat_field_takes_0(w):
-    # g = 0 on every update: each qubit takes |0>, as the oracle's a <= d rule
-    result = witnesses.min_over_product_states(w, restarts=5, seed=1)
-    _, want_states = _oracle_min_over_product_states(w, 5, 1)
-    np.testing.assert_array_equal(result.states, want_states)
-    np.testing.assert_array_equal(result.states, [[1, 0], [1, 0], [1, 0]])
+@pytest.mark.parametrize("w, value", [(np.eye(8), 1.0), (np.zeros((8, 8)), 0.0)],
+                         ids=["identity", "zero"])
+def test_product_minimum_flat_field_takes_0(w, value):
+    # g = 0 on every update: each qubit takes |0>, as the oracle's a <= d rule,
+    # and the value is g_0 - |g| = g_0, read before the update replaces |g| by 1
+    for sweeps in ({"max_sweeps": 1}, {"max_sweeps": 2}, {}):
+        result = witnesses.min_over_product_states(w, restarts=5, seed=1, **sweeps)
+        _, want_states = _oracle_min_over_product_states(w, 5, 1, **sweeps)
+        assert result.value == value
+        np.testing.assert_array_equal(result.states, want_states)
+        np.testing.assert_array_equal(result.states, [[1, 0], [1, 0], [1, 0]])
 
 
 def _bloch(v):
