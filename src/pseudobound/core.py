@@ -59,11 +59,12 @@ def _as_matrix(op) -> np.ndarray:
     return check_operator(op)
 
 
-def check_hermitian(m: np.ndarray, tolerance: float, what: str) -> None:
-    """Raise ValueError if max|m - m^dag| exceeds ``tolerance`` (absolute)."""
+def check_hermitian(m: np.ndarray, tolerance: float, what: str) -> float:
+    """The defect max|m - m^dag|; raise ValueError if it exceeds ``tolerance`` (absolute)."""
     defect = float(np.max(np.abs(m - m.conj().T)))
     if defect > tolerance:
         raise ValueError(f"{what} is not Hermitian (defect {defect:.3e} > tol {tolerance:.1e})")
+    return defect
 
 
 def simplex_projection(c, n=None) -> np.ndarray:
@@ -136,11 +137,12 @@ class DensityOperator:
         # the one validation pass; loose() calls it with widen=True
         tol = self.tolerance
         m = check_operator(self.matrix)
-        check_hermitian(m, tol, "state")
-        tr = complex(np.trace(m))
+        defect = check_hermitian(m, tol, "state")
+        tr = complex(m.trace())
         if abs(tr - 1.0) > (tol if widen else max(tol, 1e-12)):
             raise ValueError(f"trace {tr:.8g} != 1 beyond tol {tol:.1e}")
-        spectrum = np.linalg.eigvalsh((m + m.conj().T) / 2)
+        # an exactly Hermitian m is its own Hermitian part, bit for bit
+        spectrum = np.linalg.eigvalsh(m if defect == 0.0 else (m + m.conj().T) / 2)
         spectrum.setflags(write=False)
         lowest = float(spectrum[0])
         if widen:
@@ -265,7 +267,9 @@ def is_ppt(rho: DensityOperator, tolerance: float | None = None) -> PPTReport:
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"PPT tolerance {tol} must be finite and non-negative")
     # one eigensolve of the (3, 8, 8) stack; row k belongs to THREE_QUBIT_CUTS[k]
-    stack = np.stack([partial_transpose(rho, cut.transposed) for cut in THREE_QUBIT_CUTS])
+    stack = np.empty((len(THREE_QUBIT_CUTS), 8, 8), dtype=complex)
+    for k, cut in enumerate(THREE_QUBIT_CUTS):
+        stack[k] = partial_transpose(rho, cut.transposed)
     lows = np.linalg.eigvalsh(stack)[:, 0].tolist()
     return PPTReport(tuple(CutResult(cut, lo, lo >= -tol)
                            for cut, lo in zip(THREE_QUBIT_CUTS, lows)), tol)
@@ -280,15 +284,27 @@ def numeric_rank(h) -> int:
 def uhlmann_fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
     """Square-root fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)), in [0, 1].
 
+    The outer trace is the sum of the square roots of the eigenvalues of
+    sqrt(rho) sigma sqrt(rho); the outer square root itself is never formed.
     The clip level for small negative eigenvalues follows the declared
     tolerances of the arguments, so loosely wrapped reconstructed states
     compare cleanly against exact ones.
+
+    Conditioning: when sqrt(rho) sigma sqrt(rho) is rank-deficient (a
+    rank-deficient rho or sigma, such as a pure state or the rank-7 family
+    state), a structurally zero eigenvalue comes out as rounding of order
+    eps = 2.2e-16, and its square root adds about sqrt(eps) = 1.5e-8 to the
+    result.  The fidelity then carries about 1e-8 of rounding, and two
+    eigensolvers that round that eigenvalue differently give fidelities that
+    differ at that level.
     """
     slack = max(1e-8, rho.tolerance, sigma.tolerance)
     root = matrix_sqrt_psd(rho.matrix, tolerance=slack)
     inner = root @ sigma.matrix @ root
-    inner = (inner + inner.conj().T) / 2
-    f = float(np.real(np.trace(matrix_sqrt_psd(inner, tolerance=slack))))
+    vals = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
+    if vals[0] < -slack:
+        raise ValueError(f"matrix not PSD: eigenvalue {vals[0]:.3e}")
+    f = float(np.sqrt(np.maximum(vals, 0.0)).sum())
     # clipping the negative part of a loosely-validated input can push the
     # trace slightly past 1; the admissible overshoot scales with the slack
     if f > 1 + max(1e-7, 2.0 * np.sqrt(slack)):

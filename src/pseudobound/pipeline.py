@@ -4,6 +4,7 @@ the paper's two claims, PPT on every cut and a negative witness expectation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,11 +32,15 @@ def build_report(cfg: RunConfig) -> dict:
         raise ValueError(
             f"--p {cfg.p!r} must be positive: the peel step divides the reconstructed "
             "deviation by p and is undefined at p = 0")
+    if not math.isfinite(1.0 / cfg.p):
+        raise ValueError(
+            f"--p {cfg.p!r} must have a finite reciprocal: the peel step divides the "
+            "reconstructed deviation by p")
     # measurement noise is quoted relative to the deviation amplitude, so
-    # the absolute record sigma scales with p
+    # the absolute record sigma scales with p; only --sigma 0 means exact data
     sigma_abs = cfg.sigma * cfg.p
     lo, hi = tomography.SIGMA_RANGE
-    if not (sigma_abs == 0.0 or lo <= sigma_abs <= hi):
+    if not (cfg.sigma == 0.0 or lo <= sigma_abs <= hi):
         raise ValueError(
             f"--sigma {cfg.sigma!r} times --p {cfg.p!r} must be 0 or within "
             f"[{lo:g}, {hi:g}], so that the record weight 1/sigma^2 stays a normal float")

@@ -14,7 +14,13 @@ arrays from the JSON file to the fit.  Every block's Gram matrix is
 diagonal, so for whole experiments with one sigma each the weighted fit
 is a closed form; any other dataset takes one thin SVD of the weighted
 rows.  Both give the estimate, the rank and the parameter covariance that
-is propagated to derived quantities such as witness expectations.
+is propagated to derived quantities such as witness expectations.  The
+design rows of a record layout, and whether it is whole experiments in row
+order, are cached per layout (keyed on the bytes of the experiment and row
+arrays, a few entries of at most 85 KB): every simulated dataset and every
+file written by ``tomo simulate`` shares one layout.  The sigmas are not
+part of the key, so the one-sigma-per-experiment test runs on every
+dataset.
 """
 
 from __future__ import annotations
@@ -294,14 +300,36 @@ class ReconstructionResult:
     residual_norm: float
 
 
+@lru_cache(maxsize=8)
+def _design_layout(experiment: bytes, row: bytes) -> tuple[np.ndarray, bool]:
+    """Read-only design rows of one record layout, and whether it is whole experiments in row order.
+
+    Keyed on the bytes of a dataset's ``experiment`` and ``row`` arrays
+    (``_design``); an entry holds at most 168 x 63 floats (85 KB).
+    """
+    experiment, row = np.frombuffer(experiment, np.intp), np.frombuffer(row, np.intp)
+    # each record's row of its experiment's block; only the blocks used are built
+    rows = np.array([_readout_block(*_EXPERIMENTS[e])[r]
+                     for e, r in zip(experiment.tolist(), row.tolist())]).reshape(-1, 63)
+    rows.setflags(write=False)
+    n = len(_ROW)
+    whole = len(row) % n == 0
+    if whole:
+        exps = experiment.reshape(-1, n)
+        whole = bool((row.reshape(-1, n) == np.arange(n)).all() and (exps == exps[:, :1]).all())
+    return rows, whole
+
+
+def _design(dataset: TomographyDataset) -> tuple[np.ndarray, bool]:
+    return _design_layout(dataset.experiment.tobytes(), dataset.row.tobytes())
+
+
 def _whole_experiments(dataset: TomographyDataset) -> bool:
     """True if the records are whole experiments, in row order, with one sigma each."""
-    n = len(_ROW)
-    if len(dataset.row) % n:
+    if not _design(dataset)[1]:
         return False
-    exps, sigmas = dataset.experiment.reshape(-1, n), dataset.sigma.reshape(-1, n)
-    return bool((dataset.row.reshape(-1, n) == np.arange(n)).all()
-                and (exps == exps[:, :1]).all() and (sigmas == sigmas[:, :1]).all())
+    sigmas = dataset.sigma.reshape(-1, len(_ROW))
+    return bool((sigmas == sigmas[:, :1]).all())
 
 
 def _check_rank(singular_values: np.ndarray, shape: tuple[int, int]) -> None:
@@ -334,10 +362,7 @@ def reconstruct(dataset: TomographyDataset) -> ReconstructionResult:
     if not exact and not sigmas.all():
         raise ValueError("datasets mixing exact and noisy records are not supported")
     weights = np.ones_like(sigmas) if exact else 1.0 / sigmas
-    # only the blocks the dataset uses: building all 81 costs milliseconds
-    exps, inverse = np.unique(dataset.experiment, return_inverse=True)
-    blocks = np.stack([_readout_block(*_EXPERIMENTS[e]) for e in exps.tolist()])
-    rows = blocks[inverse, dataset.row]
+    rows = _design(dataset)[0]
 
     if _whole_experiments(dataset):
         w2 = weights * weights

@@ -344,13 +344,17 @@ _NUMERIC = "objects with numeric value and sigma"
     ("optimize", "10000000000000", "--restarts 10000000000000 must be at most 100000"),
     ("optimize", str(witnesses.MAX_RESTARTS + 1),
      f"--restarts {witnesses.MAX_RESTARTS + 1} must be at most {witnesses.MAX_RESTARTS}"),
-    ("seed", ["report", "--seed", "-1"], "--seed -1"),
-    ("seed", ["tomo", "simulate", "--state", "{rho}", "--seed", "-1"], "--seed -1"),
-    ("seed", ["tomo", "simulate", "--state", "{rho}", "--sigma", "0", "--seed", "-1"],
+    ("argv", ["report", "--seed", "-1"], "--seed -1"),
+    ("argv", ["tomo", "simulate", "--state", "{rho}", "--seed", "-1"], "--seed -1"),
+    ("argv", ["tomo", "simulate", "--state", "{rho}", "--sigma", "0", "--seed", "-1"],
      "--seed -1"),
-    ("seed", ["witness", "optimize", "--seed", "-1", "--restarts", "2", "--range", "0.3:0.31"],
+    ("argv", ["witness", "optimize", "--seed", "-1", "--restarts", "2", "--range", "0.3:0.31"],
      "--seed -1"),
-    ("seed", ["verify", "--seed", "-1"], "--seed -1"),
+    ("argv", ["verify", "--seed", "-1"], "--seed -1"),
+    # a subnormal --p: 1/p overflows, and sigma * p would underflow to exact data
+    ("argv", ["report", "--p", "5e-324"], "--p 5e-324"),
+    ("argv", ["report", "--sigma", "0", "--p", "1e-310"], "--p 1e-310"),
+    ("argv", ["report", "--sigma", "1e-300", "--p", "1e-100"], "--sigma 1e-300 times --p 1e-100"),
 ], ids=["ppt-missing-im", "metrics-missing-im", "ppt-list", "ppt-non-numeric",
         "ppt-null-dim", "tomo-missing-detect", "tomo-object", "tomo-empty",
         "tomo-bad-line", "tomo-bad-setting", "tomo-bad-detect", "tomo-bad-quad",
@@ -360,20 +364,23 @@ _NUMERIC = "objects with numeric value and sigma"
         "metrics-not-hermitian", "ppt-trace-2", "optimize-zero-restarts",
         "optimize-negative-restarts", "optimize-huge-restarts",
         "optimize-restarts-over-cap", "report-negative-seed", "tomo-negative-seed",
-        "tomo-exact-negative-seed", "optimize-negative-seed", "verify-negative-seed"])
+        "tomo-exact-negative-seed", "optimize-negative-seed", "verify-negative-seed",
+        "report-subnormal-p", "report-exact-subnormal-p", "report-sigma-underflow"])
 def test_malformed_input_exits_2(tmp_path, capsys, command, payload, message):
     bad = tmp_path / "bad.json"
     bad.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     rho = tmp_path / "rho.json"
     run(["state", "--out", str(rho)])
-    if command == "seed":   # the payload is the command line itself
+    if command == "argv":   # the payload is the command line itself
         argv = [arg.format(rho=rho) for arg in payload]
     else:
         argv = {"ppt": ["ppt", "--state", str(bad)],
                 "metrics": ["metrics", "--state", str(bad), "--reference", str(rho)],
                 "tomo": ["tomo", "reconstruct", "--data", str(bad)],
                 "optimize": ["witness", "optimize", "--restarts", str(payload)]}[command]
-    assert run(argv) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 2
     err = capsys.readouterr().err
     assert "error:" in err and message in err and "Traceback" not in err
 

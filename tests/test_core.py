@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from pseudobound import core, nmr, states
+from pseudobound import core, nmr, states, tomography
 from conftest import pure_state
 
 I2, Z = core.PAULI_I, core.PAULI_Z
@@ -79,11 +79,29 @@ def test_state_carries_its_parameters(rng):
             rho.parameters = np.zeros(63)
 
 
+def _states(rng):
+    """Exact states of several ranks and a loosely wrapped, peeled estimate."""
+    family = [states.bound_entangled_state(states.StateParams.symmetric(a))
+              for a in (0.1, 0.346, 2.0)]
+    pure = [pure_state(states.ghz(+1)), pure_state(core.random_unitary(rng)[:, 0])]
+    randoms = [core.random_density_operator(rng) for _ in range(8)]
+    ps = states.pseudo_state(nmr.depolarize(family[1], 0.16), 1e-5)
+    rec = tomography.reconstruct(tomography.generate_dataset(ps.rho, sigma=1e-7, seed=3))
+    peeled = states.peel_matrix(rec.rho_hat.matrix, 1e-5)
+    return [*family, *pure, *randoms, core.maximally_mixed(), peeled]
+
+
 def test_state_carries_its_spectrum(rng):
-    m = core.random_density_operator(rng).matrix
-    rho = core.DensityOperator((m + m.conj().T) / 2)   # exactly Hermitian
-    assert np.array_equal(rho.matrix, rho.matrix.conj().T)
-    np.testing.assert_array_equal(rho.eigenvalues(), np.linalg.eigvalsh(rho.matrix))
+    # the spectrum is that of the Hermitian part (m + m^dag)/2, bit for bit,
+    # for exactly Hermitian matrices and for those Hermitian only within rounding
+    exact = []
+    for rho in _states(rng):
+        m = rho.matrix
+        exact.append(np.array_equal(m, m.conj().T))
+        assert np.array_equal(rho.eigenvalues(), np.linalg.eigvalsh((m + m.conj().T) / 2))
+        assert np.array_equal(core.DensityOperator.loose(m).spectrum, rho.spectrum)
+    assert any(exact) and not all(exact)
+    rho = core.random_density_operator(rng)
     assert rho.eigenvalues() is rho.spectrum
     with pytest.raises(ValueError):
         rho.spectrum[0] = 1.0
@@ -91,17 +109,17 @@ def test_state_carries_its_spectrum(rng):
     skew = rng.standard_normal((8, 8)) * 1e-12
     near = rho.matrix + 1j * (skew + skew.T)
     assert not np.array_equal(near, near.conj().T)
-    loose = core.DensityOperator(near)
-    np.testing.assert_array_equal(loose.eigenvalues(),
-                                  np.linalg.eigvalsh((near + near.conj().T) / 2))
+    for loose in (core.DensityOperator(near), core.DensityOperator.loose(near)):
+        assert np.array_equal(loose.eigenvalues(),
+                              np.linalg.eigvalsh((near + near.conj().T) / 2))
 
 
 def test_is_ppt_matches_each_cut_eigensolve(rng):
-    rho = core.random_density_operator(rng)
-    report = core.is_ppt(rho)
-    for cut in report.cuts:
-        pt = core.partial_transpose(rho.matrix, cut.cut.transposed)
-        assert cut.min_eigenvalue == np.linalg.eigvalsh(pt)[0]
+    for rho in _states(rng):
+        report = core.is_ppt(rho)
+        for cut in report.cuts:
+            pt = core.partial_transpose(rho.matrix, cut.cut.transposed)
+            assert cut.min_eigenvalue == np.linalg.eigvalsh(pt)[0]
     assert len({c.min_eigenvalue for c in report.cuts}) == 3
 
 
@@ -193,6 +211,28 @@ def test_fidelity_basics(rng, rho_opt):
     noisy = nmr.depolarize(rho_opt, 0.05)
     f = core.uhlmann_fidelity(rho_opt, noisy)
     assert 0.97 < f < 1.0
+
+
+def _fidelity_with_outer_root(rho, sigma):
+    """The square-root fidelity with the outer square root built, then traced."""
+    slack = max(1e-8, rho.tolerance, sigma.tolerance)
+    root = core.matrix_sqrt_psd(rho.matrix, tolerance=slack)
+    inner = root @ sigma.matrix @ root
+    inner = (inner + inner.conj().T) / 2
+    f = float(np.real(np.trace(core.matrix_sqrt_psd(inner, tolerance=slack))))
+    return min(max(f, 0.0), 1.0)
+
+
+def test_fidelity_matches_the_outer_matrix_square_root(rng):
+    # rank-deficient references (family states of rank 7, pure states) give a
+    # rank-deficient inner matrix: the two agree to about sqrt(eps), not to eps
+    refs = _states(rng)
+    worst = 0.0
+    for rho in refs:
+        for sigma in refs:
+            f = core.uhlmann_fidelity(rho, sigma)
+            worst = max(worst, abs(f - _fidelity_with_outer_root(rho, sigma)))
+    assert worst <= 1e-8
 
 
 def test_trace_distance_basics(rho_opt):

@@ -287,6 +287,93 @@ def test_closed_form_matches_the_svd():
         assert closed.residual_norm == pytest.approx(svd.residual_norm, rel=1e-12)
 
 
+def _uncached_fit(dataset):
+    """The fit with its rows rebuilt on every call from the blocks the records use.
+
+    Returns theta, the covariance, the residual norm and whether the closed
+    form applies.
+    """
+    n = len(tomo._ROW)
+    values, sigmas = dataset.value, dataset.sigma
+    exact = not sigmas.any()
+    weights = np.ones_like(sigmas) if exact else 1.0 / sigmas
+    exps, inverse = np.unique(dataset.experiment, return_inverse=True)
+    blocks = np.stack([tomo._readout_block(*tomo._EXPERIMENTS[e]) for e in exps.tolist()])
+    rows = blocks[inverse, dataset.row]
+    whole = False
+    if len(dataset.row) % n == 0:
+        e, s = dataset.experiment.reshape(-1, n), sigmas.reshape(-1, n)
+        whole = bool((dataset.row.reshape(-1, n) == np.arange(n)).all()
+                     and (e == e[:, :1]).all() and (s == s[:, :1]).all())
+    if whole:
+        w2 = weights * weights
+        gram = w2 @ (rows * rows)
+        theta = ((values * w2) @ rows) / gram
+        cov = np.zeros((63, 63)) if exact else np.diag(1.0 / gram)
+    else:
+        u, s, vt = np.linalg.svd(rows * weights[:, None], full_matrices=False)
+        scaled = vt.T / s
+        theta = scaled @ (u.T @ (values * weights))
+        cov = np.zeros((63, 63)) if exact else scaled @ scaled.T
+    return theta, cov, float(np.linalg.norm(rows @ theta - values)), whole
+
+
+def _layouts():
+    rng = np.random.default_rng(31)
+    default = tomo.generate_dataset(RHO_OPT, sigma=1e-3, seed=2)
+    e, r, v, s = default.experiment, default.row, default.value, default.sigma
+    order = rng.permutation(len(v))
+    keep = np.delete(np.arange(len(v)), [5, 77, 160])   # three blocks lose a record
+    return {
+        "default": default,
+        "shuffled": tomo.TomographyDataset(e[order], r[order], v[order], s[order]),
+        "partial blocks": tomo.TomographyDataset(e[keep], r[keep], v[keep], s[keep]),
+        "per-record sigma": tomo.TomographyDataset(e, r, v, rng.uniform(5e-4, 4e-3, len(v))),
+        "per-experiment sigma": tomo.TomographyDataset(e, r, v, 1e-3 * (1 + np.arange(168) // 8)),
+        "exact": tomo.generate_dataset(RHO_OPT),
+    }
+
+
+@pytest.mark.parametrize("name", list(_layouts()))
+def test_cached_rows_fit_bit_for_bit_like_uncached_rows(name):
+    ds = _layouts()[name]
+    theta, cov, residual, whole = _uncached_fit(ds)
+    for _ in range(2):   # the second call reads the cached rows
+        rec = tomo.reconstruct(ds)
+        assert tomo._whole_experiments(ds) == whole
+        assert np.array_equal(rec.theta, theta) and np.array_equal(rec.covariance, cov)
+        assert rec.residual_norm == residual
+
+
+def test_cached_rows_are_read_only_and_bounded():
+    ds = tomo.generate_dataset(RHO_OPT)
+    rows, whole = tomo._design(ds)
+    assert whole and rows.shape == (168, 63)
+    np.testing.assert_array_equal(rows, tomo.design_matrix().matrix)
+    with pytest.raises(ValueError):
+        rows[0, 0] = 1.0
+    # every generated dataset has the one layout: its rows are built once
+    assert tomo._design(tomo.generate_dataset(RHO_OPT, sigma=1e-3, seed=4))[0] is rows
+    assert tomo._design_layout.cache_info().maxsize is not None
+
+
+def test_layout_cache_keeps_the_fit_path_per_dataset():
+    # one layout cached first, then records that share it or not; the SVD runs
+    # exactly for the datasets that are not whole experiments with one sigma each
+    layouts = _layouts()
+    runs = [("default", False), ("shuffled", True), ("default", False),
+            ("per-experiment sigma", False), ("per-record sigma", True),
+            ("per-experiment sigma", False)]
+    for name, takes_svd in runs:
+        ds = layouts[name]
+        theta, cov, residual, _ = _uncached_fit(ds)
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            rec = tomo.reconstruct(ds)
+        assert svd.call_count == takes_svd, name
+        assert np.array_equal(rec.theta, theta) and np.array_equal(rec.covariance, cov)
+        assert rec.residual_norm == residual
+
+
 def test_reconstruction_unbiased():
     sigma = 1e-3
     acc = np.zeros((8, 8), dtype=complex)
