@@ -8,6 +8,8 @@ tolerances; criterion 08 is too slow for ``verify`` and lives in the tests.
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 
 from . import core, nmr, pipeline, states, tomography, witnesses
@@ -172,31 +174,33 @@ def temporal_weld(rng) -> str:
 
 def synthesis_domain(rng) -> str:
     # on (0, A_MAX] the matched fraction's weights are (p/kappa) * order / amplitude,
-    # all non-negative, and the solver reaches them; the Id/8 background's
-    # rounding, against deviations of size kappa, leaves about 5e-16/kappa
-    kappa = nmr.DEFAULT_KAPPA_H
-    tol = 1e-15 / kappa
+    # all non-negative, and the solver reaches them; solved on z-orders, they
+    # carry no rounding of the Id/8 background, so one absolute bound holds
+    # across KAPPA_RANGE
     amplitudes = np.array([nmr.THREE_SPIN_AMPLITUDE, *nmr.TWO_SPIN_AMPLITUDES, -1.0])
     worst = np.zeros(3)
-    for a in (*np.linspace(nmr.A_MAX / 24, nmr.A_MAX, 24), A_OPT):
+    domain = (*np.linspace(nmr.A_MAX / 24, nmr.A_MAX, 24), A_OPT)
+    for kappa, a in product((nmr.KAPPA_RANGE[0], nmr.DEFAULT_KAPPA_H, nmr.KAPPA_RANGE[1]), domain):
         params = states.StateParams.symmetric(a)
         p = nmr.matched_fraction(params, kappa)
         seed = nmr.target_diagonal(params, p)
         sol = nmr.solve_temporal_weights(nmr.initial_states(kappa, a=a), seed)
-        exact = p / kappa * nmr._seed_orders(a)[[6, 3, 4, 5, 0]] / amplitudes
-        deviation = float(np.linalg.norm(np.real(np.diag(seed.state.matrix)) - 1.0 / 8.0))
+        orders = np.array(seed.orders)
+        exact = p / kappa * orders[[6, 3, 4, 5, 0]] / amplitudes
+        # the seed's deviation from Id/8 in the residual's norm
+        deviation = p * float(np.linalg.norm(orders / nmr._Z_WEIGHT)) / np.sqrt(8.0)
         errors = np.array([np.max(np.abs(sol.weights - exact)), abs(sol.achieved_p / p - 1.0),
                            sol.residual / deviation])
-        _require(exact.min() >= -1e-15 and np.all(errors <= tol),
-                 f"a={a:.4g}: weights {exact}, weight/p/residual errors {errors}")
+        _require(exact.min() >= -1e-15 and np.all(errors <= 1e-15),
+                 f"kappa={kappa:g}, a={a:.4g}: weights {exact}, weight/p/residual errors {errors}")
         worst = np.maximum(worst, errors)
     # just past A_MAX the three-spin weight is negative: no matched fraction
     try:
-        p = nmr.matched_fraction(states.StateParams.symmetric(0.7208), kappa)
+        p = nmr.matched_fraction(states.StateParams.symmetric(0.7208), nmr.DEFAULT_KAPPA_H)
     except ValueError:
         p = None
     _require(p is None, f"a=0.7208 outside the domain, yet matched fraction {p}")
-    return (f"25 a in (0, {nmr.A_MAX:.6f}]: weight/p/residual errors at most "
+    return (f"25 a in (0, {nmr.A_MAX:.6f}] at 3 kappa: weight/p/residual errors at most "
             f"{worst[0]:.1e}/{worst[1]:.1e}/{worst[2]:.1e}; a=0.7208 refused")
 
 

@@ -10,14 +10,16 @@ target.  Gradient-based spatial averaging is modelled as ideal, i.e. the
 five input states are taken as exactly diagonal.
 
 The seven z-orders of a diagonal state are seven of its Pauli coordinates
-in ``core``.  One map (``_z_order_matrix``) builds the five inputs and the
-seed from their z-orders; the seed's are the closed form ``_seed_orders``,
-which also gives the matched fraction and the fifth input's ratio.
+in ``core``.  The seed and the five inputs are held as z-orders and a scale,
+and the weights are solved on those.  The seed's are the closed form
+``_seed_orders``, which also gives the matched fraction and the fifth
+input's ratio; ``_z_order_matrix`` builds a matrix where one is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -86,24 +88,28 @@ _Z_WEIGHT = np.array([2.0 ** label.count("Z") for label in _Z_ORDERS])
 
 @dataclass(frozen=True)
 class DiagonalStateSpec:
-    """Diagonal seed state and its z-product-operator expansion.
+    """The diagonal state Id/8 + (scale/8) * sum(orders[k] * operator k).
 
-    The state is Id/8 + (scale/8) * sum(coefficient * operator); the
-    coefficients are stored in the fixed term order z1, z2, z3, z1z2,
-    z1z3, z2z3, z1z2z3.
+    ``orders`` holds the seven z-orders in the fixed term order z1, z2, z3,
+    z1z2, z1z3, z2z3, z1z2z3; the matrix ``state`` is built on first use.
     """
 
-    single_spin: tuple[float, float, float]
-    two_spin: tuple[float, float, float]
-    three_spin: float
+    orders: tuple[float, ...]
     scale: float
-    state: DensityOperator
+
+    single_spin = property(lambda self: self.orders[0:3])
+    two_spin = property(lambda self: self.orders[3:6])
+    three_spin = property(lambda self: self.orders[6])
+
+    @cached_property
+    def state(self) -> DensityOperator:
+        return DensityOperator(_z_order_matrix(self.orders, self.scale))
 
 
 def _z_order_matrix(orders, scale: float) -> np.ndarray:
     """Id/8 + (scale/8) * sum(orders[k] * operator k), in the order of ``_Z_ORDERS``."""
     theta = np.zeros(63)
-    theta[_Z_INDEX] = scale * orders / (8.0 * _Z_WEIGHT)
+    theta[_Z_INDEX] = scale * np.asarray(orders) / (8.0 * _Z_WEIGHT)
     return parameters_to_matrix(theta)
 
 
@@ -118,10 +124,7 @@ def target_diagonal(params: StateParams, p: float) -> DiagonalStateSpec:
         raise ValueError("seed-state expansion is defined for symmetric triples")
     if not 0.0 < p < 1.0:
         raise ValueError(f"fraction p={p} outside (0, 1)")
-    orders = _seed_orders(params.a1)
-    c = orders.tolist()
-    return DiagonalStateSpec(single_spin=tuple(c[0:3]), two_spin=tuple(c[3:6]), three_spin=c[6],
-                             scale=p, state=DensityOperator(_z_order_matrix(orders, p)))
+    return DiagonalStateSpec(tuple(_seed_orders(params.a1).tolist()), p)
 
 
 def _seed_orders(a: float) -> np.ndarray:
@@ -165,9 +168,8 @@ def single_spin_ratio(a: float = A_OPT) -> float:
     return float(b / d)
 
 
-# kappa, the proton polarization: from 1e-7 up, each input's deviation from
-# Id/8 outweighs that background's rounding enough for the weight solver's
-# orthogonality test (1e-9 relative), whose worst overlap is 8.3e-17/kappa
+# kappa, the proton polarization, that the inputs and ``prepare --kappa``
+# accept: the range the CLI documents and keeps as its contract
 KAPPA_RANGE = (1e-7, 1e-3)
 
 
@@ -177,28 +179,25 @@ def _check_kappa(kappa: float) -> None:
         raise ValueError(f"kappa={kappa} outside [{lo:g}, {hi:g}]")
 
 
-def initial_states(scale: float, a: float = A_OPT) -> list[DensityOperator]:
+def initial_states(kappa: float, a: float = A_OPT) -> list[DiagonalStateSpec]:
     """The five diagonal spin-order states used for temporal averaging.
 
-    ``scale`` is kappa, the proton polarization, within ``KAPPA_RANGE``; each state
-    is Id/8 plus a single spin-order term (three-spin order, the three
-    two-spin orders, and a fixed single-spin combination).  Only the last
-    can lose positivity, where r diverges near a = 1 + sqrt(2): ValueError.
+    Each has scale ``kappa``, the proton polarization, within ``KAPPA_RANGE``,
+    and a single spin-order term (three-spin order, the three two-spin
+    orders, and a fixed single-spin combination).  Only the last can lose
+    positivity, where r diverges near a = 1 + sqrt(2): ValueError.
     """
-    _check_kappa(scale)
+    _check_kappa(kappa)
     r = single_spin_ratio(a)
+    # its smallest population is 1/8 - (kappa/16)(1 + 2|r|): the three signs combine freely
+    if kappa * (1.0 + 2.0 * abs(r)) > 2.0:
+        raise ValueError(f"single-spin input loses positivity at a={a:g}, r={r:.3g}")
     # one row of z-order coefficients per state, in the order of _Z_ORDERS
     orders = np.zeros((5, len(_Z_ORDERS)))
     orders[0, 6] = THREE_SPIN_AMPLITUDE
     orders[[1, 2, 3], [3, 4, 5]] = TWO_SPIN_AMPLITUDES
     orders[4, :3] = (-1.0, -r, -r)
-    out = []
-    for row in orders:
-        m = _z_order_matrix(row, scale)
-        if np.min(np.real(np.diag(m))) < 0:
-            raise ValueError(f"single-spin input loses positivity at a={a:g}, r={r:.3g}")
-        out.append(DensityOperator(m))
-    return out
+    return [DiagonalStateSpec(tuple(row.tolist()), kappa) for row in orders]
 
 
 def matched_fraction(params: StateParams, kappa: float) -> float:
@@ -236,42 +235,38 @@ class WeightSolution:
     achieved_p: float
 
 
-def solve_temporal_weights(states: list[DensityOperator],
+def solve_temporal_weights(inputs: list[DiagonalStateSpec],
                            target: DiagonalStateSpec) -> WeightSolution:
     """Non-negative weights summing to one that best mix the inputs into the seed.
 
-    Frobenius-norm objective with simplex constraints.  With sum(q) = 1 the
-    Id/8 background cancels; the inputs carry disjoint spin orders, so
-    their deviations d_k are orthogonal and the problem separates.  With
-    t the target's deviation, n_k = |d_k|^2 and c_k = <d_k, t>/n_k the
-    weights are ``core.simplex_projection(c, n)``.  Inputs with zero or
-    non-orthogonal deviations are refused; an inconsistent target is
-    reported through the residual, not raised.
+    Frobenius-norm objective on the diagonal with simplex constraints, read
+    off z-orders alone.  With sum(q) = 1 the Id/8 background cancels.  The
+    operators' diagonals are orthogonal sign vectors, so a deviation has
+    norm |x|/sqrt(8) in its row x = scale * orders / 2^k, and inputs sharing
+    no z-order separate the problem: with t the target's row, n_k = |x_k|^2
+    and c_k = <x_k, t>/n_k the weights are ``core.simplex_projection(c, n)``.
+    An all-zero input row, or two inputs sharing a z-order, are refused; an
+    inconsistent target is not, and shows in the residual |mix - t|/sqrt(8).
+    ``achieved_p`` fits the target's orders to the mixture, free of its scale.
     """
-    if len(states) == 0:
+    if len(inputs) == 0:
         raise ValueError("no input states")
-    dev = np.column_stack([np.real(np.diag(s.matrix)) for s in states]) - 1.0 / 8.0
-    t = np.real(np.diag(target.state.matrix)) - 1.0 / 8.0
-    gram = dev.T @ dev
-    n = np.diag(gram)
-    if not np.all(n > 0):
+    x = np.array([s.scale * np.array(s.orders) for s in inputs]) / _Z_WEIGHT
+    if not np.all(np.any(x, axis=1)):
         raise ValueError("an input state has no deviation from Id/8")
-    overlap = np.abs(gram - np.diag(n)) / np.sqrt(np.outer(n, n))
-    if np.max(overlap) > 1e-9:
-        raise ValueError(
-            f"input deviations are not orthogonal (relative overlap {np.max(overlap):.1e})")
-
-    q = simplex_projection(dev.T @ t / n, n)
-    mix_dev = dev @ q
-    denom = float(t @ t)
-    achieved = target.scale * float(mix_dev @ t) / denom if denom > 0 else 0.0
-    residual = float(np.linalg.norm(mix_dev - t))
+    if np.any(np.count_nonzero(x, axis=0) > 1):
+        raise ValueError("input deviations are not orthogonal: two share a z-order")
+    o = np.array(target.orders) / _Z_WEIGHT
+    n = np.sum(x * x, axis=1)
+    q = simplex_projection(target.scale * (x @ o) / n, n)
+    mix = q @ x
+    achieved = float(mix @ o) / float(o @ o) if np.any(o) else 0.0
+    residual = float(np.linalg.norm(mix - target.scale * o)) / np.sqrt(8.0)
     return WeightSolution(weights=q, residual=residual, achieved_p=achieved)
 
 
-def mix_states(states: list[DensityOperator], weights: np.ndarray) -> DensityOperator:
-    m = sum(w * s.matrix for w, s in zip(weights, states))
-    return DensityOperator(m)
+def mix_states(inputs: list[DiagonalStateSpec], weights: np.ndarray) -> DensityOperator:
+    return DensityOperator(sum(w * s.state.matrix for w, s in zip(weights, inputs)))
 
 
 def prepare_pseudo_state(seed: DiagonalStateSpec) -> PseudoState:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import pseudobound
-from pseudobound import checks, cli, core, nmr, pipeline, tomography, witnesses
+from pseudobound import checks, cli, core, nmr, pipeline, states, tomography, witnesses
 from conftest import EPS_OPT
 
 
@@ -92,14 +92,34 @@ def test_prepare_expands_the_seed_once(tmp_path):
 
 
 @pytest.mark.parametrize("p", [[], ["--p", "1e-5"]], ids=["matched-p", "given-p"])
-def test_prepare_validates_seven_states(tmp_path, p):
-    # the seed, the five inputs and the prepared state: the seed is built from
-    # its closed-form z-orders, not from a validated family and pseudo state
+def test_prepare_validates_two_states(tmp_path, p):
+    # the seed once and the prepared state once: the seed is built from its
+    # closed-form z-orders, and the weights are solved on the five inputs'
+    # z-orders, with no matrix built for them
     post_init = vars(core.DensityOperator)["__post_init__"]
     with mock.patch.object(core.DensityOperator, "__post_init__", autospec=True,
                            side_effect=post_init) as validations:
         assert run(["prepare", *p, "--out", str(tmp_path / "prep.json")]) == 0
-    assert validations.call_count == 7
+    assert validations.call_count == 2
+
+
+def test_prepare_achieved_p_down_to_the_smallest_p(tmp_path):
+    # achieved_p is fitted with the seed's p-free z-orders, so a seed that
+    # rounds away under Id/8 still gives it.  Off the matched p the weights
+    # are interior, and achieved_p is affine in p: k + p (1 - k / p_matched),
+    # where k is its limit as p -> 0
+    out = tmp_path / "prep.json"
+    achieved = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in ("1e-12", "1e-17", "1e-150", "1e-300", "5e-324"):
+            assert run(["prepare", "--p", p, "--out", str(out)]) == 0
+            achieved[float(p)] = json.loads(out.read_text())["temporal_weights"]["achieved_p"]
+    matched = nmr.matched_fraction(states.StateParams.symmetric(states.A_OPT), nmr.DEFAULT_KAPPA_H)
+    k = achieved[5e-324]
+    assert 2.06e-5 < k < 2.07e-5
+    for p, value in achieved.items():
+        assert value == pytest.approx(k + p * (1 - k / matched), rel=1e-12, abs=0), p
 
 
 def test_prepare_without_p_past_the_reachable_a_exits_2(tmp_path, capsys):
@@ -460,7 +480,7 @@ def test_family_parameter_at_the_range_edges_runs(tmp_path, capsys, command, a):
     assert code != 2 or "a=" in err
 
 
-# below 1e-7 the inputs' deviations drown in the Id/8 background's rounding
+# KAPPA_RANGE is the CLI's contract for --kappa: every value outside it exits 2 naming kappa
 @pytest.mark.parametrize("p", [[], ["--p", "1e-5"]], ids=["matched-p", "given-p"])
 @pytest.mark.parametrize("kappa", ["0", "-1", "nan", "inf", "1",
                                    "5e-324", "1e-300", "1e-16", "1e-8", "9.9e-8"])

@@ -16,17 +16,18 @@ PARAMS = states.StateParams.symmetric(A_OPT)
 def test_initial_states_structure():
     five = nmr.initial_states(KAPPA_H)
     assert len(five) == 5
-    for rho in five:
-        m = rho.matrix
+    for spec in five:
+        m = spec.state.matrix
+        assert spec.scale == KAPPA_H
         assert np.max(np.abs(m - np.diag(np.diag(m)))) == 0.0
         assert np.trace(m).real == pytest.approx(1.0, abs=1e-15)
-        assert rho.eigenvalues()[0] >= 0.0
+        assert spec.state.eigenvalues()[0] >= 0.0
     # pairwise distinct
     for i in range(5):
         for j in range(i + 1, 5):
-            assert np.max(np.abs(five[i].matrix - five[j].matrix)) > 1e-7
+            assert np.max(np.abs(five[i].state.matrix - five[j].state.matrix)) > 1e-7
     # the two-spin order of the second input: deviations +-kappa/16
-    dev2 = np.diag(five[1].matrix).real - 1 / 8
+    dev2 = np.diag(five[1].state.matrix).real - 1 / 8
     np.testing.assert_allclose(
         np.abs(dev2), KAPPA_H / 16, rtol=1e-9)
     np.testing.assert_allclose(
@@ -77,10 +78,7 @@ def _coefficients(spec):
 
 def _spec(matrix, scale):
     """A diagonal target state with its coefficients read off by the oracle."""
-    c = _product_operator_expansion(matrix, scale).tolist()
-    return nmr.DiagonalStateSpec(single_spin=tuple(c[0:3]), two_spin=tuple(c[3:6]),
-                                 three_spin=c[6], scale=scale,
-                                 state=core.DensityOperator(matrix))
+    return nmr.DiagonalStateSpec(tuple(_product_operator_expansion(matrix, scale)), scale)
 
 
 # the fraction at which coefficients are read off a state: the larger p, the less
@@ -182,10 +180,28 @@ def test_initial_states_name_a_at_the_diverging_ratio():
         nmr.single_spin_ratio(2.414213562373095)
 
 
+def test_single_spin_input_is_refused_exactly_where_its_matrix_is_not_positive():
+    # at kappa = 1e-3 the single-spin input's smallest population changes sign
+    # at |r| = 999.5, on both sides of the pole at a = 1 + sqrt(2)
+    kappa = nmr.KAPPA_RANGE[1]
+    outcomes = set()
+    for a in np.linspace(2.412, 2.416, 81):
+        r = nmr.single_spin_ratio(a)
+        lowest = np.min(np.diag(nmr._z_order_matrix([-1, -r, -r, 0, 0, 0, 0], kappa)).real)
+        try:
+            nmr.initial_states(kappa, a)
+            refused = False
+        except ValueError as exc:
+            assert f"a={a:g}" in str(exc)
+            refused = True
+        assert refused == (lowest < 0), f"a={a}, r={r}, lowest population {lowest}"
+        outcomes.add(refused)
+    assert outcomes == {False, True}
+
+
 def test_weight_solver_exact_single_target():
     five = nmr.initial_states(KAPPA_H)
-    target = _spec(five[2].matrix, KAPPA_H)
-    sol = nmr.solve_temporal_weights(five, target)
+    sol = nmr.solve_temporal_weights(five, five[2])
     np.testing.assert_allclose(sol.weights, [0, 0, 1, 0, 0], atol=1e-9)
     assert sol.residual <= 1e-12
     assert sol.achieved_p == pytest.approx(KAPPA_H, rel=1e-9)
@@ -215,10 +231,19 @@ def test_weight_solver_reports_infeasible_target():
     assert sol.residual > 1e-6 * KAPPA_H
 
 
+def _rows(specs):
+    """Deviations from Id/8 in z-order coordinates, scale * order / 2^k, one column each.
+
+    The operators' diagonals are orthogonal sign vectors of squared norm 8,
+    so these coordinates keep the diagonal's inner product up to a factor 8.
+    """
+    weights = 2.0 ** np.array([1, 1, 1, 2, 2, 2, 3])   # 2^k for a k-spin order
+    return np.column_stack([s.scale * np.array(s.orders) / weights for s in specs])
+
+
 def _oracle_weights(states_, target):
     """Best feasible sum-to-one least-squares fit over all supports."""
-    dev = np.column_stack([np.diag(s.matrix).real for s in states_]) - 1 / 8
-    t = np.diag(target.state.matrix).real - 1 / 8
+    dev, t = _rows(states_), _rows([target])[:, 0]
     scale = np.max(np.linalg.norm(dev, axis=0))
     dev, t = dev / scale, t / scale
     best, best_value = None, np.inf
@@ -265,9 +290,11 @@ def test_weight_solver_matches_support_enumeration():
 def test_weight_solver_refuses_degenerate_inputs():
     five = nmr.initial_states(KAPPA_H)
     target = nmr.target_diagonal(PARAMS, 1e-5)
+    # the two-spin z2z3 input mixed half and half with the single-spin one
+    mixed = nmr.DiagonalStateSpec(tuple(0.5 * np.add(five[3].orders, five[4].orders)), KAPPA_H)
     for inputs, message in ((five + [five[0]], "orthogonal"),
-                            (five[:4] + [nmr.mix_states(five[3:], [0.5, 0.5])], "orthogonal"),
-                            (five + [core.DensityOperator(np.eye(8) / 8)], "no deviation")):
+                            (five[:4] + [mixed], "orthogonal"),
+                            (five + [nmr.DiagonalStateSpec((0.0,) * 7, KAPPA_H)], "no deviation")):
         with pytest.raises(ValueError, match=message):
             nmr.solve_temporal_weights(inputs, target)
 
@@ -287,15 +314,23 @@ def _exact_weights(a):
         return [float(v / sum(x)) for v in x]
 
 
-def test_weights_match_the_exact_synthesis_on_its_domain():
-    # the Id/8 background's rounding, against deviations of size kappa, leaves
-    # errors of up to about 2e-16/kappa on the solved weights
-    for a in (*np.linspace(nmr.A_MAX / 40, nmr.A_MAX, 40), A_OPT, 0.7207):
+_DOMAIN = (*np.linspace(nmr.A_MAX / 200, nmr.A_MAX, 200), A_OPT, 0.7207)
+
+
+def _assert_exact_weights(kappa):
+    # solved on z-orders, the weights carry none of the Id/8 background's
+    # rounding: one absolute bound holds at every kappa in KAPPA_RANGE
+    for a in _DOMAIN:
         params = states.StateParams.symmetric(a)
-        seed = nmr.target_diagonal(params, nmr.matched_fraction(params, KAPPA_H))
-        sol = nmr.solve_temporal_weights(nmr.initial_states(KAPPA_H, a=a), seed)
-        np.testing.assert_allclose(sol.weights, _exact_weights(a), rtol=0, atol=1e-15 / KAPPA_H,
-                                   err_msg=f"a={a}")
+        seed = nmr.target_diagonal(params, nmr.matched_fraction(params, kappa))
+        sol = nmr.solve_temporal_weights(nmr.initial_states(kappa, a=a), seed)
+        np.testing.assert_allclose(sol.weights, _exact_weights(a), rtol=0, atol=1e-15,
+                                   err_msg=f"kappa={kappa} a={a}")
+
+
+def test_weights_match_the_exact_synthesis_on_its_domain():
+    for kappa in (KAPPA_H, nmr.KAPPA_RANGE[1]):
+        _assert_exact_weights(kappa)
     with mpmath.workdps(50):
         # the domain ends at the root of 3a^2 + 2a - 3, where the three-spin order vanishes
         assert abs(nmr.A_MAX - (mpmath.sqrt(10) - 1) / 3) <= 1e-16
@@ -303,15 +338,8 @@ def test_weights_match_the_exact_synthesis_on_its_domain():
 
 
 def test_weight_solver_accepts_the_inputs_at_the_smallest_kappa():
-    # the rounding gives the inputs' deviations a relative overlap of up to
-    # 8.3e-17/kappa, so from KAPPA_RANGE's 1e-7 it stays below the solver's 1e-9
-    kappa = nmr.KAPPA_RANGE[0]
-    for a in np.linspace(nmr.A_MAX / 200, nmr.A_MAX, 200):
-        params = states.StateParams.symmetric(a)
-        seed = nmr.target_diagonal(params, nmr.matched_fraction(params, kappa))
-        sol = nmr.solve_temporal_weights(nmr.initial_states(kappa, a=a), seed)
-        np.testing.assert_allclose(sol.weights, _exact_weights(a), rtol=0, atol=1e-15 / kappa,
-                                   err_msg=f"a={a}")
+    # the same absolute bound at KAPPA_RANGE's lower end; below it prepare refuses
+    _assert_exact_weights(nmr.KAPPA_RANGE[0])
     with pytest.raises(ValueError, match=r"kappa=9\.9e-08 outside \[1e-07, 0\.001\]"):
         nmr.initial_states(9.9e-8)
 

@@ -79,6 +79,26 @@ def _budget_only_fraction(params, kappa):
     return float(kappa / budget)
 
 
+def _matrix_space_weights(inputs, target):
+    # the solver that read the deviations back off 8x8 matrices near Id/8: its
+    # weights carry that background's rounding, about 2e-16/kappa
+    dev = np.column_stack([np.real(np.diag(s.state.matrix)) for s in inputs]) - 1.0 / 8.0
+    t = np.real(np.diag(target.state.matrix)) - 1.0 / 8.0
+    gram = dev.T @ dev
+    n = np.diag(gram)
+    if not np.all(n > 0):
+        raise ValueError("an input state has no deviation from Id/8")
+    overlap = np.abs(gram - np.diag(n)) / np.sqrt(np.outer(n, n))
+    if np.max(overlap) > 1e-9:
+        raise ValueError(f"input deviations are not orthogonal (overlap {np.max(overlap):.1e})")
+    q = core.simplex_projection(dev.T @ t / n, n)
+    mix_dev = dev @ q
+    denom = float(t @ t)
+    achieved = target.scale * float(mix_dev @ t) / denom if denom > 0 else 0.0
+    return nmr.WeightSolution(weights=q, residual=float(np.linalg.norm(mix_dev - t)),
+                              achieved_p=achieved)
+
+
 def _flipped_unitary():
     # negating the |111> row keeps the sequence unitary and its factors a
     # rotation and a population permutation, but flips the GHZ corner it prepares
@@ -120,6 +140,12 @@ def _fractions():
     return out
 
 
+def _weights_at_the_smallest_kappa():
+    kappa = nmr.KAPPA_RANGE[0]
+    seed = nmr.target_diagonal(PARAMS, nmr.matched_fraction(PARAMS, kappa))
+    return nmr.solve_temporal_weights(nmr.initial_states(kappa), seed).weights
+
+
 def _prepared():
     return nmr.prepare_pseudo_state(nmr.target_diagonal(PARAMS, 1e-5)).rho.matrix
 
@@ -142,6 +168,8 @@ MUTANTS = [
      "temporal averaging weld"),
     ("matched fraction on the budget's sign only", (nmr, "matched_fraction", _budget_only_fraction),
      _fractions, "temporal synthesis is exact on its domain"),
+    ("weights solved on 8x8 matrices", (nmr, "solve_temporal_weights", _matrix_space_weights),
+     _weights_at_the_smallest_kappa, "temporal synthesis is exact on its domain"),
 ]
 
 
