@@ -12,8 +12,9 @@ use; a state is diagonalised and mapped to Pauli coordinates at most once.
 
 The 63 Pauli coordinates tr(op P_k)/8 of an 8x8 operator (``state_parameters``,
 inverted by ``parameters_to_matrix``) are the one map that the tomography
-readout model, its error propagation and the NMR seed expansion use.  The
-other jobs shared by several modules are done here once too: the
+readout model, its error propagation and the NMR seed expansion use; the
+readout model projects a whole stack with its kernel ``_pauli_coordinates``.
+The other jobs shared by several modules are done here once too: the
 Hermiticity test ``check_hermitian``, ``simplex_projection`` (the NMR
 weights and the physical projection), ``_as_matrix`` and ``json_text``, the
 one JSON text format of files and standard output.
@@ -346,11 +347,22 @@ def state_parameters(op) -> np.ndarray:
     to every P_k, and removing it keeps the ~1/8 background of a pseudo
     state from swamping the sums of its tiny deviation.
     """
-    m = _as_matrix(op)
+    return _pauli_coordinates(_as_matrix(op))
+
+
+def _pauli_coordinates(m: np.ndarray) -> np.ndarray:
+    """``state_parameters`` of one 8x8 matrix or of each in a (..., 8, 8) stack, unchecked.
+
+    The projection is a stacked matrix-vector product, one (63, 64) x (64,)
+    per matrix, so a stack's coordinates are bit for bit those of its
+    matrices taken one at a time; one (N, 64) x (64, 63) matrix product
+    would sum in a different order and round differently.
+    """
     # tr(dev P) = sum_ij dev_ij P_ji: the flattened rows of P meet dev transposed
-    dev = m.T.copy()
-    dev.flat[::9] -= np.trace(m) / 8.0
-    return np.real(parameter_basis() @ dev.ravel()) / 8.0
+    dev = np.swapaxes(m, -1, -2).copy().reshape(*m.shape[:-2], 64)
+    diagonal = dev[..., ::9]   # a view; its sum is the trace
+    diagonal -= diagonal.sum(axis=-1, keepdims=True) / 8.0
+    return (parameter_basis() @ dev[..., None]).real[..., 0] / 8.0
 
 
 def parameters_to_matrix(theta) -> np.ndarray:

@@ -6,21 +6,16 @@ fluorine onto carbon, and records the x and y quadratures of the four
 J-resolved carbon lines, i.e. the observables sigma_{x,y} on qubit 1
 tensored with a basis projector on qubits 2 and 3.  Running all seven
 settings with all three detected spins gives 168 linear equations for the
-63 real parameters of the traceless deviation.  One cached readout map
-per experiment (8 amplitudes x 63 parameters) serves both simulation and
-inversion; its rows are the Pauli coordinates (``core.state_parameters``)
+63 real parameters of the traceless deviation.  One read-only readout
+table (``_readout_table``: 81 experiments x 8 amplitudes x 63 parameters)
+serves both simulation and inversion; its rows are the Pauli coordinates
 of the Heisenberg-picture line observables.  A dataset is four validated
-arrays from the JSON file to the fit.  Every block's Gram matrix is
-diagonal, so for whole experiments with one sigma each the weighted fit
-is a closed form; any other dataset takes one thin SVD of the weighted
-rows.  Both give the estimate, the rank and the parameter covariance that
-is propagated to derived quantities such as witness expectations.  The
-design rows of a record layout, and whether it is whole experiments in row
-order, are cached per layout (keyed on the bytes of the experiment and row
-arrays, a few entries of at most 85 KB): every simulated dataset and every
-file written by ``tomo simulate`` shares one layout.  The sigmas are not
-part of the key, so the one-sigma-per-experiment test runs on every
-dataset.
+arrays from the JSON file to the fit, and its experiment and row arrays
+index the table directly.  Every experiment's Gram matrix is diagonal, so
+for whole experiments with one sigma each the weighted fit is a closed
+form; any other dataset takes one thin SVD of the weighted rows.  Both
+give the estimate, the rank and the parameter covariance that is
+propagated to derived quantities such as witness expectations.
 """
 
 from __future__ import annotations
@@ -36,7 +31,7 @@ from .core import (
     DensityOperator,
     PAULIS,
     _as_matrix,
-    parameter_basis,
+    _pauli_coordinates,
     parameters_to_matrix,
     read_json,
     simplex_projection,
@@ -64,6 +59,15 @@ def parse_setting(setting: str) -> tuple[str, str, str]:
     if not isinstance(setting, str) or setting not in _SETTING_IDS:
         raise ValueError(f"bad setting id {setting!r}")
     return setting[0], setting[2], setting[4]
+
+
+def _experiment_index(setting: str, detect: str) -> int:
+    """Position of (setting, detect) in ``_EXPERIMENTS``; ValueError names a bad id."""
+    try:
+        return _EXPERIMENT_INDEX[setting, detect]
+    except (KeyError, TypeError):   # TypeError: an unhashable id such as a list
+        parse_setting(setting)
+        raise ValueError(f"bad detected spin {detect!r}") from None
 
 
 @lru_cache(maxsize=None)
@@ -96,7 +100,7 @@ def readout_unitary(setting: str, detect: str = "C") -> np.ndarray:
     """
     ops = parse_setting(setting)
     rot = tensor(*(_single_rotation(op) for op in ops))
-    if detect not in _DETECT_QUBIT:
+    if not isinstance(detect, str) or detect not in _DETECT_QUBIT:
         raise ValueError(f"bad detected spin {detect!r}")
     q = _DETECT_QUBIT[detect]
     if q == 1:
@@ -114,9 +118,10 @@ def measure(rho: DensityOperator, setting: str, detect: str = "C") -> np.ndarray
     """Quadrature amplitudes of the four carbon lines for one experiment.
 
     Returns 8 reals ordered (line 00 x, line 00 y, line 01 x, ...).  The
-    state's Pauli coordinates are its cached ``parameters``.
+    state's Pauli coordinates are its cached ``parameters``.  A bad setting
+    or detected spin raises ValueError, as in a dataset file.
     """
-    return _readout_block(setting, detect) @ rho.parameters
+    return _readout_table()[_experiment_index(setting, detect)] @ rho.parameters
 
 
 def default_experiments() -> list[tuple[str, str]]:
@@ -137,23 +142,26 @@ _DEFAULT_ROW.setflags(write=False)
 
 
 @lru_cache(maxsize=None)
-def _readout_block(setting: str, detect: str) -> np.ndarray:
-    """8 x 63 map from the deviation parameters to one experiment's amplitudes.
+def _readout_table() -> np.ndarray:
+    """Read-only (81, 8, 63) map from the deviation parameters to every amplitude.
 
-    Heisenberg picture: row (line, quad) holds tr(R^dag O R P_k) for the
-    readout unitary R, the line observable O and each Pauli product P_k.
-    The identity part of a state drops out because every O is traceless.
+    Entry [e, r, k] is tr(R_e^dag O_r R_e P_k) for the readout unitary R_e
+    of experiment ``_EXPERIMENTS[e]``, the line observable O_r of amplitude
+    r (``_ROW`` order) and each Pauli product P_k: the Heisenberg picture.
+    The identity part of a state drops out because every O_r is traceless.
+    Each experiment conjugates and projects its 8 observables as one stack;
+    one stack of all 648 would hold about 2 MB of intermediates at once.
     """
-    r = readout_unitary(setting, detect)
-    block = np.empty((len(_ROW), len(parameter_basis())))
-    for j, line in enumerate(LINE_LABELS):
-        proj = np.zeros((4, 4))
-        proj[j, j] = 1.0
-        for quad in QUADRATURES:
-            obs = np.kron(PAULIS["X"] if quad == "x" else PAULIS["Y"], proj)
-            block[_ROW[line, quad]] = 8.0 * state_parameters(r.conj().T @ obs @ r)
-    block.setflags(write=False)
-    return block
+    obs = np.empty((len(_ROW), 8, 8), dtype=complex)
+    for (line, quad), r in _ROW.items():
+        proj = np.diag([float(line == label) for label in LINE_LABELS])
+        obs[r] = np.kron(PAULIS["X"] if quad == "x" else PAULIS["Y"], proj)
+    table = np.empty((len(_EXPERIMENTS), len(_ROW), 63))
+    for e, experiment in enumerate(_EXPERIMENTS):
+        u = readout_unitary(*experiment)
+        table[e] = 8.0 * _pauli_coordinates(u.conj().T @ obs @ u)
+    table.setflags(write=False)
+    return table
 
 
 def _rank(singular_values: np.ndarray, shape: tuple[int, int]) -> int:
@@ -171,7 +179,7 @@ class DesignMatrix:
 
 
 def design_matrix() -> DesignMatrix:
-    a = np.vstack([_readout_block(setting, detect) for setting, detect in default_experiments()])
+    a = _readout_table()[_DEFAULT_EXPERIMENT, _DEFAULT_ROW]
     return DesignMatrix(matrix=a, rank=_rank(np.linalg.svd(a, compute_uv=False), a.shape))
 
 
@@ -251,12 +259,9 @@ class TomographyDataset:
             except (TypeError, OverflowError):
                 raise ValueError("dataset records must be objects with numeric "
                                  "value and sigma") from None
-            parse_setting(setting)
-            if detect not in DETECT_SPINS:
-                raise ValueError(f"bad detected spin {detect!r}")
+            experiment.append(_experiment_index(setting, detect))
             if line not in LINE_LABELS or quad not in QUADRATURES:
                 raise ValueError(f"unknown line/quadrature ({line!r}, {quad!r})")
-            experiment.append(_EXPERIMENT_INDEX[setting, detect])
             row.append(_ROW[line, quad])
         return cls(experiment, row, value, sigma)
 
@@ -300,36 +305,14 @@ class ReconstructionResult:
     residual_norm: float
 
 
-@lru_cache(maxsize=8)
-def _design_layout(experiment: bytes, row: bytes) -> tuple[np.ndarray, bool]:
-    """Read-only design rows of one record layout, and whether it is whole experiments in row order.
-
-    Keyed on the bytes of a dataset's ``experiment`` and ``row`` arrays
-    (``_design``); an entry holds at most 168 x 63 floats (85 KB).
-    """
-    experiment, row = np.frombuffer(experiment, np.intp), np.frombuffer(row, np.intp)
-    # each record's row of its experiment's block; only the blocks used are built
-    rows = np.array([_readout_block(*_EXPERIMENTS[e])[r]
-                     for e, r in zip(experiment.tolist(), row.tolist())]).reshape(-1, 63)
-    rows.setflags(write=False)
-    n = len(_ROW)
-    whole = len(row) % n == 0
-    if whole:
-        exps = experiment.reshape(-1, n)
-        whole = bool((row.reshape(-1, n) == np.arange(n)).all() and (exps == exps[:, :1]).all())
-    return rows, whole
-
-
-def _design(dataset: TomographyDataset) -> tuple[np.ndarray, bool]:
-    return _design_layout(dataset.experiment.tobytes(), dataset.row.tobytes())
-
-
 def _whole_experiments(dataset: TomographyDataset) -> bool:
     """True if the records are whole experiments, in row order, with one sigma each."""
-    if not _design(dataset)[1]:
+    n = len(_ROW)
+    if len(dataset.row) % n:
         return False
-    sigmas = dataset.sigma.reshape(-1, len(_ROW))
-    return bool((sigmas == sigmas[:, :1]).all())
+    exps, sigmas = dataset.experiment.reshape(-1, n), dataset.sigma.reshape(-1, n)
+    return bool((dataset.row.reshape(-1, n) == np.arange(n)).all()
+                and (exps == exps[:, :1]).all() and (sigmas == sigmas[:, :1]).all())
 
 
 def _check_rank(singular_values: np.ndarray, shape: tuple[int, int]) -> None:
@@ -342,18 +325,18 @@ def _check_rank(singular_values: np.ndarray, shape: tuple[int, int]) -> None:
 def reconstruct(dataset: TomographyDataset) -> ReconstructionResult:
     """Solve the overdetermined linear system for the deviation parameters.
 
-    The rows come from the same cached readout map that simulates the
-    data, with weights 1/sigma.  When the records are whole experiments
-    with one sigma each, as every generated dataset is, the normal matrix
-    A^T W A is diagonal (every block's Gram B^T B is; ``checks`` asserts
-    it), so the estimate is (A^T W b) / diag(A^T W A), the covariance
-    diag(1/diag(A^T W A)) and the singular values sqrt(diag(A^T W A)).
-    Any other dataset (shuffled, partial blocks or a sigma per record)
-    takes one thin SVD U S V^T of the weighted rows: the estimate is
-    V S^-1 U^T (b/sigma) and the covariance V S^-2 V^T.  All-zero sigmas
-    mean exact data: unit weights and a zero covariance.  No positivity
-    projection is applied; the estimate is Hermitian and unit-trace by
-    construction.
+    Each record's row is read from the readout table that simulates the
+    data, at the record's experiment and row indices, with weight 1/sigma.
+    When the records are whole experiments with one sigma each, as every
+    generated dataset is, the normal matrix A^T W A is diagonal (every
+    experiment's Gram B^T B is; ``checks`` asserts it), so the estimate is
+    (A^T W b) / diag(A^T W A), the covariance diag(1/diag(A^T W A)) and
+    the singular values sqrt(diag(A^T W A)).  Any other dataset (shuffled,
+    partial blocks or a sigma per record) takes one thin SVD U S V^T of the
+    weighted rows: the estimate is V S^-1 U^T (b/sigma) and the covariance
+    V S^-2 V^T.  All-zero sigmas mean exact data: unit weights and a zero
+    covariance.  No positivity projection is applied; the estimate is
+    Hermitian and unit-trace by construction.
     """
     if not len(dataset.value):
         raise ValueError("empty dataset")
@@ -362,7 +345,7 @@ def reconstruct(dataset: TomographyDataset) -> ReconstructionResult:
     if not exact and not sigmas.all():
         raise ValueError("datasets mixing exact and noisy records are not supported")
     weights = np.ones_like(sigmas) if exact else 1.0 / sigmas
-    rows = _design(dataset)[0]
+    rows = _readout_table()[dataset.experiment, dataset.row]
 
     if _whole_experiments(dataset):
         w2 = weights * weights

@@ -310,6 +310,16 @@ def test_pauli_coordinates_round_trip(rng):
         core.state_parameters(np.eye(4))
 
 
+def test_stacked_pauli_coordinates_are_those_of_each_matrix(rng):
+    stack = rng.standard_normal((3, 5, 8, 8)) + 1j * rng.standard_normal((3, 5, 8, 8))
+    expected = np.array([[core.state_parameters(m) for m in row] for row in stack])
+    assert np.array_equal(core._pauli_coordinates(stack), expected)
+    # an input whose transpose is contiguous is read, never written
+    m = np.asfortranarray(stack[0, 0])
+    theta = core.state_parameters(m)
+    assert np.array_equal(m, stack[0, 0]) and np.array_equal(theta, expected[0, 0])
+
+
 def test_bipartition_validation():
     assert core.Bipartition((2,)).label == "2|13"
     with pytest.raises(ValueError):

@@ -87,25 +87,76 @@ def test_design_matrix_rank():
     assert full.rank == 63 and full.matrix.shape[1] - full.rank == 0
 
 
+def _schroedinger_amplitudes(rho, setting, detect):
+    """Independent reference: tr(O R rho R^dag) for the 8 line observables.
+
+    O is sigma_{x,y} on carbon tensored with a line projector on H and F.
+    """
+    r = tomo.readout_unitary(setting, detect)
+    rotated = r @ rho.matrix @ r.conj().T
+    amplitudes = []
+    for j in range(4):
+        proj = np.zeros((4, 4))
+        proj[j, j] = 1.0
+        for sigma in (core.PAULI_X, core.PAULI_Y):
+            amplitudes.append(np.real(np.trace(np.kron(sigma, proj) @ rotated)))
+    return amplitudes
+
+
 def test_design_matrix_agrees_with_measure(rng):
-    # independent Schroedinger-picture reference: tr(O R rho R^dag) with
-    # O = sigma_{x,y} on carbon tensored with a line projector on H and F
     rho = core.random_density_operator(rng)
-    expected = []
-    for setting, detect in tomo.default_experiments():
-        r = tomo.readout_unitary(setting, detect)
-        rotated = r @ rho.matrix @ r.conj().T
-        for j in range(4):
-            proj = np.zeros((4, 4))
-            proj[j, j] = 1.0
-            for sigma in (core.PAULI_X, core.PAULI_Y):
-                expected.append(np.real(np.trace(np.kron(sigma, proj) @ rotated)))
+    expected = np.concatenate([_schroedinger_amplitudes(rho, s, d)
+                               for s, d in tomo.default_experiments()])
     predicted = tomo.design_matrix().matrix @ tomo.state_parameters(rho)
     measured = np.concatenate([
         tomo.measure(rho, s, d) for s, d in tomo.default_experiments()])
     assert len(expected) == 168
     np.testing.assert_allclose(predicted, expected, rtol=0, atol=1e-12)
     np.testing.assert_allclose(measured, expected, rtol=0, atol=1e-12)
+
+
+def test_readout_table_agrees_with_the_schroedinger_picture_on_all_81_experiments(rng):
+    # a dataset file may use any of the 27 settings with any detected spin
+    table = tomo._readout_table()
+    for _ in range(3):
+        rho = core.random_density_operator(rng)
+        for e, (setting, detect) in enumerate(tomo._EXPERIMENTS):
+            expected = _schroedinger_amplitudes(rho, setting, detect)
+            np.testing.assert_allclose(tomo.measure(rho, setting, detect), expected,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(table[e] @ rho.parameters, expected, rtol=0, atol=1e-12)
+
+
+def test_readout_table_rows_make_every_gram_diagonal():
+    # the closed-form fit rests on this.  Every row is four entries of +-2;
+    # the x rows of an experiment share one support of four parameters and
+    # the y rows another, disjoint one, and the four rows on one support
+    # have orthogonal sign patterns.  So an experiment's 8 rows on its 8
+    # parameters are a square matrix with orthogonal rows of equal norm,
+    # whose Gram over the parameters is diagonal.
+    table = tomo._readout_table()
+    support = table != 0
+    assert (support.sum(axis=-1) == 4).all()
+    assert np.max(np.abs(np.abs(table[support]) - 2.0)) <= 1e-15
+    x, y = support[:, 0::2], support[:, 1::2]
+    assert (x == x[:, :1]).all() and (y == y[:, :1]).all()
+    assert not (x[:, 0] & y[:, 0]).any()
+    signs = np.sign(table)
+    for quad in (signs[:, 0::2], signs[:, 1::2]):
+        np.testing.assert_array_equal(quad @ np.swapaxes(quad, 1, 2),
+                                      np.broadcast_to(4.0 * np.eye(4), (81, 4, 4)))
+
+
+def test_measure_and_readout_unitary_refuse_bad_ids():
+    rho = core.maximally_mixed()
+    for setting, detect, message in (("Y1E2E3", ["C"], "bad detected spin"),
+                                     (["Y1E2E3"], "C", "bad setting id"),
+                                     ("Y1E2E3", "N", "bad detected spin"),
+                                     ("Z1E2E3", "C", "bad setting id")):
+        with pytest.raises(ValueError, match=message):
+            tomo.measure(rho, setting, detect)
+        with pytest.raises(ValueError, match=message):
+            tomo.readout_unitary(setting, detect)
 
 
 def test_dataset_generation_determinism():
@@ -287,8 +338,19 @@ def test_closed_form_matches_the_svd():
         assert closed.residual_norm == pytest.approx(svd.residual_norm, rel=1e-12)
 
 
+def _record_row(experiment, row):
+    """One record's row rebuilt from its readout unitary: 8 * state_parameters(R^dag O R)."""
+    r = tomo.readout_unitary(*tomo._EXPERIMENTS[experiment])
+    line, quad = tomo._ROW_LABELS[row]
+    j = tomo.LINE_LABELS.index(line)
+    proj = np.zeros((4, 4))
+    proj[j, j] = 1.0
+    obs = np.kron(core.PAULI_X if quad == "x" else core.PAULI_Y, proj)
+    return 8.0 * core.state_parameters(r.conj().T @ obs @ r)
+
+
 def _uncached_fit(dataset):
-    """The fit with its rows rebuilt on every call from the blocks the records use.
+    """The fit with every record's row rebuilt on every call, without the readout table.
 
     Returns theta, the covariance, the residual norm and whether the closed
     form applies.
@@ -297,9 +359,8 @@ def _uncached_fit(dataset):
     values, sigmas = dataset.value, dataset.sigma
     exact = not sigmas.any()
     weights = np.ones_like(sigmas) if exact else 1.0 / sigmas
-    exps, inverse = np.unique(dataset.experiment, return_inverse=True)
-    blocks = np.stack([tomo._readout_block(*tomo._EXPERIMENTS[e]) for e in exps.tolist()])
-    rows = blocks[inverse, dataset.row]
+    rows = np.array([_record_row(e, r)
+                     for e, r in zip(dataset.experiment.tolist(), dataset.row.tolist())])
     whole = False
     if len(dataset.row) % n == 0:
         e, s = dataset.experiment.reshape(-1, n), sigmas.reshape(-1, n)
@@ -336,30 +397,27 @@ def _layouts():
 
 @pytest.mark.parametrize("name", list(_layouts()))
 def test_cached_rows_fit_bit_for_bit_like_uncached_rows(name):
+    # the rows read from the cached readout table fit like rows rebuilt per record
     ds = _layouts()[name]
     theta, cov, residual, whole = _uncached_fit(ds)
-    for _ in range(2):   # the second call reads the cached rows
-        rec = tomo.reconstruct(ds)
-        assert tomo._whole_experiments(ds) == whole
-        assert np.array_equal(rec.theta, theta) and np.array_equal(rec.covariance, cov)
-        assert rec.residual_norm == residual
+    rec = tomo.reconstruct(ds)
+    assert tomo._whole_experiments(ds) == whole
+    assert np.array_equal(rec.theta, theta) and np.array_equal(rec.covariance, cov)
+    assert rec.residual_norm == residual
 
 
-def test_cached_rows_are_read_only_and_bounded():
-    ds = tomo.generate_dataset(RHO_OPT)
-    rows, whole = tomo._design(ds)
-    assert whole and rows.shape == (168, 63)
-    np.testing.assert_array_equal(rows, tomo.design_matrix().matrix)
+def test_readout_table_is_read_only_and_holds_the_design_rows():
+    table = tomo._readout_table()
+    assert table.shape == (81, 8, 63) and table is tomo._readout_table()
     with pytest.raises(ValueError):
-        rows[0, 0] = 1.0
-    # every generated dataset has the one layout: its rows are built once
-    assert tomo._design(tomo.generate_dataset(RHO_OPT, sigma=1e-3, seed=4))[0] is rows
-    assert tomo._design_layout.cache_info().maxsize is not None
+        table[0, 0, 0] = 1.0
+    ds = tomo.generate_dataset(RHO_OPT)
+    assert np.array_equal(table[ds.experiment, ds.row], tomo.design_matrix().matrix)
 
 
-def test_layout_cache_keeps_the_fit_path_per_dataset():
-    # one layout cached first, then records that share it or not; the SVD runs
-    # exactly for the datasets that are not whole experiments with one sigma each
+def test_fit_path_follows_each_dataset_layout():
+    # datasets that share a layout or not, in turn; the SVD runs exactly for
+    # the datasets that are not whole experiments with one sigma each
     layouts = _layouts()
     runs = [("default", False), ("shuffled", True), ("default", False),
             ("per-experiment sigma", False), ("per-record sigma", True),
