@@ -23,11 +23,9 @@ from .core import (
     uhlmann_fidelity,
 )
 from .states import (
-    PseudoState,
     StateParams,
     bound_entangled_state,
     ghz,
-    peel_identity,
     pseudo_state,
 )
 from .witnesses import (

@@ -76,11 +76,9 @@ def noisy_ghz_boundary(rng) -> str:
     # GHZ mixed with Id/8 at weight q: every cut's partial-transpose minimum is
     # (1-q)/8 - q/2, here 1e-3 below and above zero, so a PPT tolerance far
     # above the state's own 1e-10 reads the NPT side as PPT
-    ghz = _pure(states.ghz(+1)).matrix
     for q in (0.2016, 0.1984):
-        closed = (1 - q) / 8 - q / 2
-        rho = core.DensityOperator(q * ghz + (1 - q) * np.eye(8) / 8)
-        _require_verdicts(f"GHZ at q={q}", rho, lambda label: closed)
+        _require_verdicts(f"GHZ at q={q}", states.pseudo_state(_pure(states.ghz(+1)), q),
+                          lambda label: (1 - q) / 8 - q / 2)
     return "noisy GHZ NPT at q=0.2016 and PPT at q=0.1984 on every cut, minima -/+1.0e-3"
 
 
@@ -113,7 +111,7 @@ def pseudo_witness(rng) -> str:
         p = float(rng.uniform(1e-6, 1.0))
         wmat = witnesses.witness_bar(states.StateParams(*rng.uniform(0.1, 3.0, size=3)))
         lhs = witnesses.expectation(witnesses.pseudo_witness(wmat, p),
-                                    states.pseudo_state(rho, p).rho)
+                                    states.pseudo_state(rho, p))
         rhs = witnesses.expectation(wmat, rho)
         _require(abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs)),
                  f"identity off by {abs(lhs - rhs):.2e} at p={p:.2e}")
@@ -125,7 +123,7 @@ def peel_round_trip(rng) -> str:
     for _ in range(20):
         rho = core.random_density_operator(rng)
         p = float(rng.uniform(1e-6, 1.0))
-        peeled = states.peel_identity(states.pseudo_state(rho, p))
+        peeled = states.peel_matrix(states.pseudo_state(rho, p).matrix, p)
         worst = max(worst, float(np.max(np.abs(peeled.matrix - rho.matrix))))
     _require(worst <= 1e-9, f"max round-trip error {worst:.2e}")
     return f"max round-trip error {worst:.2e}"
@@ -158,13 +156,13 @@ def temporal_weld(rng) -> str:
     u = nmr.preparation_unitary()
     family = states.bound_entangled_state(_PARAMS)
     prepared = u @ nmr.mix_states(five, sol.weights).matrix @ u.conj().T
-    expected = states.pseudo_state(family, sol.achieved_p).rho.matrix
+    expected = states.pseudo_state(family, sol.achieved_p).matrix
     gap = float(np.max(np.abs(prepared - expected)))
     _require(gap <= 1e-12, f"weld gap {gap:.1e}")
     # the seed built from its closed-form z-orders against the reference, the
     # pseudo state at the same p that the gate sequence must reach
     conjugated = u @ seed_spec.state.matrix @ u.conj().T
-    seed_gap = float(np.max(np.abs(conjugated - states.pseudo_state(family, p).rho.matrix)))
+    seed_gap = float(np.max(np.abs(conjugated - states.pseudo_state(family, p).matrix)))
     _require(seed_gap <= 1e-15, f"conjugated seed off the pseudo state by {seed_gap:.1e}")
     coefficients = (*seed_spec.single_spin[:2], seed_spec.three_spin)
     _require(all(abs(c - ref) <= 0.01 for c, ref in zip(coefficients, (-0.78, -0.21, 3.85))),
@@ -343,6 +341,22 @@ def product_bloch_form(rng) -> str:
     return f"50 random product states at the working point, worst gap {worst:.1e}"
 
 
+def working_point_closed_form(rng) -> str:
+    # the symmetric product-state minimum is the lower of the |101> vertex and the
+    # product |psi>^3; they meet at a* + 1/a* = 1 + sqrt5, at eps* = a*/(1 + sqrt5),
+    # where psi = (cos(theta/2), sin(theta/2)) has cos(theta) = 2 - sqrt5
+    r5 = np.sqrt(5.0)
+    a_star = (1 + r5 - np.sqrt(2 + 2 * r5)) / 2
+    wbar, half = witnesses.witness_bar(states.StateParams.symmetric(a_star)), np.arccos(2 - r5) / 2
+    gaps = [witnesses.product_expectation(wbar, vectors) - a_star / (1 + r5)
+            for vectors in (np.eye(2)[[1, 0, 1]], [[np.cos(half), np.sin(half)]] * 3)]
+    bound = A_OPT ** 2 / (1 + A_OPT ** 2)
+    detail = (f"a* {a_star:.15f}: |101> and |psi>^3 off eps* by {gaps[0]:.1e} and "
+              f"{gaps[1]:.1e}; EPS_OPT {EPS_OPT} <= {bound:.6f}")
+    _require(max(map(abs, gaps)) <= 1e-15 and EPS_OPT <= bound, detail)
+    return detail
+
+
 CHECKS = (
     ("state family PPT", family_ppt),  # criterion 01
     ("PPT negative control: GHZ", ghz_npt),
@@ -367,4 +381,5 @@ CHECKS = (
     ("end-to-end noisy report", noisy_report),  # criterion 09
     ("end-to-end exact report", exact_report),
     ("product-state Bloch form", product_bloch_form),
+    ("working point closed form", working_point_closed_form),
 )

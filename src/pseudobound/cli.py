@@ -54,7 +54,7 @@ def cmd_state(args) -> int:
     params = _params_from_args(args)
     rho = states.bound_entangled_state(params)
     if args.p is not None:
-        rho = states.pseudo_state(rho, args.p).rho
+        rho = states.pseudo_state(rho, args.p)
     payload = core.matrix_to_json(rho.matrix)
     payload["meta"] = {
         "a1": params.a1, "a2": params.a2, "a3": params.a3,
@@ -114,7 +114,7 @@ def cmd_prepare(args) -> int:
     sol = nmr.solve_temporal_weights(five, seed)
     ps = nmr.prepare_pseudo_state(seed)
     payload = {
-        "pseudo_state": core.matrix_to_json(ps.rho.matrix),
+        "pseudo_state": core.matrix_to_json(ps.matrix),
         "p": p,
         "kappa": kappa,
         "diagonal_seed": {

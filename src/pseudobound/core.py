@@ -16,8 +16,9 @@ readout model, its error propagation and the NMR seed expansion use; the
 readout model projects a whole stack with its kernel ``_pauli_coordinates``.
 The other jobs shared by several modules are done here once too: the
 Hermiticity test ``check_hermitian``, ``simplex_projection`` (the NMR
-weights and the physical projection), ``_as_matrix`` and ``json_text``, the
-one JSON text format of files and standard output.
+weights and the physical projection), ``mix_with_identity`` (the pseudo-state
+embedding, depolarization, the peel and the pseudo witness), ``_as_matrix``
+and ``json_text``, the one JSON text format of files and standard output.
 
 Everything here is a pure function of its inputs; wrapped matrices are
 frozen read-only, so values are safe to share between threads.
@@ -368,6 +369,20 @@ def _pauli_coordinates(m: np.ndarray) -> np.ndarray:
 def parameters_to_matrix(theta) -> np.ndarray:
     """The unit-trace operator Id/8 + sum_k theta_k * P_k."""
     return np.eye(8, dtype=complex) / 8.0 + (theta @ parameter_basis()).reshape(8, 8)
+
+
+def mix_with_identity(op, t: float) -> np.ndarray:
+    """E_t(X) = t X + (1 - t) tr(X)/8 Id, the one identity-mixing map, for finite t.
+
+    The pseudo-state embedding is E_p, depolarization by lam is E_{1-lam}, the
+    peel is E_{1/p} and the pseudo witness is E_{1/p}(W).  E_t keeps the trace,
+    E_s E_t = E_st and E_1 is the identity bit for bit, so E_{1/t} inverts E_t;
+    E_t is self-adjoint under tr(A^dag B): tr(E_{1/p}(W) E_p(rho)) = tr(W rho).
+    """
+    if not -np.inf < t < np.inf:
+        raise ValueError(f"identity-mixing weight t={t!r} must be finite")
+    m = _as_matrix(op)
+    return t * m + (1.0 - t) * (m.trace() / 8.0) * np.eye(8)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DensityOperator, parameters_to_matrix, pauli_labels, simplex_projection
-from .states import A_OPT, StateParams, PseudoState
+from .core import (DensityOperator, mix_with_identity, parameters_to_matrix, pauli_labels,
+                   simplex_projection)
+from .states import A_OPT, StateParams
 
 DEFAULT_KAPPA_H = 8.4e-5
 DEFAULT_P = DEFAULT_KAPPA_H / 3.61   # what the five inputs reach (matched_fraction)
@@ -269,11 +270,10 @@ def mix_states(inputs: list[DiagonalStateSpec], weights: np.ndarray) -> DensityO
     return DensityOperator(sum(w * s.state.matrix for w, s in zip(weights, inputs)))
 
 
-def prepare_pseudo_state(seed: DiagonalStateSpec) -> PseudoState:
+def prepare_pseudo_state(seed: DiagonalStateSpec) -> DensityOperator:
     """The ideal prepared state: the seed (scale p) conjugated by the gate sequence."""
     u = preparation_unitary()
-    m = u @ seed.state.matrix @ u.conj().T
-    return PseudoState(DensityOperator(m), seed.scale)
+    return DensityOperator(u @ seed.state.matrix @ u.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +281,7 @@ def prepare_pseudo_state(seed: DiagonalStateSpec) -> PseudoState:
 
 
 def depolarize(rho: DensityOperator, lam: float) -> DensityOperator:
-    """(1 - lam) rho + lam Id/8."""
+    """(1 - lam) rho + lam Id/8: the identity mixing E_{1-lam}."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"depolarization weight {lam} outside [0, 1]")
-    m = (1.0 - lam) * rho.matrix + lam * np.eye(8) / 8
-    return DensityOperator(m, tolerance=rho.tolerance)
+    return DensityOperator(mix_with_identity(rho, 1.0 - lam), tolerance=rho.tolerance)

@@ -52,7 +52,7 @@ def build_report(cfg: RunConfig) -> dict:
     embedded = nmr.depolarize(rho_ideal, cfg.noise_lambda)
     ps = states.pseudo_state(embedded, cfg.p)
 
-    dataset = tomography.generate_dataset(ps.rho, sigma=sigma_abs, seed=cfg.seed)
+    dataset = tomography.generate_dataset(ps, sigma=sigma_abs, seed=cfg.seed)
     result = tomography.reconstruct(dataset)
     peeled = states.peel_matrix(result.rho_hat.matrix, cfg.p)
 

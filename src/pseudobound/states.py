@@ -4,7 +4,8 @@ The family is diagonal except for a single GHZ coherence between |000> and
 |111>.  All members are PPT across every bipartite cut yet entangled
 whenever the product of the three parameters differs from one.  Room
 temperature NMR only reaches a highly mixed neighbourhood of the identity,
-hence the pseudo-state form (1-p)/8 * Id + p * rho with tiny p.
+hence the pseudo-state form (1-p)/8 * Id + p * rho with tiny p: the
+embedding E_p of ``core.mix_with_identity``, which the peel inverts as E_{1/p}.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityOperator
+from .core import DensityOperator, mix_with_identity
 
 PRODUCT_ONE_TOLERANCE = 1e-12
 # the symmetric working point found by witness optimization; it sits 1.43e-5 below
@@ -88,46 +89,34 @@ def bound_entangled_state(params: StateParams) -> DensityOperator:
     return DensityOperator(m)
 
 
-@dataclass(frozen=True)
-class PseudoState:
-    """Mixture (1-p)/8 * Id + p * rho_deviation, the NMR-accessible form."""
-
-    rho: DensityOperator
-    p: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"mixing fraction p={self.p} outside [0, 1]")
-
-
-def pseudo_state(rho_be: DensityOperator, p: float) -> PseudoState:
-    """Embed a state into the maximally mixed background with weight p."""
+def pseudo_state(rho_be: DensityOperator, p: float) -> DensityOperator:
+    """Embed a state into the maximally mixed background with weight p: E_p(rho)."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixing fraction p={p} outside [0, 1]")
-    m = (1.0 - p) / 8 * np.eye(8, dtype=complex) + p * rho_be.matrix
-    return PseudoState(DensityOperator(m, tolerance=rho_be.tolerance), p)
+    return DensityOperator(mix_with_identity(rho_be, p), tolerance=rho_be.tolerance)
 
 
-def peel_identity(ps: PseudoState) -> DensityOperator:
-    """Invert the pseudo-state embedding: (rho - (1-p)/8 * Id) / p.
-
-    Exact inputs round-trip to machine precision.  Reconstructed inputs may
-    come out slightly non-positive; that is no error and raises no warning,
-    but shows in the result's ``eigenvalues()[0]`` and its widened
-    ``tolerance``.  A trace or Hermiticity
-    defect is the validated input's rounding amplified by 1/p: ValueError.
-    """
-    if ps.p <= 0.0:
-        raise ValueError("peeling is undefined at p = 0 (no deviation to rescale)")
-    m = (ps.rho.matrix - (1.0 - ps.p) / 8 * np.eye(8)) / ps.p
-    try:
-        return DensityOperator.loose(m)
-    except ValueError as exc:
-        raise ValueError(f"peeling at p={ps.p:g} amplifies the rounding of the input "
-                         f"state by 1/p = {1.0 / ps.p:.3g}: {exc}") from None
+def _peel_weight(p: float, what: str) -> float:
+    """1/p, the weight of E_{1/p}; any p outside (0, 1] or with 1/p infinite is refused by name."""
+    p = float(p)   # a Python float divides to inf without a warning
+    if p == 0.0:
+        raise ValueError(f"{what} is undefined at p = 0 (no deviation to rescale)")
+    if not (0.0 < p <= 1.0 and np.isfinite(1.0 / p)):
+        raise ValueError(f"{what} needs p in (0, 1] with a finite 1/p, got p={p!r}")
+    return 1.0 / p
 
 
 def peel_matrix(matrix, p: float) -> DensityOperator:
-    """Peel a raw matrix (e.g. a tomographic estimate) with known p."""
+    """The one peel, E_{1/p}: invert the embedding of a matrix, e.g. an estimate, with known p.
+
+    It adds about 1e-17/p of rounding per entry.  A non-positive result raises
+    no error or warning; ``eigenvalues()[0]`` and the widened ``tolerance`` show
+    it.  A trace or Hermiticity defect is the input's rounding amplified by 1/p: ValueError.
+    """
+    t = _peel_weight(p, "peeling")
     rho = DensityOperator.loose(matrix)
-    return peel_identity(PseudoState(rho, p))
+    try:
+        return DensityOperator.loose(mix_with_identity(rho, t))
+    except ValueError as exc:
+        raise ValueError(f"peeling at p={p:g} amplifies the rounding of the input "
+                         f"state by 1/p = {t:.3g}: {exc}") from None

@@ -83,13 +83,10 @@ def swap_unitary(q1: int, q2: int) -> np.ndarray:
     """Permutation matrix exchanging two qubits of the register."""
     if q1 == q2 or not {q1, q2} <= {1, 2, 3}:
         raise ValueError(f"bad swap pair ({q1}, {q2})")
-    u = np.zeros((8, 8), dtype=complex)
-    for k in range(8):
-        bits = [(k >> 2) & 1, (k >> 1) & 1, k & 1]
-        bits[q1 - 1], bits[q2 - 1] = bits[q2 - 1], bits[q1 - 1]
-        j = 4 * bits[0] + 2 * bits[1] + bits[2]
-        u[j, k] = 1.0
-    return u
+    # the identity with the two qubits' output axes exchanged
+    axes = [0, 1, 2]
+    axes[q1 - 1], axes[q2 - 1] = axes[q2 - 1], axes[q1 - 1]
+    return np.eye(8, dtype=complex).reshape(2, 2, 2, 8).transpose(*axes, 3).reshape(8, 8)
 
 
 def readout_unitary(setting: str, detect: str = "C") -> np.ndarray:
@@ -103,9 +100,7 @@ def readout_unitary(setting: str, detect: str = "C") -> np.ndarray:
     if not isinstance(detect, str) or detect not in _DETECT_QUBIT:
         raise ValueError(f"bad detected spin {detect!r}")
     q = _DETECT_QUBIT[detect]
-    if q == 1:
-        return rot
-    return swap_unitary(1, q) @ rot
+    return rot if q == 1 else swap_unitary(1, q) @ rot
 
 
 # position of each (line, quadrature) amplitude among an experiment's 8

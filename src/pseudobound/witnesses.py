@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DensityOperator, check_hermitian, check_operator, eigvalsh, state_parameters
-from .states import StateParams, ghz
+from .core import (DensityOperator, check_hermitian, check_operator, eigvalsh,
+                   mix_with_identity, state_parameters)
+from .states import StateParams, _peel_weight, ghz
 
 # the identity shift at the working point states.A_OPT; it sits 2.43e-5 below
 # eps* = a*/(1 + sqrt5) = a*^2/(1 + a*^2) = 0.1069243111, its closed form at a*
@@ -81,18 +82,12 @@ def witness(params: WitnessParams) -> np.ndarray:
 
 
 def pseudo_witness(w, p: float) -> np.ndarray:
-    """Rescale a witness for pseudo states: (W - (1-p) tr(W)/8 * Id) / p.
+    """Rescale a witness for pseudo states: E_{1/p}(W) = (W - (1-p) tr(W)/8 * Id) / p.
 
-    Subtracting the identity contribution to the expectation (which scales
-    with tr(W)) and dividing by p makes the expectation on the pseudo state
-    equal the original witness expectation on the embedded deviation state,
-    for any witness normalization.  At p = 1 the witness is unchanged.
+    E_t is self-adjoint, so tr(E_{1/p}(W) E_p(rho)) = tr(W rho) for any witness
+    normalization; p must lie in (0, 1] with a finite 1/p.
     """
-    m = check_operator(w)
-    if p <= 0.0:
-        raise ValueError("pseudo witness is undefined at p = 0")
-    shift = (1.0 - p) / 8 * float(np.real(np.trace(m)))
-    return (m - shift * np.eye(8)) / p
+    return mix_with_identity(w, _peel_weight(p, "pseudo witness"))
 
 
 def expectation(w, rho: DensityOperator) -> float:
@@ -256,17 +251,14 @@ class RobustnessReport:
             "epsilon_certified": self.epsilon_certified,
             "noise_threshold": self.noise_threshold,
             "total_restarts": self.total_restarts,
-            "trace": [
-                {"a": a, "epsilon": e, "noise_threshold": q} for a, e, q in self.trace
-            ],
+            "trace": [{"a": a, "epsilon": e, "noise_threshold": q} for a, e, q in self.trace],
         }
 
 
 def certified_epsilon(a: float, restarts: int = 200, seed: int = 0) -> float:
     """Best product-state minimum found for the base witness of a symmetric triple."""
-    return min_over_product_states(
-        witness_bar(StateParams.symmetric(a)), restarts=restarts, seed=seed
-    ).value
+    wbar = witness_bar(StateParams.symmetric(a))
+    return min_over_product_states(wbar, restarts=restarts, seed=seed).value
 
 
 def optimize_parameters(search_range: tuple[float, float] = (0.05, 1.0),
@@ -318,13 +310,9 @@ def optimize_parameters(search_range: tuple[float, float] = (0.05, 1.0),
             f2 = objective(x2)
 
     best_a, best_eps, best_q = min(trace, key=lambda rec: (rec[2], rec[0]))
-    return RobustnessReport(
-        a=float(best_a),
-        epsilon_certified=float(best_eps),
-        noise_threshold=float(best_q),
-        trace=tuple(trace),
-        total_restarts=evaluations * restarts,
-    )
+    return RobustnessReport(a=float(best_a), epsilon_certified=float(best_eps),
+                            noise_threshold=float(best_q), trace=tuple(trace),
+                            total_restarts=evaluations * restarts)
 
 
 def witness_spectrum_extremes(params: WitnessParams) -> tuple[float, float]:

@@ -7,8 +7,8 @@ import threading
 import numpy as np
 import pytest
 
-from pseudobound import core, nmr, states, tomography
-from conftest import pure_state
+from pseudobound import core, nmr, states, tomography, witnesses
+from conftest import pure_state, random_params
 
 I2, Z = core.PAULI_I, core.PAULI_Z
 
@@ -86,7 +86,7 @@ def _states(rng):
     pure = [pure_state(states.ghz(+1)), pure_state(core.random_unitary(rng)[:, 0])]
     randoms = [core.random_density_operator(rng) for _ in range(8)]
     ps = states.pseudo_state(nmr.depolarize(family[1], 0.16), 1e-5)
-    rec = tomography.reconstruct(tomography.generate_dataset(ps.rho, sigma=1e-7, seed=3))
+    rec = tomography.reconstruct(tomography.generate_dataset(ps, sigma=1e-7, seed=3))
     peeled = states.peel_matrix(rec.rho_hat.matrix, 1e-5)
     return [*family, *pure, *randoms, core.maximally_mixed(), peeled]
 
@@ -292,7 +292,7 @@ def test_state_parameters_of_pseudo_states(rng):
     family = states.bound_entangled_state(states.StateParams.symmetric(0.346))
     for rho in (family, core.random_density_operator(rng)):
         for p in (1e-5, 2.3e-5):
-            ps = states.pseudo_state(rho, p).rho
+            ps = states.pseudo_state(rho, p)
             reference = _fsum_parameters(ps.matrix)
             err = np.max(np.abs(core.state_parameters(ps) - reference))
             assert err <= 1e-14 * np.max(np.abs(reference))
@@ -308,6 +308,65 @@ def test_pauli_coordinates_round_trip(rng):
     assert len(core.pauli_labels()) == 63 and core.parameter_basis().shape == (63, 64)
     with pytest.raises(ValueError, match="8x8"):
         core.state_parameters(np.eye(4))
+
+
+def _random_operator(rng):
+    return rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+
+
+def test_identity_mixing_laws(rng, rho_opt):
+    mix = core.mix_with_identity
+    x = _random_operator(rng)
+    assert mix(x, 1.0).tobytes() == x.tobytes()                  # E_1 is the identity, bit for bit
+    assert mix(rho_opt, 1.0).tobytes() == rho_opt.matrix.tobytes()
+    np.testing.assert_array_equal(mix(rho_opt, 0.0), np.trace(rho_opt.matrix) / 8 * np.eye(8))
+    for _ in range(50):
+        a, b = _random_operator(rng), _random_operator(rng)
+        s, t = rng.uniform(-3.0, 3.0, size=2)
+        np.testing.assert_allclose(mix(mix(a, t), s), mix(a, s * t), rtol=0, atol=1e-13)
+        assert abs(np.trace(mix(a, t)) - np.trace(a)) <= 1e-13          # keeps the trace
+        # self-adjoint under tr(A^dag B)
+        assert np.trace(mix(a, t).conj().T @ b) == pytest.approx(
+            np.trace(a.conj().T @ mix(b, t)), rel=1e-13, abs=1e-13)
+    for p in np.logspace(-6, 0, 25):
+        rho = core.random_density_operator(rng)
+        back = mix(mix(rho, p), 1.0 / p)                            # E_{1/p} E_p
+        assert np.max(np.abs(back - rho.matrix)) <= 2e-16 / p
+    for t in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="t=.* must be finite"):
+            mix(x, t)
+
+
+# the four formulas that the identity-mixing map replaced, kept as its oracle
+def _old_embedding(rho, p):
+    return (1.0 - p) / 8 * np.eye(8, dtype=complex) + p * rho.matrix
+
+
+def _old_depolarization(rho, lam):
+    return (1.0 - lam) * rho.matrix + lam * np.eye(8) / 8
+
+
+def _old_peel(m, p):
+    return (m - (1.0 - p) / 8 * np.eye(8)) / p
+
+
+def _old_pseudo_witness(w, p):
+    return (w - (1.0 - p) / 8 * float(np.real(np.trace(w))) * np.eye(8)) / p
+
+
+def test_identity_mixing_against_the_formulas_it_replaced(rng, rho_opt):
+    for k in range(40):
+        rho = rho_opt if k % 2 else core.random_density_operator(rng)
+        p, lam = float(10 ** rng.uniform(-6, 0)), float(rng.uniform(0.0, 1.0))
+        embedded = states.pseudo_state(rho, p).matrix
+        assert np.max(np.abs(embedded - _old_embedding(rho, p))) <= 1e-16
+        assert np.max(np.abs(nmr.depolarize(rho, lam).matrix
+                             - _old_depolarization(rho, lam))) <= 1e-16
+        assert np.max(np.abs(states.peel_matrix(embedded, p).matrix
+                             - _old_peel(embedded, p))) <= 1e-15 / p
+        w = witnesses.witness_bar(random_params(rng))
+        assert np.max(np.abs(witnesses.pseudo_witness(w, p)
+                             - _old_pseudo_witness(w, p))) <= 1e-15 / p
 
 
 def test_stacked_pauli_coordinates_are_those_of_each_matrix(rng):

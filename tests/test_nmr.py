@@ -89,7 +89,7 @@ _REFERENCE_P = 0.9
 def _conjugated_family(params, p):
     """The reference seed: the pseudo state conjugated by the inverse preparation."""
     u = nmr.preparation_unitary()
-    return u.conj().T @ states.pseudo_state(states.bound_entangled_state(params), p).rho.matrix @ u
+    return u.conj().T @ states.pseudo_state(states.bound_entangled_state(params), p).matrix @ u
 
 
 def test_expansion_matches_product_operators():
@@ -381,7 +381,7 @@ def test_preparation_weld():
     u = nmr.preparation_unitary()
     prepared = u @ rho_d.matrix @ u.conj().T
     expected = states.pseudo_state(states.bound_entangled_state(PARAMS),
-                                   sol.achieved_p).rho.matrix
+                                   sol.achieved_p).matrix
     assert np.max(np.abs(prepared - expected)) <= 1e-12
 
 
@@ -389,7 +389,7 @@ def test_prepare_pseudo_state_any_scale():
     for p in (1e-5, 5e-4):
         ps = nmr.prepare_pseudo_state(nmr.target_diagonal(PARAMS, p))
         expected = states.pseudo_state(states.bound_entangled_state(PARAMS), p)
-        assert np.max(np.abs(ps.rho.matrix - expected.rho.matrix)) <= 1e-12
+        assert np.max(np.abs(ps.matrix - expected.matrix)) <= 1e-12
 
 
 def test_conjugation_preserves_spectrum(rng):

@@ -24,7 +24,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pseudobound import checks, core, nmr, states, tomography
+from pseudobound import checks, core, nmr, states, tomography, witnesses
 from conftest import A_OPT
 
 PARAMS = states.StateParams.symmetric(A_OPT)
@@ -53,6 +53,12 @@ def _loose_is_ppt(rho, tolerance=None):
 
 def _overpeel(matrix, p):
     return _peel_matrix(matrix, 1.01 * p)
+
+
+def _unit_trace_mix(op, t):
+    # identity mixing with tr(X) taken as 1: right for a state, wrong for the
+    # witness, whose trace is 4
+    return t * core._as_matrix(op) + (1.0 - t) / 8 * np.eye(8)
 
 
 def _inflated_covariance(dataset):
@@ -117,7 +123,11 @@ def _ppt_verdicts():
 
 
 def _peeled():
-    return states.peel_matrix(states.pseudo_state(FAMILY, 0.5).rho.matrix, 0.5).matrix
+    return states.peel_matrix(states.pseudo_state(FAMILY, 0.5).matrix, 0.5).matrix
+
+
+def _pseudo_witness():
+    return witnesses.pseudo_witness(witnesses.witness_bar(PARAMS), 0.5)
 
 
 def _covariance():
@@ -147,7 +157,7 @@ def _weights_at_the_smallest_kappa():
 
 
 def _prepared():
-    return nmr.prepare_pseudo_state(nmr.target_diagonal(PARAMS, 1e-5)).rho.matrix
+    return nmr.prepare_pseudo_state(nmr.target_diagonal(PARAMS, 1e-5)).matrix
 
 
 # name, (module, attribute, replacement), probe, the first registry entry to fail
@@ -159,7 +169,9 @@ MUTANTS = [
     ("is_ppt tolerance 1e-2", (core, "is_ppt", _loose_is_ppt), _ppt_verdicts,
      "PPT boundary control: noisy GHZ"),
     ("peeling with 1.01 p", (states, "peel_matrix", _overpeel), _peeled,
-     "end-to-end exact report"),
+     "pseudo state peel round trip"),
+    ("identity mixing with tr(X) taken as 1", (witnesses, "mix_with_identity", _unit_trace_mix),
+     _pseudo_witness, "pseudo witness identity"),
     ("covariance x1.5", (tomography, "reconstruct", _inflated_covariance), _covariance,
      "whole-experiment covariance"),
     *((f"seed order {label} sign", (nmr, "_seed_orders", _flipped_order(k)), _seed_coefficients,

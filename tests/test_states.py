@@ -1,11 +1,12 @@
 """State family construction and the pseudo-state embedding."""
 
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from pseudobound import core, states
+from pseudobound import core, states, witnesses
 from conftest import A_OPT, KAPPA_H, random_params
 
 
@@ -100,9 +101,9 @@ def test_parameter_permutation_symmetry(pi, rng):
 
 
 def test_pseudo_state_limits(rho_opt):
-    assert np.max(np.abs(states.pseudo_state(rho_opt, 0.0).rho.matrix
+    assert np.max(np.abs(states.pseudo_state(rho_opt, 0.0).matrix
                          - np.eye(8) / 8)) == 0.0
-    np.testing.assert_array_equal(states.pseudo_state(rho_opt, 1.0).rho.matrix,
+    np.testing.assert_array_equal(states.pseudo_state(rho_opt, 1.0).matrix,
                                   rho_opt.matrix)
     with pytest.raises(ValueError):
         states.pseudo_state(rho_opt, 1.2)
@@ -111,31 +112,43 @@ def test_pseudo_state_limits(rho_opt):
 def test_pseudo_state_eigenvalue_box(rho_opt):
     p = KAPPA_H / 3.61
     ps = states.pseudo_state(rho_opt, p)
-    vals = ps.rho.eigenvalues()
+    vals = ps.eigenvalues()
     assert np.all(vals >= (1 - p) / 8 - 1e-15)
     assert np.all(vals <= (1 - p) / 8 + p + 1e-15)
 
 
 def test_peel_round_trip(rng, rho_opt):
     for p in (1e-5, 1e-3, 0.37, 1.0):
-        peeled = states.peel_identity(states.pseudo_state(rho_opt, p))
+        peeled = states.peel_matrix(states.pseudo_state(rho_opt, p).matrix, p)
         assert np.max(np.abs(peeled.matrix - rho_opt.matrix)) <= 1e-12
     for _ in range(10):
         rho = core.random_density_operator(rng)
         p = float(rng.uniform(1e-6, 1.0))
-        peeled = states.peel_identity(states.pseudo_state(rho, p))
+        peeled = states.peel_matrix(states.pseudo_state(rho, p).matrix, p)
         assert np.max(np.abs(peeled.matrix - rho.matrix)) <= 1e-9
 
 
 def test_peel_identity_of_background():
     mixed = core.maximally_mixed()
-    peeled = states.peel_identity(states.PseudoState(mixed, 0.5))
+    peeled = states.peel_matrix(mixed.matrix, 0.5)
     np.testing.assert_allclose(peeled.matrix, mixed.matrix, atol=1e-15)
 
 
 def test_peel_requires_positive_p(rho_opt):
     with pytest.raises(ValueError, match="p = 0"):
-        states.peel_identity(states.PseudoState(rho_opt, 0.0))
+        states.peel_matrix(rho_opt.matrix, 0.0)
+
+
+@pytest.mark.parametrize("p", [0.0, -0.0, -1.0, np.nan, np.inf, 5e-324, 1.5])
+@pytest.mark.parametrize("rescale", [states.peel_matrix, witnesses.pseudo_witness],
+                         ids=["peel_matrix", "pseudo_witness"])
+def test_peel_and_pseudo_witness_refuse_bad_p(rho_opt, rescale, p):
+    # p outside (0, 1], or with a non-finite 1/p, is refused by name before
+    # any arithmetic, so no warning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"p = 0|p=" + re.escape(repr(p))):
+            rescale(rho_opt.matrix, p)
 
 
 def test_peel_reports_negativity_through_spectrum(rho_opt):
@@ -149,6 +162,6 @@ def test_peel_reports_negativity_through_spectrum(rho_opt):
     tilt = p * 1e-4 * (bump - np.outer(minus, minus.conj()))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        peeled = states.peel_matrix(ps.rho.matrix + tilt, p)
+        peeled = states.peel_matrix(ps.matrix + tilt, p)
     assert peeled.eigenvalues()[0] < -1e-6
     assert peeled.tolerance >= -peeled.eigenvalues()[0]

@@ -61,7 +61,7 @@ def test_measure_pseudo_ghz_line_pattern():
     # sides; the GHZ coherence itself connects mismatched labels and stays
     # invisible
     ps = states.pseudo_state(pure_state(states.ghz(+1)), 1e-4)
-    vals = tomo.measure(ps.rho, "Y1E2E3", "C") / 1e-4
+    vals = tomo.measure(ps, "Y1E2E3", "C") / 1e-4
     by_line = {line: (vals[2 * j], vals[2 * j + 1])
                for j, line in enumerate(tomo.LINE_LABELS)}
     assert by_line["00"][0] == pytest.approx(0.5, abs=1e-9)
@@ -174,7 +174,7 @@ def test_dataset_generation_determinism():
 
 
 def test_dataset_computes_the_state_parameters_once():
-    rho = states.pseudo_state(RHO_OPT, 2.3e-5).rho
+    rho = states.pseudo_state(RHO_OPT, 2.3e-5)
     with mock.patch.object(core, "state_parameters", wraps=core.state_parameters) as spy, \
             mock.patch.object(tomo, "measure", wraps=tomo.measure) as measure:
         tomo.generate_dataset(rho, sigma=1e-7, seed=3)

@@ -85,7 +85,7 @@ def test_pseudo_witness_identity(rng):
         p = float(rng.uniform(1e-6, 1.0))
         w = witnesses.witness_bar(random_params(rng))
         lhs = witnesses.expectation(witnesses.pseudo_witness(w, p),
-                                    states.pseudo_state(rho, p).rho)
+                                    states.pseudo_state(rho, p))
         rhs = witnesses.expectation(w, rho)
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
 
@@ -305,6 +305,10 @@ def test_working_point_constants_against_closed_form():
     assert a_star + 1 / a_star == pytest.approx(1 + np.sqrt(5), rel=1e-15)
     assert abs(a - a_star) < 2e-5
     assert abs(eps - a_star / (1 + np.sqrt(5))) < 3e-5
+    # the search at its defaults lands on the closed form
+    report = witnesses.optimize_parameters()
+    assert abs(report.a - a_star) < 1e-6
+    assert abs(report.epsilon_certified - a_star / (1 + np.sqrt(5))) < 1e-8
 
 
 def test_product_minimum_monotone_in_restarts():
