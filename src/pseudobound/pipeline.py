@@ -58,8 +58,8 @@ def build_report(cfg: RunConfig) -> dict:
 
     ppt = core.is_ppt(peeled, tolerance=1e-6)
     wexp = witnesses.expectation(w, peeled)
-    werr = tomography.propagate_witness_error(
-        result, witnesses.pseudo_witness(w, cfg.p))
+    # the pseudo witness E_{1/p}(W) has the Pauli coordinates of W over p
+    werr = tomography.propagate_witness_error(result, w) / cfg.p
     fid = core.uhlmann_fidelity(rho_ideal, peeled)
     dist = core.trace_distance(rho_ideal, peeled)
 

@@ -301,13 +301,18 @@ class ReconstructionResult:
 
 
 def _whole_experiments(dataset: TomographyDataset) -> bool:
-    """True if the records are whole experiments, in row order, with one sigma each."""
+    """True if the records are whole experiments, in row order, with one sigma each.
+
+    The index arrays compare as bytes, the rows against the default layout's
+    and the experiments against each block's first repeated; the sigmas
+    compare with ==, so that 0.0 and -0.0 are one exact sigma.
+    """
     n = len(_ROW)
-    if len(dataset.row) % n:
+    experiment, row, sigma = dataset.experiment, dataset.row, dataset.sigma
+    if len(row) % n or row.tobytes() != _DEFAULT_ROW[:len(row)].tobytes():
         return False
-    exps, sigmas = dataset.experiment.reshape(-1, n), dataset.sigma.reshape(-1, n)
-    return bool((dataset.row.reshape(-1, n) == np.arange(n)).all()
-                and (exps == exps[:, :1]).all() and (sigmas == sigmas[:, :1]).all())
+    return (experiment.tobytes() == experiment[::n].repeat(n).tobytes()
+            and bool((sigma == sigma[::n].repeat(n)).all()))
 
 
 def _check_rank(singular_values: np.ndarray, shape: tuple[int, int]) -> None:

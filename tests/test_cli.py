@@ -371,6 +371,14 @@ _NUMERIC = "objects with numeric value and sigma"
     ("argv", ["witness", "optimize", "--seed", "-1", "--restarts", "2", "--range", "0.3:0.31"],
      "--seed -1"),
     ("argv", ["verify", "--seed", "-1"], "--seed -1"),
+    # a search range beyond the state parameters' is refused as the range, not
+    # at the first grid point it would evaluate
+    ("argv", ["witness", "optimize", "--range", "0.5:1e151"],
+     "bad search range (0.5, 1e+151): need 1e-150 <= lo < hi <= 1e+150"),
+    ("argv", ["witness", "optimize", "--range", "1e-300:1e-299"],
+     "bad search range (1e-300, 1e-299)"),
+    ("argv", ["witness", "optimize", "--range", "1e200:1e201"],
+     "bad search range (1e+200, 1e+201)"),
     # a subnormal --p: 1/p overflows, and sigma * p would underflow to exact data
     ("argv", ["report", "--p", "5e-324"], "--p 5e-324"),
     ("argv", ["report", "--sigma", "0", "--p", "1e-310"], "--p 1e-310"),
@@ -385,6 +393,8 @@ _NUMERIC = "objects with numeric value and sigma"
         "optimize-negative-restarts", "optimize-huge-restarts",
         "optimize-restarts-over-cap", "report-negative-seed", "tomo-negative-seed",
         "tomo-exact-negative-seed", "optimize-negative-seed", "verify-negative-seed",
+        "optimize-range-above-parameters", "optimize-range-below-parameters",
+        "optimize-range-far-above-parameters",
         "report-subnormal-p", "report-exact-subnormal-p", "report-sigma-underflow"])
 def test_malformed_input_exits_2(tmp_path, capsys, command, payload, message):
     bad = tmp_path / "bad.json"

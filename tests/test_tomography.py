@@ -392,6 +392,9 @@ def _layouts():
         "per-record sigma": tomo.TomographyDataset(e, r, v, rng.uniform(5e-4, 4e-3, len(v))),
         "per-experiment sigma": tomo.TomographyDataset(e, r, v, 1e-3 * (1 + np.arange(168) // 8)),
         "exact": tomo.generate_dataset(RHO_OPT),
+        # exact data whose zero sigmas carry both signs: still one sigma an experiment
+        "signed-zero exact": tomo.TomographyDataset(e, r, tomo.generate_dataset(RHO_OPT).value,
+                                                    np.where(np.arange(168) % 3, 0.0, -0.0)),
     }
 
 
@@ -419,9 +422,10 @@ def test_fit_path_follows_each_dataset_layout():
     # datasets that share a layout or not, in turn; the SVD runs exactly for
     # the datasets that are not whole experiments with one sigma each
     layouts = _layouts()
+    assert np.signbit(layouts["signed-zero exact"].sigma).any()
     runs = [("default", False), ("shuffled", True), ("default", False),
             ("per-experiment sigma", False), ("per-record sigma", True),
-            ("per-experiment sigma", False)]
+            ("per-experiment sigma", False), ("signed-zero exact", False)]
     for name, takes_svd in runs:
         ds = layouts[name]
         theta, cov, residual, _ = _uncached_fit(ds)

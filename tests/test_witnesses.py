@@ -176,6 +176,7 @@ def _random_hermitian(seed):
 _ORACLE_OPERATORS = {
     **{f"witness_bar-{a}": witnesses.witness_bar(states.StateParams.symmetric(a))
        for a in (0.1, 0.346, 0.5, 1.0)},
+    "witness_bar-0.2-0.5-1.3": witnesses.witness_bar(states.StateParams(0.2, 0.5, 1.3)),
     "identity": np.eye(8),
     "ghz-projector": np.outer(states.ghz(-1), states.ghz(-1).conj()),
     "random-hermitian": _random_hermitian(17),
@@ -309,6 +310,42 @@ def test_working_point_constants_against_closed_form():
     report = witnesses.optimize_parameters()
     assert abs(report.a - a_star) < 1e-6
     assert abs(report.epsilon_certified - a_star / (1 + np.sqrt(5))) < 1e-8
+
+
+def _symmetric_branch(a):
+    """min over u = cos(theta) of W_bar(a, a, a) on the symmetric products |psi>^3.
+
+    g(u) is the expectation at the best relative phase, with U = 1/(1+a^2)
+    and |c| = 1/2 + 3a/(1+a^2) the GHZ corner's modulus; a grid brackets
+    the minimum and golden-section steps close in on it.
+    """
+    big_u, c = 1.0 / (1.0 + a * a), 0.5 + 3.0 * a / (1.0 + a * a)
+
+    def g(u):
+        return (((1 + u) ** 3 + (1 - u) ** 3) / 16 + 3 * big_u * (1 + u) ** 2 * (1 - u) / 8
+                + 3 * (1 - big_u) * (1 + u) * (1 - u) ** 2 / 8 - c / 4 * (1 - u * u) ** 1.5)
+
+    grid = np.linspace(-1.0, 1.0, 2001)
+    i = int(np.argmin(g(grid)))
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(100):
+        x1, x2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+        lo, hi = (lo, x2) if g(x1) <= g(x2) else (x1, hi)
+    return min(g(grid[i]), g((lo + hi) / 2.0))
+
+
+def test_product_minimum_matches_the_symmetric_closed_form():
+    # on symmetric triples the product minimum is the smaller of the |101>
+    # vertex, a^2/(1+a^2), and the symmetric branch; checked on the search's
+    # grid and at a*, where the two branches touch
+    a_star = (1 + np.sqrt(5) - np.sqrt(2 + 2 * np.sqrt(5))) / 2
+    for a in [*np.linspace(0.05, 1.0, witnesses.GRID_POINTS), a_star]:
+        want = min(a * a / (1 + a * a), _symmetric_branch(a))
+        wb = witnesses.witness_bar(states.StateParams.symmetric(a))
+        for seed in range(4):
+            got = witnesses.min_over_product_states(wb, restarts=250, seed=seed).value
+            assert abs(got - want) <= 1e-12, (a, seed)
 
 
 def test_product_minimum_monotone_in_restarts():
