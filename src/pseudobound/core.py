@@ -40,6 +40,8 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
+_IDENTITY = np.eye(8)
+_IDENTITY.setflags(write=False)
 
 
 def check_operator(matrix) -> np.ndarray:
@@ -63,7 +65,7 @@ def _as_matrix(op) -> np.ndarray:
 
 def check_hermitian(m: np.ndarray, tolerance: float, what: str) -> float:
     """The defect max|m - m^dag|; raise ValueError if it exceeds ``tolerance`` (absolute)."""
-    defect = float(np.max(np.abs(m - m.conj().T)))
+    defect = float(np.abs(m - m.conj().T).max())
     if defect > tolerance:
         raise ValueError(f"{what} is not Hermitian (defect {defect:.3e} > tol {tolerance:.1e})")
     return defect
@@ -112,8 +114,7 @@ def matrix_sqrt_psd(h, tolerance: float = 1e-10) -> np.ndarray:
     vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
     if vals[0] < -tolerance:
         raise ValueError(f"matrix not PSD: eigenvalue {vals[0]:.3e}")
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    return (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.conj().T
 
 
 @dataclass(frozen=True)
@@ -368,7 +369,7 @@ def _pauli_coordinates(m: np.ndarray) -> np.ndarray:
 
 def parameters_to_matrix(theta) -> np.ndarray:
     """The unit-trace operator Id/8 + sum_k theta_k * P_k."""
-    return np.eye(8, dtype=complex) / 8.0 + (theta @ parameter_basis()).reshape(8, 8)
+    return _IDENTITY / 8.0 + (theta @ parameter_basis()).reshape(8, 8)
 
 
 def mix_with_identity(op, t: float) -> np.ndarray:
@@ -382,7 +383,7 @@ def mix_with_identity(op, t: float) -> np.ndarray:
     if not -np.inf < t < np.inf:
         raise ValueError(f"identity-mixing weight t={t!r} must be finite")
     m = _as_matrix(op)
-    return t * m + (1.0 - t) * (m.trace() / 8.0) * np.eye(8)
+    return t * m + (1.0 - t) * (m.trace() / 8.0) * _IDENTITY
 
 
 # ---------------------------------------------------------------------------

@@ -63,9 +63,9 @@ def build_report(cfg: RunConfig) -> dict:
     fid = core.uhlmann_fidelity(rho_ideal, peeled)
     dist = core.trace_distance(rho_ideal, peeled)
 
-    trw8 = float(np.real(np.trace(w))) / 8.0
+    trw8 = float(w.trace().real) / 8.0
     modeled_wexp = (1 - cfg.noise_lambda) * (-cfg.epsilon) + cfg.noise_lambda * trw8
-    imag_max = float(np.max(np.abs(np.imag(peeled.matrix))))
+    imag_max = float(np.abs(peeled.matrix.imag).max())
 
     return {
         "schema_version": REPORT_SCHEMA_VERSION,

@@ -9,9 +9,11 @@ settings with all three detected spins gives 168 linear equations for the
 63 real parameters of the traceless deviation.  One read-only readout
 table (``_readout_table``: 81 experiments x 8 amplitudes x 63 parameters)
 serves both simulation and inversion; its rows are the Pauli coordinates
-of the Heisenberg-picture line observables.  A dataset is four validated
-arrays from the JSON file to the fit, and its experiment and row arrays
-index the table directly.  Every experiment's Gram matrix is diagonal, so
+of the Heisenberg-picture line observables.  A dataset is four read-only
+arrays from the JSON file or the simulation to the fit, and its experiment
+and row arrays index the table directly; the constructor validates the
+arrays of a file, and the simulation builds its own without re-checking
+them.  Every experiment's Gram matrix is diagonal, so
 for whole experiments with one sigma each the weighted fit is a closed
 form; any other dataset takes one thin SVD of the weighted rows.  Both
 give the estimate, the rank and the parameter covariance that is
@@ -159,10 +161,13 @@ def _readout_table() -> np.ndarray:
     return table
 
 
+_EPS = float(np.finfo(float).eps)
+
+
 def _rank(singular_values: np.ndarray, shape: tuple[int, int]) -> int:
     """Singular values above numpy's default cutoff, max(shape) * eps * s.max()."""
     s = singular_values
-    return int(np.sum(s > s.max() * max(shape) * np.finfo(float).eps))
+    return int(np.count_nonzero(s > s.max() * max(shape) * _EPS))
 
 
 @dataclass(frozen=True)
@@ -192,10 +197,13 @@ class TomographyDataset:
 
     ``experiment`` indexes ``_EXPERIMENTS`` and ``row`` the amplitude within
     that experiment's 8 (``_ROW``).  The constructor is the one validation
-    of a dataset, simulated or read from a file: equal 1-D lengths, at most
-    168 records, indices in range, finite values and each sigma either 0
-    (exact data) or within ``SIGMA_RANGE``, so that the fit weight
-    1/sigma^2 is a finite normal float.
+    of a dataset from outside the program (a file, or arrays a caller
+    passes): equal 1-D lengths, at most 168 records, indices in range,
+    finite values and each sigma either 0 (exact data) or within
+    ``SIGMA_RANGE``, so that the fit weight 1/sigma^2 is a finite normal
+    float.  ``generate_dataset``, the one place that simulates data, builds
+    its dataset through ``_trusted`` without these checks when its parts
+    already meet them, and through the constructor otherwise.
     """
 
     experiment: np.ndarray
@@ -227,6 +235,17 @@ class TomographyDataset:
         if not valid.all():
             raise ValueError(f"record sigma {sigma[~valid][0]} must be 0 or within "
                              f"[{lo:g}, {hi:g}], so that 1/sigma^2 stays a normal float")
+
+    @classmethod
+    def _trusted(cls, experiment: np.ndarray, row: np.ndarray, value: np.ndarray,
+                 sigma: np.ndarray) -> "TomographyDataset":
+        """A dataset of arrays that meet the constructor's conditions, made read-only, uncopied."""
+        dataset = object.__new__(cls)
+        for name, array in (("experiment", experiment), ("row", row), ("value", value),
+                            ("sigma", sigma)):
+            array.setflags(write=False)
+            object.__setattr__(dataset, name, array)
+        return dataset
 
     def __eq__(self, other):
         if not isinstance(other, TomographyDataset):
@@ -273,17 +292,27 @@ def generate_dataset(rho: DensityOperator, sigma: float = 0.0,
     """The 21 default experiments' exact amplitudes plus iid Gaussian noise.
 
     One ``normal(0, sigma, 168)`` draw reproduces, bit for bit, 21
-    consecutive draws of 8.  The dataset constructor validates the result
-    like a dataset read from a file.
+    consecutive draws of 8.  This is the one place that builds simulated
+    data.  Its indices are the default layout's, so when sigma is 0 or
+    within ``SIGMA_RANGE`` and the amplitudes are finite, the dataset meets
+    every condition of the validating constructor and is built without its
+    checks (``TomographyDataset._trusted``); any other dataset goes through
+    the constructor, which refuses it with the messages a file gets.
     """
     if not 0.0 <= sigma < math.inf:
         raise ValueError(f"sigma {sigma} must be finite and non-negative")
-    values = np.array([measure(rho, setting, detect)
-                       for setting, detect in default_experiments()]).reshape(-1)
+    values = np.empty((len(default_experiments()), len(_ROW)))
+    for k, (setting, detect) in enumerate(default_experiments()):
+        values[k] = measure(rho, setting, detect)
+    values = values.reshape(-1)
     if sigma > 0:
-        values = values + np.random.default_rng(seed).normal(0.0, sigma, size=values.shape)
-    return TomographyDataset(_DEFAULT_EXPERIMENT, _DEFAULT_ROW, values,
-                             np.full(values.shape, float(sigma)))
+        values += np.random.default_rng(seed).normal(0.0, sigma, size=values.shape)
+    sigmas = np.full(values.shape, float(sigma))
+    lo, hi = SIGMA_RANGE
+    # a finite sum means finite amplitudes
+    if (sigma == 0.0 or lo <= sigma <= hi) and math.isfinite(values.sum()):
+        return TomographyDataset._trusted(_DEFAULT_EXPERIMENT, _DEFAULT_ROW, values, sigmas)
+    return TomographyDataset(_DEFAULT_EXPERIMENT, _DEFAULT_ROW, values, sigmas)
 
 
 # ---------------------------------------------------------------------------

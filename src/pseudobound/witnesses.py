@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import (DensityOperator, check_hermitian, check_operator, eigvalsh,
                    mix_with_identity, state_parameters)
-from .states import PARAM_RANGE, StateParams, _peel_weight, ghz
+from .states import PARAM_RANGE, StateParams, _peel_weight
 
 # the identity shift at the working point states.A_OPT; it sits 2.43e-5 below
 # eps* = a*/(1 + sqrt5) = a*^2/(1 + a*^2) = 0.1069243111, its closed form at a*
@@ -56,6 +56,10 @@ class WitnessParams:
         return StateParams(self.a1, self.a2, self.a3)
 
 
+# |<000|GHZ->|^2 = (1/sqrt2)^2 as the outer product of ghz(-1) rounds it
+_GHZ_WEIGHT = (1.0 / math.sqrt(2.0)) * (1.0 / math.sqrt(2.0))
+
+
 def witness_bar(params: StateParams) -> np.ndarray:
     """Base witness: zero expectation on the matching family member.
 
@@ -65,21 +69,24 @@ def witness_bar(params: StateParams) -> np.ndarray:
     The trace is 4 for every parameter triple.
     """
     a1, a2, a3 = params.as_tuple()
-    minus = ghz(-1)
-    w = np.outer(minus, minus.conj())
+    w = np.zeros((8, 8), dtype=complex)
+    s = 0.0
     # (basis index of the 1/(1+a^2) state, of the a^2/(1+a^2) state, parameter)
     for low, high, a in ((1, 6, a1), (2, 5, a2), (4, 3, a3)):
-        w[low, low] += 1.0 / (1.0 + a * a)
-        w[high, high] += a * a / (1.0 + a * a)
-    s = sum(a / (1.0 + a * a) for a in (a1, a2, a3))
-    w[0, 7] -= s
-    w[7, 0] -= s
+        aa = a * a
+        w[low, low] = 1.0 / (1.0 + aa)
+        w[high, high] = aa / (1.0 + aa)
+        s += a / (1.0 + aa)
+    w[0, 0] = w[7, 7] = _GHZ_WEIGHT
+    w[0, 7] = w[7, 0] = -_GHZ_WEIGHT - s
     return w
 
 
 def witness(params: WitnessParams) -> np.ndarray:
     """Full witness: base operator minus epsilon times the identity."""
-    return witness_bar(params.state_params) - params.epsilon * np.eye(8)
+    w = witness_bar(params.state_params)
+    w.reshape(64)[::9] -= params.epsilon   # the diagonal, as a view
+    return w
 
 
 def pseudo_witness(w, p: float) -> np.ndarray:
@@ -95,8 +102,7 @@ def expectation(w, rho: DensityOperator) -> float:
     """tr(W rho) for a Hermitian observable, returned as a real number."""
     m = check_operator(w)
     check_hermitian(m, 1e-9, "witness")
-    val = complex(np.trace(m @ rho.matrix))
-    return float(val.real)
+    return float(np.einsum("ij,ji->", m, rho.matrix).real)
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +165,11 @@ def min_over_product_states(w_bar, restarts: int = 200, seed: int = 0,
     With two qubits held fixed the trilinear form ``bloch_tensor`` is
     g_0 + g . r in the third, minimal at r = -g/|g| (|0> when g = 0) with
     value g_0 - |g|, so no sweep raises the value.  A start stops when a
-    sweep lowers it by less than 1e-14 relative, or after ``max_sweeps``
-    sweeps; the lowest final value wins, the first start on ties.  The
+    sweep lowers it by less than 1e-14 max(1, |value|), or after
+    ``max_sweeps`` sweeps; the lowest final value wins, the first start on
+    ties.  The descent runs on W scaled by a power of two, which is exact,
+    so that the field of a huge or tiny W neither overflows nor underflows;
+    the stopping rule stays in W's units.  The
     starts are one seeded draw, start by start, so the result is
     deterministic and non-increasing in ``restarts``.  Only the Hermitian
     part of W enters.  The value is the best local minimum found: an upper
@@ -183,7 +192,13 @@ def min_over_product_states(w_bar, restarts: int = 200, seed: int = 0,
         raise ValueError(f"restarts {restarts} exceeds MAX_RESTARTS = {MAX_RESTARTS}")
     if max_sweeps < 1:
         raise ValueError("need at least one sweep")
-    t = bloch_tensor(w_bar)
+    m = check_operator(w_bar)
+    # the descent runs on 2^-e W, its largest real or imaginary part in [1/2, 1);
+    # every step scales exactly with W, so the stopping rule is W's (``unit`` is
+    # 1 in W's units) and the value is scaled back.  e >= -1021 keeps 2^-e finite.
+    e = max(int(np.frexp(np.abs(m.view(float)).max())[1]), -1021)
+    unit = math.ldexp(1.0, -e)
+    t = bloch_tensor(m * unit)
     # blocks[q][i, (j, k)]: T with qubit q in i, the other two jointly in (j, k);
     # rows 1-3 negated, so that a block step's g[1:] is -g, the update direction
     blocks = [t.transpose(q, j, k).reshape(4, 16) * _NEGATE_BLOCH for q, (j, k) in
@@ -217,7 +232,7 @@ def min_over_product_states(w_bar, restarts: int = 200, seed: int = 0,
                 flat = size == 0.0
                 g[3, flat], size[flat] = 1.0, 1.0
             np.divide(g[1:], size, out=cur[q, 1:])
-        done = value - val < 1e-14 * np.maximum(1.0, np.abs(val))
+        done = value - val < 1e-14 * np.maximum(unit, np.abs(val))
         if sweep == max_sweeps - 1:
             done[:] = True              # the starts that ran out of sweeps stop too
         value[:] = val
@@ -231,7 +246,8 @@ def min_over_product_states(w_bar, restarts: int = 200, seed: int = 0,
     # in start order, argmin keeps the first start on ties, as over all starts at once
     stops.sort(key=lambda stop: stop[0])
     _, best_value, best_r = stops[int(np.argmin([stop[1] for stop in stops]))]
-    return ProductStateMinimum(value=float(best_value), states=_state_vectors(best_r))
+    return ProductStateMinimum(value=math.ldexp(float(best_value), e),
+                               states=_state_vectors(best_r))
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,38 @@ def test_density_operator_invariants():
         rho.matrix[0, 0] = 9.0   # frozen
 
 
+@pytest.mark.parametrize("wrap", [core.DensityOperator, core.DensityOperator.loose],
+                         ids=["strict", "loose"])
+def test_validation_keeps_its_messages(wrap):
+    # a non-finite entry anywhere gets the finiteness message and no warning
+    # (warnings are errors here): a Hermiticity defect m - m^dag taken before
+    # the finiteness test would warn on inf - inf
+    for bad in (np.nan, np.inf, -np.inf):
+        for entries in ({(1, 1): bad},                          # on the diagonal
+                        {(0, 1): bad},                          # off the diagonal
+                        {(0, 1): bad, (1, 0): bad},             # on a Hermitian pair
+                        {(2, 2): complex(0.25, bad)},           # in an imaginary part
+                        {(0, 3): complex(0.0, bad), (3, 0): complex(0.0, -bad)}):
+            m = _diag8(0.5, 0.25, 0.25)
+            for (i, j), v in entries.items():
+                m[i, j] = v
+            with pytest.raises(ValueError, match=r"^operator entries must be finite$"):
+                wrap(m)
+    upper = _diag8(0.5, 0.5)
+    upper[0, 1] = 1.0
+    tol = 1e-10 if wrap is core.DensityOperator else 1e-6
+    with pytest.raises(ValueError, match=rf"^state is not Hermitian \(defect 1.000e\+00 > "
+                                         rf"tol {tol:.1e}\)$"):
+        wrap(upper)
+    with pytest.raises(ValueError, match="8x8"):
+        wrap(np.eye(4) / 4)
+    # an infinite tolerance admits any finite defect, never a non-finite entry
+    m = _diag8(0.5, 0.5)
+    m[0, 1] = np.inf
+    with pytest.raises(ValueError, match=r"^operator entries must be finite$"):
+        core.DensityOperator(m, tolerance=np.inf)
+
+
 def test_state_carries_its_parameters(rng):
     for rho in (core.random_density_operator(rng), core.maximally_mixed()):
         theta = rho.parameters

@@ -231,6 +231,44 @@ def test_dataset_json_round_trip(tmp_path):
         tomo.TomographyDataset.load(path)
 
 
+@pytest.mark.parametrize("rho, sigma", [(RHO_OPT, 0.0), (RHO_OPT, 1e-3),
+                                        (states.pseudo_state(RHO_OPT, 2.3e-5), 0.0),
+                                        (states.pseudo_state(RHO_OPT, 2.3e-5), 2.3e-7)],
+                         ids=["exact", "noisy", "pseudo-exact", "pseudo-noisy"])
+def test_generated_dataset_equals_the_validating_constructor(tmp_path, rho, sigma):
+    # a simulated dataset skips the constructor's checks but not its result
+    path = tmp_path / "data.json"
+    for seed in range(20):
+        ds = tomo.generate_dataset(rho, sigma=sigma, seed=seed)
+        checked = tomo.TomographyDataset(ds.experiment, ds.row, ds.value, ds.sigma)
+        assert ds == checked
+        for name in ("experiment", "row", "value", "sigma"):
+            array = getattr(ds, name)
+            assert array.dtype == getattr(checked, name).dtype
+            assert not array.flags.writeable
+        ds.save(path)
+        loaded = tomo.TomographyDataset.load(path)
+        assert loaded == ds
+        got, want = tomo.reconstruct(loaded), tomo.reconstruct(ds)
+        assert got.rho_hat.matrix.tobytes() == want.rho_hat.matrix.tobytes()
+        assert got.theta.tobytes() == want.theta.tobytes()
+        assert got.covariance.tobytes() == want.covariance.tobytes()
+        assert got.residual_norm == want.residual_norm
+
+
+def test_generated_dataset_outside_the_trusted_conditions_gets_the_file_messages():
+    # a sigma outside SIGMA_RANGE, or amplitudes that overflow, go through the
+    # validating constructor and are refused as in a file
+    for sigma, message in ((1e-200, "record sigma 1e-200 must be 0 or within"),
+                           (1e200, r"record sigma 1e\+200 must be 0 or within")):
+        with pytest.raises(ValueError, match=message):
+            tomo.generate_dataset(RHO_OPT, sigma=sigma)
+    huge = core.DensityOperator.loose(np.diag([1e308, -1e308, 1, 0, 0, 0, 0, 0]).astype(complex))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="record value nan is not finite"):
+        tomo.generate_dataset(huge)
+
+
 def test_dataset_constructor_checks_shapes_and_indices():
     full = tomo.generate_dataset(RHO_OPT)
     zero = np.zeros(1)

@@ -28,6 +28,23 @@ def test_base_witness_trace_and_corner(rng):
     assert corner == pytest.approx(-1.4270, abs=5e-5)
 
 
+def test_base_witness_equals_the_outer_product_construction(rng):
+    # the closed-form fill against the GHZ-minus projector plus the
+    # populations and the corner, added entry by entry
+    for _ in range(200):
+        a1, a2, a3 = random_params(rng, 1e-3, 1e3).as_tuple()
+        minus = states.ghz(-1)
+        want = np.outer(minus, minus.conj())
+        for low, high, a in ((1, 6, a1), (2, 5, a2), (4, 3, a3)):
+            want[low, low] += 1.0 / (1.0 + a * a)
+            want[high, high] += a * a / (1.0 + a * a)
+        s = sum(a / (1.0 + a * a) for a in (a1, a2, a3))
+        want[0, 7] -= s
+        want[7, 0] -= s
+        np.testing.assert_array_equal(witnesses.witness_bar(states.StateParams(a1, a2, a3)),
+                                      want)
+
+
 def test_zero_expectation_on_matching_state(rng):
     for _ in range(100):
         params = random_params(rng)
@@ -270,6 +287,17 @@ def test_state_vectors_near_a_pole(pole, rng):
         np.testing.assert_allclose(np.linalg.norm(vectors, axis=1), 1.0, atol=1e-15)
         assert witnesses.product_expectation(w, vectors) == pytest.approx(
             np.einsum("ijk,i,j,k->", t, *r), abs=1e-12)
+
+
+@pytest.mark.parametrize("scale", [2.0**600, 1e200], ids=["2^600", "1e200"])
+def test_product_minimum_of_a_huge_operator(scale):
+    # the squared field of 1e154 W overflowed: the value was -inf, with a
+    # warning per sweep; the descent now runs on W scaled by a power of two
+    h = _ORACLE_OPERATORS["random-hermitian"]
+    for seed in (0, 1, 2):
+        want = witnesses.min_over_product_states(h, restarts=40, seed=seed)
+        got = witnesses.min_over_product_states(scale * h, restarts=40, seed=seed)
+        assert got.value == pytest.approx(scale * want.value, rel=1e-14, abs=0.0)
 
 
 def test_product_minimum_uses_the_hermitian_part():
