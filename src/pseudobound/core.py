@@ -42,6 +42,9 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 _IDENTITY = np.eye(8)
 _IDENTITY.setflags(write=False)
+# the largest entry magnitude of a state, the package's 1e150 range convention:
+# sums and products of a few such entries stay finite normal floats
+MAX_ENTRY = 1e150
 
 
 def check_operator(matrix) -> np.ndarray:
@@ -69,6 +72,12 @@ def check_hermitian(m: np.ndarray, tolerance: float, what: str) -> float:
     if defect > tolerance:
         raise ValueError(f"{what} is not Hermitian (defect {defect:.3e} > tol {tolerance:.1e})")
     return defect
+
+
+def check_tolerance(tolerance: float, what: str) -> None:
+    """Raise ValueError unless ``tolerance`` is finite and non-negative."""
+    if not 0.0 <= tolerance < np.inf:
+        raise ValueError(f"{what} tolerance {tolerance} must be finite and non-negative")
 
 
 def simplex_projection(c, n=None) -> np.ndarray:
@@ -111,6 +120,7 @@ def matrix_sqrt_psd(h, tolerance: float = 1e-10) -> np.ndarray:
     negative is an error.
     """
     m = _as_matrix(h)
+    check_tolerance(tolerance, "square-root")
     vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
     if vals[0] < -tolerance:
         raise ValueError(f"matrix not PSD: eigenvalue {vals[0]:.3e}")
@@ -121,11 +131,13 @@ def matrix_sqrt_psd(h, tolerance: float = 1e-10) -> np.ndarray:
 class DensityOperator:
     """Validated density matrix.
 
-    ``tolerance`` bounds the admissible Hermiticity defect, trace defect
-    and most negative eigenvalue.  Exact synthetic states keep the tight
-    default; noisy reconstructed states should go through
-    :meth:`DensityOperator.loose`, which widens the tolerance to cover a
-    negative eigenvalue.
+    ``tolerance`` is the slack the constructor was given, finite and
+    non-negative: it bounds the admissible Hermiticity defect, trace defect
+    and most negative eigenvalue, and nothing changes it afterwards.  Exact
+    synthetic states keep the tight default; noisy reconstructed states go
+    through :meth:`DensityOperator.loose`, which does not check positivity.
+    Entries beyond ``MAX_ENTRY`` in magnitude are refused, so that products,
+    eigensolves and trace norms of states stay finite.
 
     The validation's eigensolve is kept as ``spectrum``, and the Pauli
     coordinates are worked out on first use (``parameters``); both are
@@ -136,22 +148,23 @@ class DensityOperator:
     tolerance: float = 1e-10
     spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, widen: bool = False):
-        # the one validation pass; loose() calls it with widen=True
+    def __post_init__(self, positive: bool = True):
+        # the one validation pass; loose() calls it with positive=False
         tol = self.tolerance
         m = check_operator(self.matrix)
+        check_tolerance(tol, "state")
+        largest = float(np.abs(m).max())
+        if largest > MAX_ENTRY:
+            raise ValueError(f"state entry of magnitude {largest:.3e} beyond {MAX_ENTRY:g}")
         defect = check_hermitian(m, tol, "state")
         tr = complex(m.trace())
-        if abs(tr - 1.0) > (tol if widen else max(tol, 1e-12)):
+        if abs(tr - 1.0) > max(tol, 1e-12):
             raise ValueError(f"trace {tr:.8g} != 1 beyond tol {tol:.1e}")
         # an exactly Hermitian m is its own Hermitian part, bit for bit
         spectrum = np.linalg.eigvalsh(m if defect == 0.0 else (m + m.conj().T) / 2)
         spectrum.setflags(write=False)
-        lowest = float(spectrum[0])
-        if widen:
-            object.__setattr__(self, "tolerance", max(tol, -lowest * (1 + 1e-9) + 1e-15))
-        elif lowest < -tol:
-            raise ValueError(f"negative eigenvalue {lowest:.3e} beyond tol {tol:.1e}")
+        if positive and spectrum[0] < -tol:
+            raise ValueError(f"negative eigenvalue {spectrum[0]:.3e} beyond tol {tol:.1e}")
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -159,19 +172,20 @@ class DensityOperator:
 
     @classmethod
     def loose(cls, matrix) -> "DensityOperator":
-        """Wrap a matrix that may violate positivity, widening the tolerance.
+        """Wrap a matrix that may violate positivity, at tolerance 1e-6.
 
-        Unprojected estimates legitimately have small negative eigenvalues,
-        so only positivity is relaxed: a Hermiticity or trace defect beyond
-        1e-6 means the matrix is no state and raises ValueError.  A positivity
-        defect is not an error and raises no warning: it stays visible as
-        ``eigenvalues()[0] < 0`` and as a ``tolerance`` widened past 1e-6.
+        Unprojected estimates legitimately have negative eigenvalues, so
+        positivity is not checked: a Hermiticity or trace defect beyond 1e-6
+        means the matrix is no state and raises ValueError.  A positivity
+        defect is not an error and raises no warning: it shows as
+        ``eigenvalues()[0] < 0``, and ``tolerance`` stays 1e-6, so that
+        ``is_ppt`` at its default calls a cut below -1e-6 NPT.
         """
-        # skip __init__ so that the matrix is validated once, by the widening pass
+        # skip __init__ so that the matrix is validated once, without the positivity test
         rho = object.__new__(cls)
         object.__setattr__(rho, "matrix", matrix)
         object.__setattr__(rho, "tolerance", 1e-6)
-        rho.__post_init__(widen=True)
+        rho.__post_init__(positive=False)
         return rho
 
     @property
@@ -264,11 +278,11 @@ def is_ppt(rho: DensityOperator, tolerance: float | None = None) -> PPTReport:
     """PPT verdict for every bipartite cut of a three-qubit state.
 
     ``tolerance`` must be finite and non-negative; it defaults to the
-    state's own.
+    state's own, so a loosely wrapped estimate's cuts get 1e-6 whatever its
+    own lowest eigenvalue.
     """
     tol = rho.tolerance if tolerance is None else tolerance
-    if not 0.0 <= tol < np.inf:
-        raise ValueError(f"PPT tolerance {tol} must be finite and non-negative")
+    check_tolerance(tol, "PPT")
     # one eigensolve of the (3, 8, 8) stack; row k belongs to THREE_QUBIT_CUTS[k]
     stack = np.empty((len(THREE_QUBIT_CUTS), 8, 8), dtype=complex)
     for k, cut in enumerate(THREE_QUBIT_CUTS):
@@ -289,9 +303,10 @@ def uhlmann_fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
 
     The outer trace is the sum of the square roots of the eigenvalues of
     sqrt(rho) sigma sqrt(rho); the outer square root itself is never formed.
-    The clip level for small negative eigenvalues follows the declared
-    tolerances of the arguments, so loosely wrapped reconstructed states
-    compare cleanly against exact ones.
+    Negative eigenvalues are clipped down to a slack of at least 1e-8, each
+    argument's tolerance and just past its own lowest eigenvalue, so a
+    loosely wrapped estimate with a negative eigenvalue compares cleanly
+    against an exact state.
 
     Conditioning: when sqrt(rho) sigma sqrt(rho) is rank-deficient (a
     rank-deficient rho or sigma, such as a pure state or the rank-7 family
@@ -301,7 +316,8 @@ def uhlmann_fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
     eigensolvers that round that eigenvalue differently give fidelities that
     differ at that level.
     """
-    slack = max(1e-8, rho.tolerance, sigma.tolerance)
+    slack = max(1e-8, *(max(s.tolerance, -s.spectrum[0] * (1 + 1e-9) + 1e-15)
+                        for s in (rho, sigma)))
     root = matrix_sqrt_psd(rho.matrix, tolerance=slack)
     inner = root @ sigma.matrix @ root
     vals = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
@@ -420,8 +436,11 @@ def read_json(path):
 
 
 def json_text(payload) -> str:
-    """``payload`` as indented JSON text ending in a newline."""
-    return json.dumps(payload, indent=1) + "\n"
+    """``payload`` as indented JSON text ending in a newline.
+
+    A non-finite float is a ValueError: JSON has no ``Infinity`` or ``NaN``.
+    """
+    return json.dumps(payload, indent=1, allow_nan=False) + "\n"
 
 
 def write_json(payload, path) -> None:

@@ -284,4 +284,4 @@ def depolarize(rho: DensityOperator, lam: float) -> DensityOperator:
     """(1 - lam) rho + lam Id/8: the identity mixing E_{1-lam}."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"depolarization weight {lam} outside [0, 1]")
-    return DensityOperator(mix_with_identity(rho, 1.0 - lam), tolerance=rho.tolerance)
+    return DensityOperator(mix_with_identity(rho, 1.0 - lam))

@@ -93,7 +93,7 @@ def pseudo_state(rho_be: DensityOperator, p: float) -> DensityOperator:
     """Embed a state into the maximally mixed background with weight p: E_p(rho)."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixing fraction p={p} outside [0, 1]")
-    return DensityOperator(mix_with_identity(rho_be, p), tolerance=rho_be.tolerance)
+    return DensityOperator(mix_with_identity(rho_be, p))
 
 
 def _peel_weight(p: float, what: str) -> float:
@@ -110,8 +110,8 @@ def peel_matrix(matrix, p: float) -> DensityOperator:
     """The one peel, E_{1/p}: invert the embedding of a matrix, e.g. an estimate, with known p.
 
     It adds about 1e-17/p of rounding per entry.  A non-positive result raises
-    no error or warning; ``eigenvalues()[0]`` and the widened ``tolerance`` show
-    it.  A trace or Hermiticity defect is the input's rounding amplified by 1/p: ValueError.
+    no error or warning; ``eigenvalues()[0]`` shows it.  A trace or Hermiticity
+    defect is the input's rounding amplified by 1/p: ValueError.
     """
     t = _peel_weight(p, "peeling")
     rho = DensityOperator.loose(matrix)

@@ -293,11 +293,12 @@ def generate_dataset(rho: DensityOperator, sigma: float = 0.0,
 
     One ``normal(0, sigma, 168)`` draw reproduces, bit for bit, 21
     consecutive draws of 8.  This is the one place that builds simulated
-    data.  Its indices are the default layout's, so when sigma is 0 or
-    within ``SIGMA_RANGE`` and the amplitudes are finite, the dataset meets
-    every condition of the validating constructor and is built without its
-    checks (``TomographyDataset._trusted``); any other dataset goes through
-    the constructor, which refuses it with the messages a file gets.
+    data.  Its indices are the default layout's and its amplitudes are
+    finite (a state's entries lie within ``core.MAX_ENTRY``), so when sigma
+    is 0 or within ``SIGMA_RANGE`` the dataset meets every condition of the
+    validating constructor and is built without its checks
+    (``TomographyDataset._trusted``); any other sigma goes through the
+    constructor, which refuses it with the message a file gets.
     """
     if not 0.0 <= sigma < math.inf:
         raise ValueError(f"sigma {sigma} must be finite and non-negative")
@@ -309,8 +310,7 @@ def generate_dataset(rho: DensityOperator, sigma: float = 0.0,
         values += np.random.default_rng(seed).normal(0.0, sigma, size=values.shape)
     sigmas = np.full(values.shape, float(sigma))
     lo, hi = SIGMA_RANGE
-    # a finite sum means finite amplitudes
-    if (sigma == 0.0 or lo <= sigma <= hi) and math.isfinite(values.sum()):
+    if sigma == 0.0 or lo <= sigma <= hi:
         return TomographyDataset._trusted(_DEFAULT_EXPERIMENT, _DEFAULT_ROW, values, sigmas)
     return TomographyDataset(_DEFAULT_EXPERIMENT, _DEFAULT_ROW, values, sigmas)
 
@@ -407,7 +407,7 @@ def project_to_physical(rho_hat) -> DensityOperator:
     m = (m + m.conj().T) / 2.0
     vals, vecs = np.linalg.eigh(m)
     out = (vecs * simplex_projection(vals)) @ vecs.conj().T
-    return DensityOperator(out, tolerance=1e-9)
+    return DensityOperator(out)
 
 
 def propagate_witness_error(result: ReconstructionResult, w) -> float:

@@ -182,9 +182,8 @@ def min_over_product_states(w_bar, restarts: int = 200, seed: int = 0,
     the array packing the vectors, last values and start indices.  With
     the few hundred starts a call runs, its time follows the number of
     sweeps, not the number of starts.  Values match the one-start-at-a-time
-    descent of the tests, and the strided kernel this layout replaced,
-    within 1e-14 relative, not bit for bit: the products sum in another
-    order.
+    descent of the tests within 1e-14 relative, not bit for bit: the
+    products sum in another order.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
@@ -339,7 +338,7 @@ def optimize_parameters(search_range: tuple[float, float] = (0.05, 1.0),
     x2 = left + invphi * (right - left)
     f1, f2 = objective(x1), objective(x2)
     for _ in range(REFINE_ITERATIONS):
-        if f1 < f2 or (abs(f1 - f2) <= 1e-9 and x1 < x2):
+        if f1 < f2 or abs(f1 - f2) <= 1e-9:   # a tie keeps the left point, x1 < x2
             right, x2, f2 = x2, x1, f1
             x1 = right - invphi * (right - left)
             f1 = objective(x1)

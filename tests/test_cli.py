@@ -326,6 +326,10 @@ _DEEP = "[" * 100_000
 _NOT_HERMITIAN = np.diag([5.0, 0, 0, 0, 0, 0, 0, -1.0])
 _NOT_HERMITIAN[0, 1] = 3.0
 
+# Hermitian with trace 1, but its entries overflow the arithmetic after loading
+_HUGE = core.matrix_to_json(np.diag([1e308, -1e308, 1, 0, 0, 0, 0, 0]))
+_BEYOND_BOUND = "state entry of magnitude 1.000e+308 beyond 1e+150"
+
 
 # a full dataset file whose every sigma is too large for a finite fit weight
 _FULL = [dict(_RECORD, setting=s, detect=d, line=line, quad=q, sigma=1e300)
@@ -359,6 +363,11 @@ _NUMERIC = "objects with numeric value and sigma"
     ("ppt", core.matrix_to_json(_NOT_HERMITIAN), "error:"),
     ("metrics", core.matrix_to_json(_NOT_HERMITIAN), "error:"),
     ("ppt", core.matrix_to_json(np.eye(8) / 4), "error:"),
+    ("ppt", _HUGE, _BEYOND_BOUND),
+    ("simulate", _HUGE, _BEYOND_BOUND),
+    ("metrics", _HUGE, _BEYOND_BOUND),
+    ("metrics-reference", _HUGE, _BEYOND_BOUND),
+    ("witness", _HUGE, _BEYOND_BOUND),
     ("optimize", "0", "--restarts 0 must be at least 1"),
     ("optimize", "-3", "--restarts -3 must be at least 1"),
     ("optimize", "10000000000000", "--restarts 10000000000000 must be at most 100000"),
@@ -389,7 +398,8 @@ _NUMERIC = "objects with numeric value and sigma"
         "tomo-null-value", "tomo-text-sigma", "tomo-non-object-record",
         "tomo-tiny-sigma", "tomo-huge-sigma",
         "ppt-deep", "tomo-deep", "metrics-deep", "ppt-not-hermitian",
-        "metrics-not-hermitian", "ppt-trace-2", "optimize-zero-restarts",
+        "metrics-not-hermitian", "ppt-trace-2", "ppt-huge", "simulate-huge", "metrics-huge",
+        "metrics-reference-huge", "witness-eval-huge", "optimize-zero-restarts",
         "optimize-negative-restarts", "optimize-huge-restarts",
         "optimize-restarts-over-cap", "report-negative-seed", "tomo-negative-seed",
         "tomo-exact-negative-seed", "optimize-negative-seed", "verify-negative-seed",
@@ -406,6 +416,9 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, payload, message):
     else:
         argv = {"ppt": ["ppt", "--state", str(bad)],
                 "metrics": ["metrics", "--state", str(bad), "--reference", str(rho)],
+                "metrics-reference": ["metrics", "--state", str(rho), "--reference", str(bad)],
+                "simulate": ["tomo", "simulate", "--state", str(bad)],
+                "witness": ["witness", "eval", "--state", str(bad)],
                 "tomo": ["tomo", "reconstruct", "--data", str(bad)],
                 "optimize": ["witness", "optimize", "--restarts", str(payload)]}[command]
     with warnings.catch_warnings():

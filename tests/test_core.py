@@ -3,6 +3,7 @@
 import math
 import os
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +99,42 @@ def test_validation_keeps_its_messages(wrap):
     m[0, 1] = np.inf
     with pytest.raises(ValueError, match=r"^operator entries must be finite$"):
         core.DensityOperator(m, tolerance=np.inf)
+
+
+def test_tolerance_arguments_are_checked():
+    # a NaN tolerance fails every comparison, an infinite one admits any defect
+    # and a negative one refuses a PSD matrix: each is refused by name instead
+    for tolerance in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError, match=rf"^state tolerance {tolerance} must be finite"):
+            core.DensityOperator(np.eye(8) / 2, tolerance=tolerance)
+        with pytest.raises(ValueError, match=rf"^state tolerance {tolerance} must be finite"):
+            core.DensityOperator(np.eye(8) / 8, tolerance=tolerance)
+        for m in (_diag8(1.0, -1.0), np.eye(8)):
+            with pytest.raises(ValueError,
+                               match=rf"^square-root tolerance {tolerance} must be finite"):
+                core.matrix_sqrt_psd(m, tolerance=tolerance)
+    assert core.DensityOperator(np.eye(8) / 8, tolerance=0.0).tolerance == 0.0
+
+
+@pytest.mark.parametrize("wrap", [core.DensityOperator, core.DensityOperator.loose],
+                         ids=["strict", "loose"])
+def test_state_entries_are_bounded(wrap):
+    # unit trace, but too large for the arithmetic that follows; refused before
+    # the Hermiticity defect m - m^dag of the anti-Hermitian pair could overflow
+    # (no warning), and as a Hermitian file matrix too
+    big = core.MAX_ENTRY
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e308, 1e154, 2 * big):
+            for m in (_diag8(scale, -scale, 1.0), _diag8(0.5, 0.5)):
+                m[0, 1], m[1, 0] = scale, -scale
+                with pytest.raises(ValueError,
+                                   match=r"^state entry of magnitude .* beyond 1e\+150$"):
+                    wrap(m)
+        with pytest.raises(ValueError, match=r"^state entry of magnitude 1.000e\+308"):
+            wrap(_diag8(1e308, -1e308, 1.0))
+    edge = core.DensityOperator.loose(_diag8(big, -big, 1.0))
+    assert edge.eigenvalues()[0] == -big
 
 
 def test_state_carries_its_parameters(rng):
@@ -420,14 +457,32 @@ def test_bipartition_validation():
 
 
 def test_loose_wrapper_widens():
+    # positivity is not checked, and the tolerance stays the one it was given:
+    # the defect shows only in the spectrum
     rho = core.DensityOperator.loose(_diag8(1.2, -0.2))
-    assert rho.tolerance >= 0.2
+    assert rho.tolerance == 1e-6
+    assert rho.eigenvalues()[0] == -0.2
     # only positivity is relaxed: a matrix that is no state is refused
     upper = _diag8(0.5, 0.5)
     upper[0, 1] = 0.1
     for no_state in (upper, np.eye(8) / 4):
         with pytest.raises(ValueError):
             core.DensityOperator.loose(no_state)
+
+
+def test_loose_estimate_is_not_ppt_by_its_own_negativity():
+    # the estimate's lowest eigenvalue lies below every cut's minimum: the PPT
+    # verdict at the default tolerance (the state's own, 1e-6) must not count
+    # the estimate's negativity as slack
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    h = (g + g.conj().T) / 2
+    rho = core.DensityOperator.loose(np.eye(8) / 8 + 0.1 * (h - np.trace(h) / 8 * np.eye(8)))
+    report = core.is_ppt(rho)
+    lows = [c.min_eigenvalue for c in report.cuts]
+    assert rho.eigenvalues()[0] < min(lows) and max(lows) < -1e-6
+    assert report.tolerance == 1e-6
+    assert not any(c.ppt for c in report.cuts)
 
 
 def _simplex_oracle(c, n):
@@ -485,6 +540,16 @@ def test_write_json_keeps_the_old_file_when_encoding_fails(tmp_path):
     core.write_json(_LONG, path)
     with pytest.raises(TypeError):
         core.write_json({"x": object()}, path)
+    assert path.read_text() == core.json_text(_LONG)
+
+
+def test_json_text_refuses_non_finite_floats(tmp_path):
+    # JSON has no Infinity or NaN: no file or standard output may hold them
+    path = tmp_path / "out.json"
+    core.write_json(_LONG, path)
+    for value in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            core.write_json({"trace_distance": value}, path)
     assert path.read_text() == core.json_text(_LONG)
 
 

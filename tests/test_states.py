@@ -164,4 +164,4 @@ def test_peel_reports_negativity_through_spectrum(rho_opt):
         warnings.simplefilter("error")
         peeled = states.peel_matrix(ps.matrix + tilt, p)
     assert peeled.eigenvalues()[0] < -1e-6
-    assert peeled.tolerance >= -peeled.eigenvalues()[0]
+    assert peeled.tolerance == 1e-6

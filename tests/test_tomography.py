@@ -1,6 +1,7 @@
 """Readout model, linear inversion and error propagation."""
 
 import json
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -257,16 +258,22 @@ def test_generated_dataset_equals_the_validating_constructor(tmp_path, rho, sigm
 
 
 def test_generated_dataset_outside_the_trusted_conditions_gets_the_file_messages():
-    # a sigma outside SIGMA_RANGE, or amplitudes that overflow, go through the
-    # validating constructor and are refused as in a file
+    # a sigma outside SIGMA_RANGE goes through the validating constructor and is
+    # refused as in a file
     for sigma, message in ((1e-200, "record sigma 1e-200 must be 0 or within"),
                            (1e200, r"record sigma 1e\+200 must be 0 or within")):
         with pytest.raises(ValueError, match=message):
             tomo.generate_dataset(RHO_OPT, sigma=sigma)
-    huge = core.DensityOperator.loose(np.diag([1e308, -1e308, 1, 0, 0, 0, 0, 0]).astype(complex))
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(ValueError, match="record value nan is not finite"):
-        tomo.generate_dataset(huge)
+    # a state's entries lie within MAX_ENTRY, so even the largest give finite
+    # amplitudes, and the trusted dataset is the one the constructor validates
+    big = np.diag([core.MAX_ENTRY, -core.MAX_ENTRY, 1, 0, 0, 0, 0, 0]).astype(complex)
+    big[0, 1] = big[1, 0] = core.MAX_ENTRY
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = tomo.generate_dataset(core.DensityOperator.loose(big), sigma=tomo.SIGMA_RANGE[1])
+    assert np.isfinite(got.value).all()
+    want = tomo.TomographyDataset(got.experiment, got.row, got.value, got.sigma)
+    assert got.value.tobytes() == want.value.tobytes()
 
 
 def test_dataset_constructor_checks_shapes_and_indices():
