@@ -30,7 +30,7 @@ import itertools
 import json
 import os
 import stat
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
 import numpy as np
@@ -127,32 +127,32 @@ def matrix_sqrt_psd(h, tolerance: float = 1e-10) -> np.ndarray:
     return (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.conj().T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """Validated density matrix.
+    """Validated density matrix, equal only to itself.
 
-    ``tolerance`` is the slack the constructor was given, finite and
-    non-negative: it bounds the admissible Hermiticity defect, trace defect
-    and most negative eigenvalue, and nothing changes it afterwards.  Exact
-    synthetic states keep the tight default; noisy reconstructed states go
-    through :meth:`DensityOperator.loose`, which does not check positivity.
-    Entries beyond ``MAX_ENTRY`` in magnitude are refused, so that products,
-    eigensolves and trace norms of states stay finite.
+    ``tolerance`` is fixed by the kind of state: 1e-10 for a validated one
+    and 1e-6 for one wrapped by :meth:`DensityOperator.loose`.  It bounds
+    the admissible Hermiticity defect, trace defect and (validated states
+    only) most negative eigenvalue.  Exact synthetic states are validated;
+    noisy reconstructed states and matrix files are wrapped loosely, without
+    the positivity test.  Entries beyond ``MAX_ENTRY`` in magnitude are
+    refused, so that products, eigensolves and trace norms of states stay
+    finite.
 
-    The validation's eigensolve is kept as ``spectrum``, and the Pauli
+    The validation's eigensolve is kept for ``eigenvalues()``, and the Pauli
     coordinates are worked out on first use (``parameters``); both are
-    read-only arrays, computed at most once per state.
+    read-only arrays, computed at most once per state.  Equality and hashing
+    are by identity: two states with equal matrices are distinct values.
     """
 
     matrix: np.ndarray
-    tolerance: float = 1e-10
-    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
+    tolerance = 1e-10   # a class attribute, not a field; loose() sets 1e-6
 
     def __post_init__(self, positive: bool = True):
         # the one validation pass; loose() calls it with positive=False
         tol = self.tolerance
         m = check_operator(self.matrix)
-        check_tolerance(tol, "state")
         largest = float(np.abs(m).max())
         if largest > MAX_ENTRY:
             raise ValueError(f"state entry of magnitude {largest:.3e} beyond {MAX_ENTRY:g}")
@@ -168,7 +168,7 @@ class DensityOperator:
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "spectrum", spectrum)
+        object.__setattr__(self, "_spectrum", spectrum)
 
     @classmethod
     def loose(cls, matrix) -> "DensityOperator":
@@ -178,8 +178,8 @@ class DensityOperator:
         positivity is not checked: a Hermiticity or trace defect beyond 1e-6
         means the matrix is no state and raises ValueError.  A positivity
         defect is not an error and raises no warning: it shows as
-        ``eigenvalues()[0] < 0``, and ``tolerance`` stays 1e-6, so that
-        ``is_ppt`` at its default calls a cut below -1e-6 NPT.
+        ``eigenvalues()[0] < 0``, and ``is_ppt`` at its default, the
+        state's tolerance 1e-6, calls a cut below -1e-6 NPT.
         """
         # skip __init__ so that the matrix is validated once, without the positivity test
         rho = object.__new__(cls)
@@ -187,10 +187,6 @@ class DensityOperator:
         object.__setattr__(rho, "tolerance", 1e-6)
         rho.__post_init__(positive=False)
         return rho
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
     def eigenvalues(self) -> np.ndarray:
         """The spectrum, ascending, read-only: the one validation eigensolve.
@@ -200,7 +196,7 @@ class DensityOperator:
         Hermitian; a matrix Hermitian only within tolerance gets the spectrum
         of its Hermitian part.
         """
-        return self.spectrum
+        return self._spectrum
 
     @cached_property
     def parameters(self) -> np.ndarray:
@@ -277,9 +273,10 @@ class PPTReport:
 def is_ppt(rho: DensityOperator, tolerance: float | None = None) -> PPTReport:
     """PPT verdict for every bipartite cut of a three-qubit state.
 
-    ``tolerance`` must be finite and non-negative; it defaults to the
-    state's own, so a loosely wrapped estimate's cuts get 1e-6 whatever its
-    own lowest eigenvalue.
+    ``tolerance`` must be finite and non-negative.  It defaults to the
+    state's own, fixed by its kind: 1e-10 for a validated state and 1e-6
+    for a loosely wrapped one, whose cuts get 1e-6 whatever its own lowest
+    eigenvalue.
     """
     tol = rho.tolerance if tolerance is None else tolerance
     check_tolerance(tol, "PPT")
@@ -304,9 +301,9 @@ def uhlmann_fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
     The outer trace is the sum of the square roots of the eigenvalues of
     sqrt(rho) sigma sqrt(rho); the outer square root itself is never formed.
     Negative eigenvalues are clipped down to a slack of at least 1e-8, each
-    argument's tolerance and just past its own lowest eigenvalue, so a
-    loosely wrapped estimate with a negative eigenvalue compares cleanly
-    against an exact state.
+    argument's tolerance (1e-10 validated, 1e-6 loose) and just past its own
+    lowest eigenvalue ``eigenvalues()[0]``, so a loosely wrapped estimate
+    with a negative eigenvalue compares cleanly against an exact state.
 
     Conditioning: when sqrt(rho) sigma sqrt(rho) is rank-deficient (a
     rank-deficient rho or sigma, such as a pure state or the rank-7 family
@@ -316,7 +313,7 @@ def uhlmann_fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
     eigensolvers that round that eigenvalue differently give fidelities that
     differ at that level.
     """
-    slack = max(1e-8, *(max(s.tolerance, -s.spectrum[0] * (1 + 1e-9) + 1e-15)
+    slack = max(1e-8, *(max(s.tolerance, -s.eigenvalues()[0] * (1 + 1e-9) + 1e-15)
                         for s in (rho, sigma)))
     root = matrix_sqrt_psd(rho.matrix, tolerance=slack)
     inner = root @ sigma.matrix @ root

@@ -30,6 +30,7 @@ from itertools import product
 import numpy as np
 
 from .core import (
+    MAX_ENTRY,
     DensityOperator,
     PAULIS,
     _as_matrix,
@@ -189,6 +190,18 @@ def design_matrix() -> DesignMatrix:
 
 _RECORD_KEYS = ("setting", "detect", "line", "quad", "value", "sigma")
 SIGMA_RANGE = (1e-150, 1e150)
+# every readout row has L1 norm 8 and every Pauli coordinate of a state lies
+# within MAX_ENTRY, so every exact amplitude lies within this bound
+MAX_VALUE = 8 * MAX_ENTRY
+
+
+def _check_sigmas(sigma: np.ndarray) -> None:
+    """Raise ValueError unless each sigma is 0 or within ``SIGMA_RANGE``."""
+    lo, hi = SIGMA_RANGE
+    valid = (sigma == 0.0) | ((sigma >= lo) & (sigma <= hi))
+    if not valid.all():
+        raise ValueError(f"record sigma {sigma[~valid][0]} must be 0 or within "
+                         f"[{lo:g}, {hi:g}], so that 1/sigma^2 stays a normal float")
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -199,11 +212,11 @@ class TomographyDataset:
     that experiment's 8 (``_ROW``).  The constructor is the one validation
     of a dataset from outside the program (a file, or arrays a caller
     passes): equal 1-D lengths, at most 168 records, indices in range,
-    finite values and each sigma either 0 (exact data) or within
-    ``SIGMA_RANGE``, so that the fit weight 1/sigma^2 is a finite normal
-    float.  ``generate_dataset``, the one place that simulates data, builds
-    its dataset through ``_trusted`` without these checks when its parts
-    already meet them, and through the constructor otherwise.
+    each sigma either 0 (exact data) or within ``SIGMA_RANGE``, so that the
+    fit weight 1/sigma^2 is a finite normal float, and each value finite and
+    within ``MAX_VALUE`` in magnitude, so that the fit stays finite.
+    ``generate_dataset``, the one place that simulates data, checks its
+    sigma and builds its dataset through ``_trusted`` without these checks.
     """
 
     experiment: np.ndarray
@@ -227,14 +240,11 @@ class TomographyDataset:
             raise ValueError(f"experiment index outside [0, {len(_EXPERIMENTS)})")
         if row.view(np.uintp).max(initial=0) >= len(_ROW):
             raise ValueError(f"row index outside [0, {len(_ROW)})")
-        finite = np.isfinite(value)
-        if not finite.all():
-            raise ValueError(f"record value {value[~finite][0]} is not finite")
-        lo, hi = SIGMA_RANGE
-        valid = (sigma == 0.0) | ((sigma >= lo) & (sigma <= hi))
-        if not valid.all():
-            raise ValueError(f"record sigma {sigma[~valid][0]} must be 0 or within "
-                             f"[{lo:g}, {hi:g}], so that 1/sigma^2 stays a normal float")
+        _check_sigmas(sigma)
+        bounded = np.abs(value) <= MAX_VALUE   # False for NaN too
+        if not bounded.all():
+            raise ValueError(f"record value {value[~bounded][0]} must be finite and "
+                             f"within {MAX_VALUE:g} in magnitude")
 
     @classmethod
     def _trusted(cls, experiment: np.ndarray, row: np.ndarray, value: np.ndarray,
@@ -293,26 +303,24 @@ def generate_dataset(rho: DensityOperator, sigma: float = 0.0,
 
     One ``normal(0, sigma, 168)`` draw reproduces, bit for bit, 21
     consecutive draws of 8.  This is the one place that builds simulated
-    data.  Its indices are the default layout's and its amplitudes are
-    finite (a state's entries lie within ``core.MAX_ENTRY``), so when sigma
-    is 0 or within ``SIGMA_RANGE`` the dataset meets every condition of the
-    validating constructor and is built without its checks
-    (``TomographyDataset._trusted``); any other sigma goes through the
-    constructor, which refuses it with the message a file gets.
+    data.  A sigma that is not finite and non-negative, or not 0 or within
+    ``SIGMA_RANGE``, is refused up front, the latter with the message a
+    file gets.  The dataset is then built without the validating
+    constructor's checks (``TomographyDataset._trusted``): its indices are
+    the default layout's, and its exact amplitudes lie within ``MAX_VALUE``
+    because a state's entries lie within ``core.MAX_ENTRY``.
     """
     if not 0.0 <= sigma < math.inf:
         raise ValueError(f"sigma {sigma} must be finite and non-negative")
+    sigmas = np.full(len(_DEFAULT_ROW), float(sigma))
+    _check_sigmas(sigmas[:1])
     values = np.empty((len(default_experiments()), len(_ROW)))
     for k, (setting, detect) in enumerate(default_experiments()):
         values[k] = measure(rho, setting, detect)
     values = values.reshape(-1)
     if sigma > 0:
         values += np.random.default_rng(seed).normal(0.0, sigma, size=values.shape)
-    sigmas = np.full(values.shape, float(sigma))
-    lo, hi = SIGMA_RANGE
-    if sigma == 0.0 or lo <= sigma <= hi:
-        return TomographyDataset._trusted(_DEFAULT_EXPERIMENT, _DEFAULT_ROW, values, sigmas)
-    return TomographyDataset(_DEFAULT_EXPERIMENT, _DEFAULT_ROW, values, sigmas)
+    return TomographyDataset._trusted(_DEFAULT_EXPERIMENT, _DEFAULT_ROW, values, sigmas)
 
 
 # ---------------------------------------------------------------------------
@@ -378,10 +386,14 @@ def reconstruct(dataset: TomographyDataset) -> ReconstructionResult:
 
     if _whole_experiments(dataset):
         w2 = weights * weights
-        gram = w2 @ (rows * rows)   # diag(A^T W A)
+        # scaled exactly, by a power of two, to a largest weight in [1/2, 1),
+        # so that values * w2 stays finite; the covariance is scaled back
+        scale = 2.0 ** -math.frexp(w2.max())[1]
+        w2 *= scale
+        gram = w2 @ (rows * rows)   # diag(A^T W A) * scale
         _check_rank(np.sqrt(gram), rows.shape)
         theta = ((values * w2) @ rows) / gram
-        cov = np.zeros((63, 63)) if exact else np.diag(1.0 / gram)
+        cov = np.zeros((63, 63)) if exact else np.diag(scale / gram)
     else:
         u, s, vt = np.linalg.svd(rows * weights[:, None], full_matrices=False)
         _check_rank(s, rows.shape)

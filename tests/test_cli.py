@@ -336,6 +336,10 @@ _FULL = [dict(_RECORD, setting=s, detect=d, line=line, quad=q, sigma=1e300)
          for s, d in tomography.default_experiments()
          for line in tomography.LINE_LABELS for q in tomography.QUADRATURES]
 _NUMERIC = "objects with numeric value and sigma"
+# full dataset files that take the closed-form fit: one value beyond the record
+# value bound, and every value within it at the smallest sigma
+_HUGE_VALUE = [dict(r, sigma=1e-3, value=1.7e308 if k == 0 else 0.0) for k, r in enumerate(_FULL)]
+_HEAVY = [dict(r, sigma=1e-150, value=1e150) for r in _FULL]
 
 
 @pytest.mark.parametrize("command, payload, message", [
@@ -357,6 +361,8 @@ _NUMERIC = "objects with numeric value and sigma"
     ("tomo", ["Y1E2E3"], _NUMERIC),
     ("tomo", [dict(_RECORD, value=0.5, sigma=5e-324)], "record sigma 5e-324"),
     ("tomo", _FULL, "record sigma 1e+300"),
+    ("tomo", _HUGE_VALUE, "record value 1.7e+308 must be finite and within 8e+150"),
+    ("tomo", _HEAVY, "error:"),
     ("ppt", _DEEP, "error:"),
     ("tomo", _DEEP, "JSON nested too deeply"),
     ("metrics", _DEEP, "error:"),
@@ -380,6 +386,7 @@ _NUMERIC = "objects with numeric value and sigma"
     ("argv", ["witness", "optimize", "--seed", "-1", "--restarts", "2", "--range", "0.3:0.31"],
      "--seed -1"),
     ("argv", ["verify", "--seed", "-1"], "--seed -1"),
+    ("argv", ["state", "--a1", "0.3"], "give all of --a1/--a2/--a3"),
     # a search range beyond the state parameters' is refused as the range, not
     # at the first grid point it would evaluate
     ("argv", ["witness", "optimize", "--range", "0.5:1e151"],
@@ -396,13 +403,14 @@ _NUMERIC = "objects with numeric value and sigma"
         "ppt-null-dim", "tomo-missing-detect", "tomo-object", "tomo-empty",
         "tomo-bad-line", "tomo-bad-setting", "tomo-bad-detect", "tomo-bad-quad",
         "tomo-null-value", "tomo-text-sigma", "tomo-non-object-record",
-        "tomo-tiny-sigma", "tomo-huge-sigma",
+        "tomo-tiny-sigma", "tomo-huge-sigma", "tomo-huge-value", "tomo-heavy-closed-form",
         "ppt-deep", "tomo-deep", "metrics-deep", "ppt-not-hermitian",
         "metrics-not-hermitian", "ppt-trace-2", "ppt-huge", "simulate-huge", "metrics-huge",
         "metrics-reference-huge", "witness-eval-huge", "optimize-zero-restarts",
         "optimize-negative-restarts", "optimize-huge-restarts",
         "optimize-restarts-over-cap", "report-negative-seed", "tomo-negative-seed",
         "tomo-exact-negative-seed", "optimize-negative-seed", "verify-negative-seed",
+        "state-partial-triple",
         "optimize-range-above-parameters", "optimize-range-below-parameters",
         "optimize-range-far-above-parameters",
         "report-subnormal-p", "report-exact-subnormal-p", "report-sigma-underflow"])
@@ -426,6 +434,26 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, payload, message):
         assert run(argv) == 2
     err = capsys.readouterr().err
     assert "error:" in err and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("state, reference, message", [
+    # loose wrapping admits both; the product sqrt(R) S sqrt(R) is diag(-3, 0, ...)
+    (np.diag([-1.0, 2, 0, 0, 0, 0, 0, 0]), np.diag([3.0, -2, 0, 0, 0, 0, 0, 0]),
+     "matrix not PSD: eigenvalue -3.000e+00"),
+    (np.diag([6.0, -5, 0, 0, 0, 0, 0, 0]), np.diag([6.0, -5, 0, 0, 0, 0, 0, 0]),
+     "fidelity 5.999999999999999 exceeds 1"),
+], ids=["inner-product-not-psd", "fidelity-above-one"])
+def test_metrics_of_matrices_far_from_states_exits_2(tmp_path, capsys, state, reference,
+                                                      message):
+    paths = []
+    for name, m in (("state", state), ("reference", reference)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(core.matrix_to_json(m)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["metrics", "--state", str(paths[0]), "--reference", str(paths[1])]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -287,6 +287,13 @@ def test_weight_solver_matches_support_enumeration():
                                    rtol=0, atol=1e-12, err_msg=label)
 
 
+def test_seed_expansion_needs_a_symmetric_triple_and_inputs():
+    with pytest.raises(ValueError, match="defined for symmetric triples"):
+        nmr.matched_fraction(states.StateParams(0.3, 0.3, 0.4), KAPPA_H)
+    with pytest.raises(ValueError, match="^no input states$"):
+        nmr.solve_temporal_weights([], nmr.target_diagonal(PARAMS, 1e-5))
+
+
 def test_weight_solver_refuses_degenerate_inputs():
     five = nmr.initial_states(KAPPA_H)
     target = nmr.target_diagonal(PARAMS, 1e-5)

@@ -276,6 +276,35 @@ def test_generated_dataset_outside_the_trusted_conditions_gets_the_file_messages
     assert got.value.tobytes() == want.value.tobytes()
 
 
+def test_generate_dataset_never_calls_the_validating_constructor():
+    # a sigma outside SIGMA_RANGE is refused before any dataset is built
+    with mock.patch.object(tomo.TomographyDataset, "__init__", side_effect=AssertionError):
+        for sigma in (0.0, 1e-3, *tomo.SIGMA_RANGE):
+            assert tomo.generate_dataset(RHO_OPT, sigma=sigma).sigma[0] == sigma
+        with pytest.raises(ValueError, match="record sigma 1e-200 must be 0 or within"):
+            tomo.generate_dataset(RHO_OPT, sigma=1e-200)
+
+
+def test_dataset_values_are_bounded_so_the_fit_stays_finite():
+    # a value beyond 8 * MAX_ENTRY is refused; within it, even at the smallest
+    # sigma, the closed-form fit stays finite (no warning) and the estimate's
+    # entries are refused by the state entry bound
+    bound = tomo.MAX_VALUE
+    assert bound == 8 * core.MAX_ENTRY
+    for value in (np.nan, np.inf, -np.inf, 1.7e308, -np.nextafter(bound, np.inf)):
+        with pytest.raises(ValueError, match=r"^record value .* must be finite and within "
+                                             r"8e\+150 in magnitude$"):
+            tomo.TomographyDataset([0], [0], [value], [1e-3])
+    ds = tomo.generate_dataset(RHO_OPT)
+    heavy = tomo.TomographyDataset(ds.experiment, ds.row, np.full(168, bound),
+                                   np.full(168, tomo.SIGMA_RANGE[0]))
+    assert tomo._whole_experiments(heavy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^state entry of magnitude .* beyond 1e\+150$"):
+            tomo.reconstruct(heavy)
+
+
 def test_dataset_constructor_checks_shapes_and_indices():
     full = tomo.generate_dataset(RHO_OPT)
     zero = np.zeros(1)
@@ -437,6 +466,9 @@ def _layouts():
         "per-record sigma": tomo.TomographyDataset(e, r, v, rng.uniform(5e-4, 4e-3, len(v))),
         "per-experiment sigma": tomo.TomographyDataset(e, r, v, 1e-3 * (1 + np.arange(168) // 8)),
         "exact": tomo.generate_dataset(RHO_OPT),
+        # the closed form scales its weights by a power of two near both ends of SIGMA_RANGE
+        "smallest sigma": tomo.TomographyDataset(e, r, v, np.full(168, tomo.SIGMA_RANGE[0])),
+        "largest sigma": tomo.TomographyDataset(e, r, v, np.full(168, tomo.SIGMA_RANGE[1])),
         # exact data whose zero sigmas carry both signs: still one sigma an experiment
         "signed-zero exact": tomo.TomographyDataset(e, r, tomo.generate_dataset(RHO_OPT).value,
                                                     np.where(np.arange(168) % 3, 0.0, -0.0)),

@@ -407,6 +407,11 @@ def test_base_witness_nonnegative_on_separable(rng):
         assert float(weights @ values[picks]) >= -1e-12
 
 
+def test_white_noise_threshold_without_a_positive_noise_term_is_zero(rho_opt):
+    # -Id detects every state, white noise included: no admixture is needed
+    assert witnesses.white_noise_threshold(-np.eye(8), rho_opt) == 0.0
+
+
 def test_white_noise_threshold_values(rho_opt):
     w = witnesses.witness(W_PARAMS)
     assert witnesses.white_noise_threshold(w, rho_opt) == pytest.approx(0.7862,
