@@ -17,7 +17,7 @@ from .states import A_OPT
 from .witnesses import EPS_OPT
 
 _PARAMS = states.StateParams.symmetric(A_OPT)
-_W_PARAMS = witnesses.WitnessParams.symmetric(A_OPT, EPS_OPT)
+_W_PARAMS = witnesses.WitnessParams(_PARAMS, EPS_OPT)
 
 
 class CheckFailed(AssertionError):

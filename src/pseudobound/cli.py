@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 import numpy as np
@@ -74,8 +73,7 @@ def cmd_ppt(args) -> int:
 
 
 def cmd_witness_eval(args) -> int:
-    params = witnesses.WitnessParams(
-        *(_params_from_args(args).as_tuple()), epsilon=args.eps)
+    params = witnesses.WitnessParams(_params_from_args(args), args.eps)
     w = witnesses.witness(params)
     rho = _load_density(args.state)
     value = witnesses.expectation(w, rho)
@@ -322,7 +320,7 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) < 0:
             raise ValueError(f"--seed {args.seed} must be a non-negative integer")
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:   # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

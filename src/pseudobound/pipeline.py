@@ -36,6 +36,9 @@ def build_report(cfg: RunConfig) -> dict:
         raise ValueError(
             f"--p {cfg.p!r} must have a finite reciprocal: the peel step divides the "
             "reconstructed deviation by p")
+    if cfg.p > 1.0:
+        raise ValueError(f"--p {cfg.p!r} must be at most 1: it is the weight of the state "
+                         "in the pseudo state (1-p) Id/8 + p rho")
     # measurement noise is quoted relative to the deviation amplitude, so
     # the absolute record sigma scales with p; only --sigma 0 means exact data
     sigma_abs = cfg.sigma * cfg.p
@@ -45,7 +48,7 @@ def build_report(cfg: RunConfig) -> dict:
             f"--sigma {cfg.sigma!r} times --p {cfg.p!r} must be 0 or within "
             f"[{lo:g}, {hi:g}], so that the record weight 1/sigma^2 stays a normal float")
     params = states.StateParams.symmetric(cfg.a)
-    wparams = witnesses.WitnessParams.symmetric(cfg.a, cfg.epsilon)
+    wparams = witnesses.WitnessParams(params, cfg.epsilon)
     rho_ideal = states.bound_entangled_state(params)
     w = witnesses.witness(wparams)
 
@@ -56,7 +59,7 @@ def build_report(cfg: RunConfig) -> dict:
     result = tomography.reconstruct(dataset)
     peeled = states.peel_matrix(result.rho_hat.matrix, cfg.p)
 
-    ppt = core.is_ppt(peeled, tolerance=1e-6)
+    ppt = core.is_ppt(peeled)
     wexp = witnesses.expectation(w, peeled)
     # the pseudo witness E_{1/p}(W) has the Pauli coordinates of W over p
     werr = tomography.propagate_witness_error(result, w) / cfg.p

@@ -373,7 +373,10 @@ def reconstruct(dataset: TomographyDataset) -> ReconstructionResult:
     weighted rows: the estimate is V S^-1 U^T (b/sigma) and the covariance
     V S^-2 V^T.  All-zero sigmas mean exact data: unit weights and a zero
     covariance.  No positivity projection is applied; the estimate is
-    Hermitian and unit-trace by construction.
+    Hermitian and unit-trace by construction, unless its coordinates are so
+    large (near ``core.MAX_ENTRY``) that Id/8 is lost to rounding or an entry
+    passes the bound: then ValueError names the largest record value and the
+    largest fitted coordinate.
     """
     if not len(dataset.value):
         raise ValueError("empty dataset")
@@ -401,7 +404,12 @@ def reconstruct(dataset: TomographyDataset) -> ReconstructionResult:
         theta = scaled @ (u.T @ (values * weights))
         cov = np.zeros((63, 63)) if exact else scaled @ scaled.T
 
-    rho_hat = DensityOperator.loose(parameters_to_matrix(theta))
+    try:
+        rho_hat = DensityOperator.loose(parameters_to_matrix(theta))
+    except ValueError as exc:
+        raise ValueError(f"record values up to {np.abs(values).max():.4g} in magnitude fit "
+                         f"Pauli coordinates up to {np.abs(theta).max():.4g}, which give "
+                         f"no state: {exc}") from None
     residual = float(np.linalg.norm(rows @ theta - values))
     return ReconstructionResult(rho_hat=rho_hat, theta=theta, covariance=cov,
                                 residual_norm=residual)

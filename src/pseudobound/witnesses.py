@@ -18,12 +18,12 @@ from it is valid only if no start missed the global minimum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DensityOperator, check_hermitian, check_operator, eigvalsh,
-                   mix_with_identity, state_parameters)
+from .core import (DensityOperator, _pauli_coordinates, check_hermitian, check_operator,
+                   eigvalsh, mix_with_identity)
 from .states import PARAM_RANGE, StateParams, _peel_weight
 
 # the identity shift at the working point states.A_OPT; it sits 2.43e-5 below
@@ -35,25 +35,21 @@ REFINE_ITERATIONS = 24   # golden-section steps after the scan
 
 @dataclass(frozen=True)
 class WitnessParams:
-    """State-family triple plus the identity shift epsilon."""
+    """The witness W_bar(a) - epsilon Id: the family triple it is built for, and epsilon.
 
-    a1: float
-    a2: float
-    a3: float
+    ``StateParams`` checks the triple when it is made, so only epsilon is checked here.
+    """
+
+    state_params: StateParams
     epsilon: float
 
     def __post_init__(self):
-        StateParams(self.a1, self.a2, self.a3)   # the family's own check of the triple
         if not 0.0 <= self.epsilon < np.inf:
             raise ValueError(f"epsilon must be finite and non-negative, got {self.epsilon}")
 
     @classmethod
     def symmetric(cls, a: float, epsilon: float) -> "WitnessParams":
-        return cls(a, a, a, epsilon)
-
-    @property
-    def state_params(self) -> StateParams:
-        return StateParams(self.a1, self.a2, self.a3)
+        return cls(StateParams.symmetric(a), epsilon)
 
 
 # |<000|GHZ->|^2 = (1/sqrt2)^2 as the outer product of ghz(-1) rounds it
@@ -132,7 +128,7 @@ def bloch_tensor(w) -> np.ndarray:
     (1, x, y, z); only the Hermitian part of W enters.
     """
     m = check_operator(w)
-    return np.concatenate(([np.trace(m).real / 8.0], state_parameters(m))).reshape(4, 4, 4)
+    return np.concatenate(([np.trace(m).real / 8.0], _pauli_coordinates(m))).reshape(4, 4, 4)
 
 
 def _state_vectors(r: np.ndarray) -> np.ndarray:
@@ -154,10 +150,10 @@ def _state_vectors(r: np.ndarray) -> np.ndarray:
 _OTHERS = ((1, 2), (0, 2), (0, 1))
 _NEGATE_BLOCH = np.array([[1.0], [-1.0], [-1.0], [-1.0]])
 MAX_RESTARTS = 10**5     # the descent peaks at about 0.68 KB per start (tracemalloc, 10^5 starts)
+MAX_SWEEPS = 200         # sweeps a start may run before it stops
 
 
-def min_over_product_states(w_bar, restarts: int = 200, seed: int = 0,
-                            max_sweeps: int = 200) -> ProductStateMinimum:
+def min_over_product_states(w_bar, restarts: int = 200, seed: int = 0) -> ProductStateMinimum:
     """Best local minimum of <abc| W |abc> over pure product states.
 
     Block coordinate descent on the Bloch vectors r = (1, x, y, z) from
@@ -166,7 +162,7 @@ def min_over_product_states(w_bar, restarts: int = 200, seed: int = 0,
     g_0 + g . r in the third, minimal at r = -g/|g| (|0> when g = 0) with
     value g_0 - |g|, so no sweep raises the value.  A start stops when a
     sweep lowers it by less than 1e-14 max(1, |value|), or after
-    ``max_sweeps`` sweeps; the lowest final value wins, the first start on
+    ``MAX_SWEEPS`` sweeps; the lowest final value wins, the first start on
     ties.  The descent runs on W scaled by a power of two, which is exact,
     so that the field of a huge or tiny W neither overflows nor underflows;
     the stopping rule stays in W's units.  The
@@ -189,8 +185,6 @@ def min_over_product_states(w_bar, restarts: int = 200, seed: int = 0,
         raise ValueError("need at least one restart")
     if restarts > MAX_RESTARTS:
         raise ValueError(f"restarts {restarts} exceeds MAX_RESTARTS = {MAX_RESTARTS}")
-    if max_sweeps < 1:
-        raise ValueError("need at least one sweep")
     m = check_operator(w_bar)
     # the descent runs on 2^-e W, its largest real or imaginary part in [1/2, 1);
     # every step scales exactly with W, so the stopping rule is W's (``unit`` is
@@ -219,7 +213,7 @@ def min_over_product_states(w_bar, restarts: int = 200, seed: int = 0,
     np.multiply(re0 * im1 - im0 * re1, inv, out=cur[:, 2])
 
     stops = []                          # (start, value, vectors) of each stop's best start
-    for sweep in range(max_sweeps):
+    for sweep in range(MAX_SWEEPS):
         m = packed.shape[1]
         for q, (j, k) in enumerate(_OTHERS):
             outer = (cur[j, :, None] * cur[k, None]).reshape(16, m)
@@ -232,7 +226,7 @@ def min_over_product_states(w_bar, restarts: int = 200, seed: int = 0,
                 g[3, flat], size[flat] = 1.0, 1.0
             np.divide(g[1:], size, out=cur[q, 1:])
         done = value - val < 1e-14 * np.maximum(unit, np.abs(val))
-        if sweep == max_sweeps - 1:
+        if sweep == MAX_SWEEPS - 1:
             done[:] = True              # the starts that ran out of sweeps stop too
         value[:] = val
         if np.count_nonzero(done):
@@ -276,8 +270,8 @@ class RobustnessReport:
     a: float
     epsilon_certified: float
     noise_threshold: float
-    trace: tuple[tuple[float, float, float], ...] = field(default_factory=tuple)
-    total_restarts: int = 0
+    trace: tuple[tuple[float, float, float], ...]
+    total_restarts: int
 
     def as_dict(self) -> dict:
         return {
@@ -304,9 +298,10 @@ def optimize_parameters(search_range: tuple[float, float] = (0.05, 1.0),
     no tolerance, where eps collapses to zero on the separable boundary)
     and is minimized where the certified epsilon is maximized.  A grid scan
     brackets the optimum, golden-section steps polish it; each epsilon is
-    an independent multi-start minimization with its own derived seed, so
-    the search is deterministic.  Objective ties within 1e-9 break toward
-    the smaller parameter.
+    an independent multi-start minimization, the k-th (from 0, in the order
+    of ``trace``) seeded ``seed + 7919 k``, so the search is deterministic
+    and ``total_restarts`` is ``restarts`` times the length of the trace.
+    Objective ties within 1e-9 break toward the smaller parameter.
     """
     lo, hi = float(search_range[0]), float(search_range[1])
     # every point the search evaluates lies in [lo, hi], so this is the one check
@@ -317,12 +312,9 @@ def optimize_parameters(search_range: tuple[float, float] = (0.05, 1.0),
                          f"the state parameter range")
 
     trace: list[tuple[float, float, float]] = []
-    evaluations = 0
 
     def objective(a: float) -> float:
-        nonlocal evaluations
-        eps = certified_epsilon(a, restarts=restarts, seed=seed + 7919 * evaluations)
-        evaluations += 1
+        eps = certified_epsilon(a, restarts=restarts, seed=seed + 7919 * len(trace))
         q = 1.0 - 2.0 * max(eps, 0.0)
         trace.append((a, eps, q))
         return q
@@ -350,7 +342,7 @@ def optimize_parameters(search_range: tuple[float, float] = (0.05, 1.0),
     best_a, best_eps, best_q = min(trace, key=lambda rec: (rec[2], rec[0]))
     return RobustnessReport(a=float(best_a), epsilon_certified=float(best_eps),
                             noise_threshold=float(best_q), trace=tuple(trace),
-                            total_restarts=evaluations * restarts)
+                            total_restarts=len(trace) * restarts)
 
 
 def witness_spectrum_extremes(params: WitnessParams) -> tuple[float, float]:

@@ -246,6 +246,88 @@ def test_report_refuses_p_zero(capsys):
         assert err.startswith(f"error: --p {float(typed)!r} must be positive") and "p = 0" in err
 
 
+def test_report_refuses_p_above_1_by_name(capsys):
+    # refused as --p before the record sigma, --sigma times --p, is checked
+    for typed in ("2", "1.5", "inf", "1e300"):
+        assert run(["report", "--p", typed]) == 2
+        assert capsys.readouterr().err.startswith(f"error: --p {float(typed)!r} must be at most 1")
+    assert run(["report", "--p", "1"]) == 0
+
+
+@pytest.mark.parametrize("value, sigma, message", [
+    (1e150, 1e-150, "record values up to 1e+150 in magnitude fit Pauli coordinates up to "
+                    "5e+149, which give no state: trace"),
+    (tomography.MAX_VALUE, 1e-3, "record values up to 8e+150 in magnitude fit Pauli "
+                                 "coordinates up to 4e+150, which give no state: state entry"),
+], ids=["identity-lost", "entry-beyond-bound"])
+def test_reconstruct_names_the_values_that_fit_no_state(tmp_path, capsys, value, sigma, message):
+    # every value lies within MAX_VALUE, but the fitted coordinates are so large
+    # that Id/8 is lost to rounding or an entry of the estimate passes MAX_ENTRY
+    rho, data = tmp_path / "rho.json", tmp_path / "d.json"
+    run(["state", "--out", str(rho)])
+    run(["tomo", "simulate", "--state", str(rho), "--out", str(data)])
+    records = core.read_json(str(data))
+    core.write_json([dict(r, value=value, sigma=sigma) for r in records], str(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["tomo", "reconstruct", "--data", str(data)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def _numeric_flags(parser, path=()):
+    """(subcommand path, subparser, flag, type) of every int or float option."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, subparser in action.choices.items():
+                yield from _numeric_flags(subparser, (*path, name))
+        elif action.type in (int, float):
+            yield path, parser, action.option_strings[-1], action.type
+
+
+_FLAGS = list(_numeric_flags(cli.make_parser()))
+_FLAG_VALUES = {float: ("0", "-0", "-1", "nan", "inf", "-inf", "5e-324", "1e-300", "1e300"),
+                int: ("0", "-0", "-1", str(10**300))}
+
+
+@pytest.fixture(scope="module")
+def flag_inputs(tmp_path_factory):
+    """The file each required option of the flag table reads: a state or a dataset."""
+    root = tmp_path_factory.mktemp("flags")
+    rho, data = root / "rho.json", root / "d.json"
+    run(["state", "--out", str(rho)])
+    run(["tomo", "simulate", "--state", str(rho), "--out", str(data)])
+    return {"--state": str(rho), "--reference": str(rho), "--data": str(data)}
+
+
+@pytest.mark.parametrize("path, parser, flag, kind", _FLAGS,
+                         ids=[" ".join((*f[0], f[2])) for f in _FLAGS])
+def test_every_numeric_flag_at_extreme_values(path, parser, flag, kind, flag_inputs,
+                                              monkeypatch, capsys):
+    # one flag per call, as --flag=value so that argparse reads -inf as a value;
+    # an asymmetric triple flag comes with the other two, and the optimizer and
+    # the registry run small: their flags are what is probed
+    monkeypatch.setattr(checks, "CHECKS", checks.CHECKS[:1])
+    base = [f"{a.option_strings[-1]}={flag_inputs[a.option_strings[-1]]}"
+            for a in parser._actions if a.required and a.option_strings]
+    triple = ("--a1", "--a2", "--a3")
+    if flag in triple:
+        base += [f"{other}=0.5" for other in triple if other != flag]
+    if path == ("witness", "optimize"):
+        base += ["--restarts=2", "--range=0.3:0.31"]
+    for typed in _FLAG_VALUES[kind]:
+        argv = [*path, *base, f"{flag}={typed}"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                code = run(argv)
+            except SystemExit as exc:   # argparse refuses a value with exit 2
+                code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert flag in err or typed in err or repr(kind(float(typed))) in err, (argv, err)
+
+
 def test_report_names_p_when_peeling_amplifies_rounding(capsys):
     # the estimate passed validation; 1/p blows its rounding past the trace check
     assert run(["report", "--p", "1e-12"]) == 2

@@ -288,7 +288,7 @@ def test_generate_dataset_never_calls_the_validating_constructor():
 def test_dataset_values_are_bounded_so_the_fit_stays_finite():
     # a value beyond 8 * MAX_ENTRY is refused; within it, even at the smallest
     # sigma, the closed-form fit stays finite (no warning) and the estimate's
-    # entries are refused by the state entry bound
+    # entries are refused by the state entry bound, named with the values
     bound = tomo.MAX_VALUE
     assert bound == 8 * core.MAX_ENTRY
     for value in (np.nan, np.inf, -np.inf, 1.7e308, -np.nextafter(bound, np.inf)):
@@ -301,7 +301,8 @@ def test_dataset_values_are_bounded_so_the_fit_stays_finite():
     assert tomo._whole_experiments(heavy)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=r"^state entry of magnitude .* beyond 1e\+150$"):
+        with pytest.raises(ValueError, match=r"^record values up to 8e\+150 in magnitude fit .*: "
+                                             r"state entry of magnitude .* beyond 1e\+150$"):
             tomo.reconstruct(heavy)
 
 

@@ -11,7 +11,7 @@ W_PARAMS = witnesses.WitnessParams.symmetric(A_OPT, EPS_OPT)
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        witnesses.WitnessParams(0.3, 0.3, -0.1, 0.1)
+        witnesses.WitnessParams(states.StateParams(0.3, 0.3, -0.1), 0.1)
     with pytest.raises(ValueError):
         witnesses.WitnessParams.symmetric(0.3, -1e-3)
 
@@ -213,15 +213,13 @@ def test_product_minimum_matches_per_restart_oracle(name):
             got.value, abs=1e-12)
 
 
-def test_product_minimum_sweep_limit_matches_oracle():
+def test_product_minimum_sweep_limit_matches_oracle(monkeypatch):
     w = _ORACLE_OPERATORS["random-hermitian"]
     for max_sweeps in (1, 2, 5):
-        got = witnesses.min_over_product_states(w, restarts=30, seed=5,
-                                                max_sweeps=max_sweeps)
+        monkeypatch.setattr(witnesses, "MAX_SWEEPS", max_sweeps)
+        got = witnesses.min_over_product_states(w, restarts=30, seed=5)
         want, _ = _oracle_min_over_product_states(w, 30, 5, max_sweeps=max_sweeps)
         assert abs(got.value - want) <= 1e-14 * max(1.0, abs(want))
-    with pytest.raises(ValueError):
-        witnesses.min_over_product_states(w, max_sweeps=0)
 
 
 @pytest.mark.parametrize("diagonal", [np.arange(8.0), [0, 1, 1, 1, 1, 1, 1, 0]],
@@ -244,12 +242,13 @@ def test_product_minimum_degenerate_fallback(diagonal):
 
 @pytest.mark.parametrize("w, value", [(np.eye(8), 1.0), (np.zeros((8, 8)), 0.0)],
                          ids=["identity", "zero"])
-def test_product_minimum_flat_field_takes_0(w, value):
+def test_product_minimum_flat_field_takes_0(w, value, monkeypatch):
     # g = 0 on every update: each qubit takes |0>, as the oracle's a <= d rule,
     # and the value is g_0 - |g| = g_0, read before the update replaces |g| by 1
-    for sweeps in ({"max_sweeps": 1}, {"max_sweeps": 2}, {}):
-        result = witnesses.min_over_product_states(w, restarts=5, seed=1, **sweeps)
-        _, want_states = _oracle_min_over_product_states(w, 5, 1, **sweeps)
+    for max_sweeps in (1, 2, witnesses.MAX_SWEEPS):
+        monkeypatch.setattr(witnesses, "MAX_SWEEPS", max_sweeps)
+        result = witnesses.min_over_product_states(w, restarts=5, seed=1)
+        _, want_states = _oracle_min_over_product_states(w, 5, 1, max_sweeps=max_sweeps)
         assert result.value == value
         np.testing.assert_array_equal(result.states, want_states)
         np.testing.assert_array_equal(result.states, [[1, 0], [1, 0], [1, 0]])
