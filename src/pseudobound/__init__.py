@@ -54,7 +54,6 @@ from .nmr import (
     target_diagonal,
 )
 from .tomography import (
-    DesignMatrix,
     ReconstructionResult,
     TomographyDataset,
     design_matrix,

@@ -148,8 +148,8 @@ def preparation(rng) -> str:
 
 
 def temporal_weld(rng) -> str:
-    p = nmr.matched_fraction(_PARAMS, nmr.DEFAULT_KAPPA_H)
-    seed_spec = nmr.target_diagonal(_PARAMS, p)
+    p = nmr.matched_fraction(A_OPT, nmr.DEFAULT_KAPPA_H)
+    seed_spec = nmr.target_diagonal(A_OPT, p)
     five = nmr.initial_states(nmr.DEFAULT_KAPPA_H)
     sol = nmr.solve_temporal_weights(five, seed_spec)
     _require(sol.residual <= 1e-10, f"weights residual {sol.residual:.1e}")
@@ -179,9 +179,8 @@ def synthesis_domain(rng) -> str:
     worst = np.zeros(3)
     domain = (*np.linspace(nmr.A_MAX / 24, nmr.A_MAX, 24), A_OPT)
     for kappa, a in product((nmr.KAPPA_RANGE[0], nmr.DEFAULT_KAPPA_H, nmr.KAPPA_RANGE[1]), domain):
-        params = states.StateParams.symmetric(a)
-        p = nmr.matched_fraction(params, kappa)
-        seed = nmr.target_diagonal(params, p)
+        p = nmr.matched_fraction(a, kappa)
+        seed = nmr.target_diagonal(a, p)
         sol = nmr.solve_temporal_weights(nmr.initial_states(kappa, a=a), seed)
         orders = np.array(seed.orders)
         exact = p / kappa * orders[[6, 3, 4, 5, 0]] / amplitudes
@@ -194,7 +193,7 @@ def synthesis_domain(rng) -> str:
         worst = np.maximum(worst, errors)
     # just past A_MAX the three-spin weight is negative: no matched fraction
     try:
-        p = nmr.matched_fraction(states.StateParams.symmetric(0.7208), nmr.DEFAULT_KAPPA_H)
+        p = nmr.matched_fraction(0.7208, nmr.DEFAULT_KAPPA_H)
     except ValueError:
         p = None
     _require(p is None, f"a=0.7208 outside the domain, yet matched fraction {p}")
@@ -226,8 +225,9 @@ def witness_optimization(rng) -> str:
 
 
 def tomography_round_trip(rng) -> str:
-    dm = tomography.design_matrix()
-    _require(dm.rank == 63, f"rank {dm.rank} ({dm.matrix.shape[0]} rows)")
+    a = tomography.design_matrix()
+    rank = int(np.linalg.matrix_rank(a))
+    _require(rank == 63, f"rank {rank} ({a.shape[0]} rows)")
     worst = 0.0
     for _ in range(50):
         rho = core.random_density_operator(rng)
@@ -235,7 +235,7 @@ def tomography_round_trip(rng) -> str:
         dist = core.trace_distance(rec.rho_hat, rho)
         _require(dist <= 1e-8, f"round-trip trace distance {dist:.2e}")
         worst = max(worst, dist)
-    return f"rank {dm.rank} ({dm.matrix.shape[0]} rows), worst trace distance {worst:.2e}"
+    return f"rank {rank} ({a.shape[0]} rows), worst trace distance {worst:.2e}"
 
 
 def diagonal_normal_matrix(rng) -> str:
@@ -248,7 +248,7 @@ def diagonal_normal_matrix(rng) -> str:
     for (setting, detect), o, d in zip(tomography._EXPERIMENTS, off, scale):
         _require(o <= 1e-12 * d, f"Gram of ({setting}, {detect}) off-diagonal {o:.1e}")
     worst = float(np.max(off / scale))
-    full = np.sum(tomography.design_matrix().matrix ** 2, axis=0)
+    full = np.sum(tomography.design_matrix() ** 2, axis=0)
     detail = (f"{len(tomography._EXPERIMENTS)} block Grams diagonal to {worst:.1e}, "
               f"design diagonal in [{full.min():.2f}, {full.max():.2f}]")
     _require(16 - 1e-9 <= full.min() and full.max() <= 96 + 1e-9, detail)
@@ -260,7 +260,7 @@ def whole_experiment_covariance(rng) -> str:
     sigma = 1e-3
     rec = tomography.reconstruct(
         tomography.generate_dataset(core.random_density_operator(rng), sigma=sigma))
-    expected = np.diag(sigma ** 2 / np.sum(tomography.design_matrix().matrix ** 2, axis=0))
+    expected = np.diag(sigma ** 2 / np.sum(tomography.design_matrix() ** 2, axis=0))
     gap = float(np.max(np.abs(rec.covariance - expected)) / np.max(expected))
     _require(gap <= 1e-12, f"covariance off sigma^2/diag(A^T A) by {gap:.1e} relative")
     return f"covariance equals sigma^2/diag(A^T A) to {gap:.1e} relative"

@@ -32,7 +32,8 @@ def _write_json(payload, path: str | None) -> None:
 
 
 def _load_density(path: str) -> core.DensityOperator:
-    return core.DensityOperator.loose(core.matrix_from_json(core.read_json(path)))
+    return core.load_json(
+        path, lambda blob: core.DensityOperator.loose(core.matrix_from_json(blob)))
 
 
 def _params_from_args(args) -> states.StateParams:
@@ -104,11 +105,10 @@ def cmd_witness_optimize(args) -> int:
 
 
 def cmd_prepare(args) -> int:
-    params = states.StateParams.symmetric(args.a)
     kappa = args.kappa
-    p = nmr.matched_fraction(params, kappa) if args.p is None else args.p
-    seed = nmr.target_diagonal(params, p)
-    five = nmr.initial_states(kappa, a=params.a1)
+    p = nmr.matched_fraction(args.a, kappa) if args.p is None else args.p
+    seed = nmr.target_diagonal(args.a, p)
+    five = nmr.initial_states(kappa, a=args.a)
     sol = nmr.solve_temporal_weights(five, seed)
     ps = nmr.prepare_pseudo_state(seed)
     payload = {

@@ -429,7 +429,20 @@ def read_json(path):
         try:
             return json.load(fh)
         except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply") from None
+            raise ValueError("JSON nested too deeply") from None
+
+
+def load_json(path, parse):
+    """``parse(read_json(path))``: the one loader of input files.
+
+    A ValueError from either, a malformed file or a wrong key, shape or
+    value, is raised again with the path in front; an OSError already
+    names the path and passes as it is.
+    """
+    try:
+        return parse(read_json(path))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def json_text(payload) -> str:

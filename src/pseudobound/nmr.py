@@ -114,18 +114,18 @@ def _z_order_matrix(orders, scale: float) -> np.ndarray:
     return parameters_to_matrix(theta)
 
 
-def target_diagonal(params: StateParams, p: float) -> DiagonalStateSpec:
-    """Diagonal seed whose image under the preparation is the pseudo state.
+def target_diagonal(a: float, p: float) -> DiagonalStateSpec:
+    """Diagonal seed whose image under the preparation is the pseudo state at ``a``.
 
-    Built at scale p from the closed-form z-orders ``_seed_orders``, so its
-    coefficients do not depend on p.  It equals the pseudo state conjugated
-    by the inverse preparation, the reference it is tested against.
+    Built at scale p, within (0, 1], from the closed-form z-orders
+    ``_seed_orders``, so its coefficients do not depend on p.  It equals the
+    pseudo state conjugated by the inverse preparation, the reference it is
+    tested against.
     """
-    if not params.is_symmetric:
-        raise ValueError("seed-state expansion is defined for symmetric triples")
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"fraction p={p} outside (0, 1)")
-    return DiagonalStateSpec(tuple(_seed_orders(params.a1).tolist()), p)
+    orders = _seed_orders(a)
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"fraction p={p} outside (0, 1]")
+    return DiagonalStateSpec(tuple(orders.tolist()), p)
 
 
 def _seed_orders(a: float) -> np.ndarray:
@@ -134,8 +134,10 @@ def _seed_orders(a: float) -> np.ndarray:
     The z-orders of the family state conjugated by the inverse preparation,
     in closed form: (d, b, b, 2d, 2d, 2b, e), written in u = 1/(1+a^2) and
     s = a/(1+a^2) as ``witness_bar`` is, so every positive float gives
-    finite values.
+    finite values.  An ``a`` outside ``PARAM_RANGE`` is refused as the
+    family's triple is, through ``StateParams``.
     """
+    StateParams.symmetric(a)
     u, s = 1.0 / (1.0 + a * a), a / (1.0 + a * a)
     m = 3.0 + 2.0 * s
     d, b = 2.0 * (1.0 - 2.0 * u - 2.0 * s) / m, -2.0 * (1.0 - 2.0 * s) / m
@@ -163,7 +165,7 @@ def single_spin_ratio(a: float = A_OPT) -> float:
     at the working point it is about 0.272 (quoted as 0.27 to two digits).
     Where the C order is zero (a = 1 + sqrt(2) to rounding): ValueError.
     """
-    d, b = _seed_orders(StateParams.symmetric(a).a1)[:2]
+    d, b = _seed_orders(a)[:2]
     if d == 0.0:
         raise ValueError(f"the single-spin ratio diverges at a={a!r} (zero C order)")
     return float(b / d)
@@ -201,7 +203,7 @@ def initial_states(kappa: float, a: float = A_OPT) -> list[DiagonalStateSpec]:
     return [DiagonalStateSpec(tuple(row.tolist()), kappa) for row in orders]
 
 
-def matched_fraction(params: StateParams, kappa: float) -> float:
+def matched_fraction(a: float, kappa: float) -> float:
     """The pseudo-state fraction the five inputs can synthesize exactly.
 
     Matching each spin-order component of the seed against the one input
@@ -212,15 +214,13 @@ def matched_fraction(params: StateParams, kappa: float) -> float:
     fraction is reached exactly: ``ValueError``, as for kappa outside
     ``KAPPA_RANGE``.
     """
-    if not params.is_symmetric:
-        raise ValueError("seed-state expansion is defined for symmetric triples")
+    orders = _seed_orders(a)   # refuses an a outside PARAM_RANGE first
     _check_kappa(kappa)
-    if params.a1 > A_MAX:
+    if a > A_MAX:
         raise ValueError(
-            f"the five input states cannot synthesize the seed at a={params.a1:g}: "
+            f"the five input states cannot synthesize the seed at a={a:g}: "
             f"its three-spin order is negative above a = (sqrt(10) - 1)/3 = {A_MAX:.12g}; "
             "pass --p to choose the pseudo-state fraction")
-    orders = _seed_orders(params.a1)
     # each input's weight is p/kappa times its order over its amplitude
     budget = (orders[6] / THREE_SPIN_AMPLITUDE + np.sum(orders[3:6] / TWO_SPIN_AMPLITUDES)
               - orders[0])

@@ -57,11 +57,6 @@ class StateParams:
     def normalization(self) -> float:
         return 2.0 + sum(a + 1.0 / a for a in self.as_tuple())
 
-    @property
-    def is_symmetric(self) -> bool:
-        a1, a2, a3 = self.as_tuple()
-        return abs(a1 - a2) <= 1e-12 * max(a1, a2) and abs(a2 - a3) <= 1e-12 * max(a2, a3)
-
 
 def ghz(sign: int = +1) -> np.ndarray:
     """(|000> + sign |111>)/sqrt(2) as an 8-vector."""

@@ -35,8 +35,8 @@ from .core import (
     PAULIS,
     _as_matrix,
     _pauli_coordinates,
+    load_json,
     parameters_to_matrix,
-    read_json,
     simplex_projection,
     state_parameters,
     tensor,
@@ -162,26 +162,9 @@ def _readout_table() -> np.ndarray:
     return table
 
 
-_EPS = float(np.finfo(float).eps)
-
-
-def _rank(singular_values: np.ndarray, shape: tuple[int, int]) -> int:
-    """Singular values above numpy's default cutoff, max(shape) * eps * s.max()."""
-    s = singular_values
-    return int(np.count_nonzero(s > s.max() * max(shape) * _EPS))
-
-
-@dataclass(frozen=True)
-class DesignMatrix:
-    """Linear map from the 63 deviation parameters to predicted amplitudes."""
-
-    matrix: np.ndarray
-    rank: int
-
-
-def design_matrix() -> DesignMatrix:
-    a = _readout_table()[_DEFAULT_EXPERIMENT, _DEFAULT_ROW]
-    return DesignMatrix(matrix=a, rank=_rank(np.linalg.svd(a, compute_uv=False), a.shape))
+def design_matrix() -> np.ndarray:
+    """The (168, 63) linear map from the deviation parameters to the default amplitudes."""
+    return _readout_table()[_DEFAULT_EXPERIMENT, _DEFAULT_ROW]
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +277,7 @@ class TomographyDataset:
 
     @classmethod
     def load(cls, path) -> "TomographyDataset":
-        return cls.from_json(read_json(path))
+        return load_json(path, cls.from_json)
 
 
 def generate_dataset(rho: DensityOperator, sigma: float = 0.0,
@@ -352,8 +335,16 @@ def _whole_experiments(dataset: TomographyDataset) -> bool:
             and bool((sigma == sigma[::n].repeat(n)).all()))
 
 
-def _check_rank(singular_values: np.ndarray, shape: tuple[int, int]) -> None:
-    rank = _rank(singular_values, shape)
+_EPS = float(np.finfo(float).eps)
+
+
+def _check_rank(s: np.ndarray, shape: tuple[int, int]) -> None:
+    """Refuse a fit of rank below 63.
+
+    The rank counts the singular values ``s`` above numpy's default cutoff,
+    max(shape) * eps * s.max(), as ``np.linalg.matrix_rank`` does.
+    """
+    rank = int(np.count_nonzero(s > s.max() * max(shape) * _EPS))
     if rank < 63:
         raise ValueError(f"design matrix rank {rank} < 63 "
                          f"(deficient subspace dimension {63 - rank})")

@@ -115,11 +115,23 @@ def test_prepare_achieved_p_down_to_the_smallest_p(tmp_path):
         for p in ("1e-12", "1e-17", "1e-150", "1e-300", "5e-324"):
             assert run(["prepare", "--p", p, "--out", str(out)]) == 0
             achieved[float(p)] = json.loads(out.read_text())["temporal_weights"]["achieved_p"]
-    matched = nmr.matched_fraction(states.StateParams.symmetric(states.A_OPT), nmr.DEFAULT_KAPPA_H)
+    matched = nmr.matched_fraction(states.A_OPT, nmr.DEFAULT_KAPPA_H)
     k = achieved[5e-324]
     assert 2.06e-5 < k < 2.07e-5
     for p, value in achieved.items():
         assert value == pytest.approx(k + p * (1 - k / matched), rel=1e-12, abs=0), p
+
+
+def test_prepare_at_p_1_gives_the_family_state(tmp_path):
+    # p = 1 is no embedding: the seed's lowest population is 0, and the gate
+    # sequence takes it to the family state itself
+    out = tmp_path / "prep.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["prepare", "--p", "1", "--out", str(out)]) == 0
+    prepared = core.matrix_from_json(json.loads(out.read_text())["pseudo_state"])
+    family = states.bound_entangled_state(states.StateParams.symmetric(states.A_OPT))
+    assert np.max(np.abs(prepared - family.matrix)) <= 1e-15
 
 
 def test_prepare_without_p_past_the_reachable_a_exits_2(tmp_path, capsys):
@@ -324,6 +336,8 @@ def test_every_numeric_flag_at_extreme_values(path, parser, flag, kind, flag_inp
                 code = exc.code
         err = capsys.readouterr().err
         assert code in (0, 1, 2), argv
+        # 1 is a verdict, "not detected", which only these three commands give
+        assert code != 1 or path in (("ppt",), ("witness", "eval"), ("report",)), argv
         if code == 2:
             assert flag in err or typed in err or repr(kind(float(typed))) in err, (argv, err)
 
@@ -433,7 +447,7 @@ _HEAVY = [dict(r, sigma=1e-150, value=1e150) for r in _FULL]
     ("tomo", [{k: v for k, v in _RECORD.items() if k != "detect"}],
      "dataset record lacks key 'detect'"),
     ("tomo", {"records": [_RECORD]}, "dataset JSON must be an array of records"),
-    ("tomo", [], "empty dataset"),
+    ("fit", [], "empty dataset"),
     ("tomo", [dict(_RECORD, line="22")], "unknown line/quadrature ('22', 'x')"),
     ("tomo", [dict(_RECORD, setting="Y1E2")], "bad setting id 'Y1E2'"),
     ("tomo", [dict(_RECORD, detect="N")], "bad detected spin 'N'"),
@@ -444,7 +458,7 @@ _HEAVY = [dict(r, sigma=1e-150, value=1e150) for r in _FULL]
     ("tomo", [dict(_RECORD, value=0.5, sigma=5e-324)], "record sigma 5e-324"),
     ("tomo", _FULL, "record sigma 1e+300"),
     ("tomo", _HUGE_VALUE, "record value 1.7e+308 must be finite and within 8e+150"),
-    ("tomo", _HEAVY, "error:"),
+    ("fit", _HEAVY, "record values up to 1e+150"),
     ("ppt", _DEEP, "error:"),
     ("tomo", _DEEP, "JSON nested too deeply"),
     ("metrics", _DEEP, "error:"),
@@ -455,6 +469,7 @@ _HEAVY = [dict(r, sigma=1e-150, value=1e150) for r in _FULL]
     ("simulate", _HUGE, _BEYOND_BOUND),
     ("metrics", _HUGE, _BEYOND_BOUND),
     ("metrics-reference", _HUGE, _BEYOND_BOUND),
+    ("metrics-reference", {"dim": 8, "re": [[1]]}, "matrix JSON lacks key 'im'"),
     ("witness", _HUGE, _BEYOND_BOUND),
     ("optimize", "0", "--restarts 0 must be at least 1"),
     ("optimize", "-3", "--restarts -3 must be at least 1"),
@@ -488,7 +503,8 @@ _HEAVY = [dict(r, sigma=1e-150, value=1e150) for r in _FULL]
         "tomo-tiny-sigma", "tomo-huge-sigma", "tomo-huge-value", "tomo-heavy-closed-form",
         "ppt-deep", "tomo-deep", "metrics-deep", "ppt-not-hermitian",
         "metrics-not-hermitian", "ppt-trace-2", "ppt-huge", "simulate-huge", "metrics-huge",
-        "metrics-reference-huge", "witness-eval-huge", "optimize-zero-restarts",
+        "metrics-reference-huge", "metrics-reference-missing-im", "witness-eval-huge",
+        "optimize-zero-restarts",
         "optimize-negative-restarts", "optimize-huge-restarts",
         "optimize-restarts-over-cap", "report-negative-seed", "tomo-negative-seed",
         "tomo-exact-negative-seed", "optimize-negative-seed", "verify-negative-seed",
@@ -510,12 +526,17 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, payload, message):
                 "simulate": ["tomo", "simulate", "--state", str(bad)],
                 "witness": ["witness", "eval", "--state", str(bad)],
                 "tomo": ["tomo", "reconstruct", "--data", str(bad)],
+                "fit": ["tomo", "reconstruct", "--data", str(bad)],
                 "optimize": ["witness", "optimize", "--restarts", str(payload)]}[command]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(argv) == 2
     err = capsys.readouterr().err
     assert "error:" in err and message in err and "Traceback" not in err
+    # a loader's refusal names the file it read, and only that one; "fit" rows
+    # are refused by the fit, after the file loaded
+    if command not in ("argv", "optimize", "fit"):
+        assert f"error: {bad}: " in err and str(rho) not in err
 
 
 @pytest.mark.parametrize("state, reference, message", [

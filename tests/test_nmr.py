@@ -46,7 +46,7 @@ def test_target_diagonal_coefficients():
     d_a = 2 * ((a - 2) * a - 1) / denom
     d_b = -2 * (a - 1) ** 2 / denom
     d_e = 48 / denom - 8
-    expansion = nmr.target_diagonal(PARAMS, 2.3e-5)
+    expansion = nmr.target_diagonal(A_OPT, 2.3e-5)
     assert expansion.single_spin[0] == pytest.approx(d_a, abs=1e-9)
     assert expansion.single_spin[1] == pytest.approx(d_b, abs=1e-9)
     assert expansion.single_spin[2] == pytest.approx(d_b, abs=1e-9)
@@ -86,37 +86,42 @@ def _spec(matrix, scale):
 _REFERENCE_P = 0.9
 
 
-def _conjugated_family(params, p):
-    """The reference seed: the pseudo state conjugated by the inverse preparation."""
+def _conjugated_family(a, p):
+    """The reference seed: the pseudo state at ``a`` conjugated by the inverse preparation."""
     u = nmr.preparation_unitary()
-    return u.conj().T @ states.pseudo_state(states.bound_entangled_state(params), p).matrix @ u
+    family = states.bound_entangled_state(states.StateParams.symmetric(a))
+    return u.conj().T @ states.pseudo_state(family, p).matrix @ u
 
 
 def test_expansion_matches_product_operators():
     for a in (0.1, 0.346, 1.0, 3.0):
-        params = states.StateParams.symmetric(a)
-        seed = nmr.target_diagonal(params, 2.3e-5).state.matrix
-        assert np.max(np.abs(seed - _conjugated_family(params, 2.3e-5))) <= 1e-15
-        spec = nmr.target_diagonal(params, _REFERENCE_P)
+        seed = nmr.target_diagonal(a, 2.3e-5).state.matrix
+        assert np.max(np.abs(seed - _conjugated_family(a, 2.3e-5))) <= 1e-15
+        spec = nmr.target_diagonal(a, _REFERENCE_P)
         oracle = _product_operator_expansion(spec.state.matrix, _REFERENCE_P)
         np.testing.assert_allclose(_coefficients(spec), oracle, rtol=0, atol=1e-12)
 
 
 def test_target_diagonal_guards():
-    # symmetry is relative: tiny distinct entries are refused, rounding at 1e6 is not
-    for triple in ((0.3, 0.3, 0.4), (1e-13, 5e-13, 9e-13)):
-        with pytest.raises(ValueError, match="symmetric"):
-            nmr.target_diagonal(states.StateParams(*triple), 1e-5)
-    rounded = nmr.target_diagonal(states.StateParams(1e6, 1e6 * (1 + 1e-15), 1e6), 1e-5)
-    exact = nmr.target_diagonal(states.StateParams.symmetric(1e6), 1e-5)
-    np.testing.assert_array_equal(rounded.state.matrix, exact.state.matrix)
-    with pytest.raises(ValueError):
-        nmr.target_diagonal(PARAMS, 0.0)
+    # a is checked once, in the closed form that every preparation function reads,
+    # and before matched_fraction's domain and kappa: an a past A_MAX is no excuse
+    for a in (0.0, -1.0, 5e-324, 1e200, np.inf, np.nan):
+        for call in (lambda: nmr.target_diagonal(a, 1e-5),
+                     lambda: nmr.matched_fraction(a, 0.0),
+                     lambda: nmr.single_spin_ratio(a)):
+            with pytest.raises(ValueError, match="a1, a2, a3 must lie within"):
+                call()
+    # p lies within (0, 1]; at p = 1 the seed is the conjugated family state itself
+    for p in (0.0, -1e-5, 1.0 + 1e-15, np.inf, np.nan):
+        with pytest.raises(ValueError, match=r"outside \(0, 1\]"):
+            nmr.target_diagonal(A_OPT, p)
+    seed = nmr.target_diagonal(A_OPT, 1.0)
+    assert np.max(np.abs(seed.state.matrix - _conjugated_family(A_OPT, 1.0))) <= 1e-15
 
 
 def test_target_diagonal_scaling_linearity():
-    base = nmr.target_diagonal(PARAMS, 1e-5).state.matrix - np.eye(8) / 8
-    scaled = nmr.target_diagonal(PARAMS, 3e-5).state.matrix - np.eye(8) / 8
+    base = nmr.target_diagonal(A_OPT, 1e-5).state.matrix - np.eye(8) / 8
+    scaled = nmr.target_diagonal(A_OPT, 3e-5).state.matrix - np.eye(8) / 8
     np.testing.assert_allclose(scaled, 3 * base, atol=1e-18)
 
 
@@ -127,15 +132,15 @@ def test_single_spin_ratio():
 
 
 def test_matched_fraction():
-    p = nmr.matched_fraction(PARAMS, KAPPA_H)
+    p = nmr.matched_fraction(A_OPT, KAPPA_H)
     assert KAPPA_H / p == pytest.approx(3.61, abs=0.01)
     assert nmr.A_MAX == pytest.approx(0.720759220056, abs=1e-12)
-    nmr.matched_fraction(states.StateParams.symmetric(0.7207), KAPPA_H)
+    nmr.matched_fraction(0.7207, KAPPA_H)
     # past a_max the seed's three-spin order, and that input's weight, is negative
     for a in (0.7208, 1.0, 1.4):
         with pytest.raises(ValueError, match=rf"cannot synthesize the seed at a={a:g}:.*"
                                              r"\(sqrt\(10\) - 1\)/3 = 0\.72075922005.*--p"):
-            nmr.matched_fraction(states.StateParams.symmetric(a), KAPPA_H)
+            nmr.matched_fraction(a, KAPPA_H)
 
 
 # a from 1e-3 to 1e3, without the single-spin ratio's pole at 1 + sqrt(2)
@@ -145,7 +150,7 @@ _CLOSED_FORM_A = [a for a in np.geomspace(1e-3, 1e3, 200) if abs(a - (1 + np.sqr
 def test_seed_orders_match_the_conjugated_family():
     for a in np.geomspace(1e-3, 1e3, 200):
         reference = _product_operator_expansion(
-            _conjugated_family(states.StateParams.symmetric(a), _REFERENCE_P), _REFERENCE_P)
+            _conjugated_family(a, _REFERENCE_P), _REFERENCE_P)
         np.testing.assert_allclose(nmr._seed_orders(a), reference,
                                    rtol=0, atol=1e-12, err_msg=f"a={a}")
 
@@ -154,17 +159,16 @@ def test_ratio_and_fraction_match_the_conjugated_family():
     # each z-order's input amplitude, in the order z1, z1z2, z1z3, z2z3, z1z2z3
     amplitudes = np.array([-1.0, *nmr.TWO_SPIN_AMPLITUDES, nmr.THREE_SPIN_AMPLITUDE])
     for a in _CLOSED_FORM_A:
-        params = states.StateParams.symmetric(a)
-        c = _product_operator_expansion(_conjugated_family(params, _REFERENCE_P), _REFERENCE_P)
+        c = _product_operator_expansion(_conjugated_family(a, _REFERENCE_P), _REFERENCE_P)
         assert nmr.single_spin_ratio(a) == pytest.approx(c[1] / c[0], rel=1e-12, abs=0)
         # every weight order/amplitude is non-negative where the three-spin order is
         if c[6] >= 0:
             budget = float(c[[0, 3, 4, 5, 6]] @ (1 / amplitudes))
-            assert nmr.matched_fraction(params, KAPPA_H) == pytest.approx(
+            assert nmr.matched_fraction(a, KAPPA_H) == pytest.approx(
                 KAPPA_H / budget, rel=1e-12, abs=0)
         else:
             with pytest.raises(ValueError, match="cannot synthesize"):
-                nmr.matched_fraction(params, KAPPA_H)
+                nmr.matched_fraction(a, KAPPA_H)
 
 
 def test_initial_states_name_a_at_the_diverging_ratio():
@@ -208,9 +212,9 @@ def test_weight_solver_exact_single_target():
 
 
 def test_weight_solver_reaches_seed_exactly():
-    p = nmr.matched_fraction(PARAMS, KAPPA_H)
+    p = nmr.matched_fraction(A_OPT, KAPPA_H)
     five = nmr.initial_states(KAPPA_H)
-    sol = nmr.solve_temporal_weights(five, nmr.target_diagonal(PARAMS, p))
+    sol = nmr.solve_temporal_weights(five, nmr.target_diagonal(A_OPT, p))
     assert sol.residual <= 1e-10
     assert np.all(sol.weights >= 0)
     assert np.sum(sol.weights) == pytest.approx(1.0, abs=1e-12)
@@ -265,17 +269,16 @@ def _weight_cases():
     rng = np.random.default_rng(7)
     five = nmr.initial_states(KAPPA_H)
     for a in (0.25, 0.346, 0.45, 1.0, 2.0):
-        params = states.StateParams.symmetric(a)
         inputs = nmr.initial_states(KAPPA_H, a=a)
-        matched = [nmr.matched_fraction(params, KAPPA_H)] if a <= nmr.A_MAX else []
+        matched = [nmr.matched_fraction(a, KAPPA_H)] if a <= nmr.A_MAX else []
         for p in matched + [1e-5, 5e-5, 1e-4]:
-            yield f"a={a} p={p:.3g}", inputs, nmr.target_diagonal(params, p)
+            yield f"a={a} p={p:.3g}", inputs, nmr.target_diagonal(a, p)
     for k in range(20):
         dev = rng.standard_normal(8) * KAPPA_H / 8
         target = np.diag(1 / 8 + dev - dev.mean()).astype(complex)
         yield f"random {k}", five, _spec(target, KAPPA_H)
     yield "zero target", five, _spec(np.eye(8, dtype=complex) / 8, KAPPA_H)
-    seed = nmr.target_diagonal(PARAMS, nmr.matched_fraction(PARAMS, KAPPA_H))
+    seed = nmr.target_diagonal(A_OPT, nmr.matched_fraction(A_OPT, KAPPA_H))
     for k in range(5):
         yield f"without input {k}", five[:k] + five[k + 1:], seed
 
@@ -287,16 +290,11 @@ def test_weight_solver_matches_support_enumeration():
                                    rtol=0, atol=1e-12, err_msg=label)
 
 
-def test_seed_expansion_needs_a_symmetric_triple_and_inputs():
-    with pytest.raises(ValueError, match="defined for symmetric triples"):
-        nmr.matched_fraction(states.StateParams(0.3, 0.3, 0.4), KAPPA_H)
-    with pytest.raises(ValueError, match="^no input states$"):
-        nmr.solve_temporal_weights([], nmr.target_diagonal(PARAMS, 1e-5))
-
-
 def test_weight_solver_refuses_degenerate_inputs():
     five = nmr.initial_states(KAPPA_H)
-    target = nmr.target_diagonal(PARAMS, 1e-5)
+    target = nmr.target_diagonal(A_OPT, 1e-5)
+    with pytest.raises(ValueError, match="^no input states$"):
+        nmr.solve_temporal_weights([], target)
     # the two-spin z2z3 input mixed half and half with the single-spin one
     mixed = nmr.DiagonalStateSpec(tuple(0.5 * np.add(five[3].orders, five[4].orders)), KAPPA_H)
     for inputs, message in ((five + [five[0]], "orthogonal"),
@@ -328,8 +326,7 @@ def _assert_exact_weights(kappa):
     # solved on z-orders, the weights carry none of the Id/8 background's
     # rounding: one absolute bound holds at every kappa in KAPPA_RANGE
     for a in _DOMAIN:
-        params = states.StateParams.symmetric(a)
-        seed = nmr.target_diagonal(params, nmr.matched_fraction(params, kappa))
+        seed = nmr.target_diagonal(a, nmr.matched_fraction(a, kappa))
         sol = nmr.solve_temporal_weights(nmr.initial_states(kappa, a=a), seed)
         np.testing.assert_allclose(sol.weights, _exact_weights(a), rtol=0, atol=1e-15,
                                    err_msg=f"kappa={kappa} a={a}")
@@ -381,9 +378,9 @@ def test_preparation_factorization():
 def test_preparation_weld():
     # the single assertion tying the seed, the five inputs, the weights and
     # the gate sequence together
-    p = nmr.matched_fraction(PARAMS, KAPPA_H)
+    p = nmr.matched_fraction(A_OPT, KAPPA_H)
     five = nmr.initial_states(KAPPA_H)
-    sol = nmr.solve_temporal_weights(five, nmr.target_diagonal(PARAMS, p))
+    sol = nmr.solve_temporal_weights(five, nmr.target_diagonal(A_OPT, p))
     rho_d = nmr.mix_states(five, sol.weights)
     u = nmr.preparation_unitary()
     prepared = u @ rho_d.matrix @ u.conj().T
@@ -394,7 +391,7 @@ def test_preparation_weld():
 
 def test_prepare_pseudo_state_any_scale():
     for p in (1e-5, 5e-4):
-        ps = nmr.prepare_pseudo_state(nmr.target_diagonal(PARAMS, p))
+        ps = nmr.prepare_pseudo_state(nmr.target_diagonal(A_OPT, p))
         expected = states.pseudo_state(states.bound_entangled_state(PARAMS), p)
         assert np.max(np.abs(ps.matrix - expected.matrix)) <= 1e-12
 

@@ -74,10 +74,10 @@ def _flipped_order(k):
     return seed_orders
 
 
-def _budget_only_fraction(params, kappa):
+def _budget_only_fraction(a, kappa):
     # the old rule: refuse only where the z-order budget is not positive, so
     # that a negative three-spin weight passes as an exact synthesis
-    orders = _seed_orders(params.a1)
+    orders = _seed_orders(a)
     budget = (orders[6] / nmr.THREE_SPIN_AMPLITUDE
               + np.sum(orders[3:6] / nmr.TWO_SPIN_AMPLITUDES) - orders[0])
     if budget <= 0:
@@ -136,7 +136,7 @@ def _covariance():
 
 
 def _seed_coefficients():
-    spec = nmr.target_diagonal(PARAMS, 1e-5)
+    spec = nmr.target_diagonal(A_OPT, 1e-5)
     return [*spec.single_spin, *spec.two_spin, spec.three_spin]
 
 
@@ -144,7 +144,7 @@ def _fractions():
     out = []
     for a in (0.7207, 0.7208, 1.0):
         try:
-            out.append(nmr.matched_fraction(states.StateParams.symmetric(a), nmr.DEFAULT_KAPPA_H))
+            out.append(nmr.matched_fraction(a, nmr.DEFAULT_KAPPA_H))
         except ValueError:
             out.append(-1.0)
     return out
@@ -152,12 +152,12 @@ def _fractions():
 
 def _weights_at_the_smallest_kappa():
     kappa = nmr.KAPPA_RANGE[0]
-    seed = nmr.target_diagonal(PARAMS, nmr.matched_fraction(PARAMS, kappa))
+    seed = nmr.target_diagonal(A_OPT, nmr.matched_fraction(A_OPT, kappa))
     return nmr.solve_temporal_weights(nmr.initial_states(kappa), seed).weights
 
 
 def _prepared():
-    return nmr.prepare_pseudo_state(nmr.target_diagonal(PARAMS, 1e-5)).matrix
+    return nmr.prepare_pseudo_state(nmr.target_diagonal(A_OPT, 1e-5)).matrix
 
 
 # name, (module, attribute, replacement), probe, the first registry entry to fail
