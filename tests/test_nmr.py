@@ -290,11 +290,19 @@ def test_weight_solver_matches_support_enumeration():
                                    rtol=0, atol=1e-12, err_msg=label)
 
 
+def test_seed_expansion_needs_a_symmetric_triple_and_inputs():
+    # a alone names the symmetric triple (a, a, a): the seed keeps the exchange
+    # of spins 2 and 3 (H and F), in both its single-spin and its two-spin orders
+    for a in (0.1, A_OPT, nmr.A_MAX, 3.0):
+        orders = nmr.target_diagonal(a, 1e-5).orders
+        assert orders[1] == orders[2] and orders[3] == orders[4]
+    with pytest.raises(ValueError, match="^no input states$"):
+        nmr.solve_temporal_weights([], nmr.target_diagonal(A_OPT, 1e-5))
+
+
 def test_weight_solver_refuses_degenerate_inputs():
     five = nmr.initial_states(KAPPA_H)
     target = nmr.target_diagonal(A_OPT, 1e-5)
-    with pytest.raises(ValueError, match="^no input states$"):
-        nmr.solve_temporal_weights([], target)
     # the two-spin z2z3 input mixed half and half with the single-spin one
     mixed = nmr.DiagonalStateSpec(tuple(0.5 * np.add(five[3].orders, five[4].orders)), KAPPA_H)
     for inputs, message in ((five + [five[0]], "orthogonal"),
