@@ -7,7 +7,7 @@ state tomography with error propagation, and state-comparison metrics.
 """
 
 from .core import (
-    Bipartition,
+    CUT_LABELS,
     DensityOperator,
     PPTReport,
     eigvalsh,

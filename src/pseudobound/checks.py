@@ -30,8 +30,8 @@ def _require(ok: bool, message: str) -> None:
 
 
 def family_ppt(rng) -> str:
-    for cut in core.is_ppt(states.bound_entangled_state(_PARAMS)).cuts:
-        _require(cut.min_eigenvalue >= -1e-10 and cut.ppt, f"working point {cut}")
+    report = core.is_ppt(states.bound_entangled_state(_PARAMS))
+    _require(report.all_ppt and min(report.min_eigenvalues) >= -1e-10, f"working point {report}")
     for _ in range(30):
         params = states.StateParams(*rng.uniform(0.1, 3.0, size=3))
         _require(core.is_ppt(states.bound_entangled_state(params)).all_ppt,
@@ -46,7 +46,7 @@ def _pure(vector) -> core.DensityOperator:
 def _require_verdicts(name: str, rho: core.DensityOperator, minimum) -> None:
     # each cut's partial-transpose minimum against its closed form minimum(label);
     # the verdict must be PPT exactly where that is not negative
-    for label, cut in core.is_ppt(rho).as_dict().items():
+    for label, cut in core.is_ppt(rho).as_dict()["cuts"].items():
         lo, closed = cut["min_eigenvalue"], minimum(label)
         _require(cut["ppt"] is (closed >= 0) and abs(lo - closed) <= 1e-12,
                  f"{name}: cut {label} min eigenvalue {lo:.3e}, closed form {closed:.3e}, "
@@ -66,7 +66,7 @@ def bell_pair_npt(rng) -> str:
     for third, pair in ((3, (1, 2)), (2, (1, 3)), (1, (2, 3))):
         vector = np.zeros(8)
         vector[0] = vector[sum(4 >> (q - 1) for q in pair)] = np.sqrt(0.5)
-        ppt_cut = core.Bipartition((third,)).label
+        ppt_cut = core.CUT_LABELS[third - 1]
         _require_verdicts(f"Bell({pair[0]},{pair[1]}) with |0> on {third}", _pure(vector),
                           lambda label: 0.0 if label == ppt_cut else -0.5)
     return "Bell(1,2), Bell(1,3), Bell(2,3) with |0>: PPT only on the cut of the |0> qubit"

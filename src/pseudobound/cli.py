@@ -68,8 +68,7 @@ def cmd_state(args) -> int:
 def cmd_ppt(args) -> int:
     rho = _load_density(args.state)
     report = core.is_ppt(rho, tolerance=args.tolerance)
-    _write_json({"tolerance": report.tolerance, "cuts": report.as_dict(),
-                 "all_ppt": report.all_ppt}, args.out)
+    _write_json({"tolerance": report.tolerance, **report.as_dict()}, args.out)
     return EXIT_OK if report.all_ppt else EXIT_NOT_DETECTED
 
 
@@ -140,8 +139,9 @@ def cmd_tomo_simulate(args) -> int:
 
 
 def cmd_tomo_reconstruct(args) -> int:
-    dataset = tomography.TomographyDataset.load(args.data)
-    result = tomography.reconstruct(dataset)
+    # the fit's refusals of a file that loaded name the file too
+    result = core.load_json(args.data, lambda blob: tomography.reconstruct(
+        tomography.TomographyDataset.from_json(blob)))
     rho = result.rho_hat
     if args.project:
         rho = tomography.project_to_physical(rho)

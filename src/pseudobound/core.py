@@ -210,64 +210,41 @@ def maximally_mixed() -> DensityOperator:
     return DensityOperator(np.eye(8, dtype=complex) / 8)
 
 
-def partial_transpose(rho, transposed) -> np.ndarray:
-    """Transpose the given qubit subsystems (1-based indices) of an operator."""
+CUT_LABELS = ("1|23", "2|13", "3|12")   # the three cuts, each named by its transposed qubit
+
+
+def partial_transpose(rho, qubit) -> np.ndarray:
+    """Transpose qubit 1, 2 or 3 of an operator: the cut ``CUT_LABELS[qubit - 1]``.
+
+    On three qubits every bipartite cut separates one qubit, and transposing
+    the other two instead gives the full transpose of this, with the same
+    spectrum.  Any ``qubit`` but the integer 1, 2 or 3 is a ValueError.
+    """
+    if not (isinstance(qubit, (int, np.integer)) and qubit in (1, 2, 3)):
+        raise ValueError(f"qubit {qubit!r} must be the integer 1, 2 or 3")
     m = _as_matrix(rho)
-    subsystems = tuple(sorted(set(int(q) for q in transposed)))
-    if not subsystems:
-        raise ValueError("no subsystem to transpose")
-    if any(q < 1 or q > 3 for q in subsystems):
-        raise ValueError(f"subsystem indices {subsystems} out of range 1..3")
-    arr = m.reshape((2,) * 6)
-    for q in subsystems:
-        arr = np.swapaxes(arr, q - 1, q + 2)
-    return arr.reshape(m.shape)
-
-
-@dataclass(frozen=True)
-class Bipartition:
-    """A bipartite cut of the register, named by the transposed side."""
-
-    transposed: tuple[int, ...]
-
-    def __post_init__(self):
-        subs = tuple(sorted(set(int(q) for q in self.transposed)))
-        if not subs or len(subs) >= 3:
-            raise ValueError("transposed side must be a non-empty proper subset")
-        if any(q < 1 or q > 3 for q in subs):
-            raise ValueError(f"qubit indices {subs} out of range")
-        object.__setattr__(self, "transposed", subs)
-
-    @property
-    def label(self) -> str:
-        rest = [q for q in (1, 2, 3) if q not in self.transposed]
-        return "".join(map(str, self.transposed)) + "|" + "".join(map(str, rest))
-
-
-THREE_QUBIT_CUTS = (Bipartition((1,)), Bipartition((2,)), Bipartition((3,)))
-
-
-@dataclass(frozen=True)
-class CutResult:
-    cut: Bipartition
-    min_eigenvalue: float
-    ppt: bool
+    return np.swapaxes(m.reshape((2,) * 6), qubit - 1, qubit + 2).reshape(8, 8)
 
 
 @dataclass(frozen=True)
 class PPTReport:
-    cuts: tuple[CutResult, ...]
+    """The lowest partial-transpose eigenvalue of each cut, in ``CUT_LABELS`` order.
+
+    A cut is PPT when its eigenvalue is at least ``-tolerance``.
+    """
+
+    min_eigenvalues: tuple[float, ...]
     tolerance: float
 
     @property
     def all_ppt(self) -> bool:
-        return all(c.ppt for c in self.cuts)
+        return min(self.min_eigenvalues) >= -self.tolerance
 
     def as_dict(self) -> dict:
-        return {
-            c.cut.label: {"min_eigenvalue": c.min_eigenvalue, "ppt": c.ppt}
-            for c in self.cuts
-        }
+        """The wire object ``{"cuts": {label: {"min_eigenvalue", "ppt"}}, "all_ppt"}``."""
+        cuts = {label: {"min_eigenvalue": lo, "ppt": lo >= -self.tolerance}
+                for label, lo in zip(CUT_LABELS, self.min_eigenvalues)}
+        return {"cuts": cuts, "all_ppt": self.all_ppt}
 
 
 def is_ppt(rho: DensityOperator, tolerance: float | None = None) -> PPTReport:
@@ -280,13 +257,11 @@ def is_ppt(rho: DensityOperator, tolerance: float | None = None) -> PPTReport:
     """
     tol = rho.tolerance if tolerance is None else tolerance
     check_tolerance(tol, "PPT")
-    # one eigensolve of the (3, 8, 8) stack; row k belongs to THREE_QUBIT_CUTS[k]
-    stack = np.empty((len(THREE_QUBIT_CUTS), 8, 8), dtype=complex)
-    for k, cut in enumerate(THREE_QUBIT_CUTS):
-        stack[k] = partial_transpose(rho, cut.transposed)
-    lows = np.linalg.eigvalsh(stack)[:, 0].tolist()
-    return PPTReport(tuple(CutResult(cut, lo, lo >= -tol)
-                           for cut, lo in zip(THREE_QUBIT_CUTS, lows)), tol)
+    # one eigensolve of the (3, 8, 8) stack; row k transposes qubit k + 1
+    stack = np.empty((3, 8, 8), dtype=complex)
+    for k in range(3):
+        stack[k] = partial_transpose(rho, k + 1)
+    return PPTReport(tuple(np.linalg.eigvalsh(stack)[:, 0].tolist()), tol)
 
 
 def numeric_rank(h) -> int:

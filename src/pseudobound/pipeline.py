@@ -77,7 +77,7 @@ def build_report(cfg: RunConfig) -> dict:
             "sigma": cfg.sigma, "noise_lambda": cfg.noise_lambda,
             "seed": cfg.seed,
         },
-        "ppt": {"cuts": ppt.as_dict(), "all_ppt": ppt.all_ppt},
+        "ppt": ppt.as_dict(),
         "witness": {
             "expectation": wexp,
             "sigma": werr,

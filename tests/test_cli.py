@@ -35,6 +35,16 @@ def test_state_and_ppt(tmp_path):
     assert set(verdict["cuts"]) == {"1|23", "2|13", "3|12"}
 
 
+def test_ppt_output_is_the_reports_wire_object(tmp_path):
+    # ppt writes its tolerance, then the report's own wire object, keys in order
+    rho_path, out = tmp_path / "ps.json", tmp_path / "ppt.json"
+    assert run(["state", "--p", "0.5", "--out", str(rho_path)]) == 0
+    assert run(["ppt", "--state", str(rho_path), "--tolerance", "1e-3", "--out", str(out)]) == 0
+    report = core.is_ppt(cli._load_density(str(rho_path)), tolerance=1e-3)
+    assert out.read_text() == core.json_text({"tolerance": 1e-3, **report.as_dict()})
+    assert list(json.loads(out.read_text())) == ["tolerance", "cuts", "all_ppt"]
+
+
 def test_ppt_flags_npt_state(tmp_path):
     # a pure GHZ state is NPT on every cut
     rho_path = tmp_path / "ghz.json"
@@ -283,7 +293,7 @@ def test_reconstruct_names_the_values_that_fit_no_state(tmp_path, capsys, value,
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(["tomo", "reconstruct", "--data", str(data)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert capsys.readouterr().err.startswith(f"error: {data}: {message}")
 
 
 def _numeric_flags(parser, path=()):
@@ -533,9 +543,9 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, payload, message):
         assert run(argv) == 2
     err = capsys.readouterr().err
     assert "error:" in err and message in err and "Traceback" not in err
-    # a loader's refusal names the file it read, and only that one; "fit" rows
-    # are refused by the fit, after the file loaded
-    if command not in ("argv", "optimize", "fit"):
+    # a loader's refusal names the file it read, and only that one; so does the
+    # fit's refusal of a file that loaded ("fit" rows)
+    if command not in ("argv", "optimize"):
         assert f"error: {bad}: " in err and str(rho) not in err
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import re
 import threading
 import warnings
 
@@ -197,48 +198,50 @@ def test_state_carries_its_spectrum(rng):
 def test_is_ppt_matches_each_cut_eigensolve(rng):
     for rho in _states(rng):
         report = core.is_ppt(rho)
-        for cut in report.cuts:
-            pt = core.partial_transpose(rho.matrix, cut.cut.transposed)
-            assert cut.min_eigenvalue == np.linalg.eigvalsh(pt)[0]
-    assert len({c.min_eigenvalue for c in report.cuts}) == 3
+        for qubit, lo in zip((1, 2, 3), report.min_eigenvalues):
+            assert lo == np.linalg.eigvalsh(core.partial_transpose(rho.matrix, qubit))[0]
+    assert len(set(report.min_eigenvalues)) == 3
 
 
 def test_partial_transpose_involution_and_trace(rng):
     rho = core.random_density_operator(rng)
-    for cut in ((1,), (2,), (3,), (1, 2)):
-        pt = core.partial_transpose(rho.matrix, cut)
-        np.testing.assert_allclose(core.partial_transpose(pt, cut), rho.matrix,
+    for qubit in (1, 2, 3, np.int64(2)):
+        pt = core.partial_transpose(rho.matrix, qubit)
+        np.testing.assert_allclose(core.partial_transpose(pt, qubit), rho.matrix,
                                    atol=0)
         assert np.trace(pt) == pytest.approx(1.0, abs=1e-14)
         # PT is Hermiticity-preserving
         np.testing.assert_allclose(pt, pt.conj().T, atol=1e-14)
 
 
-def test_partial_transpose_complement(rng):
+def test_partial_transposes_of_all_three_qubits_give_the_transpose(rng):
     rho = core.random_density_operator(rng)
-    lhs = core.partial_transpose(rho.matrix, (1,))
-    rhs = core.partial_transpose(rho.matrix, (2, 3)).T
-    np.testing.assert_allclose(lhs, rhs, atol=1e-15)
+    pt = rho.matrix
+    for qubit in (1, 2, 3):
+        pt = core.partial_transpose(pt, qubit)
+    assert np.array_equal(pt, rho.matrix.T)
 
 
 def test_partial_transpose_identity_invariant():
     mixed = core.maximally_mixed().matrix
-    for cut in ((1,), (2,), (3,)):
-        np.testing.assert_array_equal(core.partial_transpose(mixed, cut), mixed)
+    for qubit in (1, 2, 3):
+        np.testing.assert_array_equal(core.partial_transpose(mixed, qubit), mixed)
 
 
 def test_partial_transpose_bad_subsystem():
-    with pytest.raises(ValueError):
-        core.partial_transpose(np.eye(8) / 8, (4,))
-    with pytest.raises(ValueError):
-        core.partial_transpose(np.eye(8) / 8, ())
+    # only the integers 1, 2 and 3 name a qubit: no rounding of 1.9 to qubit 1,
+    # no subset of qubits, and a ValueError that names the value
+    for qubit in (0, 4, -1, np.int64(4), 1.5, 1.9, 2.7, 1.0, "1", (1,), (1, 2), (1, 4), (1, 2, 3),
+                  (), None):
+        with pytest.raises(ValueError, match=rf"qubit {re.escape(repr(qubit))} must be"):
+            core.partial_transpose(np.eye(8) / 8, qubit)
 
 
 def test_ghz_partial_transpose_negative():
     # 8x8 eigensolve of the explicitly transposed projector
     rho = pure_state(states.ghz(+1))
-    for cut in ((1,), (2,), (3,)):
-        vals = np.linalg.eigvalsh(core.partial_transpose(rho.matrix, cut))
+    for qubit in (1, 2, 3):
+        vals = np.linalg.eigvalsh(core.partial_transpose(rho.matrix, qubit))
         assert vals[0] == pytest.approx(-0.5, abs=1e-12)
 
 
@@ -246,11 +249,11 @@ def test_is_ppt_verdicts(rho_opt):
     assert core.is_ppt(core.maximally_mixed()).all_ppt
     ghz_report = core.is_ppt(pure_state(states.ghz(+1)))
     assert not ghz_report.all_ppt
-    assert all(not c.ppt for c in ghz_report.cuts)
+    assert all(not c["ppt"] for c in ghz_report.as_dict()["cuts"].values())
     report = core.is_ppt(rho_opt)
     assert report.all_ppt
-    assert all(c.min_eigenvalue >= -1e-10 for c in report.cuts)
-    assert set(report.as_dict()) == {"1|23", "2|13", "3|12"}
+    assert min(report.min_eigenvalues) >= -1e-10
+    assert tuple(report.as_dict()["cuts"]) == core.CUT_LABELS == ("1|23", "2|13", "3|12")
     for tolerance in (np.nan, np.inf, -1.0):
         with pytest.raises(ValueError, match="tolerance"):
             core.is_ppt(core.maximally_mixed(), tolerance=tolerance)
@@ -459,18 +462,19 @@ def test_stacked_pauli_coordinates_are_those_of_each_matrix(rng):
     assert np.array_equal(m, stack[0, 0]) and np.array_equal(theta, expected[0, 0])
 
 
-def test_bipartition_refuses_qubits_outside_the_register():
-    for qubits in ((4,), (0,), (1, 4)):
-        with pytest.raises(ValueError, match=r"qubit indices .* out of range"):
-            core.Bipartition(qubits)
-
-
-def test_bipartition_validation():
-    assert core.Bipartition((2,)).label == "2|13"
-    with pytest.raises(ValueError):
-        core.Bipartition(())
-    with pytest.raises(ValueError):
-        core.Bipartition((1, 2, 3))
+def test_ppt_report_verdicts_at_the_tolerance():
+    # a cut is PPT down to -tolerance inclusive, and all_ppt follows the cuts
+    at_bound = core.PPTReport((0.0, -1e-6, 1.0), 1e-6)
+    assert at_bound.all_ppt
+    assert at_bound.as_dict() == {"cuts": {
+        "1|23": {"min_eigenvalue": 0.0, "ppt": True},
+        "2|13": {"min_eigenvalue": -1e-6, "ppt": True},
+        "3|12": {"min_eigenvalue": 1.0, "ppt": True}}, "all_ppt": True}
+    past = core.PPTReport((0.0, -1.0000001e-6, 1.0), 1e-6).as_dict()
+    assert [c["ppt"] for c in past["cuts"].values()] == [True, False, True]
+    assert past["all_ppt"] is False
+    assert [f.name for f in dataclasses.fields(core.PPTReport)] == ["min_eigenvalues",
+                                                                    "tolerance"]
 
 
 def test_loose_wrapper_widens():
@@ -496,10 +500,10 @@ def test_loose_estimate_is_not_ppt_by_its_own_negativity():
     h = (g + g.conj().T) / 2
     rho = core.DensityOperator.loose(np.eye(8) / 8 + 0.1 * (h - np.trace(h) / 8 * np.eye(8)))
     report = core.is_ppt(rho)
-    lows = [c.min_eigenvalue for c in report.cuts]
+    lows = report.min_eigenvalues
     assert rho.eigenvalues()[0] < min(lows) and max(lows) < -1e-6
     assert report.tolerance == 1e-6
-    assert not any(c.ppt for c in report.cuts)
+    assert not any(c["ppt"] for c in report.as_dict()["cuts"].values())
 
 
 def _simplex_oracle(c, n):

@@ -12,11 +12,6 @@ names.  The unmutated entries are run by ``test_acceptance.py``.
 
 The witness optimization (criterion 06) is left out: it takes seconds, and no
 mutant here reaches the product-state search.
-
-A mutant that transposes only the first listed qubit of a cut is not in the
-table.  ``core.is_ppt`` transposes one qubit per cut, so that mutant never
-takes effect and would survive every entry without being wrong anywhere the
-registry looks.  A rotated cut-to-label mapping takes its place.
 """
 
 import dataclasses
@@ -38,13 +33,13 @@ _seed_orders = nmr._seed_orders
 _preparation_unitary = nmr.preparation_unitary
 
 
-def _full_transpose(rho, transposed):
+def _full_transpose(rho, qubit):
     return core._as_matrix(rho).T
 
 
-def _rotated_transpose(rho, transposed):
+def _rotated_transpose(rho, qubit):
     # the cut labelled by qubit q transposes qubit q mod 3 + 1
-    return _partial_transpose(rho, [q % 3 + 1 for q in transposed])
+    return _partial_transpose(rho, qubit % 3 + 1)
 
 
 def _loose_is_ppt(rho, tolerance=None):
@@ -118,8 +113,8 @@ def _ppt_verdicts():
     bell_12 = np.zeros((8, 8))
     bell_12[np.ix_([0, 6], [0, 6])] = 0.5
     noisy_ghz = 0.2016 * ghz + 0.7984 * np.eye(8) / 8
-    return [cut.ppt for m in (ghz, bell_12, noisy_ghz)
-            for cut in core.is_ppt(core.DensityOperator(m)).cuts]
+    return [cut["ppt"] for m in (ghz, bell_12, noisy_ghz)
+            for cut in core.is_ppt(core.DensityOperator(m)).as_dict()["cuts"].values()]
 
 
 def _peeled():
