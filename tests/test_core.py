@@ -228,13 +228,34 @@ def test_partial_transpose_identity_invariant():
         np.testing.assert_array_equal(core.partial_transpose(mixed, qubit), mixed)
 
 
+def _refuses_qubit(qubit):
+    with pytest.raises(ValueError, match=rf"qubit {re.escape(repr(qubit))} must be"):
+        core.partial_transpose(np.eye(8) / 8, qubit)
+
+
 def test_partial_transpose_bad_subsystem():
     # only the integers 1, 2 and 3 name a qubit: no rounding of 1.9 to qubit 1,
     # no subset of qubits, and a ValueError that names the value
-    for qubit in (0, 4, -1, np.int64(4), 1.5, 1.9, 2.7, 1.0, "1", (1,), (1, 2), (1, 4), (1, 2, 3),
-                  (), None):
-        with pytest.raises(ValueError, match=rf"qubit {re.escape(repr(qubit))} must be"):
-            core.partial_transpose(np.eye(8) / 8, qubit)
+    for qubit in (1.5, 1.9, 2.7, 1.0, "1", (1,), (1, 2), None):
+        _refuses_qubit(qubit)
+
+
+def test_bipartition_refuses_qubits_outside_the_register():
+    # a cut is named by its transposed qubit, which must lie in the register
+    for qubit in (0, 4, -1, np.int64(4), (1, 4)):
+        _refuses_qubit(qubit)
+
+
+def test_bipartition_validation():
+    # a Bell pair on qubits 1 and 3, qubit 2 in |0>: only the cut that
+    # transposes qubit 2, labelled 2|13, is PPT
+    psi = np.zeros(8)
+    psi[[0b000, 0b101]] = 1 / math.sqrt(2)
+    cuts = core.is_ppt(pure_state(psi)).as_dict()["cuts"]
+    assert [label for label, cut in cuts.items() if cut["ppt"]] == ["2|13"]
+    # neither no qubit nor the whole register is one side of a cut
+    for qubit in ((), (1, 2, 3)):
+        _refuses_qubit(qubit)
 
 
 def test_ghz_partial_transpose_negative():
