@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import checks, core, nmr, states, tomography, witnesses
-from .pipeline import REPORT_SCHEMA_VERSION, RunConfig, build_report  # re-exported as cli.*
+from .pipeline import RunConfig, build_report  # re-exported as cli.*
 
 EXIT_OK = 0
 EXIT_NOT_DETECTED = 1
@@ -38,12 +38,14 @@ def _load_density(path: str) -> core.DensityOperator:
 
 def _params_from_args(args) -> states.StateParams:
     if args.a1 is not None or args.a2 is not None or args.a3 is not None:
+        if args.a is not None:
+            raise ValueError("give either --a or --a1/--a2/--a3, not both")
         missing = [n for n, v in (("--a1", args.a1), ("--a2", args.a2), ("--a3", args.a3))
                    if v is None]
         if missing:
             raise ValueError(f"give all of --a1/--a2/--a3 (missing {missing})")
         return states.StateParams(args.a1, args.a2, args.a3)
-    return states.StateParams.symmetric(args.a)
+    return states.StateParams.symmetric(states.A_OPT if args.a is None else args.a)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +218,7 @@ def cmd_verify(args) -> int:
 
 
 def _add_params(parser, with_eps=False):
-    parser.add_argument("--a", type=float, default=states.A_OPT,
+    parser.add_argument("--a", type=float, default=None,
                         help="symmetric family parameter")
     parser.add_argument("--a1", type=float, default=None)
     parser.add_argument("--a2", type=float, default=None)

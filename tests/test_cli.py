@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -261,6 +262,18 @@ def test_report_determinism():
     assert cli.build_report(cfg) == cli.build_report(cfg)
 
 
+def test_report_models_the_depolarized_expectation():
+    # modeled_expectation is <W> on the depolarized family state, in closed form
+    for cfg in (pipeline.RunConfig(), pipeline.RunConfig(noise_lambda=0.0),
+                pipeline.RunConfig(a=0.3, epsilon=0.05, noise_lambda=0.5, seed=1),
+                pipeline.RunConfig(a=0.6, epsilon=0.2, noise_lambda=0.9, seed=2)):
+        params = states.StateParams.symmetric(cfg.a)
+        w = witnesses.witness(witnesses.WitnessParams(params, cfg.epsilon))
+        rho = nmr.depolarize(states.bound_entangled_state(params), cfg.noise_lambda)
+        modeled = pipeline.build_report(cfg)["witness"]["modeled_expectation"]
+        assert modeled == pytest.approx(witnesses.expectation(w, rho), abs=1e-12), cfg
+
+
 def test_report_refuses_p_zero(capsys):
     for typed in ("0", "-0", "-1"):
         assert run(["report", "--p", typed]) == 2
@@ -494,6 +507,11 @@ _HEAVY = [dict(r, sigma=1e-150, value=1e150) for r in _FULL]
      "--seed -1"),
     ("argv", ["verify", "--seed", "-1"], "--seed -1"),
     ("argv", ["state", "--a1", "0.3"], "give all of --a1/--a2/--a3"),
+    ("argv", ["state", "--a", "0.5", "--a1", "0.2", "--a2", "0.3", "--a3", "0.4"],
+     "give either --a or --a1/--a2/--a3, not both"),
+    ("argv", ["witness", "eval", "--state", "{rho}", "--a", "0.9",
+              "--a1", "0.346", "--a2", "0.346", "--a3", "0.346"],
+     "give either --a or --a1/--a2/--a3, not both"),
     # a search range beyond the state parameters' is refused as the range, not
     # at the first grid point it would evaluate
     ("argv", ["witness", "optimize", "--range", "0.5:1e151"],
@@ -518,7 +536,7 @@ _HEAVY = [dict(r, sigma=1e-150, value=1e150) for r in _FULL]
         "optimize-negative-restarts", "optimize-huge-restarts",
         "optimize-restarts-over-cap", "report-negative-seed", "tomo-negative-seed",
         "tomo-exact-negative-seed", "optimize-negative-seed", "verify-negative-seed",
-        "state-partial-triple",
+        "state-partial-triple", "state-a-and-triple", "witness-eval-a-and-triple",
         "optimize-range-above-parameters", "optimize-range-below-parameters",
         "optimize-range-far-above-parameters",
         "report-subnormal-p", "report-exact-subnormal-p", "report-sigma-underflow"])
@@ -680,12 +698,23 @@ def test_non_register_state_exits_2(tmp_path, capsys):
 
 
 def test_import_loads_no_scipy():
+    # cli imports every module of the package; the package itself imports none
     src = Path(pseudobound.__file__).resolve().parents[1]
-    code = ("import sys, pseudobound; "
+    code = ("import sys, pseudobound.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={"PYTHONPATH": str(src)}, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_package_exports_only_its_modules():
+    # each public name has one import path, its module: core.is_ppt, not pseudobound.is_ppt
+    public = [name for name in dir(pseudobound) if not name.startswith("_")]
+    assert public, "the test process has imported every module"
+    for name in public:
+        value = getattr(pseudobound, name)
+        assert isinstance(value, types.ModuleType), name
+        assert value.__name__ == f"pseudobound.{name}"
 
 
 def test_checks_import_loads_no_cli():

@@ -317,6 +317,16 @@ def test_fidelity_basics(rng, rho_opt):
     assert 0.97 < f < 1.0
 
 
+def test_fidelity_overshoot_bound_from_both_sides():
+    # clipping a loose argument's negative part may push the trace up to
+    # 1 + 2 sqrt(slack), and no further; the slack here is the -lowest eigenvalue
+    inside = core.DensityOperator.loose(_diag8(4.4, 0.5, -3.9))   # 4.9 < 1 + 2 sqrt(3.9)
+    assert core.uhlmann_fidelity(inside, inside) == 1.0
+    outside = core.DensityOperator.loose(_diag8(4.6, 0.5, -4.1))  # 5.1 > 1 + 2 sqrt(4.1)
+    with pytest.raises(ValueError, match="exceeds 1"):
+        core.uhlmann_fidelity(outside, outside)
+
+
 def _fidelity_with_outer_root(rho, sigma):
     """The square-root fidelity with the outer square root built, then traced."""
     slack = max(1e-8, rho.tolerance, sigma.tolerance)

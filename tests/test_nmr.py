@@ -131,6 +131,12 @@ def test_single_spin_ratio():
     assert r == pytest.approx(0.2720348, abs=1e-6)
 
 
+def test_default_p_is_the_matched_fraction_at_the_working_point():
+    # DEFAULT_P is written as kappa / 3.61; 3.61 rounds the matched ratio
+    p = nmr.matched_fraction(states.A_OPT, nmr.DEFAULT_KAPPA_H)
+    assert nmr.DEFAULT_P == pytest.approx(p, rel=1e-4)
+
+
 def test_matched_fraction():
     p = nmr.matched_fraction(A_OPT, KAPPA_H)
     assert KAPPA_H / p == pytest.approx(3.61, abs=0.01)
