@@ -18,7 +18,9 @@ The other jobs shared by several modules are done here once too: the
 Hermiticity test ``check_hermitian``, ``simplex_projection`` (the NMR
 weights and the physical projection), ``mix_with_identity`` (the pseudo-state
 embedding, depolarization, the peel and the pseudo witness), ``_as_matrix``
-and ``json_text``, the one JSON text format of files and standard output.
+and ``json_text``, the one JSON text format of files and standard output:
+exactly ``json.dumps(payload, indent=1)`` plus a newline (ASCII-escaped, one
+space per level), written through the stdlib's C encoder.
 
 Everything here is a pure function of its inputs; wrapped matrices are
 frozen read-only, so values are safe to share between threads.
@@ -423,9 +425,73 @@ def load_json(path, parse):
 def json_text(payload) -> str:
     """``payload`` as indented JSON text ending in a newline.
 
-    A non-finite float is a ValueError: JSON has no ``Infinity`` or ``NaN``.
+    The text is exactly ``json.dumps(payload, indent=1, allow_nan=False)``
+    plus a newline: ASCII-escaped, one space per level.  Any ``indent`` makes
+    the stdlib fall back to its pure-Python encoder, so ``_indented`` writes
+    the same bytes with nearly all the work in the C encoder.  A non-finite
+    float is a ValueError: JSON has no ``Infinity`` or ``NaN``.
     """
-    return json.dumps(payload, indent=1, allow_nan=False) + "\n"
+    try:
+        return _indented(payload, 0) + "\n"
+    except (ValueError, RecursionError):
+        # the stdlib's own answer: its message names a non-finite value, where
+        # the C encoder's does not, and it detects a cycle, which _indented
+        # recurses into
+        return json.dumps(payload, indent=1, allow_nan=False) + "\n"
+
+
+# exact types the C encoder writes as one token, as the indenting encoder does
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+@lru_cache(maxsize=None)
+def _encoder(indent: int):
+    """The C encoder's ``encode``, items separated by a newline and ``indent`` spaces."""
+    return json.JSONEncoder(separators=(",\n" + " " * indent, ": "), allow_nan=False).encode
+
+
+def _indented(node, depth: int) -> str:
+    """``json.dumps(node, indent=1)`` for a ``node`` nested ``depth`` levels deep."""
+    is_dict = isinstance(node, dict)
+    if not (is_dict or isinstance(node, (list, tuple))) or not node:
+        return _encoder(0)(node)   # a scalar, "{}" or "[]"
+    pad, inner = "\n" + " " * depth, "\n" + " " * (depth + 1)
+    values = list(node.values()) if is_dict else node
+    nested = {i: value for i, value in enumerate(values) if type(value) not in _SCALARS}
+    if nested and not is_dict and _flat_children(node):
+        # one call with the grandchildren's separator, then a newline and indent
+        # at each child boundary: a bracket, that separator and a bracket, which
+        # the encoder writes nowhere else (it escapes newlines in strings, and
+        # no scalar ends in a bracket)
+        text = _encoder(depth + 2)(node)
+        start, end, leaf = text[1], text[-2], inner + " "
+        body = text[2:-2].replace(f"{end},{leaf}{start}", f"{inner}{end},{inner}{start}{leaf}")
+        return f"[{inner}{start}{leaf}{body}{inner}{end}{pad}]"
+    if nested:
+        # 0 in each nested child's place, so one call writes every key and
+        # scalar; the separator splits the items, since no token holds a newline
+        flat = [0 if i in nested else value for i, value in enumerate(values)]
+        items = _encoder(depth + 1)(dict(zip(node, flat)) if is_dict else flat)[1:-1].split(
+            "," + inner)
+        for i, child in nested.items():
+            items[i] = items[i][:-1] + _indented(child, depth + 1)
+        body = ("," + inner).join(items)
+    else:
+        body = _encoder(depth + 1)(node)[1:-1]
+    start, end = "{}" if is_dict else "[]"
+    return f"{start}{inner}{body}{pad}{end}"
+
+
+def _flat_children(node) -> bool:
+    """Whether the list ``node`` holds only non-empty flat dicts or only non-empty flat lists."""
+    kinds = set(map(type, node))
+    if kinds == {dict}:
+        leaves = itertools.chain.from_iterable(map(dict.values, node))
+    elif kinds <= {list, tuple}:
+        leaves = itertools.chain.from_iterable(node)
+    else:
+        return False
+    return all(node) and _SCALARS.issuperset(map(type, leaves))
 
 
 def write_json(payload, path) -> None:

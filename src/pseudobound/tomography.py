@@ -171,7 +171,8 @@ def design_matrix() -> np.ndarray:
 # datasets
 
 
-_RECORD_KEYS = ("setting", "detect", "line", "quad", "value", "sigma")
+# a record's labels (setting, detect, line, quad) at index experiment * 8 + row
+_RECORD_LABELS = tuple((*experiment, *row) for experiment in _EXPERIMENTS for row in _ROW_LABELS)
 SIGMA_RANGE = (1e-150, 1e150)
 # every readout row has L1 norm 8 and every Pauli coordinate of a state lies
 # within MAX_ENTRY, so every exact amplitude lies within this bound
@@ -247,9 +248,11 @@ class TomographyDataset:
                    for name in ("experiment", "row", "value", "sigma"))
 
     def to_json(self) -> list[dict]:
-        return [dict(zip(_RECORD_KEYS, (*_EXPERIMENTS[e], *_ROW_LABELS[r], v, s)))
-                for e, r, v, s in zip(self.experiment.tolist(), self.row.tolist(),
-                                      self.value.tolist(), self.sigma.tolist())]
+        labels = map(_RECORD_LABELS.__getitem__, (self.experiment * len(_ROW) + self.row).tolist())
+        return [{"setting": setting, "detect": detect, "line": line, "quad": quad,
+                 "value": value, "sigma": sigma}
+                for (setting, detect, line, quad), value, sigma
+                in zip(labels, self.value.tolist(), self.sigma.tolist())]
 
     @classmethod
     def from_json(cls, blobs: list[dict]) -> "TomographyDataset":

@@ -365,6 +365,32 @@ def test_every_numeric_flag_at_extreme_values(path, parser, flag, kind, flag_inp
             assert flag in err or typed in err or repr(kind(float(typed))) in err, (argv, err)
 
 
+# every subcommand that writes a file; {state} and {data} are flag_inputs' files
+_WIRE_COMMANDS = {
+    "state": "state",
+    "state --p": "state --p 2e-5",
+    "prepare": "prepare",
+    "tomo simulate": "tomo simulate --state {state}",
+    "tomo reconstruct": "tomo reconstruct --data {data}",
+    "tomo reconstruct --project": "tomo reconstruct --data {data} --project",
+    "ppt": "ppt --state {state}",
+    "witness eval": "witness eval --state {state}",
+    "witness optimize": "witness optimize --range 0.3:0.4 --restarts 20",
+    "metrics": "metrics --state {state} --reference {state}",
+    "report": "report",
+}
+
+
+@pytest.mark.parametrize("command", list(_WIRE_COMMANDS.values()), ids=list(_WIRE_COMMANDS))
+def test_every_output_file_is_the_stdlib_indented_text(command, flag_inputs, tmp_path, capsys):
+    # the oracle is the stdlib's indenting encoder, not the writer under test
+    files = {"{state}": flag_inputs["--state"], "{data}": flag_inputs["--data"]}
+    out = tmp_path / "out.json"
+    assert run([files.get(token, token) for token in command.split()] + ["--out", str(out)]) == 0
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), indent=1) + "\n"
+
+
 def test_report_names_p_when_peeling_amplifies_rounding(capsys):
     # the estimate passed validation; 1/p blows its rounding past the trace check
     assert run(["report", "--p", "1e-12"]) == 2

@@ -1,6 +1,7 @@
 """Tensor algebra, Pauli coordinates, partial transpose, eigensolves and the two metrics."""
 
 import dataclasses
+import json
 import math
 import os
 import re
@@ -9,6 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pseudobound import core, nmr, states, tomography, witnesses
 from conftest import pure_state, random_params
@@ -600,9 +602,45 @@ def test_json_text_refuses_non_finite_floats(tmp_path):
     path = tmp_path / "out.json"
     core.write_json(_LONG, path)
     for value in (np.inf, -np.inf, np.nan):
-        with pytest.raises(ValueError, match="not JSON compliant"):
+        with pytest.raises(ValueError, match=f"not JSON compliant: {value}$"):
             core.write_json({"trace_distance": value}, path)
     assert path.read_text() == core.json_text(_LONG)
+
+
+def test_json_text_refuses_a_cycle():
+    loop = {"x": [1.0]}
+    loop["x"].append(loop)
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        core.json_text(loop)
+
+
+# strings the C encoder must escape, and the child boundaries the writer rewrites
+_STRINGS = st.lists(st.sampled_from(['"', "\\", "\n", "\u00e9", "\u2603", "},", "],", "{", "[",
+                                     "},\n  {", "x"]) | st.text(max_size=3),
+                    max_size=4).map("".join)
+_FLOATS = (st.floats(allow_nan=False, allow_infinity=False)
+           | st.sampled_from([-0.0, 5e-324, 1e308, -1e308]))
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers() | _FLOATS | _FLOATS.map(np.float64)
+            | _STRINGS)
+
+
+def _containers(children):
+    lists = st.lists(children, max_size=4)
+    flat_dict = st.dictionaries(_STRINGS, _JSON_SCALARS, min_size=1, max_size=3)
+    flat_list = st.lists(_JSON_SCALARS, min_size=1, max_size=3)
+    return (lists | lists.map(tuple) | st.dictionaries(_STRINGS, children, max_size=4)
+            | st.lists(flat_dict, min_size=1, max_size=4)
+            | st.lists(flat_list | flat_list.map(tuple), min_size=1, max_size=4))
+
+
+_TREES = st.recursive(_JSON_SCALARS, _containers, max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES)
+def test_json_text_is_the_stdlib_indented_text(payload):
+    # the oracle is the stdlib's own indenting encoder, which json_text bypasses
+    assert core.json_text(payload) == json.dumps(payload, indent=1, allow_nan=False) + "\n"
 
 
 def test_write_json_writes_through_links(tmp_path):
