@@ -399,6 +399,9 @@ def random_unitary(rng: np.random.Generator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # JSON wire format for matrices: {"dim": 8, "re": [[...]], "im": [[...]]}
 
+# the types json.load gives a JSON number; a bool or a numeric string is none
+_NUMBERS = frozenset({int, float})
+
 
 def read_json(path):
     """Parse a JSON file; nesting too deep for the parser is a ValueError."""
@@ -428,14 +431,15 @@ def json_text(payload) -> str:
     The text is exactly ``json.dumps(payload, indent=1, allow_nan=False)``
     plus a newline: ASCII-escaped, one space per level.  Any ``indent`` makes
     the stdlib fall back to its pure-Python encoder, so ``_indented`` writes
-    the same bytes with nearly all the work in the C encoder.  A non-finite
+    the same bytes with most of the work in the C encoder.  A non-finite
     float is a ValueError: JSON has no ``Infinity`` or ``NaN``.
     """
     try:
         return _indented(payload, 0) + "\n"
-    except (ValueError, RecursionError):
+    except (ValueError, TypeError, RecursionError):
         # the stdlib's own answer: its message names a non-finite value, where
-        # the C encoder's does not, and it detects a cycle, which _indented
+        # the C encoder's does not, it writes a dict key that is not a str,
+        # which _indented refuses, and it detects a cycle, which _indented
         # recurses into
         return json.dumps(payload, indent=1, allow_nan=False) + "\n"
 
@@ -451,14 +455,21 @@ def _encoder(indent: int):
 
 
 def _indented(node, depth: int) -> str:
-    """``json.dumps(node, indent=1)`` for a ``node`` nested ``depth`` levels deep."""
+    """``json.dumps(node, indent=1)`` for a ``node`` nested ``depth`` levels deep.
+
+    A container of exact scalars is one C encoder call, and so is a list of
+    non-empty flat containers of one kind (the dataset records, the rows of
+    a matrix); any other container is written child by child.  A dict key
+    that is not a str is a TypeError.
+    """
     is_dict = isinstance(node, dict)
     if not (is_dict or isinstance(node, (list, tuple))) or not node:
         return _encoder(0)(node)   # a scalar, "{}" or "[]"
     pad, inner = "\n" + " " * depth, "\n" + " " * (depth + 1)
-    values = list(node.values()) if is_dict else node
-    nested = {i: value for i, value in enumerate(values) if type(value) not in _SCALARS}
-    if nested and not is_dict and _flat_children(node):
+    values = node.values() if is_dict else node
+    if _SCALARS.issuperset(map(type, values)):
+        body = _encoder(depth + 1)(node)[1:-1]
+    elif not is_dict and _flat_children(node):
         # one call with the grandchildren's separator, then a newline and indent
         # at each child boundary: a bracket, that separator and a bracket, which
         # the encoder writes nowhere else (it escapes newlines in strings, and
@@ -467,17 +478,13 @@ def _indented(node, depth: int) -> str:
         start, end, leaf = text[1], text[-2], inner + " "
         body = text[2:-2].replace(f"{end},{leaf}{start}", f"{inner}{end},{inner}{start}{leaf}")
         return f"[{inner}{start}{leaf}{body}{inner}{end}{pad}]"
-    if nested:
-        # 0 in each nested child's place, so one call writes every key and
-        # scalar; the separator splits the items, since no token holds a newline
-        flat = [0 if i in nested else value for i, value in enumerate(values)]
-        items = _encoder(depth + 1)(dict(zip(node, flat)) if is_dict else flat)[1:-1].split(
-            "," + inner)
-        for i, child in nested.items():
-            items[i] = items[i][:-1] + _indented(child, depth + 1)
-        body = ("," + inner).join(items)
     else:
-        body = _encoder(depth + 1)(node)[1:-1]
+        children = [_indented(value, depth + 1) for value in values]
+        if is_dict:
+            # the depth-0 encoder's str path: a key that is not a str is a TypeError
+            key = json.encoder.encode_basestring_ascii
+            children = [f"{key(k)}: {child}" for k, child in zip(node, children)]
+        body = ("," + inner).join(children)
     start, end = "{}" if is_dict else "[]"
     return f"{start}{inner}{body}{pad}{end}"
 
@@ -485,13 +492,10 @@ def _indented(node, depth: int) -> str:
 def _flat_children(node) -> bool:
     """Whether the list ``node`` holds only non-empty flat dicts or only non-empty flat lists."""
     kinds = set(map(type, node))
-    if kinds == {dict}:
-        leaves = itertools.chain.from_iterable(map(dict.values, node))
-    elif kinds <= {list, tuple}:
-        leaves = itertools.chain.from_iterable(node)
-    else:
+    if not (kinds == {dict} or kinds <= {list, tuple}) or not all(node):
         return False
-    return all(node) and _SCALARS.issuperset(map(type, leaves))
+    children = map(dict.values, node) if kinds == {dict} else node
+    return _SCALARS.issuperset(map(type, itertools.chain.from_iterable(children)))
 
 
 def write_json(payload, path) -> None:
@@ -535,13 +539,18 @@ def matrix_from_json(blob: dict) -> np.ndarray:
     if not isinstance(blob, dict):
         raise ValueError("matrix JSON must be an object")
     try:
-        dim = int(blob["dim"])
+        dim = blob["dim"]
         re = np.asarray(blob["re"], dtype=float)
         im = np.asarray(blob["im"], dtype=float)
     except KeyError as exc:
         raise ValueError(f"matrix JSON lacks key {exc}") from None
     except (TypeError, OverflowError):
         raise ValueError("matrix JSON entries must be numbers") from None
-    if re.shape != (dim, dim) or im.shape != (dim, dim):
+    if dim != 8:   # no JSON value but the numbers 8 and 8.0 equals 8
+        raise ValueError(f"matrix JSON dim {dim!r} must be 8: the register's operators are 8x8")
+    if re.shape != (8, 8) or im.shape != (8, 8):
         raise ValueError("matrix JSON shape does not match declared dim")
+    # NumPy reads "0.125" and false as numbers: the entries' own types decide
+    if not _NUMBERS.issuperset(map(type, itertools.chain(*blob["re"], *blob["im"]))):
+        raise ValueError("matrix JSON entries must be numbers")
     return check_operator(re + 1j * im)

@@ -33,14 +33,13 @@ from .core import (
     MAX_ENTRY,
     DensityOperator,
     PAULIS,
+    _NUMBERS,
     _as_matrix,
     _pauli_coordinates,
-    load_json,
     parameters_to_matrix,
     simplex_projection,
     state_parameters,
     tensor,
-    write_json,
 )
 
 SETTINGS = ("Y1E2E3", "E1E2Y3", "E1E2X3", "Y1Y2E3", "E1X2X3", "Y1Y2Y3", "X1X2X3")
@@ -106,10 +105,8 @@ def readout_unitary(setting: str, detect: str = "C") -> np.ndarray:
     return rot if q == 1 else swap_unitary(1, q) @ rot
 
 
-# position of each (line, quadrature) amplitude among an experiment's 8
-_ROW = {(line, quad): 2 * j + k
-        for j, line in enumerate(LINE_LABELS) for k, quad in enumerate(QUADRATURES)}
-_ROW_LABELS = tuple(_ROW)
+# the (line, quadrature) of each amplitude among an experiment's 8, in order
+_ROW_LABELS = tuple(product(LINE_LABELS, QUADRATURES))
 
 
 def measure(rho: DensityOperator, setting: str, detect: str = "C") -> np.ndarray:
@@ -129,8 +126,8 @@ def default_experiments() -> list[tuple[str, str]]:
 
 # experiment and row index of each of the 168 records of a simulated dataset
 _DEFAULT_EXPERIMENT = np.repeat([_EXPERIMENT_INDEX[exp] for exp in default_experiments()],
-                                len(_ROW))
-_DEFAULT_ROW = np.tile(np.arange(len(_ROW)), len(SETTINGS) * len(DETECT_SPINS))
+                                len(_ROW_LABELS))
+_DEFAULT_ROW = np.tile(np.arange(len(_ROW_LABELS)), len(SETTINGS) * len(DETECT_SPINS))
 _DEFAULT_EXPERIMENT.setflags(write=False)
 _DEFAULT_ROW.setflags(write=False)
 
@@ -145,16 +142,16 @@ def _readout_table() -> np.ndarray:
 
     Entry [e, r, k] is tr(R_e^dag O_r R_e P_k) for the readout unitary R_e
     of experiment ``_EXPERIMENTS[e]``, the line observable O_r of amplitude
-    r (``_ROW`` order) and each Pauli product P_k: the Heisenberg picture.
+    r (``_ROW_LABELS`` order) and each Pauli product P_k: the Heisenberg picture.
     The identity part of a state drops out because every O_r is traceless.
     Each experiment conjugates and projects its 8 observables as one stack;
     one stack of all 648 would hold about 2 MB of intermediates at once.
     """
-    obs = np.empty((len(_ROW), 8, 8), dtype=complex)
-    for (line, quad), r in _ROW.items():
+    obs = np.empty((len(_ROW_LABELS), 8, 8), dtype=complex)
+    for r, (line, quad) in enumerate(_ROW_LABELS):
         proj = np.diag([float(line == label) for label in LINE_LABELS])
         obs[r] = np.kron(PAULIS["X"] if quad == "x" else PAULIS["Y"], proj)
-    table = np.empty((len(_EXPERIMENTS), len(_ROW), 63))
+    table = np.empty((len(_EXPERIMENTS), len(_ROW_LABELS), 63))
     for e, experiment in enumerate(_EXPERIMENTS):
         u = readout_unitary(*experiment)
         table[e] = 8.0 * _pauli_coordinates(u.conj().T @ obs @ u)
@@ -171,8 +168,10 @@ def design_matrix() -> np.ndarray:
 # datasets
 
 
-# a record's labels (setting, detect, line, quad) at index experiment * 8 + row
+# a record's labels (setting, detect, line, quad) at index experiment * 8 + row,
+# and its inverse: the one table that writes and reads a record's labels
 _RECORD_LABELS = tuple((*experiment, *row) for experiment in _EXPERIMENTS for row in _ROW_LABELS)
+_RECORD_INDEX = {labels: i for i, labels in enumerate(_RECORD_LABELS)}
 SIGMA_RANGE = (1e-150, 1e150)
 # every readout row has L1 norm 8 and every Pauli coordinate of a state lies
 # within MAX_ENTRY, so every exact amplitude lies within this bound
@@ -193,7 +192,7 @@ class TomographyDataset:
     """Measurement records held as four read-only arrays of equal length.
 
     ``experiment`` indexes ``_EXPERIMENTS`` and ``row`` the amplitude within
-    that experiment's 8 (``_ROW``).  The constructor is the one validation
+    that experiment's 8 (``_ROW_LABELS``).  The constructor is the one validation
     of a dataset from outside the program (a file, or arrays a caller
     passes): equal 1-D lengths, at most 168 records, indices in range,
     each sigma either 0 (exact data) or within ``SIGMA_RANGE``, so that the
@@ -222,8 +221,8 @@ class TomographyDataset:
         # as unsigned integers, negative indices compare above every bound
         if experiment.view(np.uintp).max(initial=0) >= len(_EXPERIMENTS):
             raise ValueError(f"experiment index outside [0, {len(_EXPERIMENTS)})")
-        if row.view(np.uintp).max(initial=0) >= len(_ROW):
-            raise ValueError(f"row index outside [0, {len(_ROW)})")
+        if row.view(np.uintp).max(initial=0) >= len(_ROW_LABELS):
+            raise ValueError(f"row index outside [0, {len(_ROW_LABELS)})")
         _check_sigmas(sigma)
         bounded = np.abs(value) <= MAX_VALUE   # False for NaN too
         if not bounded.all():
@@ -248,7 +247,8 @@ class TomographyDataset:
                    for name in ("experiment", "row", "value", "sigma"))
 
     def to_json(self) -> list[dict]:
-        labels = map(_RECORD_LABELS.__getitem__, (self.experiment * len(_ROW) + self.row).tolist())
+        labels = map(_RECORD_LABELS.__getitem__,
+                     (self.experiment * len(_ROW_LABELS) + self.row).tolist())
         return [{"setting": setting, "detect": detect, "line": line, "quad": quad,
                  "value": value, "sigma": sigma}
                 for (setting, detect, line, quad), value, sigma
@@ -258,29 +258,27 @@ class TomographyDataset:
     def from_json(cls, blobs: list[dict]) -> "TomographyDataset":
         if not isinstance(blobs, list):
             raise ValueError("dataset JSON must be an array of records")
-        experiment, row, value, sigma = [], [], [], []
+        index, value, sigma = [], [], []
         for b in blobs:
             try:
-                setting, detect, line, quad = b["setting"], b["detect"], b["line"], b["quad"]
-                value.append(float(b["value"]))
-                sigma.append(float(b["sigma"]))
+                labels = b["setting"], b["detect"], b["line"], b["quad"]
+                v, s = b["value"], b["sigma"]
+                if type(v) not in _NUMBERS or type(s) not in _NUMBERS:   # "1.5", true
+                    raise TypeError
+                value.append(float(v))
+                sigma.append(float(s))
             except KeyError as exc:
                 raise ValueError(f"dataset record lacks key {exc}") from None
             except (TypeError, OverflowError):
                 raise ValueError("dataset records must be objects with numeric "
                                  "value and sigma") from None
-            experiment.append(_experiment_index(setting, detect))
-            if line not in LINE_LABELS or quad not in QUADRATURES:
-                raise ValueError(f"unknown line/quadrature ({line!r}, {quad!r})")
-            row.append(_ROW[line, quad])
+            try:
+                index.append(_RECORD_INDEX[labels])
+            except (KeyError, TypeError):   # TypeError: an unhashable label such as a list
+                _experiment_index(*labels[:2])
+                raise ValueError(f"unknown line/quadrature {labels[2:]!r}") from None
+        experiment, row = np.divmod(np.array(index, dtype=np.intp), len(_ROW_LABELS))
         return cls(experiment, row, value, sigma)
-
-    def save(self, path) -> None:
-        write_json(self.to_json(), path)
-
-    @classmethod
-    def load(cls, path) -> "TomographyDataset":
-        return load_json(path, cls.from_json)
 
 
 def generate_dataset(rho: DensityOperator, sigma: float = 0.0,
@@ -300,7 +298,7 @@ def generate_dataset(rho: DensityOperator, sigma: float = 0.0,
         raise ValueError(f"sigma {sigma} must be finite and non-negative")
     sigmas = np.full(len(_DEFAULT_ROW), float(sigma))
     _check_sigmas(sigmas[:1])
-    values = np.empty((len(default_experiments()), len(_ROW)))
+    values = np.empty((len(default_experiments()), len(_ROW_LABELS)))
     for k, (setting, detect) in enumerate(default_experiments()):
         values[k] = measure(rho, setting, detect)
     values = values.reshape(-1)
@@ -330,7 +328,7 @@ def _whole_experiments(dataset: TomographyDataset) -> bool:
     and the experiments against each block's first repeated; the sigmas
     compare with ==, so that 0.0 and -0.0 are one exact sigma.
     """
-    n = len(_ROW)
+    n = len(_ROW_LABELS)
     experiment, row, sigma = dataset.experiment, dataset.row, dataset.sigma
     if len(row) % n or row.tobytes() != _DEFAULT_ROW[:len(row)].tobytes():
         return False

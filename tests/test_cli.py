@@ -222,7 +222,7 @@ def test_dataset_save_matches_tomo_simulate_bytes(tmp_path):
     run(["state", "--out", str(rho_path)])
     run(["tomo", "simulate", "--state", str(rho_path), "--out", str(cli_path)])
     rho = core.DensityOperator.loose(core.matrix_from_json(core.read_json(rho_path)))
-    tomography.generate_dataset(rho, sigma=1e-3, seed=7).save(saved)
+    core.write_json(tomography.generate_dataset(rho, sigma=1e-3, seed=7).to_json(), saved)
     assert saved.read_bytes() == cli_path.read_bytes()
     assert saved.read_bytes().endswith(b"]\n")
 
@@ -485,6 +485,10 @@ _NUMERIC = "objects with numeric value and sigma"
 # value bound, and every value within it at the smallest sigma
 _HUGE_VALUE = [dict(r, sigma=1e-3, value=1.7e308 if k == 0 else 0.0) for k, r in enumerate(_FULL)]
 _HEAVY = [dict(r, sigma=1e-150, value=1e150) for r in _FULL]
+# a mixed state's file, and its entries as numeric strings, false or an int
+# too large for a float: a wire number must be a JSON number
+_MIXED = core.matrix_to_json(np.eye(8) / 8)
+_ENTRIES = "matrix JSON entries must be numbers"
 
 
 @pytest.mark.parametrize("command, payload, message", [
@@ -502,7 +506,7 @@ _HEAVY = [dict(r, sigma=1e-150, value=1e150) for r in _FULL]
     ("tomo", [dict(_RECORD, detect="N")], "bad detected spin 'N'"),
     ("tomo", [dict(_RECORD, quad="z")], "unknown line/quadrature ('00', 'z')"),
     ("tomo", [dict(_RECORD, value=None)], _NUMERIC),
-    ("tomo", [dict(_RECORD, sigma="wide")], "could not convert string to float: 'wide'"),
+    ("tomo", [dict(_RECORD, sigma="wide")], _NUMERIC),
     ("tomo", ["Y1E2E3"], _NUMERIC),
     ("tomo", [dict(_RECORD, value=0.5, sigma=5e-324)], "record sigma 5e-324"),
     ("tomo", _FULL, "record sigma 1e+300"),
@@ -550,6 +554,14 @@ _HEAVY = [dict(r, sigma=1e-150, value=1e150) for r in _FULL]
     ("argv", ["report", "--p", "5e-324"], "--p 5e-324"),
     ("argv", ["report", "--sigma", "0", "--p", "1e-310"], "--p 1e-310"),
     ("argv", ["report", "--sigma", "1e-300", "--p", "1e-100"], "--sigma 1e-300 times --p 1e-100"),
+    ("ppt", dict(_MIXED, dim=8.5), "matrix JSON dim 8.5 must be 8"),
+    ("ppt", dict(_MIXED, dim="8"), "matrix JSON dim '8' must be 8"),
+    ("ppt", dict(_MIXED, re=[[str(x) for x in row] for row in _MIXED["re"]]), _ENTRIES),
+    ("ppt", dict(_MIXED, im=[[False] * 8] * 8), _ENTRIES),
+    ("ppt", dict(_MIXED, re=[[10 ** 400] * 8] + _MIXED["re"][1:]), _ENTRIES),
+    ("tomo", [dict(_RECORD, value="1.5")], _NUMERIC),
+    ("tomo", [dict(_RECORD, sigma=True)], _NUMERIC),
+    ("tomo", [dict(_RECORD, value=10 ** 400)], _NUMERIC),
 ], ids=["ppt-missing-im", "metrics-missing-im", "ppt-list", "ppt-non-numeric",
         "ppt-null-dim", "tomo-missing-detect", "tomo-object", "tomo-empty",
         "tomo-bad-line", "tomo-bad-setting", "tomo-bad-detect", "tomo-bad-quad",
@@ -565,7 +577,9 @@ _HEAVY = [dict(r, sigma=1e-150, value=1e150) for r in _FULL]
         "state-partial-triple", "state-a-and-triple", "witness-eval-a-and-triple",
         "optimize-range-above-parameters", "optimize-range-below-parameters",
         "optimize-range-far-above-parameters",
-        "report-subnormal-p", "report-exact-subnormal-p", "report-sigma-underflow"])
+        "report-subnormal-p", "report-exact-subnormal-p", "report-sigma-underflow",
+        "ppt-fractional-dim", "ppt-text-dim", "ppt-text-entries", "ppt-false-entries",
+        "ppt-huge-int-entry", "tomo-text-value", "tomo-true-sigma", "tomo-huge-int-value"])
 def test_malformed_input_exits_2(tmp_path, capsys, command, payload, message):
     bad = tmp_path / "bad.json"
     bad.write_text(payload if isinstance(payload, str) else json.dumps(payload))

@@ -622,13 +622,21 @@ _FLOATS = (st.floats(allow_nan=False, allow_infinity=False)
            | st.sampled_from([-0.0, 5e-324, 1e308, -1e308]))
 _JSON_SCALARS = (st.none() | st.booleans() | st.integers() | _FLOATS | _FLOATS.map(np.float64)
             | _STRINGS)
+# dict keys: the stdlib writes an int, float, bool or None key as a string
+_OTHER_KEYS = st.none() | st.booleans() | st.integers() | _FLOATS
+
+
+def _dicts(values, **sizes):
+    """Dicts with str keys, with other keys alone, or with both mixed."""
+    return st.one_of(*(st.dictionaries(keys, values, **sizes)
+                       for keys in (_STRINGS, _OTHER_KEYS, _STRINGS | _OTHER_KEYS)))
 
 
 def _containers(children):
     lists = st.lists(children, max_size=4)
-    flat_dict = st.dictionaries(_STRINGS, _JSON_SCALARS, min_size=1, max_size=3)
+    flat_dict = _dicts(_JSON_SCALARS, min_size=1, max_size=3)
     flat_list = st.lists(_JSON_SCALARS, min_size=1, max_size=3)
-    return (lists | lists.map(tuple) | st.dictionaries(_STRINGS, children, max_size=4)
+    return (lists | lists.map(tuple) | _dicts(children, max_size=4)
             | st.lists(flat_dict, min_size=1, max_size=4)
             | st.lists(flat_list | flat_list.map(tuple), min_size=1, max_size=4))
 

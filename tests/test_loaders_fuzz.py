@@ -1,12 +1,16 @@
 """Property tests of the JSON loaders behind the `--state` options and `tomo reconstruct`.
 
 Whatever JSON a file holds, the CLI must answer with an exit code (0 all
-good, 1 not detected, 2 bad input) and never raise.
+good, 1 not detected, 2 bad input) and never raise.  The suite's warning
+filters must let a falsified example be reported at all.
 """
 
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,3 +72,20 @@ def test_state_loader_never_raises(tmp_path, command, payload):
                    "value": 0.5, "sigma": 5e-324}])   # 1/sigma overflows
 def test_tomo_data_loader_never_raises(tmp_path, payload):
     assert _exit_code(tmp_path, payload, ["tomo", "reconstruct", "--data"]) in (0, 1, 2)
+
+
+def test_a_falsified_example_is_reported(tmp_path):
+    # under the repository's warning filters, hypothesis's pytest plugin
+    # prints a failing example; a warning raised while it reports one stops
+    # the whole session with INTERNALERROR (exit 3) and prints no example
+    test = tmp_path / "test_falsified.py"
+    test.write_text("from hypothesis import given, strategies as st\n\n\n"
+                    "@given(st.integers())\n"
+                    "def test_falsified(x):\n"
+                    "    assert x < 10\n")
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    out = subprocess.run([sys.executable, "-m", "pytest", "-c", str(config), "--rootdir",
+                          str(tmp_path), "-p", "no:cacheprovider", str(test)],
+                         capture_output=True, text=True, cwd=tmp_path, timeout=120)
+    assert out.returncode == 1, out.stdout[-3000:]
+    assert "Falsifying example" in out.stdout and "INTERNALERROR" not in out.stdout

@@ -1,6 +1,7 @@
 """Readout model, linear inversion and error propagation."""
 
 import json
+import re
 import warnings
 from unittest import mock
 
@@ -211,8 +212,8 @@ def test_dataset_noise_scale():
 def test_dataset_json_round_trip(tmp_path):
     ds = tomo.generate_dataset(RHO_OPT, sigma=1e-3, seed=3)
     path = tmp_path / "data.json"
-    ds.save(path)
-    assert tomo.TomographyDataset.load(path) == ds
+    core.write_json(ds.to_json(), path)
+    assert core.load_json(path, tomo.TomographyDataset.from_json) == ds
     for value, sigma in ((0.0, -1.0), (0.0, np.nan), (0.0, np.inf), (np.nan, 1e-3),
                          (-np.inf, 1e-3)):
         with pytest.raises(ValueError):
@@ -229,7 +230,7 @@ def test_dataset_json_round_trip(tmp_path):
     blobs[5]["sigma"] = float("nan")
     path.write_text(json.dumps(blobs))
     with pytest.raises(ValueError, match="sigma"):
-        tomo.TomographyDataset.load(path)
+        core.load_json(path, tomo.TomographyDataset.from_json)
 
 
 @pytest.mark.parametrize("rho, sigma", [(RHO_OPT, 0.0), (RHO_OPT, 1e-3),
@@ -247,8 +248,8 @@ def test_generated_dataset_equals_the_validating_constructor(tmp_path, rho, sigm
             array = getattr(ds, name)
             assert array.dtype == getattr(checked, name).dtype
             assert not array.flags.writeable
-        ds.save(path)
-        loaded = tomo.TomographyDataset.load(path)
+        core.write_json(ds.to_json(), path)
+        loaded = core.load_json(path, tomo.TomographyDataset.from_json)
         assert loaded == ds
         got, want = tomo.reconstruct(loaded), tomo.reconstruct(ds)
         assert got.rho_hat.matrix.tobytes() == want.rho_hat.matrix.tobytes()
@@ -334,7 +335,44 @@ def test_dataset_load_refuses_deep_nesting(tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100000)
     with pytest.raises(ValueError, match="nested too deeply"):
-        tomo.TomographyDataset.load(path)
+        core.load_json(path, tomo.TomographyDataset.from_json)
+
+
+def test_every_record_label_round_trips():
+    # the 648 labels in order, as four datasets of 162 records each
+    rng = np.random.default_rng(5)
+    for start in range(0, len(tomo._RECORD_LABELS), 162):
+        experiment, row = np.divmod(np.arange(start, start + 162), len(tomo._ROW_LABELS))
+        ds = tomo.TomographyDataset(experiment, row, rng.standard_normal(162), np.full(162, 1e-3))
+        blobs = ds.to_json()
+        assert [(b["setting"], b["detect"], b["line"], b["quad"]) for b in blobs] == list(
+            tomo._RECORD_LABELS[start:start + 162])
+        assert tomo.TomographyDataset.from_json(blobs) == ds
+
+
+_GOOD_RECORD = {"setting": "Y1E2E3", "detect": "C", "line": "00", "quad": "x",
+                "value": 0.5, "sigma": 1e-3}
+
+
+@pytest.mark.parametrize("key, bad, message", [
+    ("setting", "Y1E2", "bad setting id 'Y1E2'"),
+    ("setting", ["Y1E2E3"], "bad setting id ['Y1E2E3']"),
+    ("setting", None, "bad setting id None"),
+    ("detect", "N", "bad detected spin 'N'"),
+    ("detect", ["C"], "bad detected spin ['C']"),
+    ("detect", 1, "bad detected spin 1"),
+    ("line", "22", "unknown line/quadrature ('22', 'x')"),
+    ("line", ["00"], "unknown line/quadrature (['00'], 'x')"),
+    ("line", 0, "unknown line/quadrature (0, 'x')"),
+    ("quad", "z", "unknown line/quadrature ('00', 'z')"),
+    ("quad", {"x": 1}, "unknown line/quadrature ('00', {'x': 1})"),
+    ("quad", "X", "unknown line/quadrature ('00', 'X')"),
+])
+def test_dataset_refuses_a_bad_label_by_name(key, bad, message):
+    # the third record is bad; the first two are good
+    blobs = [_GOOD_RECORD, dict(_GOOD_RECORD, quad="y"), dict(_GOOD_RECORD, **{key: bad})]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        tomo.TomographyDataset.from_json(blobs)
 
 
 def test_reconstruct_round_trip(rng):
@@ -430,7 +468,7 @@ def _uncached_fit(dataset):
     Returns theta, the covariance, the residual norm and whether the closed
     form applies.
     """
-    n = len(tomo._ROW)
+    n = len(tomo._ROW_LABELS)
     values, sigmas = dataset.value, dataset.sigma
     exact = not sigmas.any()
     weights = np.ones_like(sigmas) if exact else 1.0 / sigmas
