@@ -437,10 +437,10 @@ def json_text(payload) -> str:
     try:
         return _indented(payload, 0) + "\n"
     except (ValueError, TypeError, RecursionError):
-        # the stdlib's own answer: its message names a non-finite value, where
-        # the C encoder's does not, it writes a dict key that is not a str,
-        # which _indented refuses, and it detects a cycle, which _indented
-        # recurses into
+        # the stdlib's own answer: it names a non-finite value, which the C
+        # encoder's message does not, it writes a dict key that is not a str,
+        # which the plain join refuses, and it detects a cycle, which
+        # _indented recurses into
         return json.dumps(payload, indent=1, allow_nan=False) + "\n"
 
 
@@ -459,8 +459,8 @@ def _indented(node, depth: int) -> str:
 
     A container of exact scalars is one C encoder call, and so is a list of
     non-empty flat containers of one kind (the dataset records, the rows of
-    a matrix); any other container is written child by child.  A dict key
-    that is not a str is a TypeError.
+    a matrix); any other container is written child by child, where a dict
+    key that is not a str is a TypeError.
     """
     is_dict = isinstance(node, dict)
     if not (is_dict or isinstance(node, (list, tuple))) or not node:
