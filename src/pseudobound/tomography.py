@@ -277,7 +277,7 @@ class TomographyDataset:
             except (KeyError, TypeError):   # TypeError: an unhashable label such as a list
                 _experiment_index(*labels[:2])
                 raise ValueError(f"unknown line/quadrature {labels[2:]!r}") from None
-        experiment, row = np.divmod(np.array(index, dtype=np.intp), len(_ROW_LABELS))
+        experiment, row = np.divmod(index, len(_ROW_LABELS))
         return cls(experiment, row, value, sigma)
 
 
