@@ -160,7 +160,7 @@ class DensityOperator:
             raise ValueError(f"state entry of magnitude {largest:.3e} beyond {MAX_ENTRY:g}")
         defect = check_hermitian(m, tol, "state")
         tr = complex(m.trace())
-        if abs(tr - 1.0) > max(tol, 1e-12):
+        if abs(tr - 1.0) > tol:
             raise ValueError(f"trace {tr:.8g} != 1 beyond tol {tol:.1e}")
         # an exactly Hermitian m is its own Hermitian part, bit for bit
         spectrum = np.linalg.eigvalsh(m if defect == 0.0 else (m + m.conj().T) / 2)

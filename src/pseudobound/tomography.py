@@ -9,15 +9,16 @@ settings with all three detected spins gives 168 linear equations for the
 63 real parameters of the traceless deviation.  One read-only readout
 table (``_readout_table``: 81 experiments x 8 amplitudes x 63 parameters)
 serves both simulation and inversion; its rows are the Pauli coordinates
-of the Heisenberg-picture line observables.  A dataset is four read-only
-arrays from the JSON file or the simulation to the fit, and its experiment
-and row arrays index the table directly; the constructor validates the
-arrays of a file, and the simulation builds its own without re-checking
-them.  Every experiment's Gram matrix is diagonal, so
-for whole experiments with one sigma each the weighted fit is a closed
-form; any other dataset takes one thin SVD of the weighted rows.  Both
-give the estimate, the rank and the parameter covariance that is
-propagated to derived quantities such as witness expectations.
+of the Heisenberg-picture line observables.  A dataset is three read-only
+arrays (record, value, sigma) from the JSON file or the simulation to the
+fit.  One index, experiment * 8 + row, names a record's labels and its row
+of the table viewed as (648, 63); the constructor validates the arrays of a
+file, and the simulation builds its own without re-checking them.  Every
+experiment's Gram matrix is diagonal, so for whole experiments with one
+sigma each the weighted fit is a closed form; any other dataset takes one
+thin SVD of the weighted rows.  Both give the estimate, the rank and the
+parameter covariance that is propagated to derived quantities such as
+witness expectations.
 """
 
 from __future__ import annotations
@@ -107,6 +108,11 @@ def readout_unitary(setting: str, detect: str = "C") -> np.ndarray:
 
 # the (line, quadrature) of each amplitude among an experiment's 8, in order
 _ROW_LABELS = tuple(product(LINE_LABELS, QUADRATURES))
+# a record's labels (setting, detect, line, quad) at its index experiment * 8 + row,
+# which is also its row of the readout table viewed as (648, 63), and the inverse:
+# the one table that writes and reads a record's labels
+_RECORD_LABELS = tuple((*experiment, *row) for experiment in _EXPERIMENTS for row in _ROW_LABELS)
+_RECORD_INDEX = {labels: i for i, labels in enumerate(_RECORD_LABELS)}
 
 
 def measure(rho: DensityOperator, setting: str, detect: str = "C") -> np.ndarray:
@@ -124,12 +130,10 @@ def default_experiments() -> list[tuple[str, str]]:
     return [(s, d) for s in SETTINGS for d in DETECT_SPINS]
 
 
-# experiment and row index of each of the 168 records of a simulated dataset
-_DEFAULT_EXPERIMENT = np.repeat([_EXPERIMENT_INDEX[exp] for exp in default_experiments()],
-                                len(_ROW_LABELS))
-_DEFAULT_ROW = np.tile(np.arange(len(_ROW_LABELS)), len(SETTINGS) * len(DETECT_SPINS))
-_DEFAULT_EXPERIMENT.setflags(write=False)
-_DEFAULT_ROW.setflags(write=False)
+# the record index of each of the 168 records of a simulated dataset
+_DEFAULT_RECORD = np.array([_RECORD_INDEX[(*experiment, *row)] for experiment
+                            in default_experiments() for row in _ROW_LABELS], dtype=np.intp)
+_DEFAULT_RECORD.setflags(write=False)
 
 
 # ---------------------------------------------------------------------------
@@ -161,17 +165,13 @@ def _readout_table() -> np.ndarray:
 
 def design_matrix() -> np.ndarray:
     """The (168, 63) linear map from the deviation parameters to the default amplitudes."""
-    return _readout_table()[_DEFAULT_EXPERIMENT, _DEFAULT_ROW]
+    return _readout_table().reshape(-1, 63)[_DEFAULT_RECORD]
 
 
 # ---------------------------------------------------------------------------
 # datasets
 
 
-# a record's labels (setting, detect, line, quad) at index experiment * 8 + row,
-# and its inverse: the one table that writes and reads a record's labels
-_RECORD_LABELS = tuple((*experiment, *row) for experiment in _EXPERIMENTS for row in _ROW_LABELS)
-_RECORD_INDEX = {labels: i for i, labels in enumerate(_RECORD_LABELS)}
 SIGMA_RANGE = (1e-150, 1e150)
 # every readout row has L1 norm 8 and every Pauli coordinate of a state lies
 # within MAX_ENTRY, so every exact amplitude lies within this bound
@@ -189,10 +189,11 @@ def _check_sigmas(sigma: np.ndarray) -> None:
 
 @dataclass(frozen=True, init=False, eq=False)
 class TomographyDataset:
-    """Measurement records held as four read-only arrays of equal length.
+    """Measurement records held as three read-only arrays (record, value, sigma).
 
-    ``experiment`` indexes ``_EXPERIMENTS`` and ``row`` the amplitude within
-    that experiment's 8 (``_ROW_LABELS``).  The constructor is the one validation
+    ``record`` is each record's one index, experiment * 8 + row: its labels'
+    position in ``_RECORD_LABELS`` and its row of the readout table viewed as
+    (648, 63).  The arrays have equal length.  The constructor is the one validation
     of a dataset from outside the program (a file, or arrays a caller
     passes): equal 1-D lengths, at most 168 records, indices in range,
     each sigma either 0 (exact data) or within ``SIGMA_RANGE``, so that the
@@ -202,27 +203,24 @@ class TomographyDataset:
     sigma and builds its dataset through ``_trusted`` without these checks.
     """
 
-    experiment: np.ndarray
-    row: np.ndarray
+    record: np.ndarray
     value: np.ndarray
     sigma: np.ndarray
 
-    def __init__(self, experiment, row, value, sigma):
-        for name, data, dtype in (("experiment", experiment, np.intp), ("row", row, np.intp),
-                                  ("value", value, float), ("sigma", sigma, float)):
+    def __init__(self, record, value, sigma):
+        for name, data, dtype in (("record", record, np.intp), ("value", value, float),
+                                  ("sigma", sigma, float)):
             array = np.array(data, dtype=dtype)
             array.setflags(write=False)
             object.__setattr__(self, name, array)
-        experiment, row, value, sigma = self.experiment, self.row, self.value, self.sigma
-        if value.ndim != 1 or not experiment.shape == row.shape == value.shape == sigma.shape:
+        record, value, sigma = self.record, self.value, self.sigma
+        if value.ndim != 1 or not record.shape == value.shape == sigma.shape:
             raise ValueError("dataset arrays must be 1-D and of equal length")
         if len(value) > 168:
             raise ValueError("more records than the full experiment set provides")
         # as unsigned integers, negative indices compare above every bound
-        if experiment.view(np.uintp).max(initial=0) >= len(_EXPERIMENTS):
-            raise ValueError(f"experiment index outside [0, {len(_EXPERIMENTS)})")
-        if row.view(np.uintp).max(initial=0) >= len(_ROW_LABELS):
-            raise ValueError(f"row index outside [0, {len(_ROW_LABELS)})")
+        if record.view(np.uintp).max(initial=0) >= len(_RECORD_LABELS):
+            raise ValueError(f"record index outside [0, {len(_RECORD_LABELS)})")
         _check_sigmas(sigma)
         bounded = np.abs(value) <= MAX_VALUE   # False for NaN too
         if not bounded.all():
@@ -230,12 +228,11 @@ class TomographyDataset:
                              f"within {MAX_VALUE:g} in magnitude")
 
     @classmethod
-    def _trusted(cls, experiment: np.ndarray, row: np.ndarray, value: np.ndarray,
+    def _trusted(cls, record: np.ndarray, value: np.ndarray,
                  sigma: np.ndarray) -> "TomographyDataset":
         """A dataset of arrays that meet the constructor's conditions, made read-only, uncopied."""
         dataset = object.__new__(cls)
-        for name, array in (("experiment", experiment), ("row", row), ("value", value),
-                            ("sigma", sigma)):
+        for name, array in (("record", record), ("value", value), ("sigma", sigma)):
             array.setflags(write=False)
             object.__setattr__(dataset, name, array)
         return dataset
@@ -244,11 +241,10 @@ class TomographyDataset:
         if not isinstance(other, TomographyDataset):
             return NotImplemented
         return all(np.array_equal(getattr(self, name), getattr(other, name))
-                   for name in ("experiment", "row", "value", "sigma"))
+                   for name in ("record", "value", "sigma"))
 
     def to_json(self) -> list[dict]:
-        labels = map(_RECORD_LABELS.__getitem__,
-                     (self.experiment * len(_ROW_LABELS) + self.row).tolist())
+        labels = map(_RECORD_LABELS.__getitem__, self.record.tolist())
         return [{"setting": setting, "detect": detect, "line": line, "quad": quad,
                  "value": value, "sigma": sigma}
                 for (setting, detect, line, quad), value, sigma
@@ -258,7 +254,7 @@ class TomographyDataset:
     def from_json(cls, blobs: list[dict]) -> "TomographyDataset":
         if not isinstance(blobs, list):
             raise ValueError("dataset JSON must be an array of records")
-        index, value, sigma = [], [], []
+        record, value, sigma = [], [], []
         for b in blobs:
             try:
                 labels = b["setting"], b["detect"], b["line"], b["quad"]
@@ -273,12 +269,11 @@ class TomographyDataset:
                 raise ValueError("dataset records must be objects with numeric "
                                  "value and sigma") from None
             try:
-                index.append(_RECORD_INDEX[labels])
+                record.append(_RECORD_INDEX[labels])
             except (KeyError, TypeError):   # TypeError: an unhashable label such as a list
                 _experiment_index(*labels[:2])
                 raise ValueError(f"unknown line/quadrature {labels[2:]!r}") from None
-        experiment, row = np.divmod(index, len(_ROW_LABELS))
-        return cls(experiment, row, value, sigma)
+        return cls(record, value, sigma)
 
 
 def generate_dataset(rho: DensityOperator, sigma: float = 0.0,
@@ -296,7 +291,7 @@ def generate_dataset(rho: DensityOperator, sigma: float = 0.0,
     """
     if not 0.0 <= sigma < math.inf:
         raise ValueError(f"sigma {sigma} must be finite and non-negative")
-    sigmas = np.full(len(_DEFAULT_ROW), float(sigma))
+    sigmas = np.full(len(_DEFAULT_RECORD), float(sigma))
     _check_sigmas(sigmas[:1])
     values = np.empty((len(default_experiments()), len(_ROW_LABELS)))
     for k, (setting, detect) in enumerate(default_experiments()):
@@ -304,7 +299,7 @@ def generate_dataset(rho: DensityOperator, sigma: float = 0.0,
     values = values.reshape(-1)
     if sigma > 0:
         values += np.random.default_rng(seed).normal(0.0, sigma, size=values.shape)
-    return TomographyDataset._trusted(_DEFAULT_EXPERIMENT, _DEFAULT_ROW, values, sigmas)
+    return TomographyDataset._trusted(_DEFAULT_RECORD, values, sigmas)
 
 
 # ---------------------------------------------------------------------------
@@ -324,15 +319,19 @@ class ReconstructionResult:
 def _whole_experiments(dataset: TomographyDataset) -> bool:
     """True if the records are whole experiments, in row order, with one sigma each.
 
-    The index arrays compare as bytes, the rows against the default layout's
-    and the experiments against each block's first repeated; the sigmas
-    compare with ==, so that 0.0 and -0.0 are one exact sigma.
+    Each block of 8 record indices must start at a multiple of 8 and run
+    consecutively.  The default layout's blocks do, so a block does exactly
+    when its offset from the default layout is one multiple of 8 throughout:
+    the offsets compare as bytes against each block's first offset rounded
+    down to a multiple of 8 and repeated.  The sigmas compare with ==, so
+    that 0.0 and -0.0 are one exact sigma.
     """
     n = len(_ROW_LABELS)
-    experiment, row, sigma = dataset.experiment, dataset.row, dataset.sigma
-    if len(row) % n or row.tobytes() != _DEFAULT_ROW[:len(row)].tobytes():
+    record, sigma = dataset.record, dataset.sigma
+    if len(record) % n:
         return False
-    return (experiment.tobytes() == experiment[::n].repeat(n).tobytes()
+    offset = record - _DEFAULT_RECORD[:len(record)]
+    return (offset.tobytes() == (offset[::n] & -n).repeat(n).tobytes()
             and bool((sigma == sigma[::n].repeat(n)).all()))
 
 
@@ -355,7 +354,7 @@ def reconstruct(dataset: TomographyDataset) -> ReconstructionResult:
     """Solve the overdetermined linear system for the deviation parameters.
 
     Each record's row is read from the readout table that simulates the
-    data, at the record's experiment and row indices, with weight 1/sigma.
+    data, at the record's index, with weight 1/sigma.
     When the records are whole experiments with one sigma each, as every
     generated dataset is, the normal matrix A^T W A is diagonal (every
     experiment's Gram B^T B is; ``checks`` asserts it), so the estimate is
@@ -377,7 +376,7 @@ def reconstruct(dataset: TomographyDataset) -> ReconstructionResult:
     if not exact and not sigmas.all():
         raise ValueError("datasets mixing exact and noisy records are not supported")
     weights = np.ones_like(sigmas) if exact else 1.0 / sigmas
-    rows = _readout_table()[dataset.experiment, dataset.row]
+    rows = _readout_table().reshape(-1, 63)[dataset.record]
 
     if _whole_experiments(dataset):
         w2 = weights * weights

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DensityOperator, _pauli_coordinates, check_hermitian, check_operator,
-                   eigvalsh, mix_with_identity)
+from .core import (MAX_ENTRY, DensityOperator, _pauli_coordinates, check_hermitian,
+                   check_operator, eigvalsh, mix_with_identity)
 from .states import PARAM_RANGE, StateParams, _peel_weight
 
 # the identity shift at the working point states.A_OPT; it sits 2.43e-5 below
@@ -37,15 +37,16 @@ REFINE_ITERATIONS = 24   # golden-section steps after the scan
 class WitnessParams:
     """The witness W_bar(a) - epsilon Id: the family triple it is built for, and epsilon.
 
-    ``StateParams`` checks the triple when it is made, so only epsilon is checked here.
+    ``StateParams`` checks the triple when it is made, so only epsilon is checked here:
+    it must lie within [0, ``core.MAX_ENTRY``], so that tr(W) = 4 - 8 epsilon stays finite.
     """
 
     state_params: StateParams
     epsilon: float
 
     def __post_init__(self):
-        if not 0.0 <= self.epsilon < np.inf:
-            raise ValueError(f"epsilon must be finite and non-negative, got {self.epsilon}")
+        if not 0.0 <= self.epsilon <= MAX_ENTRY:
+            raise ValueError(f"epsilon must lie within [0, {MAX_ENTRY:g}], got {self.epsilon}")
 
     @classmethod
     def symmetric(cls, a: float, epsilon: float) -> "WitnessParams":

@@ -320,7 +320,8 @@ def _numeric_flags(parser, path=()):
 
 
 _FLAGS = list(_numeric_flags(cli.make_parser()))
-_FLAG_VALUES = {float: ("0", "-0", "-1", "nan", "inf", "-inf", "5e-324", "1e-300", "1e300"),
+_FLAG_VALUES = {float: ("0", "-0", "-1", "nan", "inf", "-inf", "5e-324", "1e-300", "1e300",
+                        "1.7976931348623157e308"),
                 int: ("0", "-0", "-1", str(10**300))}
 
 

@@ -217,14 +217,14 @@ def test_dataset_json_round_trip(tmp_path):
     for value, sigma in ((0.0, -1.0), (0.0, np.nan), (0.0, np.inf), (np.nan, 1e-3),
                          (-np.inf, 1e-3)):
         with pytest.raises(ValueError):
-            tomo.TomographyDataset([0], [0], [value], [sigma])
+            tomo.TomographyDataset([0], [value], [sigma])
     # a nonzero sigma keeps 1/sigma^2 a finite normal float
     lo, hi = tomo.SIGMA_RANGE
     for sigma in (0.0, lo, hi):
-        assert tomo.TomographyDataset([0], [0], [0.0], [sigma]).sigma[0] == sigma
+        assert tomo.TomographyDataset([0], [0.0], [sigma]).sigma[0] == sigma
     for sigma in (np.nextafter(lo, 0.0), np.nextafter(hi, np.inf), 5e-324, 1e300):
         with pytest.raises(ValueError, match="sigma"):
-            tomo.TomographyDataset([0], [0], [0.0], [sigma])
+            tomo.TomographyDataset([0], [0.0], [sigma])
     # a dataset file with a NaN sigma is refused when it is read
     blobs = ds.to_json()
     blobs[5]["sigma"] = float("nan")
@@ -242,9 +242,9 @@ def test_generated_dataset_equals_the_validating_constructor(tmp_path, rho, sigm
     path = tmp_path / "data.json"
     for seed in range(20):
         ds = tomo.generate_dataset(rho, sigma=sigma, seed=seed)
-        checked = tomo.TomographyDataset(ds.experiment, ds.row, ds.value, ds.sigma)
+        checked = tomo.TomographyDataset(ds.record, ds.value, ds.sigma)
         assert ds == checked
-        for name in ("experiment", "row", "value", "sigma"):
+        for name in ("record", "value", "sigma"):
             array = getattr(ds, name)
             assert array.dtype == getattr(checked, name).dtype
             assert not array.flags.writeable
@@ -273,7 +273,7 @@ def test_generated_dataset_outside_the_trusted_conditions_gets_the_file_messages
         warnings.simplefilter("error")
         got = tomo.generate_dataset(core.DensityOperator.loose(big), sigma=tomo.SIGMA_RANGE[1])
     assert np.isfinite(got.value).all()
-    want = tomo.TomographyDataset(got.experiment, got.row, got.value, got.sigma)
+    want = tomo.TomographyDataset(got.record, got.value, got.sigma)
     assert got.value.tobytes() == want.value.tobytes()
 
 
@@ -295,9 +295,9 @@ def test_dataset_values_are_bounded_so_the_fit_stays_finite():
     for value in (np.nan, np.inf, -np.inf, 1.7e308, -np.nextafter(bound, np.inf)):
         with pytest.raises(ValueError, match=r"^record value .* must be finite and within "
                                              r"8e\+150 in magnitude$"):
-            tomo.TomographyDataset([0], [0], [value], [1e-3])
+            tomo.TomographyDataset([0], [value], [1e-3])
     ds = tomo.generate_dataset(RHO_OPT)
-    heavy = tomo.TomographyDataset(ds.experiment, ds.row, np.full(168, bound),
+    heavy = tomo.TomographyDataset(ds.record, np.full(168, bound),
                                    np.full(168, tomo.SIGMA_RANGE[0]))
     assert tomo._whole_experiments(heavy)
     with warnings.catch_warnings():
@@ -310,23 +310,21 @@ def test_dataset_values_are_bounded_so_the_fit_stays_finite():
 def test_dataset_constructor_checks_shapes_and_indices():
     full = tomo.generate_dataset(RHO_OPT)
     zero = np.zeros(1)
-    for experiment, row, value, sigma, message in (
-            ([0, 1], [0], zero, zero, "equal length"),
-            ([[0]], [[0]], [[0.0]], [[0.0]], "1-D"),
-            ([-1], [0], zero, zero, "experiment index"),
-            ([81], [0], zero, zero, "experiment index"),
-            ([0], [-1], zero, zero, "row index"),
-            ([0], [8], zero, zero, "row index"),
-            (*(np.append(a, a[:1]) for a in (full.experiment, full.row, full.value,
-                                             full.sigma)), "more records")):
+    for record, value, sigma, message in (
+            ([0, 1], zero, zero, "equal length"),
+            ([[0]], [[0.0]], [[0.0]], "1-D"),
+            ([-1], zero, zero, r"^record index outside \[0, 648\)$"),
+            ([648], zero, zero, r"^record index outside \[0, 648\)$"),
+            (*(np.append(a, a[:1]) for a in (full.record, full.value, full.sigma)),
+             "more records")):
         with pytest.raises(ValueError, match=message):
-            tomo.TomographyDataset(experiment, row, value, sigma)
-    edge = tomo.TomographyDataset([80, 0], [7, 0], [1.0, -1.0], [0.0, 0.0])
-    assert edge.experiment.tolist() == [80, 0] and edge.row.tolist() == [7, 0]
-    assert not tomo.TomographyDataset([], [], [], []).value.size
+            tomo.TomographyDataset(record, value, sigma)
+    edge = tomo.TomographyDataset([647, 0], [1.0, -1.0], [0.0, 0.0])
+    assert edge.record.tolist() == [647, 0]
+    assert not tomo.TomographyDataset([], [], []).value.size
     # the dataset copies its inputs and cannot be written through
     sigma = full.sigma.copy()
-    ds = tomo.TomographyDataset(full.experiment, full.row, full.value, sigma)
+    ds = tomo.TomographyDataset(full.record, full.value, sigma)
     sigma[0] = 1.0
     assert ds.sigma[0] == 0.0 and not ds.sigma.flags.writeable
 
@@ -342,8 +340,8 @@ def test_every_record_label_round_trips():
     # the 648 labels in order, as four datasets of 162 records each
     rng = np.random.default_rng(5)
     for start in range(0, len(tomo._RECORD_LABELS), 162):
-        experiment, row = np.divmod(np.arange(start, start + 162), len(tomo._ROW_LABELS))
-        ds = tomo.TomographyDataset(experiment, row, rng.standard_normal(162), np.full(162, 1e-3))
+        ds = tomo.TomographyDataset(np.arange(start, start + 162), rng.standard_normal(162),
+                                    np.full(162, 1e-3))
         blobs = ds.to_json()
         assert [(b["setting"], b["detect"], b["line"], b["quad"]) for b in blobs] == list(
             tomo._RECORD_LABELS[start:start + 162])
@@ -389,8 +387,7 @@ def test_reconstruct_round_trip(rng):
 
 def test_reconstruct_rejects_deficient_dataset():
     full = tomo.generate_dataset(RHO_OPT)
-    ds = tomo.TomographyDataset(full.experiment[:8], full.row[:8], full.value[:8],
-                                full.sigma[:8])
+    ds = tomo.TomographyDataset(full.record[:8], full.value[:8], full.sigma[:8])
     assert tomo._whole_experiments(ds)   # the closed form refuses it
     with pytest.raises(ValueError, match="rank"):
         tomo.reconstruct(ds)
@@ -401,7 +398,7 @@ def test_reconstruct_rejects_mixed_sigmas():
     sigma = ds.sigma.copy()
     sigma[0] = 0.0
     with pytest.raises(ValueError, match="mixing"):
-        tomo.reconstruct(tomo.TomographyDataset(ds.experiment, ds.row, ds.value, sigma))
+        tomo.reconstruct(tomo.TomographyDataset(ds.record, ds.value, sigma))
 
 
 def test_weighted_fit_matches_normal_equations():
@@ -411,7 +408,7 @@ def test_weighted_fit_matches_normal_equations():
     sigma = rng.uniform(5e-4, 4e-3, size=len(noisy.value))
     order = rng.permutation(len(noisy.value))
     rec = tomo.reconstruct(tomo.TomographyDataset(
-        noisy.experiment[order], noisy.row[order], noisy.value[order], sigma[order]))
+        noisy.record[order], noisy.value[order], sigma[order]))
 
     # a generated dataset holds its records in the design matrix's row order
     a = tomo.design_matrix()[order]
@@ -424,8 +421,7 @@ def test_weighted_fit_matches_normal_equations():
 
     assert rel(rec.theta, theta) <= 1e-10
     assert rel(rec.covariance, cov) <= 1e-10
-    in_order = tomo.reconstruct(tomo.TomographyDataset(noisy.experiment, noisy.row,
-                                                       noisy.value, sigma))
+    in_order = tomo.reconstruct(tomo.TomographyDataset(noisy.record, noisy.value, sigma))
     assert rel(in_order.theta, rec.theta) <= 1e-10
 
 
@@ -434,7 +430,7 @@ def test_closed_form_matches_the_svd():
     # shuffled take the SVD; a default dataset and one sigma per experiment
     rng = np.random.default_rng(5)
     default = tomo.generate_dataset(RHO_OPT, sigma=1e-3, seed=8)
-    per_experiment = tomo.TomographyDataset(default.experiment, default.row, default.value,
+    per_experiment = tomo.TomographyDataset(default.record, default.value,
                                             1e-3 * (1 + np.arange(168) // 8))
 
     def rel(x, y):
@@ -442,8 +438,7 @@ def test_closed_form_matches_the_svd():
 
     for ds in (default, per_experiment):
         order = rng.permutation(len(ds.value))
-        shuffled = tomo.TomographyDataset(ds.experiment[order], ds.row[order],
-                                          ds.value[order], ds.sigma[order])
+        shuffled = tomo.TomographyDataset(ds.record[order], ds.value[order], ds.sigma[order])
         assert tomo._whole_experiments(ds) and not tomo._whole_experiments(shuffled)
         closed, svd = tomo.reconstruct(ds), tomo.reconstruct(shuffled)
         assert rel(closed.theta, svd.theta) <= 1e-12
@@ -472,12 +467,12 @@ def _uncached_fit(dataset):
     values, sigmas = dataset.value, dataset.sigma
     exact = not sigmas.any()
     weights = np.ones_like(sigmas) if exact else 1.0 / sigmas
-    rows = np.array([_record_row(e, r)
-                     for e, r in zip(dataset.experiment.tolist(), dataset.row.tolist())])
+    experiment, row = divmod(dataset.record, n)
+    rows = np.array([_record_row(e, r) for e, r in zip(experiment.tolist(), row.tolist())])
     whole = False
-    if len(dataset.row) % n == 0:
-        e, s = dataset.experiment.reshape(-1, n), sigmas.reshape(-1, n)
-        whole = bool((dataset.row.reshape(-1, n) == np.arange(n)).all()
+    if len(row) % n == 0:
+        e, s = experiment.reshape(-1, n), sigmas.reshape(-1, n)
+        whole = bool((row.reshape(-1, n) == np.arange(n)).all()
                      and (e == e[:, :1]).all() and (s == s[:, :1]).all())
     if whole:
         w2 = weights * weights
@@ -495,21 +490,24 @@ def _uncached_fit(dataset):
 def _layouts():
     rng = np.random.default_rng(31)
     default = tomo.generate_dataset(RHO_OPT, sigma=1e-3, seed=2)
-    e, r, v, s = default.experiment, default.row, default.value, default.sigma
+    r, v, s = default.record, default.value, default.sigma
     order = rng.permutation(len(v))
     keep = np.delete(np.arange(len(v)), [5, 77, 160])   # three blocks lose a record
     return {
         "default": default,
-        "shuffled": tomo.TomographyDataset(e[order], r[order], v[order], s[order]),
-        "partial blocks": tomo.TomographyDataset(e[keep], r[keep], v[keep], s[keep]),
-        "per-record sigma": tomo.TomographyDataset(e, r, v, rng.uniform(5e-4, 4e-3, len(v))),
-        "per-experiment sigma": tomo.TomographyDataset(e, r, v, 1e-3 * (1 + np.arange(168) // 8)),
+        "shuffled": tomo.TomographyDataset(r[order], v[order], s[order]),
+        "partial blocks": tomo.TomographyDataset(r[keep], v[keep], s[keep]),
+        # consecutive blocks of 8 that start mid-experiment; most straddle two
+        # experiments that are neighbours in _EXPERIMENTS
+        "straddling blocks": tomo.TomographyDataset(*(np.roll(a, -4) for a in (r, v, s))),
+        "per-record sigma": tomo.TomographyDataset(r, v, rng.uniform(5e-4, 4e-3, len(v))),
+        "per-experiment sigma": tomo.TomographyDataset(r, v, 1e-3 * (1 + np.arange(168) // 8)),
         "exact": tomo.generate_dataset(RHO_OPT),
         # the closed form scales its weights by a power of two near both ends of SIGMA_RANGE
-        "smallest sigma": tomo.TomographyDataset(e, r, v, np.full(168, tomo.SIGMA_RANGE[0])),
-        "largest sigma": tomo.TomographyDataset(e, r, v, np.full(168, tomo.SIGMA_RANGE[1])),
+        "smallest sigma": tomo.TomographyDataset(r, v, np.full(168, tomo.SIGMA_RANGE[0])),
+        "largest sigma": tomo.TomographyDataset(r, v, np.full(168, tomo.SIGMA_RANGE[1])),
         # exact data whose zero sigmas carry both signs: still one sigma an experiment
-        "signed-zero exact": tomo.TomographyDataset(e, r, tomo.generate_dataset(RHO_OPT).value,
+        "signed-zero exact": tomo.TomographyDataset(r, tomo.generate_dataset(RHO_OPT).value,
                                                     np.where(np.arange(168) % 3, 0.0, -0.0)),
     }
 
@@ -531,7 +529,7 @@ def test_readout_table_is_read_only_and_holds_the_design_rows():
     with pytest.raises(ValueError):
         table[0, 0, 0] = 1.0
     ds = tomo.generate_dataset(RHO_OPT)
-    assert np.array_equal(table[ds.experiment, ds.row], tomo.design_matrix())
+    assert np.array_equal(table.reshape(-1, 63)[ds.record], tomo.design_matrix())
 
 
 def test_fit_path_follows_each_dataset_layout():
@@ -539,9 +537,13 @@ def test_fit_path_follows_each_dataset_layout():
     # the datasets that are not whole experiments with one sigma each
     layouts = _layouts()
     assert np.signbit(layouts["signed-zero exact"].sigma).any()
+    # 8 consecutive record indices that cross into the next experiment are no whole experiment
+    assert not tomo._whole_experiments(tomo.TomographyDataset(np.arange(4, 12), np.zeros(8),
+                                                              np.zeros(8)))
     runs = [("default", False), ("shuffled", True), ("default", False),
             ("per-experiment sigma", False), ("per-record sigma", True),
-            ("per-experiment sigma", False), ("signed-zero exact", False)]
+            ("per-experiment sigma", False), ("signed-zero exact", False),
+            ("straddling blocks", True)]
     for name, takes_svd in runs:
         ds = layouts[name]
         theta, cov, residual, _ = _uncached_fit(ds)

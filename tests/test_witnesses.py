@@ -14,6 +14,8 @@ def test_params_validation():
         witnesses.WitnessParams(states.StateParams(0.3, 0.3, -0.1), 0.1)
     with pytest.raises(ValueError):
         witnesses.WitnessParams.symmetric(0.3, -1e-3)
+    with pytest.raises(ValueError):
+        witnesses.WitnessParams.symmetric(0.3, 1.7976931348623157e308)
 
 
 def test_base_witness_trace_and_corner(rng):
