@@ -24,11 +24,15 @@ EXIT_NOT_DETECTED = 1
 EXIT_INVARIANT = 2
 
 
-def _write_json(payload, path: str | None) -> None:
+def _write_text(text: str, path: str | None) -> None:
     if path:
-        core.write_json(payload, path)
+        core.write_text(text, path)
     else:
-        sys.stdout.write(core.json_text(payload))
+        sys.stdout.write(text)
+
+
+def _write_json(payload, path: str | None) -> None:
+    _write_text(core.json_text(payload), path)
 
 
 def _load_density(path: str) -> core.DensityOperator:
@@ -136,7 +140,7 @@ def cmd_prepare(args) -> int:
 def cmd_tomo_simulate(args) -> int:
     rho = _load_density(args.state)
     dataset = tomography.generate_dataset(rho, sigma=args.sigma, seed=args.seed)
-    _write_json(dataset.to_json(), args.out)
+    _write_text(dataset.json_text(), args.out)
     return EXIT_OK
 
 

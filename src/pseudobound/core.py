@@ -499,22 +499,29 @@ def _flat_children(node) -> bool:
 
 
 def write_json(payload, path) -> None:
-    """Write ``json_text(payload)`` to ``path``, overwriting it in place.
+    """``write_text(json_text(payload), path)``.
 
     The text is encoded before the file is opened, so a payload that cannot
-    be encoded leaves an existing file untouched.  The file is opened
-    without ``O_TRUNC`` and written from offset 0, then trimmed to the new
-    length when it is a regular file (``/dev/null`` and FIFOs are never
-    trimmed): truncating to zero first would make ext4 and XFS flush the
-    file on close.  Symlinks and hard links are written through; a new file
-    gets mode ``0o666 & ~umask``.  Not atomic, as truncating first was not:
-    that could leave an empty or short file, this can leave new bytes
-    followed by old ones.  Killed between the write and the trim, the file
-    holds the whole new text and then the old file's tail, which
-    ``read_json`` refuses as extra data (a tail that is a lone newline reads
-    as the new payload).
+    be encoded leaves an existing file untouched.
     """
-    data = json_text(payload).encode()
+    write_text(json_text(payload), path)
+
+
+def write_text(text: str, path) -> None:
+    """Write ``text`` to ``path``, overwriting it in place: the one writer of output files.
+
+    The file is opened without ``O_TRUNC`` and written from offset 0, then
+    trimmed to the new length when it is a regular file (``/dev/null`` and
+    FIFOs are never trimmed): truncating to zero first would make ext4 and
+    XFS flush the file on close.  Symlinks and hard links are written
+    through; a new file gets mode ``0o666 & ~umask``.  Not atomic, as
+    truncating first was not: that could leave an empty or short file, this
+    can leave new bytes followed by old ones.  Killed between the write and
+    the trim, the file holds the whole new text and then the old file's
+    tail, which ``read_json`` refuses as extra data (a tail that is a lone
+    newline reads as the new payload).
+    """
+    data = text.encode()
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
         view = memoryview(data)

@@ -13,7 +13,11 @@ of the Heisenberg-picture line observables.  A dataset is three read-only
 arrays (record, value, sigma) from the JSON file or the simulation to the
 fit.  One index, experiment * 8 + row, names a record's labels and its row
 of the table viewed as (648, 63); the constructor validates the arrays of a
-file, and the simulation builds its own without re-checking them.  Every
+file, and the simulation builds its own without re-checking them.  The
+same index names a record's text in a dataset file:
+``TomographyDataset.json_text`` joins each index's labels, laid out once on
+first use, with one float repr per value and sigma, byte for byte
+``core.json_text`` of ``to_json()``.  Every
 experiment's Gram matrix is diagonal, so for whole experiments with one
 sigma each the weighted fit is a closed form; any other dataset takes one
 thin SVD of the weighted rows.  Both give the estimate, the rank and the
@@ -26,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import product, repeat
 
 import numpy as np
 
@@ -37,6 +41,7 @@ from .core import (
     _NUMBERS,
     _as_matrix,
     _pauli_coordinates,
+    json_text,
     parameters_to_matrix,
     simplex_projection,
     state_parameters,
@@ -245,10 +250,31 @@ class TomographyDataset:
 
     def to_json(self) -> list[dict]:
         labels = map(_RECORD_LABELS.__getitem__, self.record.tolist())
-        return [{"setting": setting, "detect": detect, "line": line, "quad": quad,
-                 "value": value, "sigma": sigma}
-                for (setting, detect, line, quad), value, sigma
-                in zip(labels, self.value.tolist(), self.sigma.tolist())]
+        return _records_json(labels, self.value.tolist(), self.sigma.tolist())
+
+    def json_text(self) -> str:
+        """``core.json_text(self.to_json())``, written from the record indices.
+
+        Each record is the head of its index (``_record_layout``), one float
+        repr of its value, and its sigma's repr.  When every sigma is bitwise
+        equal, as in every simulated dataset, the sigma's repr is made once;
+        bits decide, not ==, because 0.0 and -0.0 print differently.  No
+        non-finite refusal is needed: every value is finite and within
+        ``MAX_VALUE`` and every sigma 0 or within ``SIGMA_RANGE``, which the
+        constructor checks and ``generate_dataset`` guarantees.
+        """
+        if not len(self.record):
+            return json_text([])   # "[]\n"
+        start, heads, mid, sep, end = _record_layout()
+        labelled = [head + value for head, value
+                    in zip(map(heads.__getitem__, self.record.tolist()),
+                           map(float.__repr__, self.value.tolist()))]
+        bits = self.sigma.view(np.uint64)
+        if (bits == bits[0]).all():
+            tail = mid + repr(float(self.sigma[0]))
+            return start + (tail + sep).join(labelled) + tail + end
+        tails = map(mid.__add__, map(float.__repr__, self.sigma.tolist()))
+        return start + sep.join(map(str.__add__, labelled, tails)) + end
 
     @classmethod
     def from_json(cls, blobs: list[dict]) -> "TomographyDataset":
@@ -274,6 +300,32 @@ class TomographyDataset:
                 _experiment_index(*labels[:2])
                 raise ValueError(f"unknown line/quadrature {labels[2:]!r}") from None
         return cls(record, value, sigma)
+
+
+def _records_json(labels, values, sigmas) -> list[dict]:
+    """The wire records of each (setting, detect, line, quad) with its value and sigma."""
+    return [{"setting": setting, "detect": detect, "line": line, "quad": quad,
+             "value": value, "sigma": sigma}
+            for (setting, detect, line, quad), value, sigma in zip(labels, values, sigmas)]
+
+
+@lru_cache(maxsize=None)
+def _record_layout() -> tuple[str, tuple[str, ...], str, str, str]:
+    """The constant text of a dataset file: (start, heads, mid, sep, end).
+
+    The text of records i_1 .. i_n is ``start``, then each record's
+    ``heads[i] + repr(value) + mid + repr(sigma)`` joined by ``sep``, then
+    ``end``.  ``heads[i]`` runs from record index i's " {" up to and
+    including its '"value": '.  The pieces are cut from ``core.json_text`` of
+    one record per index with a null value and sigma, so that the indented
+    format keeps its one definition in ``core``.
+    """
+    pieces = json_text(_records_json(_RECORD_LABELS, repeat(None), repeat(None))).split("null")
+    # "[\n" head_0, mid, "\n },\n" head_1, mid, ..., "\n },\n" head_647, mid, "\n }\n]\n"
+    leads = pieces[:-1:2]   # the text before each record's value
+    cuts = [lead.index(" {") for lead in leads]
+    heads = tuple(lead[cut:] for lead, cut in zip(leads, cuts))
+    return pieces[0][:cuts[0]], heads, pieces[1], pieces[2][:cuts[1]], pieces[-1]
 
 
 def generate_dataset(rho: DensityOperator, sigma: float = 0.0,

@@ -217,7 +217,7 @@ def test_tomo_simulate_deterministic(tmp_path):
     assert d1.read_text() == d2.read_text()
 
 
-def test_dataset_save_matches_tomo_simulate_bytes(tmp_path):
+def test_dataset_save_matches_tomo_simulate_bytes(tmp_path, capsysbinary):
     rho_path, cli_path, saved = (tmp_path / name for name in ("rho.json", "d.json", "s.json"))
     run(["state", "--out", str(rho_path)])
     run(["tomo", "simulate", "--state", str(rho_path), "--out", str(cli_path)])
@@ -225,6 +225,10 @@ def test_dataset_save_matches_tomo_simulate_bytes(tmp_path):
     core.write_json(tomography.generate_dataset(rho, sigma=1e-3, seed=7).to_json(), saved)
     assert saved.read_bytes() == cli_path.read_bytes()
     assert saved.read_bytes().endswith(b"]\n")
+    # without --out the same bytes go to standard output
+    capsysbinary.readouterr()
+    assert run(["tomo", "simulate", "--state", str(rho_path)]) == 0
+    assert capsysbinary.readouterr().out == saved.read_bytes()
 
 
 def test_report_exact_run(tmp_path, capsys):

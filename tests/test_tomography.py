@@ -7,6 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pseudobound import core, states, tomography as tomo, witnesses
 from conftest import A_OPT, EPS_OPT, pure_state
@@ -346,6 +347,48 @@ def test_every_record_label_round_trips():
         assert [(b["setting"], b["detect"], b["line"], b["quad"]) for b in blobs] == list(
             tomo._RECORD_LABELS[start:start + 162])
         assert tomo.TomographyDataset.from_json(blobs) == ds
+
+
+def _stdlib_text(ds):
+    """The oracle: the stdlib's own indenting encoder on the dataset's records."""
+    return json.dumps(ds.to_json(), indent=1, allow_nan=False) + "\n"
+
+
+# the smallest subnormal, the bound and the signed zero beside ordinary floats
+_EDGE_VALUES = np.array([-0.0, 0.0, 5e-324, -5e-324, tomo.MAX_VALUE, -tomo.MAX_VALUE])
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(0, 168), seed=st.integers(0, 2 ** 32 - 1),
+       sigmas=st.sampled_from(["equal", "per-record", "signed-zeros"]))
+@example(n=0, seed=0, sigmas="equal")
+@example(n=168, seed=0, sigmas="signed-zeros")
+def test_dataset_json_text_is_the_stdlib_indented_text(n, seed, sigmas):
+    # any of the 648 indices in any order, repeats allowed, as the constructor allows
+    rng = np.random.default_rng(seed)
+    record = rng.integers(0, len(tomo._RECORD_LABELS), n)
+    value = np.clip(rng.standard_normal(n) * 10.0 ** rng.integers(-320, 151, n),
+                    -tomo.MAX_VALUE, tomo.MAX_VALUE)
+    edges = rng.random(n) < 0.3
+    value[edges] = rng.choice(_EDGE_VALUES, n)[edges]
+    if sigmas == "equal":
+        sigma = np.full(n, rng.choice([0.0, -0.0, *tomo.SIGMA_RANGE, 2e-8]))
+    elif sigmas == "per-record":
+        sigma = 10.0 ** rng.uniform(-149, 149, n)
+    else:   # == compares these equal, but they print differently
+        sigma = rng.choice([0.0, -0.0], n)
+    ds = tomo.TomographyDataset(record, value, sigma)
+    text = ds.json_text()
+    assert text == core.json_text(ds.to_json()) == _stdlib_text(ds)
+    assert (text == "[]\n") == (n == 0)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 2e-8, tomo.SIGMA_RANGE[1]])
+def test_simulated_dataset_json_text_is_the_stdlib_indented_text(sigma):
+    rho = states.pseudo_state(RHO_OPT, 2e-5)
+    for seed in range(3):
+        ds = tomo.generate_dataset(rho, sigma=sigma, seed=seed)
+        assert ds.json_text() == core.json_text(ds.to_json()) == _stdlib_text(ds)
 
 
 _GOOD_RECORD = {"setting": "Y1E2E3", "detect": "C", "line": "00", "quad": "x",
