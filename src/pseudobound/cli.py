@@ -32,7 +32,10 @@ def _write_text(text: str, path: str | None) -> None:
 
 
 def _write_json(payload, path: str | None) -> None:
-    _write_text(core.json_text(payload), path)
+    if path:
+        core.write_json(payload, path)
+    else:
+        sys.stdout.write(core.json_text(payload))
 
 
 def _load_density(path: str) -> core.DensityOperator:

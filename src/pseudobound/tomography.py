@@ -15,8 +15,8 @@ fit.  One index, experiment * 8 + row, names a record's labels and its row
 of the table viewed as (648, 63); the constructor validates the arrays of a
 file, and the simulation builds its own without re-checking them.  The
 same index names a record's text in a dataset file:
-``TomographyDataset.json_text`` joins each index's labels, laid out once on
-first use, with one float repr per value and sigma, byte for byte
+``TomographyDataset.json_text`` formats each record's labels, value and
+sigma into one record text cut once from ``core.json_text``, byte for byte
 ``core.json_text`` of ``to_json()``.  Every
 experiment's Gram matrix is diagonal, so for whole experiments with one
 sigma each the weighted fit is a closed form; any other dataset takes one
@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product, repeat
+from itertools import product
 
 import numpy as np
 
@@ -255,26 +255,19 @@ class TomographyDataset:
     def json_text(self) -> str:
         """``core.json_text(self.to_json())``, written from the record indices.
 
-        Each record is the head of its index (``_record_layout``), one float
-        repr of its value, and its sigma's repr.  When every sigma is bitwise
-        equal, as in every simulated dataset, the sigma's repr is made once;
-        bits decide, not ==, because 0.0 and -0.0 print differently.  No
-        non-finite refusal is needed: every value is finite and within
-        ``MAX_VALUE`` and every sigma 0 or within ``SIGMA_RANGE``, which the
-        constructor checks and ``generate_dataset`` guarantees.
+        Each record is one format of the record text (``_record_layout``)
+        with its index's four labels and one float repr each of its value
+        and its sigma.  No non-finite refusal is needed: every value is
+        finite and within ``MAX_VALUE`` and every sigma 0 or within
+        ``SIGMA_RANGE``, which the constructor checks and
+        ``generate_dataset`` guarantees.
         """
         if not len(self.record):
             return json_text([])   # "[]\n"
-        start, heads, mid, sep, end = _record_layout()
-        labelled = [head + value for head, value
-                    in zip(map(heads.__getitem__, self.record.tolist()),
-                           map(float.__repr__, self.value.tolist()))]
-        bits = self.sigma.view(np.uint64)
-        if (bits == bits[0]).all():
-            tail = mid + repr(float(self.sigma[0]))
-            return start + (tail + sep).join(labelled) + tail + end
-        tails = map(mid.__add__, map(float.__repr__, self.sigma.tolist()))
-        return start + sep.join(map(str.__add__, labelled, tails)) + end
+        start, record, sep, end = _record_layout()
+        labels = map(_RECORD_LABELS.__getitem__, self.record.tolist())
+        return start + sep.join([record % (*label, value, sigma) for label, value, sigma
+                                 in zip(labels, self.value.tolist(), self.sigma.tolist())]) + end
 
     @classmethod
     def from_json(cls, blobs: list[dict]) -> "TomographyDataset":
@@ -310,22 +303,23 @@ def _records_json(labels, values, sigmas) -> list[dict]:
 
 
 @lru_cache(maxsize=None)
-def _record_layout() -> tuple[str, tuple[str, ...], str, str, str]:
-    """The constant text of a dataset file: (start, heads, mid, sep, end).
+def _record_layout() -> tuple[str, str, str, str]:
+    """The constant text of a dataset file: (start, record, sep, end).
 
-    The text of records i_1 .. i_n is ``start``, then each record's
-    ``heads[i] + repr(value) + mid + repr(sigma)`` joined by ``sep``, then
-    ``end``.  ``heads[i]`` runs from record index i's " {" up to and
-    including its '"value": '.  The pieces are cut from ``core.json_text`` of
-    one record per index with a null value and sigma, so that the indented
-    format keeps its one definition in ``core``.
+    The text of n >= 1 records is ``start``, then each record's
+    ``record % (setting, detect, line, quad, value, sigma)`` joined by
+    ``sep``, then ``end``.  The pieces are cut from ``core.json_text`` of two
+    placeholder records, so that the indented format keeps its one
+    definition in ``core``: each label is "%s", which the encoder quotes (a
+    label is letters and digits, so it needs no escaping), and the value and
+    the sigma are null, made "%r", which writes a float's ``float.__repr__``
+    as the encoder does.
     """
-    pieces = json_text(_records_json(_RECORD_LABELS, repeat(None), repeat(None))).split("null")
-    # "[\n" head_0, mid, "\n },\n" head_1, mid, ..., "\n },\n" head_647, mid, "\n }\n]\n"
-    leads = pieces[:-1:2]   # the text before each record's value
-    cuts = [lead.index(" {") for lead in leads]
-    heads = tuple(lead[cut:] for lead, cut in zip(leads, cuts))
-    return pieces[0][:cuts[0]], heads, pieces[1], pieces[2][:cuts[1]], pieces[-1]
+    text = json_text(_records_json([("%s",) * 4] * 2, [None] * 2, [None] * 2)).replace("null", "%r")
+    # "[\n" record ",\n" record "\n]\n", each record from its " {" to its "}"
+    first, close = text.index(" {"), text.index("}") + 1
+    second, last = text.index(" {", close), text.rindex("}") + 1
+    return text[:first], text[first:close], text[close:second], text[last:]
 
 
 def generate_dataset(rho: DensityOperator, sigma: float = 0.0,

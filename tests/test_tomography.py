@@ -347,6 +347,7 @@ def test_every_record_label_round_trips():
         assert [(b["setting"], b["detect"], b["line"], b["quad"]) for b in blobs] == list(
             tomo._RECORD_LABELS[start:start + 162])
         assert tomo.TomographyDataset.from_json(blobs) == ds
+        assert ds.json_text() == _stdlib_text(ds)
 
 
 def _stdlib_text(ds):
