@@ -6,9 +6,12 @@ so |b1 b2 b3> lives at index 4*b1 + 2*b2 + b3.  ``check_operator`` is the
 one place that enforces that shape.  Density operators get a thin
 validated wrapper so that every state constructed anywhere in the package
 is certified Hermitian, unit-trace and positive semidefinite (within
-tolerance) on creation.  A validated state carries its spectrum, the
-validation's one eigensolve, and its Pauli coordinates, worked out on first
-use; a state is diagonalised and mapped to Pauli coordinates at most once.
+tolerance) on creation.  A state works out its spectrum and its Pauli
+coordinates when each is first read and keeps them, so it is diagonalised and
+mapped to Pauli coordinates at most once; a validated state reads its spectrum
+for the positivity test, and a loosely wrapped one only if a caller does.  The
+partial transposes of the three cuts are one permutation of a matrix's 64
+entries, gathered a row at a time or, by ``is_ppt``, all at once.
 
 The 63 Pauli coordinates tr(op P_k)/8 of an 8x8 operator (``state_parameters``,
 inverted by ``parameters_to_matrix``) are the one map that the tomography
@@ -142,10 +145,12 @@ class DensityOperator:
     refused, so that products, eigensolves and trace norms of states stay
     finite.
 
-    The validation's eigensolve is kept for ``eigenvalues()``, and the Pauli
-    coordinates are worked out on first use (``parameters``); both are
-    read-only arrays, computed at most once per state.  Equality and hashing
-    are by identity: two states with equal matrices are distinct values.
+    The spectrum (``eigenvalues()``) and the Pauli coordinates
+    (``parameters``) are worked out on first read and kept; both are
+    read-only arrays, computed at most once per state.  The positivity test
+    reads the spectrum, so a validated state is diagonalised on construction
+    and a loose one only when a caller asks.  Equality and hashing are by
+    identity: two states with equal matrices are distinct values.
     """
 
     matrix: np.ndarray
@@ -162,15 +167,14 @@ class DensityOperator:
         tr = complex(m.trace())
         if abs(tr - 1.0) > tol:
             raise ValueError(f"trace {tr:.8g} != 1 beyond tol {tol:.1e}")
-        # an exactly Hermitian m is its own Hermitian part, bit for bit
-        spectrum = np.linalg.eigvalsh(m if defect == 0.0 else (m + m.conj().T) / 2)
-        spectrum.setflags(write=False)
-        if positive and spectrum[0] < -tol:
-            raise ValueError(f"negative eigenvalue {spectrum[0]:.3e} beyond tol {tol:.1e}")
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "_spectrum", spectrum)
+        object.__setattr__(self, "_exactly_hermitian", defect == 0.0)
+        if positive:
+            lowest = self.eigenvalues()[0]
+            if lowest < -tol:
+                raise ValueError(f"negative eigenvalue {lowest:.3e} beyond tol {tol:.1e}")
 
     @classmethod
     def loose(cls, matrix) -> "DensityOperator":
@@ -191,14 +195,24 @@ class DensityOperator:
         return rho
 
     def eigenvalues(self) -> np.ndarray:
-        """The spectrum, ascending, read-only: the one validation eigensolve.
+        """The spectrum, ascending, read-only, solved on first read and kept.
 
         It is that of the Hermitian part (m + m^dag)/2, which equals
         ``np.linalg.eigvalsh(matrix)`` bit for bit when the matrix is exactly
         Hermitian; a matrix Hermitian only within tolerance gets the spectrum
-        of its Hermitian part.
+        of its Hermitian part.  A validated state reads it for its positivity
+        test, so its one eigensolve is made at construction; a loose state
+        makes it only if a reader asks.
         """
-        return self._spectrum
+        # kept in the instance dict by hand: on Python 3.11 a cached_property locks on each first read
+        spectrum = self.__dict__.get("_spectrum")
+        if spectrum is None:
+            m = self.matrix
+            # an exactly Hermitian m is its own Hermitian part, bit for bit
+            spectrum = np.linalg.eigvalsh(m if self._exactly_hermitian else (m + m.conj().T) / 2)
+            spectrum.setflags(write=False)
+            object.__setattr__(self, "_spectrum", spectrum)
+        return spectrum
 
     @cached_property
     def parameters(self) -> np.ndarray:
@@ -214,18 +228,26 @@ def maximally_mixed() -> DensityOperator:
 
 CUT_LABELS = ("1|23", "2|13", "3|12")   # the three cuts, each named by its transposed qubit
 
+# row k: the flat index into an 8x8 matrix of each entry of its transpose on
+# qubit k + 1, i.e. the qubit's row and column bits swapped
+_PT_INDEX = np.stack([np.swapaxes(np.arange(64).reshape((2,) * 6), k, k + 3).reshape(64)
+                      for k in range(3)])
+_PT_INDEX.setflags(write=False)
+
 
 def partial_transpose(rho, qubit) -> np.ndarray:
     """Transpose qubit 1, 2 or 3 of an operator: the cut ``CUT_LABELS[qubit - 1]``.
 
     On three qubits every bipartite cut separates one qubit, and transposing
     the other two instead gives the full transpose of this, with the same
-    spectrum.  Any ``qubit`` but the integer 1, 2 or 3 is a ValueError.
+    spectrum.  The transpose is a gather of the matrix's entries by one row
+    of the permutation ``is_ppt`` gathers whole.  Any ``qubit`` but the
+    integer 1, 2 or 3 is a ValueError; a bool is no qubit.
     """
-    if not (isinstance(qubit, (int, np.integer)) and qubit in (1, 2, 3)):
+    if isinstance(qubit, bool) or not (isinstance(qubit, (int, np.integer))
+                                       and qubit in (1, 2, 3)):
         raise ValueError(f"qubit {qubit!r} must be the integer 1, 2 or 3")
-    m = _as_matrix(rho)
-    return np.swapaxes(m.reshape((2,) * 6), qubit - 1, qubit + 2).reshape(8, 8)
+    return _as_matrix(rho).reshape(64)[_PT_INDEX[qubit - 1]].reshape(8, 8)
 
 
 @dataclass(frozen=True)
@@ -259,10 +281,8 @@ def is_ppt(rho: DensityOperator, tolerance: float | None = None) -> PPTReport:
     """
     tol = rho.tolerance if tolerance is None else tolerance
     check_tolerance(tol, "PPT")
-    # one eigensolve of the (3, 8, 8) stack; row k transposes qubit k + 1
-    stack = np.empty((3, 8, 8), dtype=complex)
-    for k in range(3):
-        stack[k] = partial_transpose(rho, k + 1)
+    # one gather and one eigensolve of the (3, 8, 8) stack; row k transposes qubit k + 1
+    stack = _as_matrix(rho).reshape(64)[_PT_INDEX].reshape(3, 8, 8)
     return PPTReport(tuple(np.linalg.eigvalsh(stack)[:, 0].tolist()), tol)
 
 
@@ -292,7 +312,7 @@ def uhlmann_fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
     """
     slack = max(1e-8, *(max(s.tolerance, -s.eigenvalues()[0] * (1 + 1e-9) + 1e-15)
                         for s in (rho, sigma)))
-    root = matrix_sqrt_psd(rho.matrix, tolerance=slack)
+    root = matrix_sqrt_psd(rho, tolerance=slack)
     inner = root @ sigma.matrix @ root
     vals = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
     if vals[0] < -slack:

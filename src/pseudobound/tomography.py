@@ -339,8 +339,9 @@ def generate_dataset(rho: DensityOperator, sigma: float = 0.0,
         raise ValueError(f"sigma {sigma} must be finite and non-negative")
     sigmas = np.full(len(_DEFAULT_RECORD), float(sigma))
     _check_sigmas(sigmas[:1])
-    values = np.empty((len(default_experiments()), len(_ROW_LABELS)))
-    for k, (setting, detect) in enumerate(default_experiments()):
+    experiments = default_experiments()
+    values = np.empty((len(experiments), len(_ROW_LABELS)))
+    for k, (setting, detect) in enumerate(experiments):
         values[k] = measure(rho, setting, detect)
     values = values.reshape(-1)
     if sigma > 0:

@@ -186,6 +186,17 @@ def test_build_report_stays_array_native():
     assert validations.call_count == 6
 
 
+def test_build_report_solves_only_the_spectra_it_reads():
+    # the reconstruction's loose estimate and the peel's wrap of it are never
+    # diagonalised: three validated states, the peeled estimate's spectrum (on
+    # its first read, in the fidelity), the PPT stack, the fidelity's product
+    # and the trace distance, and one eigh for the fidelity's square root
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh, \
+            mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+        cli.build_report(cli.RunConfig())
+    assert (eigvalsh.call_count, eigh.call_count) == (7, 1)
+
+
 def test_tomo_pipeline_and_metrics(tmp_path):
     rho_path = tmp_path / "rho.json"
     data_path = tmp_path / "data.json"

@@ -7,6 +7,7 @@ import os
 import re
 import threading
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -197,6 +198,30 @@ def test_state_carries_its_spectrum(rng):
                               np.linalg.eigvalsh((near + near.conj().T) / 2))
 
 
+def test_spectrum_is_solved_on_first_read(rng):
+    # a loose state makes no eigensolve until its spectrum is read, one then and
+    # none after; a validated state makes its one at construction, for positivity
+    m = core.random_density_operator(rng).matrix
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+        loose = core.DensityOperator.loose(m)
+        assert eigvalsh.call_count == 0
+        first = loose.eigenvalues()
+        assert eigvalsh.call_count == 1
+        assert loose.eigenvalues() is first and eigvalsh.call_count == 1
+        strict = core.DensityOperator(m)
+        assert eigvalsh.call_count == 2
+        assert strict.eigenvalues() is strict.eigenvalues() and eigvalsh.call_count == 2
+    assert np.array_equal(strict.eigenvalues(), first)
+
+
+def test_partial_transpose_is_the_axis_swap(rng):
+    # the gather permutes entries exactly as swapping the qubit's row and column axes
+    m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    for qubit in (1, 2, 3):
+        swapped = np.swapaxes(m.reshape((2,) * 6), qubit - 1, qubit + 2).reshape(8, 8)
+        assert np.array_equal(core.partial_transpose(m, qubit), swapped)
+
+
 def test_is_ppt_matches_each_cut_eigensolve(rng):
     for rho in _states(rng):
         report = core.is_ppt(rho)
@@ -238,7 +263,7 @@ def _refuses_qubit(qubit):
 def test_partial_transpose_bad_subsystem():
     # only the integers 1, 2 and 3 name a qubit: no rounding of 1.9 to qubit 1,
     # no subset of qubits, and a ValueError that names the value
-    for qubit in (1.5, 1.9, 2.7, 1.0, "1", (1,), (1, 2), None):
+    for qubit in (1.5, 1.9, 2.7, 1.0, "1", (1,), (1, 2), None, True, np.True_):
         _refuses_qubit(qubit)
 
 

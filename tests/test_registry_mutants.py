@@ -25,7 +25,6 @@ from conftest import A_OPT
 PARAMS = states.StateParams.symmetric(A_OPT)
 FAMILY = states.bound_entangled_state(PARAMS)
 
-_partial_transpose = core.partial_transpose
 _is_ppt = core.is_ppt
 _peel_matrix = states.peel_matrix
 _reconstruct = tomography.reconstruct
@@ -33,13 +32,10 @@ _seed_orders = nmr._seed_orders
 _preparation_unitary = nmr.preparation_unitary
 
 
-def _full_transpose(rho, qubit):
-    return core._as_matrix(rho).T
-
-
-def _rotated_transpose(rho, qubit):
-    # the cut labelled by qubit q transposes qubit q mod 3 + 1
-    return _partial_transpose(rho, qubit % 3 + 1)
+# the partial transposes' one shared index, mutated: every cut gets the full
+# transpose, or the cut labelled by qubit q transposes qubit q mod 3 + 1
+_FULL_TRANSPOSE_INDEX = np.tile(np.arange(64).reshape(8, 8).T.reshape(64), (3, 1))
+_ROTATED_INDEX = np.roll(core._PT_INDEX, -1, axis=0)
 
 
 def _loose_is_ppt(rho, tolerance=None):
@@ -157,9 +153,9 @@ def _prepared():
 
 # name, (module, attribute, replacement), probe, the first registry entry to fail
 MUTANTS = [
-    ("full transpose", (core, "partial_transpose", _full_transpose), _ppt_verdicts,
+    ("full transpose", (core, "_PT_INDEX", _FULL_TRANSPOSE_INDEX), _ppt_verdicts,
      "PPT negative control: GHZ"),
-    ("rotated cut-to-label mapping", (core, "partial_transpose", _rotated_transpose),
+    ("rotated cut-to-label mapping", (core, "_PT_INDEX", _ROTATED_INDEX),
      _ppt_verdicts, "PPT negative control: Bell pair and |0>"),
     ("is_ppt tolerance 1e-2", (core, "is_ppt", _loose_is_ppt), _ppt_verdicts,
      "PPT boundary control: noisy GHZ"),
