@@ -102,7 +102,15 @@ def witness_spectrum(rng) -> str:
     _require(-1.040 <= lo <= -1.028 and 1.815 <= hi <= 1.825, detail)
     closed = -3 * A_OPT / (1 + A_OPT * A_OPT) - EPS_OPT
     _require(abs(lo - closed) < 1e-10, f"{detail}, closed form {closed:.12f}")
-    return detail
+    # the closed form against the dense spectrum on asymmetric triples
+    for _ in range(20):
+        params = witnesses.WitnessParams(states.StateParams(*rng.uniform(0.1, 3.0, size=3)),
+                                         float(rng.uniform(0.0, 0.5)))
+        vals = core.eigvalsh(witnesses.witness(params))
+        for got, want in zip(witnesses.witness_spectrum_extremes(params), (vals[0], vals[-1])):
+            _require(abs(got - want) <= 1e-12 * max(1.0, abs(want)),
+                     f"extreme {got:.15g}, dense {want:.15g} at {params}")
+    return f"{detail}, 20 random triples match the dense spectrum"
 
 
 def pseudo_witness(rng) -> str:

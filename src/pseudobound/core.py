@@ -36,7 +36,7 @@ import json
 import os
 import stat
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -204,22 +204,26 @@ class DensityOperator:
         test, so its one eigensolve is made at construction; a loose state
         makes it only if a reader asks.
         """
-        # kept in the instance dict by hand: on Python 3.11 a cached_property locks on each first read
-        spectrum = self.__dict__.get("_spectrum")
-        if spectrum is None:
-            m = self.matrix
-            # an exactly Hermitian m is its own Hermitian part, bit for bit
-            spectrum = np.linalg.eigvalsh(m if self._exactly_hermitian else (m + m.conj().T) / 2)
-            spectrum.setflags(write=False)
-            object.__setattr__(self, "_spectrum", spectrum)
-        return spectrum
+        # an exactly Hermitian m is its own Hermitian part, bit for bit
+        return self._kept("_spectrum", lambda m: np.linalg.eigvalsh(
+            m if self._exactly_hermitian else (m + m.conj().T) / 2))
 
-    @cached_property
+    @property
     def parameters(self) -> np.ndarray:
         """The 63 Pauli coordinates ``state_parameters(matrix)``, read-only."""
-        theta = state_parameters(self.matrix)
-        theta.setflags(write=False)
-        return theta
+        return self._kept("_parameters", state_parameters)
+
+    def _kept(self, name: str, derive) -> np.ndarray:
+        """``derive(matrix)``, worked out on first read, frozen and kept in the instance dict.
+
+        Kept by hand: on Python 3.11 a ``functools.cached_property`` locks on each first read.
+        """
+        value = self.__dict__.get(name)
+        if value is None:
+            value = derive(self.matrix)
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        return value
 
 
 def maximally_mixed() -> DensityOperator:
@@ -272,17 +276,21 @@ class PPTReport:
 
 
 def is_ppt(rho: DensityOperator, tolerance: float | None = None) -> PPTReport:
-    """PPT verdict for every bipartite cut of a three-qubit state.
+    """PPT verdict for every bipartite cut of a three-qubit state or an 8x8 matrix.
 
     ``tolerance`` must be finite and non-negative.  It defaults to the
     state's own, fixed by its kind: 1e-10 for a validated state and 1e-6
     for a loosely wrapped one, whose cuts get 1e-6 whatever its own lowest
-    eigenvalue.
+    eigenvalue.  A bare matrix has no tolerance of its own: without one,
+    ValueError.
     """
+    m = _as_matrix(rho)
+    if tolerance is None and not isinstance(rho, DensityOperator):
+        raise ValueError("a bare matrix has no tolerance of its own: pass the PPT tolerance")
     tol = rho.tolerance if tolerance is None else tolerance
     check_tolerance(tol, "PPT")
     # one gather and one eigensolve of the (3, 8, 8) stack; row k transposes qubit k + 1
-    stack = _as_matrix(rho).reshape(64)[_PT_INDEX].reshape(3, 8, 8)
+    stack = m.reshape(64)[_PT_INDEX].reshape(3, 8, 8)
     return PPTReport(tuple(np.linalg.eigvalsh(stack)[:, 0].tolist()), tol)
 
 

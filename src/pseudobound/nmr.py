@@ -18,6 +18,7 @@ input's ratio; ``_z_order_matrix`` builds a matrix where one is read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -262,7 +263,7 @@ def solve_temporal_weights(inputs: list[DiagonalStateSpec],
     q = simplex_projection(target.scale * (x @ o) / n, n)
     mix = q @ x
     achieved = float(mix @ o) / float(o @ o) if np.any(o) else 0.0
-    residual = float(np.linalg.norm(mix - target.scale * o)) / np.sqrt(8.0)
+    residual = float(np.linalg.norm(mix - target.scale * o)) / math.sqrt(8.0)
     return WeightSolution(weights=q, residual=residual, achieved_p=achieved)
 
 

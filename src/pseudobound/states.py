@@ -1,7 +1,9 @@
 """Three-qubit bound-entangled state family and the pseudo-state embedding.
 
 The family is diagonal except for a single GHZ coherence between |000> and
-|111>.  All members are PPT across every bipartite cut yet entangled
+|111>: an X state.  ``PAIRS`` states its population layout once, for
+``bound_entangled_state`` and the witness that ``witnesses.witness_bar``
+matches to it.  All members are PPT across every bipartite cut yet entangled
 whenever the product of the three parameters differs from one.  Room
 temperature NMR only reaches a highly mixed neighbourhood of the identity,
 hence the pseudo-state form (1-p)/8 * Id + p * rho with tiny p: the
@@ -21,6 +23,9 @@ PRODUCT_ONE_TOLERANCE = 1e-12
 # a* = (1 + sqrt5 - sqrt(2 + 2 sqrt5))/2 = 0.3460143392, the root of a + 1/a = 1 + sqrt5
 A_OPT = 0.3460
 PARAM_RANGE = (1e-150, 1e150)
+# for each a_i, the basis index of the population a_i and that of 1/a_i; |000> and
+# |111> hold 1, and every other index holds exactly one of the six
+PAIRS = ((1, 6), (2, 5), (4, 3))
 
 
 @dataclass(frozen=True)
@@ -71,17 +76,15 @@ def ghz(sign: int = +1) -> np.ndarray:
 def bound_entangled_state(params: StateParams) -> DensityOperator:
     """The PPT-entangled family member for the given parameter triple.
 
-    Populations are (1, a1, a2, 1/a3, a3, 1/a2, 1/a1, 1)/N with
-    N = 2 + sum(a_i + 1/a_i); the only coherence is the GHZ corner 1/N at
-    (|000>, |111>).
+    Populations are (1, a1, a2, 1/a3, a3, 1/a2, 1/a1, 1)/N, laid out by
+    ``PAIRS``, with N = 2 + sum(a_i + 1/a_i); the only coherence is the GHZ
+    corner 1/N at (|000>, |111>).
     """
-    a1, a2, a3 = params.as_tuple()
-    n = params.normalization
-    diag = np.array([1.0, a1, a2, 1.0 / a3, a3, 1.0 / a2, 1.0 / a1, 1.0]) / n
-    m = np.diag(diag.astype(complex))
-    m[0, 7] = 1.0 / n
-    m[7, 0] = 1.0 / n
-    return DensityOperator(m)
+    m = np.eye(8)
+    for (i, j), a in zip(PAIRS, params.as_tuple()):
+        m[i, i], m[j, j] = a, 1.0 / a
+    m[0, 7] = m[7, 0] = 1.0
+    return DensityOperator((m / params.normalization).astype(complex))
 
 
 def pseudo_state(rho_be: DensityOperator, p: float) -> DensityOperator:

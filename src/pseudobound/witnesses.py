@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (MAX_ENTRY, DensityOperator, _pauli_coordinates, check_hermitian,
-                   check_operator, eigvalsh, mix_with_identity)
-from .states import PARAM_RANGE, StateParams, _peel_weight
+                   check_operator, mix_with_identity)
+from .states import PAIRS, PARAM_RANGE, StateParams, _peel_weight
 
 # the identity shift at the working point states.A_OPT; it sits 2.43e-5 below
 # eps* = a*/(1 + sqrt5) = a*^2/(1 + a*^2) = 0.1069243111, its closed form at a*
@@ -61,18 +61,17 @@ def witness_bar(params: StateParams) -> np.ndarray:
     """Base witness: zero expectation on the matching family member.
 
     Diagonal weights 1/(1+a_i^2) and a_i^2/(1+a_i^2) sit on the six
-    intermediate basis states; the GHZ-minus projector plus a flip-flop
-    coefficient -sum_i a_i/(1+a_i^2) fills the (|000>, |111>) corner.
-    The trace is 4 for every parameter triple.
+    intermediate basis states, on the populations a_i and 1/a_i of
+    ``states.PAIRS``; the GHZ-minus projector plus a flip-flop coefficient
+    -sum_i a_i/(1+a_i^2) fills the (|000>, |111>) corner.  The trace is 4
+    for every parameter triple.
     """
-    a1, a2, a3 = params.as_tuple()
     w = np.zeros((8, 8), dtype=complex)
     s = 0.0
-    # (basis index of the 1/(1+a^2) state, of the a^2/(1+a^2) state, parameter)
-    for low, high, a in ((1, 6, a1), (2, 5, a2), (4, 3, a3)):
+    for (i, j), a in zip(PAIRS, params.as_tuple()):
         aa = a * a
-        w[low, low] = 1.0 / (1.0 + aa)
-        w[high, high] = aa / (1.0 + aa)
+        w[i, i] = 1.0 / (1.0 + aa)
+        w[j, j] = aa / (1.0 + aa)
         s += a / (1.0 + aa)
     w[0, 0] = w[7, 7] = _GHZ_WEIGHT
     w[0, 7] = w[7, 0] = -_GHZ_WEIGHT - s
@@ -320,13 +319,13 @@ def optimize_parameters(search_range: tuple[float, float] = (0.05, 1.0),
         trace.append((a, eps, q))
         return q
 
-    grid = np.linspace(lo, hi, GRID_POINTS)
+    grid = np.linspace(lo, hi, GRID_POINTS).tolist()   # Python floats: the trace is wire data
     values = [objective(a) for a in grid]
     best_idx = int(np.argmin(values))
     left = grid[max(best_idx - 1, 0)]
     right = grid[min(best_idx + 1, GRID_POINTS - 1)]
 
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = right - invphi * (right - left)
     x2 = left + invphi * (right - left)
     f1, f2 = objective(x1), objective(x2)
@@ -347,6 +346,16 @@ def optimize_parameters(search_range: tuple[float, float] = (0.05, 1.0),
 
 
 def witness_spectrum_extremes(params: WitnessParams) -> tuple[float, float]:
-    """(lambda_min, lambda_max) of the full witness."""
-    vals = eigvalsh(witness(params))
-    return float(vals[0]), float(vals[-1])
+    """(lambda_min, lambda_max) of the full witness, in closed form: (g - eps) -/+ (g + s).
+
+    W is the (|000>, |111>) block [[g - eps, -(g + s)], [-(g + s), g - eps]],
+    g = 1/2 and s = sum_i a_i/(1+a_i^2), beside six diagonal entries u_i - eps
+    and 1 - u_i - eps with u_i = 1/(1+a_i^2).  Those lie in [-eps, 1 - eps] and
+    s > 0, so the block's eigenvalues -s - eps and 1 + s - eps are the extremes.
+    No matrix is built and nothing is diagonalised; with g = ``_GHZ_WEIGHT``,
+    1/2 as the witness rounds it, the values agree with ``np.linalg.eigvalsh``
+    of ``witness(params)`` within 1e-15 max(1, |lambda|).
+    """
+    g, eps = _GHZ_WEIGHT, float(params.epsilon)
+    s = float(sum(a / (1.0 + a * a) for a in params.state_params.as_tuple()))
+    return (g - eps) - (g + s), (g - eps) + (g + s)

@@ -407,6 +407,37 @@ def test_every_output_file_is_the_stdlib_indented_text(command, flag_inputs, tmp
     assert text == json.dumps(json.loads(text), indent=1) + "\n"
 
 
+def _scalar_types(node) -> set:
+    """The exact type of every scalar in a JSON payload."""
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, (list, tuple)):
+        return set().union(*map(_scalar_types, node))
+    return {type(node)}
+
+
+@pytest.mark.parametrize("command", list(_WIRE_COMMANDS.values()), ids=list(_WIRE_COMMANDS))
+def test_every_payload_holds_exact_json_scalars(command, flag_inputs, tmp_path, monkeypatch):
+    # a NumPy scalar is written right but drops its container to the encoder's
+    # one-scalar-at-a-time path; a dataset's text is written from its records
+    payloads = []
+    json_text = core.json_text
+
+    def recording(payload):
+        payloads.append(payload)
+        return json_text(payload)
+
+    monkeypatch.setattr(core, "json_text", recording)
+    monkeypatch.setattr(tomography.TomographyDataset, "json_text",
+                        lambda dataset: recording(dataset.to_json()))
+    files = {"{state}": flag_inputs["--state"], "{data}": flag_inputs["--data"]}
+    out = tmp_path / "out.json"
+    assert run([files.get(token, token) for token in command.split()] + ["--out", str(out)]) == 0
+    assert payloads
+    for payload in payloads:
+        assert _scalar_types(payload) <= {str, int, float, bool, type(None)}
+
+
 def test_report_names_p_when_peeling_amplifies_rounding(capsys):
     # the estimate passed validation; 1/p blows its rounding past the trace check
     assert run(["report", "--p", "1e-12"]) == 2

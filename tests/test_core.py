@@ -307,6 +307,17 @@ def test_is_ppt_verdicts(rho_opt):
             core.is_ppt(core.maximally_mixed(), tolerance=tolerance)
 
 
+def test_is_ppt_of_a_bare_matrix_needs_a_tolerance():
+    # the matrix is read first: a bare one has no tolerance of its own
+    mixed = np.eye(8) / 8
+    with pytest.raises(ValueError, match="tolerance"):
+        core.is_ppt(mixed)
+    with pytest.raises(ValueError, match="8x8"):
+        core.is_ppt(np.eye(4) / 4)
+    assert core.is_ppt(mixed, 1e-9) == core.is_ppt(core.maximally_mixed(), 1e-9)
+    assert core.is_ppt(mixed, 1e-9).all_ppt
+
+
 def test_eigvalsh_basics(rng):
     np.testing.assert_allclose(core.eigvalsh(np.eye(8)), np.ones(8))
     vals = core.eigvalsh(pure_state(states.ghz(+1)).matrix)

@@ -104,6 +104,19 @@ def _flipped_unitary():
     return u
 
 
+def _one_qubit_spectrum(params):
+    # the flip-flop sum taken as three times the first qubit's share: right on a
+    # symmetric triple only
+    a, g, eps = params.state_params.a1, witnesses._GHZ_WEIGHT, params.epsilon
+    s = 3 * a / (1.0 + a * a)
+    return (g - eps) - (g + s), (g - eps) + (g + s)
+
+
+def _asymmetric_spectrum():
+    return witnesses.witness_spectrum_extremes(
+        witnesses.WitnessParams(states.StateParams(0.2, 0.5, 1.5), 0.1))
+
+
 def _ppt_verdicts():
     ghz = np.outer(states.ghz(+1), states.ghz(+1).conj())
     bell_12 = np.zeros((8, 8))
@@ -159,6 +172,9 @@ MUTANTS = [
      _ppt_verdicts, "PPT negative control: Bell pair and |0>"),
     ("is_ppt tolerance 1e-2", (core, "is_ppt", _loose_is_ppt), _ppt_verdicts,
      "PPT boundary control: noisy GHZ"),
+    ("witness spectrum from one qubit's share",
+     (witnesses, "witness_spectrum_extremes", _one_qubit_spectrum), _asymmetric_spectrum,
+     "witness spectrum"),
     ("peeling with 1.01 p", (states, "peel_matrix", _overpeel), _peeled,
      "pseudo state peel round trip"),
     ("identity mixing with tr(X) taken as 1", (witnesses, "mix_with_identity", _unit_trace_mix),

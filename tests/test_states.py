@@ -46,6 +46,18 @@ def test_family_populations_at_working_point():
         np.diag(rho.matrix).real[:4], [0.0854, 0.0296, 0.0296, 0.2469], atol=1e-4)
 
 
+def test_pairs_lay_out_the_populations():
+    # each pair is a basis index and its bit complement; with |000> and |111>
+    # they cover the register once, and give the family's literal layout
+    assert all(i + j == 7 for i, j in states.PAIRS)
+    assert sorted([0, 7, *(k for pair in states.PAIRS for k in pair)]) == list(range(8))
+    a1, a2, a3 = 0.2, 0.5, 3.0
+    params = states.StateParams(a1, a2, a3)
+    want = np.array([1, a1, a2, 1 / a3, a3, 1 / a2, 1 / a1, 1]) / params.normalization
+    np.testing.assert_array_equal(np.diag(states.bound_entangled_state(params).matrix).real,
+                                  want)
+
+
 def test_family_structure_exact(rng):
     for _ in range(25):
         params = random_params(rng)

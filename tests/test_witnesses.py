@@ -1,5 +1,7 @@
 """Witness construction, certification and robustness optimization."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,25 @@ def test_spectrum_closed_form(rng):
         lo, _ = witnesses.witness_spectrum_extremes(
             witnesses.WitnessParams.symmetric(a, eps))
         assert lo == pytest.approx(-3 * a / (1 + a * a) - eps, abs=1e-10)
+
+
+def test_spectrum_is_the_dense_spectrum_without_an_eigensolve(rng):
+    # the closed form against np.linalg.eigvalsh of the 8x8 witness on asymmetric
+    # triples over the whole parameter range; the closed form calls nothing in np.linalg
+    lo, hi = states.PARAM_RANGE
+    triples = [(lo, hi, 1.0), (hi, lo, lo), (lo, lo, lo), (hi, hi, hi)]
+    triples += [tuple(10.0 ** rng.uniform(-150, 150, size=3)) for _ in range(200)]
+    triples += [tuple(rng.uniform(0.05, 3.0, size=3)) for _ in range(200)]
+    for triple in triples:
+        params = witnesses.WitnessParams(states.StateParams(*triple),
+                                         float(rng.uniform(0.0, 0.5)))
+        vals = np.linalg.eigvalsh(witnesses.witness(params))
+        with mock.patch.object(np, "linalg", mock.Mock(wraps=np.linalg)) as linalg:
+            extremes = witnesses.witness_spectrum_extremes(params)
+        assert linalg.mock_calls == []
+        assert all(type(x) is float for x in extremes)
+        for got, want in zip(extremes, (vals[0], vals[-1])):
+            assert abs(got - want) <= 1e-15 * max(1.0, abs(want)), (triple, params.epsilon)
 
 
 def test_ghz_is_minimal_eigenvector():
@@ -456,3 +477,9 @@ def test_optimizer_threshold_matches_white_noise_threshold():
             witnesses.witness_bar(params) - eps * np.eye(8),
             states.bound_entangled_state(params))
         assert q == pytest.approx(reference, rel=0, abs=1e-12)
+
+
+def test_optimizer_trace_holds_python_floats():
+    # the trace is wire data: exact floats, as the C encoder writes them in one call
+    report = witnesses.optimize_parameters(search_range=(0.3, 0.4), restarts=5, seed=1)
+    assert {type(x) for record in report.trace for x in record} == {float}
