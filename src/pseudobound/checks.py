@@ -143,6 +143,71 @@ def family_rank(rng) -> str:
     return f"numeric rank {r}"
 
 
+def _require_known_spectrum(name: str, rho: core.DensityOperator, bound: float = 1e-15) -> float:
+    # the spectrum a construction gave against the dense one, to bound max(1, |lam|)
+    m = rho.matrix
+    dense = np.linalg.eigvalsh((m + m.conj().T) / 2)
+    gap = float(np.max(np.abs(rho.eigenvalues() - dense) / np.maximum(1.0, np.abs(dense))))
+    _require(gap <= bound, f"{name}: given spectrum off the dense one by {gap:.1e} relative")
+    return gap
+
+
+def known_spectra(rng) -> str:
+    # the closed forms the states are built with, against the dense solvers; the
+    # family rank above keeps its own dense count
+    worst = 0.0
+    triples = [_PARAMS.as_tuple(), *([a] * 3 for a in rng.uniform(0.1, 3.0, 10)),
+               *rng.uniform(0.1, 3.0, size=(10, 3)).tolist()]
+    for triple in triples:
+        family = states.bound_entangled_state(states.StateParams(*triple))
+        worst = max(worst, _require_known_spectrum(f"family at {triple}", family))
+        m, vals, root = family.matrix, family.eigenvalues(), family.known_root
+        _require(np.count_nonzero(vals == 0.0) == 1, f"family at {triple}: spectrum {vals}")
+        # the Hermitian root with the non-negative spectrum sqrt(vals) whose square is m
+        # is the PSD root: its square is m to an ulp of each entry (a flat 1e-16 is
+        # less than an ulp of a population above 1/2), where the dense root carries
+        # the square root of its null eigenvalue's rounding
+        square_gap = np.abs(root @ root - m) <= np.spacing(np.abs(m))
+        root_vals = np.linalg.eigvalsh(root)
+        dense = float(np.max(np.abs(root - core.matrix_sqrt_psd(m))))
+        _require(np.array_equal(root, root.conj().T) and bool(np.all(square_gap))
+                 and np.all(np.abs(root_vals - np.sqrt(vals)) <= 1e-15)
+                 and dense <= 2.0 * np.sqrt(np.finfo(float).eps * vals[-1]),
+                 f"family at {triple}: root squares to m at {np.count_nonzero(square_gap)}/64 "
+                 f"entries, spectrum {root_vals}, {dense:.1e} off the dense root")
+    # the identity mixing E_t of validated states, its endpoints and the report's chain
+    family = states.bound_entangled_state(_PARAMS)
+    for rho, t in [*((core.random_density_operator(rng), float(t)) for t in rng.uniform(0, 1, 10)),
+                   (family, 0.0), (family, 1.0), (family, 2.3e-5)]:
+        worst = max(worst, _require_known_spectrum(f"E_t at t={t:.3g}",
+                                                   core.mix_state(rho, t)))
+    for name, rho in (("pseudo state", states.pseudo_state(family, 2.3e-5)),
+                      ("depolarized", nmr.depolarize(family, 0.16)),
+                      ("depolarized pseudo state",
+                       states.pseudo_state(nmr.depolarize(family, 0.16), 2.3e-5))):
+        worst = max(worst, _require_known_spectrum(name, rho))
+    # the clipped spectrum of a noisy estimate's projection, which rebuilds the
+    # matrix V diag(clipped) V^dag: its rounding moves the dense spectrum by up to
+    # about n^2 eps lam_max, n = 8 (at most 5 eps, 13.6 eps lam_max, in 6000 draws)
+    for sigma in (1e-3, 1e-1):
+        rec = tomography.reconstruct(tomography.generate_dataset(
+            core.random_density_operator(rng), sigma=sigma, seed=int(rng.integers(1 << 31))))
+        projected = tomography.project_to_physical(rec.rho_hat)
+        worst = max(worst, _require_known_spectrum(
+            f"projection at sigma={sigma:g}", projected,
+            64 * np.finfo(float).eps * projected.eigenvalues()[-1]))
+    # the diagonal NMR states and the prepared state, which keeps the seed's spectrum
+    p = nmr.matched_fraction(A_OPT, nmr.DEFAULT_KAPPA_H)
+    seed, five = nmr.target_diagonal(A_OPT, p), nmr.initial_states(nmr.DEFAULT_KAPPA_H)
+    mixed = nmr.mix_states(five, nmr.solve_temporal_weights(five, seed).weights)
+    for name, rho in (("seed", seed.state), ("mixed inputs", mixed),
+                      ("prepared", nmr.prepare_pseudo_state(seed)),
+                      *((f"input {k}", spec.state) for k, spec in enumerate(five))):
+        worst = max(worst, _require_known_spectrum(name, rho))
+    return (f"{len(triples)} family spectra and roots, 16 E_t maps, 2 projections and "
+            f"8 NMR states match the dense solvers, spectra to {worst:.1e} relative")
+
+
 def preparation(rng) -> str:
     u = nmr.preparation_unitary()
     unitary = float(np.max(np.abs(u @ u.conj().T - np.eye(8))))
@@ -375,6 +440,7 @@ CHECKS = (
     ("pseudo witness identity", pseudo_witness),
     ("pseudo state peel round trip", peel_round_trip),
     ("state family rank", family_rank),  # criterion 04
+    ("known spectra", known_spectra),
     ("preparation unitary and factorization", preparation),
     ("temporal averaging weld", temporal_weld),  # criterion 05
     ("temporal synthesis is exact on its domain", synthesis_domain),

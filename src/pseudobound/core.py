@@ -9,9 +9,15 @@ is certified Hermitian, unit-trace and positive semidefinite (within
 tolerance) on creation.  A state works out its spectrum and its Pauli
 coordinates when each is first read and keeps them, so it is diagonalised and
 mapped to Pauli coordinates at most once; a validated state reads its spectrum
-for the positivity test, and a loosely wrapped one only if a caller does.  The
-partial transposes of the three cuts are one permutation of a matrix's 64
-entries, gathered a row at a time or, by ``is_ppt``, all at once.
+for the positivity test, and a loosely wrapped one only if a caller does.  A
+construction that knows the spectrum in closed form, and perhaps the square
+root, hands them over (``DensityOperator.with_spectrum``) and the state makes
+no eigensolve: the family member, the identity mixing ``mix_state``, the
+physical projection and the NMR states.  A matrix Hermitian only within
+tolerance is read through its Hermitian part (m + m^dag)/2 by every spectrum
+here, so no result depends on which triangle holds a defect.  The partial
+transposes of the three cuts are one permutation of a matrix's 64 entries,
+gathered a row at a time or, by ``is_ppt``, all at once.
 
 The 63 Pauli coordinates tr(op P_k)/8 of an 8x8 operator (``state_parameters``,
 inverted by ``parameters_to_matrix``) are the one map that the tomography
@@ -19,9 +25,10 @@ readout model, its error propagation and the NMR seed expansion use; the
 readout model projects a whole stack with its kernel ``_pauli_coordinates``.
 The other jobs shared by several modules are done here once too: the
 Hermiticity test ``check_hermitian``, ``simplex_projection`` (the NMR
-weights and the physical projection), ``mix_with_identity`` (the pseudo-state
-embedding, depolarization, the peel and the pseudo witness), ``_as_matrix``
-and ``json_text``, the one JSON text format of files and standard output:
+weights and the physical projection), ``mix_with_identity`` (the peel and the
+pseudo witness) and its map of states ``mix_state`` (the pseudo-state
+embedding and depolarization), ``_as_matrix`` and ``json_text``, the one
+JSON text format of files and standard output:
 exactly ``json.dumps(payload, indent=1)`` plus a newline (ASCII-escaped, one
 space per level), written through the stdlib's C encoder.
 
@@ -149,8 +156,11 @@ class DensityOperator:
     (``parameters``) are worked out on first read and kept; both are
     read-only arrays, computed at most once per state.  The positivity test
     reads the spectrum, so a validated state is diagonalised on construction
-    and a loose one only when a caller asks.  Equality and hashing are by
-    identity: two states with equal matrices are distinct values.
+    and a loose one only when a caller asks, unless its construction gave the
+    spectrum (:meth:`DensityOperator.with_spectrum`), which is then kept in
+    the same slot, and perhaps the square root (``known_root``).  Equality
+    and hashing are by identity: two states with equal matrices are distinct
+    values.
     """
 
     matrix: np.ndarray
@@ -194,19 +204,44 @@ class DensityOperator:
         rho.__post_init__(positive=False)
         return rho
 
-    def eigenvalues(self) -> np.ndarray:
-        """The spectrum, ascending, read-only, solved on first read and kept.
+    @classmethod
+    def with_spectrum(cls, matrix, spectrum, root=None) -> "DensityOperator":
+        """A validated state whose construction knows its spectrum and perhaps its square root.
 
-        It is that of the Hermitian part (m + m^dag)/2, which equals
-        ``np.linalg.eigvalsh(matrix)`` bit for bit when the matrix is exactly
-        Hermitian; a matrix Hermitian only within tolerance gets the spectrum
-        of its Hermitian part.  A validated state reads it for its positivity
-        test, so its one eigensolve is made at construction; a loose state
-        makes it only if a reader asks.
+        ``spectrum``, ascending, is kept as ``eigenvalues()`` and ``root``, the
+        PSD square root, as ``known_root``, so the state makes no eigensolve;
+        the one validation pass reads the given spectrum for its positivity
+        test.  Both are taken as given: ``checks`` compares each construction's
+        closed forms against the dense solvers.
         """
-        # an exactly Hermitian m is its own Hermitian part, bit for bit
-        return self._kept("_spectrum", lambda m: np.linalg.eigvalsh(
-            m if self._exactly_hermitian else (m + m.conj().T) / 2))
+        spectrum = np.array(spectrum, dtype=float)
+        if spectrum.shape != (8,):
+            raise ValueError(f"spectrum must hold 8 eigenvalues, got shape {spectrum.shape}")
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "matrix", matrix)
+        rho._keep("_spectrum", spectrum)
+        if root is not None:
+            rho._keep("_root", np.array(root, dtype=complex))
+        rho.__post_init__()
+        return rho
+
+    def eigenvalues(self) -> np.ndarray:
+        """The spectrum, ascending, read-only: given at construction or solved on first read.
+
+        A solved spectrum is that of the Hermitian part (m + m^dag)/2, which
+        equals ``np.linalg.eigvalsh(matrix)`` bit for bit when the matrix is
+        exactly Hermitian; a matrix Hermitian only within tolerance gets the
+        spectrum of its Hermitian part.  A validated state reads it for its
+        positivity test, so its one eigensolve is made at construction, or
+        none if ``with_spectrum`` gave it; a loose state makes it only if a
+        reader asks.
+        """
+        return self._kept("_spectrum", lambda _: np.linalg.eigvalsh(_hermitian_part(self)))
+
+    @property
+    def known_root(self) -> np.ndarray | None:
+        """The square root ``with_spectrum`` was given, read-only, or None: it is never solved."""
+        return self.__dict__.get("_root")
 
     @property
     def parameters(self) -> np.ndarray:
@@ -220,10 +255,25 @@ class DensityOperator:
         """
         value = self.__dict__.get(name)
         if value is None:
-            value = derive(self.matrix)
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
+            value = self._keep(name, derive(self.matrix))
         return value
+
+    def _keep(self, name: str, value: np.ndarray) -> np.ndarray:
+        value.setflags(write=False)
+        object.__setattr__(self, name, value)
+        return value
+
+
+def _hermitian_part(op) -> np.ndarray:
+    """The Hermitian part (m + m^dag)/2 of a state or matrix, the part every spectrum reads.
+
+    An exactly Hermitian m is its own Hermitian part bit for bit and comes
+    back as it is: a state knows whether it is, a bare matrix is compared.
+    """
+    m = _as_matrix(op)
+    exact = (op._exactly_hermitian if isinstance(op, DensityOperator)
+             else np.array_equal(m, m.conj().T))
+    return m if exact else (m + m.conj().T) / 2
 
 
 def maximally_mixed() -> DensityOperator:
@@ -282,9 +332,10 @@ def is_ppt(rho: DensityOperator, tolerance: float | None = None) -> PPTReport:
     state's own, fixed by its kind: 1e-10 for a validated state and 1e-6
     for a loosely wrapped one, whose cuts get 1e-6 whatever its own lowest
     eigenvalue.  A bare matrix has no tolerance of its own: without one,
-    ValueError.
+    ValueError.  The cuts are those of the Hermitian part, whose partial
+    transposes are the Hermitian parts of the matrix's.
     """
-    m = _as_matrix(rho)
+    m = _hermitian_part(rho)
     if tolerance is None and not isinstance(rho, DensityOperator):
         raise ValueError("a bare matrix has no tolerance of its own: pass the PPT tolerance")
     tol = rho.tolerance if tolerance is None else tolerance
@@ -310,18 +361,27 @@ def uhlmann_fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
     lowest eigenvalue ``eigenvalues()[0]``, so a loosely wrapped estimate
     with a negative eigenvalue compares cleanly against an exact state.
 
+    sqrt(rho) is rho's ``known_root`` when its construction gave one, as the
+    family member's does, and ``matrix_sqrt_psd`` of it otherwise; sigma is
+    read through its Hermitian part.
+
     Conditioning: when sqrt(rho) sigma sqrt(rho) is rank-deficient (a
     rank-deficient rho or sigma, such as a pure state or the rank-7 family
     state), a structurally zero eigenvalue comes out as rounding of order
     eps = 2.2e-16, and its square root adds about sqrt(eps) = 1.5e-8 to the
     result.  The fidelity then carries about 1e-8 of rounding, and two
     eigensolvers that round that eigenvalue differently give fidelities that
-    differ at that level.
+    differ at that level.  A dense square root of a rank-deficient rho adds
+    the same again, from its own null eigenvalue; a known root has an exact
+    null space, so against the family member only the outer eigensolve
+    rounds.
     """
     slack = max(1e-8, *(max(s.tolerance, -s.eigenvalues()[0] * (1 + 1e-9) + 1e-15)
                         for s in (rho, sigma)))
-    root = matrix_sqrt_psd(rho, tolerance=slack)
-    inner = root @ sigma.matrix @ root
+    root = rho.known_root
+    if root is None:
+        root = matrix_sqrt_psd(rho, tolerance=slack)
+    inner = root @ _hermitian_part(sigma) @ root
     vals = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
     if vals[0] < -slack:
         raise ValueError(f"matrix not PSD: eigenvalue {vals[0]:.3e}")
@@ -334,8 +394,8 @@ def uhlmann_fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
 
 
 def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """Half the trace norm of rho - sigma."""
-    vals = np.linalg.eigvalsh(rho.matrix - sigma.matrix)
+    """Half the trace norm of rho - sigma, read through their Hermitian parts."""
+    vals = np.linalg.eigvalsh(_hermitian_part(rho) - _hermitian_part(sigma))
     return float(np.sum(np.abs(vals)) / 2)
 
 
@@ -400,8 +460,26 @@ def mix_with_identity(op, t: float) -> np.ndarray:
     """
     if not -np.inf < t < np.inf:
         raise ValueError(f"identity-mixing weight t={t!r} must be finite")
-    m = _as_matrix(op)
-    return t * m + (1.0 - t) * (m.trace() / 8.0) * _IDENTITY
+    return _mixed(_as_matrix(op), t)[0]
+
+
+def _mixed(m: np.ndarray, t: float) -> tuple[np.ndarray, complex]:
+    """E_t(m) and the shift (1 - t) tr(m)/8 that it adds to the diagonal of t m."""
+    shift = (1.0 - t) * (m.trace() / 8.0)
+    return t * m + shift * _IDENTITY, shift
+
+
+def mix_state(rho: DensityOperator, t: float) -> DensityOperator:
+    """E_t(rho) for t in [0, 1] as a validated state that keeps the spectrum E_t gives it.
+
+    E_t keeps the eigenvectors and maps each eigenvalue lam to
+    t lam + (1 - t) tr/8, an order-keeping map for t >= 0, so the state takes
+    rho's spectrum so mapped and makes no eigensolve.
+    """
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"identity-mixing weight t={t!r} of a state must lie in [0, 1]")
+    m, shift = _mixed(rho.matrix, t)
+    return DensityOperator.with_spectrum(m, t * rho.eigenvalues() + shift.real)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,10 @@ in ``core``.  The seed and the five inputs are held as z-orders and a scale,
 and the weights are solved on those.  The seed's are the closed form
 ``_seed_orders``, which also gives the matched fraction and the fifth
 input's ratio; ``_z_order_matrix`` builds a matrix where one is read.
+Every state built here keeps the spectrum its construction gives, so none is
+diagonalised: a diagonal state's is its sorted diagonal, the prepared state's
+the seed's, which a unitary conjugation keeps, and a depolarized state's the
+identity mixing's map of the input's.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (DensityOperator, mix_with_identity, parameters_to_matrix, pauli_labels,
+from .core import (DensityOperator, mix_state, parameters_to_matrix, pauli_labels,
                    simplex_projection)
 from .states import A_OPT, StateParams
 
@@ -105,7 +109,12 @@ class DiagonalStateSpec:
 
     @cached_property
     def state(self) -> DensityOperator:
-        return DensityOperator(_z_order_matrix(self.orders, self.scale))
+        return _diagonal_state(_z_order_matrix(self.orders, self.scale))
+
+
+def _diagonal_state(m: np.ndarray) -> DensityOperator:
+    """The validated state of a diagonal matrix ``m``, its spectrum the sorted diagonal."""
+    return DensityOperator.with_spectrum(m, np.sort(m.diagonal().real))
 
 
 def _z_order_matrix(orders, scale: float) -> np.ndarray:
@@ -268,13 +277,17 @@ def solve_temporal_weights(inputs: list[DiagonalStateSpec],
 
 
 def mix_states(inputs: list[DiagonalStateSpec], weights: np.ndarray) -> DensityOperator:
-    return DensityOperator(sum(w * s.state.matrix for w, s in zip(weights, inputs)))
+    return _diagonal_state(sum(w * s.state.matrix for w, s in zip(weights, inputs)))
 
 
 def prepare_pseudo_state(seed: DiagonalStateSpec) -> DensityOperator:
-    """The ideal prepared state: the seed (scale p) conjugated by the gate sequence."""
+    """The ideal prepared state: the seed (scale p) conjugated by the gate sequence.
+
+    It keeps the seed's spectrum, which the unitary conjugation does not change.
+    """
     u = preparation_unitary()
-    return DensityOperator(u @ seed.state.matrix @ u.conj().T)
+    return DensityOperator.with_spectrum(u @ seed.state.matrix @ u.conj().T,
+                                         seed.state.eigenvalues())
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +295,7 @@ def prepare_pseudo_state(seed: DiagonalStateSpec) -> DensityOperator:
 
 
 def depolarize(rho: DensityOperator, lam: float) -> DensityOperator:
-    """(1 - lam) rho + lam Id/8: the identity mixing E_{1-lam}."""
+    """(1 - lam) rho + lam Id/8: the identity mixing E_{1-lam}, ``core.mix_state``."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"depolarization weight {lam} outside [0, 1]")
-    return DensityOperator(mix_with_identity(rho, 1.0 - lam))
+    return mix_state(rho, 1.0 - lam)

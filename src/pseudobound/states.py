@@ -8,6 +8,8 @@ whenever the product of the three parameters differs from one.  Room
 temperature NMR only reaches a highly mixed neighbourhood of the identity,
 hence the pseudo-state form (1-p)/8 * Id + p * rho with tiny p: the
 embedding E_p of ``core.mix_with_identity``, which the peel inverts as E_{1/p}.
+The member and its embedding are built with the spectrum their construction
+gives (the member also with its square root), so neither is diagonalised.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityOperator, mix_with_identity
+from .core import DensityOperator, mix_state, mix_with_identity
 
 PRODUCT_ONE_TOLERANCE = 1e-12
 # the symmetric working point found by witness optimization; it sits 1.43e-5 below
@@ -78,20 +80,43 @@ def bound_entangled_state(params: StateParams) -> DensityOperator:
 
     Populations are (1, a1, a2, 1/a3, a3, 1/a2, 1/a1, 1)/N, laid out by
     ``PAIRS``, with N = 2 + sum(a_i + 1/a_i); the only coherence is the GHZ
-    corner 1/N at (|000>, |111>).
+    corner 1/N at (|000>, |111>).  The state keeps the spectrum and square
+    root ``_x_state_forms`` of the matrix.
     """
     m = np.eye(8)
     for (i, j), a in zip(PAIRS, params.as_tuple()):
         m[i, i], m[j, j] = a, 1.0 / a
     m[0, 7] = m[7, 0] = 1.0
-    return DensityOperator((m / params.normalization).astype(complex))
+    m /= params.normalization
+    return DensityOperator.with_spectrum(m.astype(complex), *_x_state_forms(m))
+
+
+def _x_state_forms(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The spectrum and the square root of a family matrix ``m``, in closed form.
+
+    The GHZ block c [[1, 1], [1, 1]] on (|000>, |111>), c = 1/N, has the
+    eigenvalues 0, exactly, and 2c and the root sqrt(c/2) [[1, 1], [1, 1]];
+    the six populations between are eigenvalues and their square roots the
+    root's diagonal.
+    """
+    c = m[0, 7]
+    spectrum = m.diagonal().copy()
+    spectrum[0], spectrum[7] = 0.0, 2.0 * c
+    spectrum.sort()
+    root = np.zeros((8, 8), dtype=complex)
+    root.flat[::9] = np.sqrt(m.diagonal())
+    root[0, 0] = root[0, 7] = root[7, 0] = root[7, 7] = np.sqrt(c / 2.0)
+    return spectrum, root
 
 
 def pseudo_state(rho_be: DensityOperator, p: float) -> DensityOperator:
-    """Embed a state into the maximally mixed background with weight p: E_p(rho)."""
+    """Embed a state into the maximally mixed background with weight p: E_p(rho).
+
+    The embedding keeps rho's spectrum mapped by E_p (``core.mix_state``).
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixing fraction p={p} outside [0, 1]")
-    return DensityOperator(mix_with_identity(rho_be, p))
+    return mix_state(rho_be, p)
 
 
 def _peel_weight(p: float, what: str) -> float:

@@ -457,15 +457,16 @@ def project_to_physical(rho_hat) -> DensityOperator:
     """Frobenius-nearest unit-trace PSD matrix, by spectrum clipping.
 
     The spectrum goes through ``core.simplex_projection``, the projection
-    that also gives the NMR temporal weights; eigenvectors are kept.  PSD
+    that also gives the NMR temporal weights; eigenvectors are kept, and the
+    state keeps the clipped spectrum, ascending as the spectrum it clips.  PSD
     unit-trace input passes through unchanged.  Optional post-processing
     only; reconstruction never applies it implicitly.
     """
     m = _as_matrix(rho_hat)
     m = (m + m.conj().T) / 2.0
     vals, vecs = np.linalg.eigh(m)
-    out = (vecs * simplex_projection(vals)) @ vecs.conj().T
-    return DensityOperator(out)
+    clipped = simplex_projection(vals)
+    return DensityOperator.with_spectrum((vecs * clipped) @ vecs.conj().T, clipped)
 
 
 def propagate_witness_error(result: ReconstructionResult, w) -> float:

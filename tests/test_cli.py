@@ -188,13 +188,14 @@ def test_build_report_stays_array_native():
 
 def test_build_report_solves_only_the_spectra_it_reads():
     # the reconstruction's loose estimate and the peel's wrap of it are never
-    # diagonalised: three validated states, the peeled estimate's spectrum (on
-    # its first read, in the fidelity), the PPT stack, the fidelity's product
-    # and the trace distance, and one eigh for the fidelity's square root
+    # diagonalised, and the family member, its depolarized copy and the pseudo
+    # state keep the spectra their constructions give, the member also its
+    # square root: the peeled estimate's spectrum (on its first read, in the
+    # fidelity), the PPT stack, the fidelity's product and the trace distance
     with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh, \
             mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
         cli.build_report(cli.RunConfig())
-    assert (eigvalsh.call_count, eigh.call_count) == (7, 1)
+    assert (eigvalsh.call_count, eigh.call_count) == (4, 0)
 
 
 def test_tomo_pipeline_and_metrics(tmp_path):

@@ -176,14 +176,21 @@ def _states(rng):
 
 
 def test_state_carries_its_spectrum(rng):
-    # the spectrum is that of the Hermitian part (m + m^dag)/2, bit for bit,
-    # for exactly Hermitian matrices and for those Hermitian only within rounding
+    # a solved spectrum is that of the Hermitian part (m + m^dag)/2, bit for bit,
+    # for exactly Hermitian matrices and for those Hermitian only within rounding;
+    # a spectrum the construction gave (the family members', which alone here
+    # also know their root) is that to 1e-15 relative
     exact = []
     for rho in _states(rng):
         m = rho.matrix
         exact.append(np.array_equal(m, m.conj().T))
-        assert np.array_equal(rho.eigenvalues(), np.linalg.eigvalsh((m + m.conj().T) / 2))
-        assert np.array_equal(core.DensityOperator.loose(m).eigenvalues(), rho.eigenvalues())
+        dense = np.linalg.eigvalsh((m + m.conj().T) / 2)
+        if rho.known_root is None:
+            assert np.array_equal(rho.eigenvalues(), dense)
+        else:
+            assert np.all(np.abs(rho.eigenvalues() - dense)
+                          <= 1e-15 * np.maximum(1.0, np.abs(dense)))
+        assert np.array_equal(core.DensityOperator.loose(m).eigenvalues(), dense)
     assert any(exact) and not all(exact)
     rho = core.random_density_operator(rng)
     assert rho.eigenvalues() is rho.eigenvalues()
@@ -223,10 +230,12 @@ def test_partial_transpose_is_the_axis_swap(rng):
 
 
 def test_is_ppt_matches_each_cut_eigensolve(rng):
+    # the cuts of the Hermitian part, which is m itself, bit for bit, when m is exactly Hermitian
     for rho in _states(rng):
         report = core.is_ppt(rho)
+        hermitian = (rho.matrix + rho.matrix.conj().T) / 2
         for qubit, lo in zip((1, 2, 3), report.min_eigenvalues):
-            assert lo == np.linalg.eigvalsh(core.partial_transpose(rho.matrix, qubit))[0]
+            assert lo == np.linalg.eigvalsh(core.partial_transpose(hermitian, qubit))[0]
     assert len(set(report.min_eigenvalues)) == 3
 
 
@@ -401,6 +410,30 @@ def test_trace_distance_triangle(rng):
         c = core.random_density_operator(rng)
         assert core.trace_distance(a, c) <= (
             core.trace_distance(a, b) + core.trace_distance(b, c) + 1e-12)
+
+
+def test_a_one_triangle_defect_reads_the_same_from_either_triangle(rng):
+    # 9e-7 added to one GHZ corner of the family member at a = 0.3, loaded loose:
+    # the cuts, the distance and the fidelity read the Hermitian part, so the
+    # defect at (7, 0) and at (0, 7) give the same floats, each cut -2.48e-7 and
+    # the distance to the exact state 4.5e-7; a bare matrix reads the same
+    exact = states.bound_entangled_state(states.StateParams.symmetric(0.3))
+    other, reference = core.random_density_operator(rng), core.random_density_operator(rng)
+    results = []
+    for corner in ((7, 0), (0, 7)):
+        family, complex_state = exact.matrix.copy(), other.matrix.copy()
+        family[corner] += 9e-7
+        complex_state[corner] += 9e-7
+        rho = core.DensityOperator.loose(family)
+        results.append((core.is_ppt(rho).min_eigenvalues,
+                        core.is_ppt(family, tolerance=1e-6).min_eigenvalues,
+                        core.trace_distance(exact, rho), core.trace_distance(rho, exact),
+                        core.uhlmann_fidelity(reference, core.DensityOperator.loose(complex_state))))
+    assert results[0] == results[1]
+    cuts, bare, distance, back, _ = results[0]
+    assert bare == cuts and back == distance
+    assert all(abs(lo + 2.477069e-7) <= 1e-12 for lo in cuts)
+    assert distance == pytest.approx(4.5e-7, rel=1e-9)
 
 
 def test_fuchs_van_de_graaf(rng):

@@ -30,6 +30,7 @@ _peel_matrix = states.peel_matrix
 _reconstruct = tomography.reconstruct
 _seed_orders = nmr._seed_orders
 _preparation_unitary = nmr.preparation_unitary
+_x_state_forms = states._x_state_forms
 
 
 # the partial transposes' one shared index, mutated: every cut gets the full
@@ -117,6 +118,35 @@ def _asymmetric_spectrum():
         witnesses.WitnessParams(states.StateParams(0.2, 0.5, 1.5), 0.1))
 
 
+def _half_block_eigenvalue(m):
+    # the GHZ block's eigenvalue 2/N given as 1/N
+    spectrum, root = _x_state_forms(m)
+    spectrum[spectrum == 2.0 * m[0, 7]] = m[0, 7]
+    return np.sort(spectrum), root
+
+
+def _whole_corner_root(m):
+    # the root's GHZ block sqrt(1/N) [[1, 1], [1, 1]], which squares to twice the block
+    spectrum, root = _x_state_forms(m)
+    root[np.ix_((0, 7), (0, 7))] = np.sqrt(m[0, 7])
+    return spectrum, root
+
+
+def _unshifted_mix_state(rho, t):
+    # E_t's spectrum taken as t lam, without the (1 - t) tr/8 of the identity part
+    return core.DensityOperator.with_spectrum(core.mix_with_identity(rho, t),
+                                              t * rho.eigenvalues())
+
+
+def _family_known_forms():
+    rho = states.bound_entangled_state(PARAMS)
+    return np.concatenate([rho.eigenvalues(), rho.known_root.ravel()])
+
+
+def _mixed_spectrum():
+    return core.mix_state(FAMILY, 0.5).eigenvalues()
+
+
 def _ppt_verdicts():
     ghz = np.outer(states.ghz(+1), states.ghz(+1).conj())
     bell_12 = np.zeros((8, 8))
@@ -179,6 +209,12 @@ MUTANTS = [
      "pseudo state peel round trip"),
     ("identity mixing with tr(X) taken as 1", (witnesses, "mix_with_identity", _unit_trace_mix),
      _pseudo_witness, "pseudo witness identity"),
+    ("family block eigenvalue 1/N", (states, "_x_state_forms", _half_block_eigenvalue),
+     _family_known_forms, "known spectra"),
+    ("family root corner sqrt(1/N)", (states, "_x_state_forms", _whole_corner_root),
+     _family_known_forms, "known spectra"),
+    ("E_t spectrum without its identity shift", (core, "mix_state", _unshifted_mix_state),
+     _mixed_spectrum, "known spectra"),
     ("covariance x1.5", (tomography, "reconstruct", _inflated_covariance), _covariance,
      "whole-experiment covariance"),
     *((f"seed order {label} sign", (nmr, "_seed_orders", _flipped_order(k)), _seed_coefficients,
