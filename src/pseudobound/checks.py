@@ -143,6 +143,33 @@ def family_rank(rng) -> str:
     return f"numeric rank {r}"
 
 
+def known_layout(rng) -> str:
+    # the rows, squares and whole-experiment layout a simulated dataset is given,
+    # against those derived from its record indices, and its fit against the fit
+    # of the same arrays through the constructor, which derives them
+    table = tomography._readout_table().reshape(-1, 63)
+    sigmas = (0.0, 1e-6, 1e-3, 1e-1)
+    for sigma in sigmas:
+        given = tomography.generate_dataset(core.random_density_operator(rng), sigma=sigma,
+                                            seed=int(rng.integers(1 << 31)))
+        rows, squares = given._layout
+        derived = table[given.record]
+        _require(np.array_equal(rows, derived), f"sigma={sigma:g}: given rows off the table's")
+        _require(np.array_equal(squares, derived * derived),
+                 f"sigma={sigma:g}: given squares off the squared rows")
+        _require(tomography._whole_experiments(given),
+                 f"sigma={sigma:g}: given a layout that is not whole experiments")
+        fit = tomography.reconstruct(given)
+        again = tomography.reconstruct(
+            tomography.TomographyDataset(given.record, given.value, given.sigma))
+        _require(np.array_equal(fit.theta, again.theta)
+                 and np.array_equal(fit.covariance, again.covariance)
+                 and fit.residual_norm == again.residual_norm,
+                 f"sigma={sigma:g}: the given layout fits otherwise than the derived one")
+    return (f"{len(sigmas)} simulated datasets' given rows, squares and layout equal the "
+            f"derived ones and fit bit for bit alike")
+
+
 def _require_known_spectrum(name: str, rho: core.DensityOperator, bound: float = 1e-15) -> float:
     # the spectrum a construction gave against the dense one, to bound max(1, |lam|)
     m = rho.matrix
@@ -440,6 +467,9 @@ CHECKS = (
     ("pseudo witness identity", pseudo_witness),
     ("pseudo state peel round trip", peel_round_trip),
     ("state family rank", family_rank),  # criterion 04
+    # before "known spectra", whose projections fit simulated datasets: a wrong
+    # given layout is named here, not as an unfit projection there
+    ("known layout", known_layout),
     ("known spectra", known_spectra),
     ("preparation unitary and factorization", preparation),
     ("temporal averaging weld", temporal_weld),  # criterion 05

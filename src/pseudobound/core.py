@@ -169,9 +169,11 @@ class DensityOperator:
     def __post_init__(self, positive: bool = True):
         # the one validation pass; loose() calls it with positive=False
         tol = self.tolerance
-        m = check_operator(self.matrix)
-        largest = float(np.abs(m).max())
-        if largest > MAX_ENTRY:
+        m = np.asarray(self.matrix, dtype=complex)
+        # one pass over the entries: the bound fails for NaN and inf too, and only
+        # a failure runs check_operator, which names a wrong shape or a non-finite entry
+        if m.shape != (8, 8) or not (largest := float(np.abs(m).max())) <= MAX_ENTRY:
+            check_operator(m)
             raise ValueError(f"state entry of magnitude {largest:.3e} beyond {MAX_ENTRY:g}")
         defect = check_hermitian(m, tol, "state")
         tr = complex(m.trace())

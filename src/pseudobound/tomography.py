@@ -13,7 +13,9 @@ of the Heisenberg-picture line observables.  A dataset is three read-only
 arrays (record, value, sigma) from the JSON file or the simulation to the
 fit.  One index, experiment * 8 + row, names a record's labels and its row
 of the table viewed as (648, 63); the constructor validates the arrays of a
-file, and the simulation builds its own without re-checking them.  The
+file, and the simulation builds its own without re-checking them and hands
+its dataset the rows and squares of the default layout, kept once per
+process, so that its fit derives neither.  The
 same index names a record's text in a dataset file:
 ``TomographyDataset.json_text`` formats each record's labels, value and
 sigma into one record text cut once from ``core.json_text``, byte for byte
@@ -130,14 +132,18 @@ def measure(rho: DensityOperator, setting: str, detect: str = "C") -> np.ndarray
     return _readout_table()[_experiment_index(setting, detect)] @ rho.parameters
 
 
+# the 21 (setting, detected spin) experiments of a simulated dataset
+_DEFAULT_EXPERIMENTS = tuple(product(SETTINGS, DETECT_SPINS))
+
+
 def default_experiments() -> list[tuple[str, str]]:
     """All 21 (setting, detected spin) combinations."""
-    return [(s, d) for s in SETTINGS for d in DETECT_SPINS]
+    return list(_DEFAULT_EXPERIMENTS)
 
 
 # the record index of each of the 168 records of a simulated dataset
 _DEFAULT_RECORD = np.array([_RECORD_INDEX[(*experiment, *row)] for experiment
-                            in default_experiments() for row in _ROW_LABELS], dtype=np.intp)
+                            in _DEFAULT_EXPERIMENTS for row in _ROW_LABELS], dtype=np.intp)
 _DEFAULT_RECORD.setflags(write=False)
 
 
@@ -168,9 +174,28 @@ def _readout_table() -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=None)
+def _default_layout() -> tuple[np.ndarray, np.ndarray]:
+    """The default layout's (168, 63) readout rows and their squares, read-only.
+
+    The rows are the readout table's at ``_DEFAULT_RECORD``; every simulated
+    dataset is given both (``TomographyDataset._trusted``), so that its fit
+    gathers and squares nothing.
+    """
+    rows = _readout_table().reshape(-1, 63)[_DEFAULT_RECORD]
+    squares = rows * rows
+    rows.setflags(write=False)
+    squares.setflags(write=False)
+    return rows, squares
+
+
 def design_matrix() -> np.ndarray:
-    """The (168, 63) linear map from the deviation parameters to the default amplitudes."""
-    return _readout_table().reshape(-1, 63)[_DEFAULT_RECORD]
+    """The (168, 63) linear map from the deviation parameters to the default amplitudes.
+
+    The kept rows of ``_default_layout``, read-only: the one gather of the
+    default layout, which every simulated dataset's fit reads too.
+    """
+    return _default_layout()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +236,9 @@ class TomographyDataset:
     record: np.ndarray
     value: np.ndarray
     sigma: np.ndarray
+    # (rows, squares) of whole experiments with one sigma each, given by the
+    # construction that knows them; None: ``reconstruct`` derives the layout
+    _layout = None
 
     def __init__(self, record, value, sigma):
         for name, data, dtype in (("record", record, np.intp), ("value", value, float),
@@ -233,13 +261,21 @@ class TomographyDataset:
                              f"within {MAX_VALUE:g} in magnitude")
 
     @classmethod
-    def _trusted(cls, record: np.ndarray, value: np.ndarray,
-                 sigma: np.ndarray) -> "TomographyDataset":
-        """A dataset of arrays that meet the constructor's conditions, made read-only, uncopied."""
+    def _trusted(cls, record: np.ndarray, value: np.ndarray, sigma: np.ndarray,
+                 layout: tuple[np.ndarray, np.ndarray]) -> "TomographyDataset":
+        """A dataset of arrays that meet the constructor's conditions, made read-only, uncopied.
+
+        ``layout`` holds the facts its construction knows about the records:
+        their readout rows and the rows' squares, read-only, for records that
+        are whole experiments with one sigma each.  ``reconstruct`` reads
+        them instead of gathering, squaring and testing the layout; both are
+        taken as given, and ``checks`` compares them with the derived ones.
+        """
         dataset = object.__new__(cls)
         for name, array in (("record", record), ("value", value), ("sigma", sigma)):
             array.setflags(write=False)
             object.__setattr__(dataset, name, array)
+        object.__setattr__(dataset, "_layout", layout)
         return dataset
 
     def __eq__(self, other):
@@ -333,20 +369,25 @@ def generate_dataset(rho: DensityOperator, sigma: float = 0.0,
     file gets.  The dataset is then built without the validating
     constructor's checks (``TomographyDataset._trusted``): its indices are
     the default layout's, and its exact amplitudes lie within ``MAX_VALUE``
-    because a state's entries lie within ``core.MAX_ENTRY``.
+    because a state's entries lie within ``core.MAX_ENTRY``.  It is given
+    what the construction knows of that layout, the kept rows and squares
+    of ``_default_layout`` for whole experiments with one sigma, so that
+    its fit derives none of them.
     """
     if not 0.0 <= sigma < math.inf:
         raise ValueError(f"sigma {sigma} must be finite and non-negative")
-    sigmas = np.full(len(_DEFAULT_RECORD), float(sigma))
-    _check_sigmas(sigmas[:1])
-    experiments = default_experiments()
-    values = np.empty((len(experiments), len(_ROW_LABELS)))
-    for k, (setting, detect) in enumerate(experiments):
+    lo, hi = SIGMA_RANGE
+    if not (sigma == 0.0 or lo <= float(sigma) <= hi):
+        _check_sigmas(np.array([float(sigma)]))   # raises with a file's message
+    values = np.empty((len(_DEFAULT_EXPERIMENTS), len(_ROW_LABELS)))
+    for k, (setting, detect) in enumerate(_DEFAULT_EXPERIMENTS):
         values[k] = measure(rho, setting, detect)
     values = values.reshape(-1)
     if sigma > 0:
         values += np.random.default_rng(seed).normal(0.0, sigma, size=values.shape)
-    return TomographyDataset._trusted(_DEFAULT_RECORD, values, sigmas)
+    return TomographyDataset._trusted(_DEFAULT_RECORD, values,
+                                      np.full(len(_DEFAULT_RECORD), float(sigma)),
+                                      _default_layout())
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +442,11 @@ def reconstruct(dataset: TomographyDataset) -> ReconstructionResult:
     """Solve the overdetermined linear system for the deviation parameters.
 
     Each record's row is read from the readout table that simulates the
-    data, at the record's index, with weight 1/sigma.
+    data, at the record's index, with weight 1/sigma.  A simulated dataset
+    was given its rows, their squares and the fact that its records are
+    whole experiments with one sigma each (``TomographyDataset._trusted``),
+    and the fit reads them; any other dataset gathers its rows and tests
+    its layout (``_whole_experiments``).  Both then take the one fit below.
     When the records are whole experiments with one sigma each, as every
     generated dataset is, the normal matrix A^T W A is diagonal (every
     experiment's Gram B^T B is; ``checks`` asserts it), so the estimate is
@@ -423,15 +468,19 @@ def reconstruct(dataset: TomographyDataset) -> ReconstructionResult:
     if not exact and not sigmas.all():
         raise ValueError("datasets mixing exact and noisy records are not supported")
     weights = np.ones_like(sigmas) if exact else 1.0 / sigmas
-    rows = _readout_table().reshape(-1, 63)[dataset.record]
+    if dataset._layout is not None:
+        rows, squares = dataset._layout
+    else:
+        rows = _readout_table().reshape(-1, 63)[dataset.record]
+        squares = rows * rows if _whole_experiments(dataset) else None
 
-    if _whole_experiments(dataset):
+    if squares is not None:
         w2 = weights * weights
         # scaled exactly, by a power of two, to a largest weight in [1/2, 1),
         # so that values * w2 stays finite; the covariance is scaled back
         scale = 2.0 ** -math.frexp(w2.max())[1]
         w2 *= scale
-        gram = w2 @ (rows * rows)   # diag(A^T W A) * scale
+        gram = w2 @ squares   # diag(A^T W A) * scale
         _check_rank(np.sqrt(gram), rows.shape)
         theta = ((values * w2) @ rows) / gram
         cov = np.zeros((63, 63)) if exact else np.diag(scale / gram)

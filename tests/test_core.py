@@ -100,6 +100,50 @@ def test_validation_keeps_its_messages(wrap):
         wrap(np.eye(4) / 4)
 
 
+_VALIDATIONS = [core.DensityOperator, core.DensityOperator.loose,
+                lambda m: core.DensityOperator.with_spectrum(m, np.full(8, 0.125))]
+_VALIDATION_IDS = ["strict", "loose", "with_spectrum"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("wrap", _VALIDATIONS, ids=_VALIDATION_IDS)
+def test_one_pass_validation_names_each_failure(wrap):
+    # one pass over the entries: a NaN, an inf, a magnitude past the bound and an
+    # abs that overflows all fail the one bound test, and only then does
+    # check_operator run to name the failure; no warning on the way
+    def with_entry(v):
+        m = np.eye(8, dtype=complex) / 8
+        m[3, 3] = v
+        return m
+    cases = [(with_entry(np.nan), "operator entries must be finite"),
+             (with_entry(np.inf), "operator entries must be finite"),
+             (with_entry(complex(np.inf, np.nan)), "operator entries must be finite"),
+             (with_entry(1e151), "state entry of magnitude 1.000e+151 beyond 1e+150"),
+             (with_entry(1.5e308 + 1.5e308j), "state entry of magnitude inf beyond 1e+150"),
+             (np.eye(7) / 7, "operator must be 8x8, got shape (7, 7)")]
+    for m, message in cases:
+        with mock.patch.object(core, "check_operator", wraps=core.check_operator) as check:
+            with pytest.raises(ValueError) as caught:
+                wrap(m)
+        assert str(caught.value) == message
+        assert check.call_count == 1
+    # a non-numeric entry fails the coercion, with numpy's own message
+    text = [[0.125] * 8] * 7 + [[0.125] * 7 + ["x"]]
+    with pytest.raises(ValueError) as coercion:
+        np.asarray(text, dtype=complex)
+    with pytest.raises(ValueError) as caught:
+        wrap(text)
+    assert str(caught.value) == str(coercion.value)
+
+
+@pytest.mark.parametrize("wrap", _VALIDATIONS, ids=_VALIDATION_IDS)
+def test_a_valid_matrix_is_validated_without_check_operator(wrap):
+    with mock.patch.object(core, "check_operator", wraps=core.check_operator) as check:
+        rho = wrap(np.eye(8) / 8)
+    assert check.call_count == 0
+    np.testing.assert_array_equal(rho.matrix, np.eye(8) / 8)
+
+
 def test_tolerance_arguments_are_checked():
     # a NaN tolerance fails every comparison, an infinite one admits any defect
     # and a negative one refuses a PSD matrix: each is refused by name instead

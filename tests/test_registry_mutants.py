@@ -31,6 +31,7 @@ _reconstruct = tomography.reconstruct
 _seed_orders = nmr._seed_orders
 _preparation_unitary = nmr.preparation_unitary
 _x_state_forms = states._x_state_forms
+_default_layout = tomography._default_layout
 
 
 # the partial transposes' one shared index, mutated: every cut gets the full
@@ -138,9 +139,24 @@ def _unshifted_mix_state(rho, t):
                                               t * rho.eigenvalues())
 
 
+def _rolled_layout():
+    # the default layout's rows, and so their squares, rolled by one experiment
+    return tuple(np.roll(a, len(tomography._ROW_LABELS), axis=0) for a in _default_layout())
+
+
+def _unsquared_layout():
+    # the rows given in place of their squares
+    rows, _ = _default_layout()
+    return rows, rows
+
+
 def _family_known_forms():
     rho = states.bound_entangled_state(PARAMS)
     return np.concatenate([rho.eigenvalues(), rho.known_root.ravel()])
+
+
+def _given_layout():
+    return np.concatenate([a.ravel() for a in tomography.generate_dataset(FAMILY)._layout])
 
 
 def _mixed_spectrum():
@@ -215,6 +231,10 @@ MUTANTS = [
      _family_known_forms, "known spectra"),
     ("E_t spectrum without its identity shift", (core, "mix_state", _unshifted_mix_state),
      _mixed_spectrum, "known spectra"),
+    ("given rows rolled by one experiment", (tomography, "_default_layout", _rolled_layout),
+     _given_layout, "known layout"),
+    ("given squares that are the unsquared rows",
+     (tomography, "_default_layout", _unsquared_layout), _given_layout, "known layout"),
     ("covariance x1.5", (tomography, "reconstruct", _inflated_covariance), _covariance,
      "whole-experiment covariance"),
     *((f"seed order {label} sign", (nmr, "_seed_orders", _flipped_order(k)), _seed_coefficients,

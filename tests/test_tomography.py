@@ -598,6 +598,27 @@ def test_fit_path_follows_each_dataset_layout():
         assert rec.residual_norm == residual
 
 
+@pytest.mark.parametrize("sigma", [0.0, 1e-3])
+def test_only_a_simulated_dataset_is_given_its_layout(sigma):
+    # a generated dataset's fit reads the rows, squares and layout its construction
+    # gave: no gather from the table and no layout test; the same arrays from a
+    # file or from a caller derive both, and all three fit bit for bit alike
+    generated = tomo.generate_dataset(RHO_OPT, sigma=sigma, seed=4)
+    copies = [tomo.TomographyDataset.from_json(json.loads(generated.json_text())),
+              tomo.TomographyDataset(generated.record, generated.value, generated.sigma)]
+    fits = []
+    for ds, derives in [(generated, 0), *((copy, 1) for copy in copies)]:
+        assert ds == generated
+        with mock.patch.object(tomo, "_whole_experiments", wraps=tomo._whole_experiments) as whole, \
+                mock.patch.object(tomo, "_readout_table", wraps=tomo._readout_table) as table:
+            fits.append(tomo.reconstruct(ds))
+        assert (whole.call_count, table.call_count) == (derives, derives)
+    for fit in fits[1:]:
+        assert np.array_equal(fit.theta, fits[0].theta)
+        assert np.array_equal(fit.covariance, fits[0].covariance)
+        assert fit.residual_norm == fits[0].residual_norm
+
+
 def test_reconstruction_unbiased():
     sigma = 1e-3
     acc = np.zeros((8, 8), dtype=complex)
