@@ -2,12 +2,16 @@
 
 Each ``CHECKS`` entry is ``(name, fn)``: ``fn(rng)`` returns a one-line
 detail and raises :class:`CheckFailed` when its invariant does not hold.
-Entries that are acceptance criteria keep the criterion's sample counts and
-tolerances; criterion 08 is too slow for ``verify`` and lives in the tests.
+``verify --seed N`` gives each entry its own generator, ``entry_rng(name, N)``,
+so that an entry draws the same inputs whatever other entries the registry
+holds.  Entries that are acceptance criteria keep the criterion's sample
+counts and tolerances; criterion 08 is too slow for ``verify`` and lives in
+the tests.
 """
 
 from __future__ import annotations
 
+import zlib
 from itertools import product
 
 import numpy as np
@@ -18,6 +22,15 @@ from .witnesses import EPS_OPT
 
 _PARAMS = states.StateParams.symmetric(A_OPT)
 _W_PARAMS = witnesses.WitnessParams(_PARAMS, EPS_OPT)
+
+
+def entry_rng(name: str, seed: int) -> np.random.Generator:
+    """The generator of the entry ``name`` at ``seed``.
+
+    Seeded from the seed and a CRC-32 of the name, which, unlike ``hash``,
+    is the same in every process and version.
+    """
+    return np.random.default_rng([seed, zlib.crc32(name.encode())])
 
 
 class CheckFailed(AssertionError):
@@ -141,6 +154,34 @@ def family_rank(rng) -> str:
     r = core.numeric_rank(states.bound_entangled_state(_PARAMS).matrix)
     _require(r == 7, f"numeric rank {r}")
     return f"numeric rank {r}"
+
+
+def readout_table_exact(rng) -> str:
+    # the table built from the Clifford Pauli maps against the Schroedinger
+    # picture: each Pauli product conjugated by each experiment's readout
+    # unitary, all from Kronecker products, and projected on each line
+    # observable, tr(O_r R P_k R^dag), rounded to the nearest integer
+    table = tomography._readout_table()
+    _require(bool(np.isin(table, (-2.0, 0.0, 2.0)).all()), "an entry outside {-2, 0, 2}")
+    nonzeros = np.count_nonzero(table, axis=2)
+    _require(bool((nonzeros == 4).all()),
+             f"rows with {sorted(set(nonzeros.ravel().tolist()))} nonzero entries, not 4")
+    paulis = np.stack([core.pauli_product(label) for label in core.pauli_labels()])
+    observables = np.stack([
+        np.kron(core.PAULIS["X" if quad == "x" else "Y"],
+                np.diag([float(line == label) for label in tomography.LINE_LABELS]))
+        for line, quad in tomography._ROW_LABELS])
+    worst = 0.0
+    for e, experiment in enumerate(tomography._EXPERIMENTS):
+        u = tomography.readout_unitary(*experiment)
+        entries = np.einsum("rij,kji->rk", observables, u @ paulis @ u.conj().T).real
+        rounded = np.round(entries)
+        worst = max(worst, float(np.abs(entries - rounded).max()))
+        _require(worst <= 1e-14 and np.array_equal(table[e], rounded),
+                 f"{experiment}: {np.count_nonzero(table[e] != rounded)} entries off the "
+                 f"conjugation, which rounds by {worst:.1e}")
+    return (f"{len(tomography._EXPERIMENTS)} experiments x 8 rows, each four entries of +/-2, "
+            f"equal to the conjugation rounded by at most {worst:.1e}")
 
 
 def known_layout(rng) -> str:
@@ -467,6 +508,9 @@ CHECKS = (
     ("pseudo witness identity", pseudo_witness),
     ("pseudo state peel round trip", peel_round_trip),
     ("state family rank", family_rank),  # criterion 04
+    # before every entry that simulates or fits data with the table: a wrong
+    # table is named here, not as a failed fit there
+    ("readout table is exact", readout_table_exact),
     # before "known spectra", whose projections fit simulated datasets: a wrong
     # given layout is named here, not as an unfit projection there
     ("known layout", known_layout),

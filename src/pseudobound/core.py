@@ -21,8 +21,8 @@ gathered a row at a time or, by ``is_ppt``, all at once.
 
 The 63 Pauli coordinates tr(op P_k)/8 of an 8x8 operator (``state_parameters``,
 inverted by ``parameters_to_matrix``) are the one map that the tomography
-readout model, its error propagation and the NMR seed expansion use; the
-readout model projects a whole stack with its kernel ``_pauli_coordinates``.
+fit, its error propagation and the NMR seed expansion use; its basis, each
+Pauli product a phased permutation, is built from the Pauli indices alone.
 The other jobs shared by several modules are done here once too: the
 Hermiticity test ``check_hermitian``, ``simplex_projection`` (the NMR
 weights and the physical projection), ``mix_with_identity`` (the peel and the
@@ -411,13 +411,33 @@ def pauli_product(label: str) -> np.ndarray:
     return tensor(*(PAULIS[c] for c in label))
 
 
+# the three bits of each of the 64 Pauli indices 16 p1 + 4 p2 + p3, qubit 1 first,
+# with p = 0, 1, 2, 3 for I, X, Y, Z as in ``pauli_labels``: shape (3, 64)
+_PAULI_DIGITS = (np.arange(64) >> np.array([[4], [2], [0]]) & 3).astype(np.int8)
+_PAULI_DIGITS.setflags(write=False)
+
+
 @lru_cache(maxsize=None)
 def parameter_basis() -> np.ndarray:
     """The 63 non-identity Pauli products flattened into a (63, 64) array.
 
     A state is Id/8 + sum_k theta_k * P_k with theta_k = tr(rho P_k)/8.
+    Each product is a phased permutation, built from its index alone: X and
+    Y flip a qubit's bit and Z and Y give it the sign (-1)^bit, and Y = -i Z X,
+    so row i of P holds (-i)^(number of Y) (-1)^(popcount(i & z)) at column
+    i XOR x, where x marks the qubits holding X or Y and z those holding Z or
+    Y.  Equal to the stack of ``pauli_product`` of each label, the Kronecker
+    products that the tests keep as its oracle.
     """
-    basis = np.stack([pauli_product(lbl).ravel() for lbl in pauli_labels()])
+    digits = _PAULI_DIGITS[:, 1:]
+    x = np.array([4, 2, 1]) @ ((digits == 1) | (digits == 2))
+    z = np.array([4, 2, 1]) @ (digits >= 2)
+    i = np.arange(8)
+    signed = i & z[:, None]
+    parity = (signed ^ signed >> 1 ^ signed >> 2) & 1
+    phase = np.array([1, -1j, -1, 1j])[np.count_nonzero(digits == 2, axis=0) % 4]
+    basis = np.zeros((63, 64), dtype=complex)
+    basis[np.arange(63)[:, None], 8 * i + (i ^ x[:, None])] = phase[:, None] * (1 - 2 * parity)
     basis.setflags(write=False)
     return basis
 

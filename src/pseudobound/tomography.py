@@ -8,8 +8,13 @@ tensored with a basis projector on qubits 2 and 3.  Running all seven
 settings with all three detected spins gives 168 linear equations for the
 63 real parameters of the traceless deviation.  One read-only readout
 table (``_readout_table``: 81 experiments x 8 amplitudes x 63 parameters)
-serves both simulation and inversion; its rows are the Pauli coordinates
-of the Heisenberg-picture line observables.  A dataset is three read-only
+serves both simulation and inversion.  Every readout gate is a Clifford
+gate, which maps each Pauli product to one Pauli product and a sign, so
+every entry is exactly -2, 0 or 2 and the table is built from index
+arithmetic: each operation's Pauli map, the detection swap as a
+permutation of qubit slots and the row rule of the line observables.
+``readout_unitary`` and ``swap_unitary`` are the matrices of the same
+gates, kept as its independent oracle.  A dataset is three read-only
 arrays (record, value, sigma) from the JSON file or the simulation to the
 fit.  One index, experiment * 8 + row, names a record's labels and its row
 of the table viewed as (648, 63); the constructor validates the arrays of a
@@ -41,8 +46,8 @@ from .core import (
     DensityOperator,
     PAULIS,
     _NUMBERS,
+    _PAULI_DIGITS,
     _as_matrix,
-    _pauli_coordinates,
     json_text,
     parameters_to_matrix,
     simplex_projection,
@@ -151,25 +156,60 @@ _DEFAULT_RECORD.setflags(write=False)
 # linear model: the 63 Pauli coordinates of the deviation
 
 
+# each operation's rotation R sends a Pauli sigma_b (b = 0, 1, 2, 3 for I, X, Y, Z)
+# to R sigma_b R^dag = sign * sigma_image: (images, signs) of b = 0..3.  X(pi/2)
+# sends Y to Z and Z to -Y, Y(pi/2) sends Z to X and X to -Z
+_PAULI_MAPS = {"E": ((0, 1, 2, 3), (1, 1, 1, 1)),
+               "X": ((0, 1, 3, 2), (1, 1, 1, -1)),
+               "Y": ((0, 3, 2, 1), (1, -1, 1, 1))}
+# the detection swap as a permutation of qubit slots: slot j of the detected
+# Pauli product is slot _DETECT_SLOTS[detect][j] of the rotated one.
+# ``readout_unitary`` builds the same swap as a matrix from ``_DETECT_QUBIT``,
+# kept apart from the table on purpose: it is the oracle ``checks`` compares with
+_DETECT_SLOTS = {"C": (0, 1, 2), "H": (1, 0, 2), "F": (2, 1, 0)}
+
+
 @lru_cache(maxsize=None)
 def _readout_table() -> np.ndarray:
     """Read-only (81, 8, 63) map from the deviation parameters to every amplitude.
 
-    Entry [e, r, k] is tr(R_e^dag O_r R_e P_k) for the readout unitary R_e
+    Entry [e, r, k] is tr(O_r R_e P_k R_e^dag) for the readout unitary R_e
     of experiment ``_EXPERIMENTS[e]``, the line observable O_r of amplitude
-    r (``_ROW_LABELS`` order) and each Pauli product P_k: the Heisenberg picture.
-    The identity part of a state drops out because every O_r is traceless.
-    Each experiment conjugates and projects its 8 observables as one stack;
-    one stack of all 648 would hold about 2 MB of intermediates at once.
+    r (``_ROW_LABELS`` order) and each Pauli product P_k; the identity part
+    of a state drops out because every O_r is traceless.  Every readout
+    gate is a Clifford gate, so R_e P_k R_e^dag is a sign times one Pauli
+    product Q: each qubit's Pauli goes through its operation's map
+    (``_PAULI_MAPS``), and the detection swap permutes the qubit slots
+    (``_DETECT_SLOTS``).  The row rule is tr(O_r Q) = tr(sigma_quad Q_1)
+    tr(|b2><b2| Q_2) tr(|b3><b3| Q_3) for line b2 b3: 2 if Q_1 is the
+    quadrature's Pauli, times 1 for I, (-1)^bit for Z and 0 for X or Y on
+    each of qubits 2 and 3.  So the table is built from index arithmetic,
+    with no complex matrix, every entry is exactly -2, 0 or 2 and every
+    row has four nonzeros; ``checks`` ("readout table is exact") compares
+    it with the conjugations by ``readout_unitary``.
     """
-    obs = np.empty((len(_ROW_LABELS), 8, 8), dtype=complex)
-    for r, (line, quad) in enumerate(_ROW_LABELS):
-        proj = np.diag([float(line == label) for label in LINE_LABELS])
-        obs[r] = np.kron(PAULIS["X"] if quad == "x" else PAULIS["Y"], proj)
-    table = np.empty((len(_EXPERIMENTS), len(_ROW_LABELS), 63))
-    for e, experiment in enumerate(_EXPERIMENTS):
-        u = readout_unitary(*experiment)
-        table[e] = 8.0 * _pauli_coordinates(u.conj().T @ obs @ u)
+    names = list(_PAULI_MAPS)
+    images, signs = np.array(list(_PAULI_MAPS.values()), dtype=np.int8).swapaxes(0, 1)
+    ops = np.array([[names.index(op) for op in parse_setting(setting)]
+                    for setting, _ in _EXPERIMENTS])
+    slots = np.array([_DETECT_SLOTS[detect] for _, detect in _EXPERIMENTS])
+    # slot j of the image is the map of the operation on slot slots[j] applied to
+    # that slot's Pauli, for each experiment, slot and Pauli product: (81, 3, 63)
+    op = np.take_along_axis(ops, slots, axis=1)[:, :, None]
+    pauli = _PAULI_DIGITS[:, 1:][slots]
+    image = np.array([16, 4, 1]) @ images[op, pauli]   # (81, 63)
+    sign = signs[op, pauli].prod(axis=1, dtype=np.int8)
+    # the row rule tr(O_r Q) of each amplitude r and each Pauli index Q: (8, 64),
+    # from tr(|b><b| sigma_p) for each bit b and Pauli p
+    projector = np.array([[1, 0, 0, 1], [1, 0, 0, -1]])
+    quad, b2, b3 = np.array([(QUADRATURES.index(quad) + 1, int(line[0]), int(line[1]))
+                             for line, quad in _ROW_LABELS]).T[:, :, None]
+    q1, q2, q3 = _PAULI_DIGITS
+    rule = (2 * (q1 == quad) * projector[b2, q2] * projector[b3, q3]).astype(np.int8)
+    # rule[r, image[e, k]] for each (e, r, k), in int8: no zero takes a sign, and
+    # no intermediate outgrows the table
+    table = (sign[:, None, :] * rule[np.arange(len(_ROW_LABELS))[:, None], image[:, None, :]]
+             ).astype(float)
     table.setflags(write=False)
     return table
 

@@ -539,6 +539,14 @@ def test_pauli_coordinates_round_trip(rng):
         core.state_parameters(np.eye(4))
 
 
+def test_parameter_basis_is_the_stack_of_pauli_products():
+    # the basis built from index arithmetic against the Kronecker products
+    basis = core.parameter_basis()
+    expected = np.stack([core.pauli_product(label).ravel() for label in core.pauli_labels()])
+    assert basis.dtype == expected.dtype and np.array_equal(basis, expected)
+    assert not basis.flags.writeable
+
+
 def _random_operator(rng):
     return rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
 

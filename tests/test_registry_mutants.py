@@ -5,10 +5,13 @@ time (as ``module.attr`` or as a module global) with a wrong version.  Before
 a mutant counts, its probe must read differently with the patch than without:
 a patch that misses the call sites the registry uses would otherwise pass as
 a survivor, or as a kill for the wrong reason.  The registry then runs in
-order on one ``default_rng(0)``, as ``pseudobound verify`` does, and stops at
-the first entry that fails (a ``CheckFailed`` or any other exception, which
-``verify`` also counts as a failure).  That entry must be the one the row
-names.  The unmutated entries are run by ``test_acceptance.py``.
+order, each entry on its own ``checks.entry_rng(name, 0)`` as ``pseudobound
+verify`` runs it, and stops at the first entry that fails (a ``CheckFailed``
+or any other exception, which ``verify`` also counts as a failure).  That
+entry must be the one the row names.  The readout table and the default
+layout are built once per process from module globals that some mutants
+patch, so each row builds them anew under its patch and none outlives it.
+The unmutated entries are run by ``test_acceptance.py``.
 
 The witness optimization (criterion 06) is left out: it takes seconds, and no
 mutant here reaches the product-state search.
@@ -32,6 +35,7 @@ _seed_orders = nmr._seed_orders
 _preparation_unitary = nmr.preparation_unitary
 _x_state_forms = states._x_state_forms
 _default_layout = tomography._default_layout
+_readout_table = tomography._readout_table
 
 
 # the partial transposes' one shared index, mutated: every cut gets the full
@@ -235,6 +239,12 @@ MUTANTS = [
      _given_layout, "known layout"),
     ("given squares that are the unsquared rows",
      (tomography, "_default_layout", _unsquared_layout), _given_layout, "known layout"),
+    ("H detection swapped onto the F qubit",
+     (tomography, "_DETECT_SLOTS", {**tomography._DETECT_SLOTS, "H": (2, 1, 0)}),
+     _readout_table, "readout table is exact"),
+    ("X(pi/2) sends Z to +Y", (tomography, "_PAULI_MAPS",
+                               {**tomography._PAULI_MAPS, "X": ((0, 1, 3, 2), (1, 1, 1, 1))}),
+     _readout_table, "readout table is exact"),
     ("covariance x1.5", (tomography, "reconstruct", _inflated_covariance), _covariance,
      "whole-experiment covariance"),
     *((f"seed order {label} sign", (nmr, "_seed_orders", _flipped_order(k)), _seed_coefficients,
@@ -249,15 +259,27 @@ MUTANTS = [
 
 
 def _first_failure():
-    rng = np.random.default_rng(0)
     for name, check in checks.CHECKS:
         if name == "witness optimization":
             continue
         try:
-            check(rng)
+            check(checks.entry_rng(name, 0))
         except Exception:
             return name
     return None
+
+
+def _clear_tables():
+    _readout_table.cache_clear()
+    _default_layout.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def _fresh_tables():
+    # set up before monkeypatch, so torn down after it: the tables built under
+    # a patch are dropped once the patch is undone
+    yield
+    _clear_tables()
 
 
 @pytest.mark.parametrize("patch, probe, killer", [m[1:] for m in MUTANTS],
@@ -265,5 +287,6 @@ def _first_failure():
 def test_mutant_takes_effect_and_is_killed(monkeypatch, patch, probe, killer):
     before = probe()
     monkeypatch.setattr(*patch)
+    _clear_tables()
     assert not np.array_equal(probe(), before), "the mutant did not take effect"
     assert _first_failure() == killer

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pseudobound import core, states, tomography as tomo, witnesses
+from pseudobound import core, pipeline, states, tomography as tomo, witnesses
 from conftest import A_OPT, EPS_OPT, pure_state
 
 RHO_OPT = states.bound_entangled_state(states.StateParams.symmetric(A_OPT))
@@ -491,14 +491,22 @@ def test_closed_form_matches_the_svd():
 
 
 def _record_row(experiment, row):
-    """One record's row rebuilt from its readout unitary: 8 * state_parameters(R^dag O R)."""
+    """One record's row rebuilt from its readout unitary: 8 * state_parameters(R^dag O R).
+
+    The readout gates are Clifford gates, so every exact entry is -2, 0 or 2;
+    the conjugation rounds, so its entries must lie within 1e-14 of those and
+    the row is returned rounded.
+    """
     r = tomo.readout_unitary(*tomo._EXPERIMENTS[experiment])
     line, quad = tomo._ROW_LABELS[row]
     j = tomo.LINE_LABELS.index(line)
     proj = np.zeros((4, 4))
     proj[j, j] = 1.0
     obs = np.kron(core.PAULI_X if quad == "x" else core.PAULI_Y, proj)
-    return 8.0 * core.state_parameters(r.conj().T @ obs @ r)
+    conjugated = 8.0 * core.state_parameters(r.conj().T @ obs @ r)
+    rounded = np.round(conjugated)
+    assert np.all(np.abs(conjugated - rounded) <= 1e-14) and np.isin(rounded, (-2, 0, 2)).all()
+    return rounded
 
 
 def _uncached_fit(dataset):
@@ -574,6 +582,32 @@ def test_readout_table_is_read_only_and_holds_the_design_rows():
         table[0, 0, 0] = 1.0
     ds = tomo.generate_dataset(RHO_OPT)
     assert np.array_equal(table.reshape(-1, 63)[ds.record], tomo.design_matrix())
+
+
+def test_tables_are_built_without_a_kronecker_product(monkeypatch):
+    # the readout table and the Pauli basis come from index arithmetic alone:
+    # rebuilt with every Kronecker product refused, they equal the kept ones
+    cached = tomo._readout_table(), core.parameter_basis()
+
+    def refuse(*args):
+        raise AssertionError("a Kronecker product was formed")
+
+    for module, name in ((np, "kron"), (core, "tensor"), (tomo, "tensor")):
+        monkeypatch.setattr(module, name, refuse)
+    rebuilt = tomo._readout_table.__wrapped__(), core.parameter_basis.__wrapped__()
+    for table, again in zip(cached, rebuilt):
+        assert table.dtype == again.dtype and np.array_equal(table, again)
+
+
+def test_exact_report_has_one_cut_minimum_and_no_residual():
+    # exact data at the working point: every readout entry is an exact -2, 0 or
+    # 2, so the fit leaves no residual and no imaginary part, and the three cuts
+    # of the symmetric state have one partial-transpose minimum, bit for bit
+    report = pipeline.build_report(pipeline.RunConfig(sigma=0.0))
+    minima = [cut["min_eigenvalue"] for cut in report["ppt"]["cuts"].values()]
+    assert minima == [minima[0]] * 3 and minima[0] == pytest.approx(0.02, abs=1e-12)
+    assert report["reconstruction"]["residual_norm"] == 0.0
+    assert report["metrics"]["max_imaginary_element"] == 0.0
 
 
 def test_fit_path_follows_each_dataset_layout():
