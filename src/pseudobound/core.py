@@ -17,7 +17,7 @@ physical projection and the NMR states.  A matrix Hermitian only within
 tolerance is read through its Hermitian part (m + m^dag)/2 by every spectrum
 here, so no result depends on which triangle holds a defect.  The partial
 transposes of the three cuts are one permutation of a matrix's 64 entries,
-gathered a row at a time or, by ``is_ppt``, all at once.
+which ``is_ppt`` gathers in one step.
 
 The 63 Pauli coordinates tr(op P_k)/8 of an 8x8 operator (``state_parameters``,
 inverted by ``parameters_to_matrix``) are the one map that the tomography
@@ -278,32 +278,15 @@ def _hermitian_part(op) -> np.ndarray:
     return m if exact else (m + m.conj().T) / 2
 
 
-def maximally_mixed() -> DensityOperator:
-    return DensityOperator(np.eye(8, dtype=complex) / 8)
-
-
 CUT_LABELS = ("1|23", "2|13", "3|12")   # the three cuts, each named by its transposed qubit
 
 # row k: the flat index into an 8x8 matrix of each entry of its transpose on
-# qubit k + 1, i.e. the qubit's row and column bits swapped
+# qubit k + 1, i.e. the qubit's row and column bits swapped.  Every cut of three
+# qubits separates one; transposing the other two gives the full transpose of
+# this, with the same spectrum.
 _PT_INDEX = np.stack([np.swapaxes(np.arange(64).reshape((2,) * 6), k, k + 3).reshape(64)
                       for k in range(3)])
 _PT_INDEX.setflags(write=False)
-
-
-def partial_transpose(rho, qubit) -> np.ndarray:
-    """Transpose qubit 1, 2 or 3 of an operator: the cut ``CUT_LABELS[qubit - 1]``.
-
-    On three qubits every bipartite cut separates one qubit, and transposing
-    the other two instead gives the full transpose of this, with the same
-    spectrum.  The transpose is a gather of the matrix's entries by one row
-    of the permutation ``is_ppt`` gathers whole.  Any ``qubit`` but the
-    integer 1, 2 or 3 is a ValueError; a bool is no qubit.
-    """
-    if isinstance(qubit, bool) or not (isinstance(qubit, (int, np.integer))
-                                       and qubit in (1, 2, 3)):
-        raise ValueError(f"qubit {qubit!r} must be the integer 1, 2 or 3")
-    return _as_matrix(rho).reshape(64)[_PT_INDEX[qubit - 1]].reshape(8, 8)
 
 
 @dataclass(frozen=True)

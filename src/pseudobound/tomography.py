@@ -141,11 +141,6 @@ def measure(rho: DensityOperator, setting: str, detect: str = "C") -> np.ndarray
 _DEFAULT_EXPERIMENTS = tuple(product(SETTINGS, DETECT_SPINS))
 
 
-def default_experiments() -> list[tuple[str, str]]:
-    """All 21 (setting, detected spin) combinations."""
-    return list(_DEFAULT_EXPERIMENTS)
-
-
 # the record index of each of the 168 records of a simulated dataset
 _DEFAULT_RECORD = np.array([_RECORD_INDEX[(*experiment, *row)] for experiment
                             in _DEFAULT_EXPERIMENTS for row in _ROW_LABELS], dtype=np.intp)
@@ -265,9 +260,10 @@ class TomographyDataset:
     position in ``_RECORD_LABELS`` and its row of the readout table viewed as
     (648, 63).  The arrays have equal length.  The constructor is the one validation
     of a dataset from outside the program (a file, or arrays a caller
-    passes): equal 1-D lengths, at most 168 records, indices in range,
-    each sigma either 0 (exact data) or within ``SIGMA_RANGE``, so that the
-    fit weight 1/sigma^2 is a finite normal float, and each value finite and
+    passes): integer indices and real values and sigmas (no bool or string is
+    coerced), equal 1-D lengths, at most 168 records, indices in range, each
+    sigma either 0 (exact data) or within ``SIGMA_RANGE``, so that the fit
+    weight 1/sigma^2 is a finite normal float, and each value finite and
     within ``MAX_VALUE`` in magnitude, so that the fit stays finite.
     ``generate_dataset``, the one place that simulates data, checks its
     sigma and builds its dataset through ``_trusted`` without these checks.
@@ -281,9 +277,17 @@ class TomographyDataset:
     _layout = None
 
     def __init__(self, record, value, sigma):
-        for name, data, dtype in (("record", record, np.intp), ("value", value, float),
-                                  ("sigma", sigma, float)):
-            array = np.array(data, dtype=dtype)
+        for name, data, kinds, dtype in (("record", record, "iu", np.intp),
+                                         ("value", value, "iuf", float),
+                                         ("sigma", sigma, "iuf", float)):
+            # the dtype numpy infers decides: "3", True, an index 1.5 and an int
+            # beyond int64 (object) are refused, not coerced
+            array = np.array(data)
+            if array.size and array.dtype.kind not in kinds:
+                raise ValueError(f"dataset {name} entries must be "
+                                 f"{'integers' if dtype is np.intp else 'real numbers'}, "
+                                 f"not {array.dtype.name}")
+            array = array.astype(dtype, copy=False)
             array.setflags(write=False)
             object.__setattr__(self, name, array)
         record, value, sigma = self.record, self.value, self.sigma

@@ -48,10 +48,6 @@ class WitnessParams:
         if not 0.0 <= self.epsilon <= MAX_ENTRY:
             raise ValueError(f"epsilon must lie within [0, {MAX_ENTRY:g}], got {self.epsilon}")
 
-    @classmethod
-    def symmetric(cls, a: float, epsilon: float) -> "WitnessParams":
-        return cls(StateParams.symmetric(a), epsilon)
-
 
 # |<000|GHZ->|^2 = (1/sqrt2)^2 as the outer product of ghz(-1) rounds it
 _GHZ_WEIGHT = (1.0 / math.sqrt(2.0)) * (1.0 / math.sqrt(2.0))
@@ -245,22 +241,6 @@ def min_over_product_states(w_bar, restarts: int = 200, seed: int = 0) -> Produc
 
 # ---------------------------------------------------------------------------
 # robustness and parameter optimization
-
-
-def white_noise_threshold(w, rho_be: DensityOperator) -> float:
-    """Smallest admixture q of the state into Id/8 still detected by W.
-
-    Solves tr(W [(1-q) Id/8 + q rho]) = 0 in closed form.  Requires the
-    witness to detect the state at q = 1.
-    """
-    m = check_operator(w)
-    noise_term = float(np.real(np.trace(m))) / 8
-    state_term = expectation(m, rho_be)
-    if state_term >= 0:
-        raise ValueError("witness does not detect the state at q = 1")
-    if noise_term <= 0:
-        return 0.0
-    return float(noise_term / (noise_term - state_term))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
-Criterion n runs its entry of the invariant registry ``checks.CHECKS``, which
-``pseudobound verify`` runs too, with ``default_rng(n)``; ``test_invariant``
-runs the other entries.  Criterion 08, a Monte Carlo over 1000 datasets, is
+Criterion n runs its entry of the invariant registry ``checks.CHECKS`` on
+``checks.entry_rng(name, n)``, the generator ``pseudobound verify --seed n``
+gives that entry; ``test_invariant`` runs the other entries on the generators
+of ``verify --seed 0``.  Criterion 08, a Monte Carlo over 1000 datasets, is
 too slow for ``verify`` and lives here alone.  Each criterion prints one
 [PASS]/[FAIL] line (run with -s to stream them).
 """
@@ -12,11 +13,11 @@ import time
 import numpy as np
 import pytest
 
-from pseudobound import checks, states, tomography as tomo, witnesses
+from pseudobound import checks, cli, states, tomography as tomo, witnesses
 from conftest import A_OPT, EPS_OPT
 
 PARAMS = states.StateParams.symmetric(A_OPT)
-W_PARAMS = witnesses.WitnessParams.symmetric(A_OPT, EPS_OPT)
+W_PARAMS = witnesses.WitnessParams(PARAMS, EPS_OPT)
 
 # criterion number -> (registry entry, label, time budget in seconds)
 CRITERIA = {
@@ -52,11 +53,10 @@ def _criterion(number, label):
 
 def _registry_criterion(number):
     name, label, budget = CRITERIA[number]
-    check = dict(checks.CHECKS)[name]
 
     def test():
         with _criterion(number, label) as c:
-            check(np.random.default_rng(number))
+            dict(checks.CHECKS)[name](checks.entry_rng(name, number))
             assert budget is None or c.elapsed < budget
     return test
 
@@ -72,11 +72,38 @@ test_criterion_09_end_to_end_noisy_run = _registry_criterion(9)
 test_criterion_10_metric_correctness = _registry_criterion(10)
 
 
-@pytest.mark.parametrize("name", [
-    name for name, _ in checks.CHECKS
-    if name not in {entry for entry, _, _ in CRITERIA.values()}])
+INVARIANTS = [name for name, _ in checks.CHECKS
+              if name not in {entry for entry, _, _ in CRITERIA.values()}]
+
+
+@pytest.mark.parametrize("name", INVARIANTS)
 def test_invariant(name):
-    dict(checks.CHECKS)[name](np.random.default_rng(0))
+    dict(checks.CHECKS)[name](checks.entry_rng(name, 0))
+
+
+def test_the_suite_draws_what_verify_draws(monkeypatch):
+    # every entry, run by its criterion or by test_invariant, gets the generator
+    # state that verify gives it at the seed it is run at here
+    drawn = {}
+
+    def recorder(name):
+        def check(rng):
+            drawn[name] = rng.bit_generator.state
+            return "recorded"
+        return check
+
+    monkeypatch.setattr(checks, "CHECKS", [(name, recorder(name)) for name, _ in checks.CHECKS])
+    for number in CRITERIA:
+        _registry_criterion(number)()
+    for name in INVARIANTS:
+        test_invariant(name)
+    suite = dict(drawn)
+    assert len(suite) == len(checks.CHECKS)
+    seed_of = {entry: number for number, (entry, _, _) in CRITERIA.items()}
+    for seed in {0, *CRITERIA}:
+        assert cli.main(["verify", "--seed", str(seed)]) == 0
+        for name in suite:
+            assert seed_of.get(name, 0) != seed or drawn[name] == suite[name], (name, seed)
 
 
 def test_criterion_08_error_propagation_validity():

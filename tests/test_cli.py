@@ -7,6 +7,7 @@ import subprocess
 import sys
 import types
 import warnings
+from itertools import product
 from pathlib import Path
 from unittest import mock
 
@@ -543,7 +544,7 @@ _BEYOND_BOUND = "state entry of magnitude 1.000e+308 beyond 1e+150"
 
 # a full dataset file whose every sigma is too large for a finite fit weight
 _FULL = [dict(_RECORD, setting=s, detect=d, line=line, quad=q, sigma=1e300)
-         for s, d in tomography.default_experiments()
+         for s, d in product(tomography.SETTINGS, tomography.DETECT_SPINS)
          for line in tomography.LINE_LABELS for q in tomography.QUADRATURES]
 _NUMERIC = "objects with numeric value and sigma"
 # full dataset files that take the closed-form fit: one value beyond the record

@@ -1,10 +1,10 @@
 """Tensor algebra, Pauli coordinates, partial transpose, eigensolves and the two metrics."""
 
 import dataclasses
+import functools
 import json
 import math
 import os
-import re
 import threading
 import warnings
 from unittest import mock
@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pseudobound
 from pseudobound import core, nmr, states, tomography, witnesses
 from conftest import pure_state, random_params
 
@@ -160,7 +161,7 @@ def test_state_tolerance_is_fixed_by_its_kind():
     assert [f.name for f in dataclasses.fields(core.DensityOperator)] == ["matrix"]
     with pytest.raises(TypeError):
         core.DensityOperator(np.eye(8) / 8, tolerance=1e-3)
-    strict, loose = core.maximally_mixed(), core.DensityOperator.loose(np.eye(8) / 8)
+    strict, loose = core.DensityOperator(np.eye(8) / 8), core.DensityOperator.loose(np.eye(8) / 8)
     assert (strict.tolerance, loose.tolerance) == (1e-10, 1e-6)
     for rho in (strict, loose):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -170,7 +171,7 @@ def test_state_tolerance_is_fixed_by_its_kind():
 def test_states_compare_by_identity():
     # equal matrices are distinct states: == and hash neither raise nor look
     # at the arrays
-    a, b = core.maximally_mixed(), core.maximally_mixed()
+    a, b = core.DensityOperator(np.eye(8) / 8), core.DensityOperator(np.eye(8) / 8)
     assert a == a and a != b and not a == b
     assert len({a, b, a}) == 2
 
@@ -197,7 +198,7 @@ def test_state_entries_are_bounded(wrap):
 
 
 def test_state_carries_its_parameters(rng):
-    for rho in (core.random_density_operator(rng), core.maximally_mixed()):
+    for rho in (core.random_density_operator(rng), core.DensityOperator(np.eye(8) / 8)):
         theta = rho.parameters
         np.testing.assert_array_equal(theta, core.state_parameters(rho.matrix))
         assert rho.parameters is theta   # worked out once
@@ -216,7 +217,7 @@ def _states(rng):
     ps = states.pseudo_state(nmr.depolarize(family[1], 0.16), 1e-5)
     rec = tomography.reconstruct(tomography.generate_dataset(ps, sigma=1e-7, seed=3))
     peeled = states.peel_matrix(rec.rho_hat.matrix, 1e-5)
-    return [*family, *pure, *randoms, core.maximally_mixed(), peeled]
+    return [*family, *pure, *randoms, core.DensityOperator(np.eye(8) / 8), peeled]
 
 
 def test_state_carries_its_spectrum(rng):
@@ -265,12 +266,35 @@ def test_spectrum_is_solved_on_first_read(rng):
     assert np.array_equal(strict.eigenvalues(), first)
 
 
+def _partial_transpose(m, qubit):
+    """Transpose qubit 1, 2 or 3 of an 8x8 matrix, one entry at a time.
+
+    Entry (i, j) is m[i', j'], where i' and j' swap the qubit's bit between the
+    row index i and the column index j: the definition, independent of how
+    ``core._PT_INDEX`` is built.
+    """
+    bit = 1 << (3 - qubit)
+    out = np.empty_like(m)
+    for i in range(8):
+        for j in range(8):
+            swap = (i ^ j) & bit   # the qubit's bit where i and j differ in it
+            out[i, j] = m[i ^ swap, j ^ swap]
+    return out
+
+
+def _gather(m, qubit):
+    """The partial transpose on ``qubit`` as ``is_ppt`` gathers it."""
+    return m.reshape(64)[core._PT_INDEX[qubit - 1]].reshape(8, 8)
+
+
 def test_partial_transpose_is_the_axis_swap(rng):
-    # the gather permutes entries exactly as swapping the qubit's row and column axes
+    # the gather permutes entries exactly as swapping the qubit's row and column
+    # axes, and as the bit-swap definition
     m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     for qubit in (1, 2, 3):
         swapped = np.swapaxes(m.reshape((2,) * 6), qubit - 1, qubit + 2).reshape(8, 8)
-        assert np.array_equal(core.partial_transpose(m, qubit), swapped)
+        assert np.array_equal(_gather(m, qubit), swapped)
+        assert np.array_equal(_partial_transpose(m, qubit), swapped)
 
 
 def test_is_ppt_matches_each_cut_eigensolve(rng):
@@ -279,16 +303,15 @@ def test_is_ppt_matches_each_cut_eigensolve(rng):
         report = core.is_ppt(rho)
         hermitian = (rho.matrix + rho.matrix.conj().T) / 2
         for qubit, lo in zip((1, 2, 3), report.min_eigenvalues):
-            assert lo == np.linalg.eigvalsh(core.partial_transpose(hermitian, qubit))[0]
+            assert lo == np.linalg.eigvalsh(_partial_transpose(hermitian, qubit))[0]
     assert len(set(report.min_eigenvalues)) == 3
 
 
 def test_partial_transpose_involution_and_trace(rng):
     rho = core.random_density_operator(rng)
-    for qubit in (1, 2, 3, np.int64(2)):
-        pt = core.partial_transpose(rho.matrix, qubit)
-        np.testing.assert_allclose(core.partial_transpose(pt, qubit), rho.matrix,
-                                   atol=0)
+    for qubit in (1, 2, 3):
+        pt = _gather(rho.matrix, qubit)
+        np.testing.assert_allclose(_gather(pt, qubit), rho.matrix, atol=0)
         assert np.trace(pt) == pytest.approx(1.0, abs=1e-14)
         # PT is Hermiticity-preserving
         np.testing.assert_allclose(pt, pt.conj().T, atol=1e-14)
@@ -298,32 +321,14 @@ def test_partial_transposes_of_all_three_qubits_give_the_transpose(rng):
     rho = core.random_density_operator(rng)
     pt = rho.matrix
     for qubit in (1, 2, 3):
-        pt = core.partial_transpose(pt, qubit)
+        pt = _gather(pt, qubit)
     assert np.array_equal(pt, rho.matrix.T)
 
 
 def test_partial_transpose_identity_invariant():
-    mixed = core.maximally_mixed().matrix
+    mixed = np.eye(8) / 8
     for qubit in (1, 2, 3):
-        np.testing.assert_array_equal(core.partial_transpose(mixed, qubit), mixed)
-
-
-def _refuses_qubit(qubit):
-    with pytest.raises(ValueError, match=rf"qubit {re.escape(repr(qubit))} must be"):
-        core.partial_transpose(np.eye(8) / 8, qubit)
-
-
-def test_partial_transpose_bad_subsystem():
-    # only the integers 1, 2 and 3 name a qubit: no rounding of 1.9 to qubit 1,
-    # no subset of qubits, and a ValueError that names the value
-    for qubit in (1.5, 1.9, 2.7, 1.0, "1", (1,), (1, 2), None, True, np.True_):
-        _refuses_qubit(qubit)
-
-
-def test_bipartition_refuses_qubits_outside_the_register():
-    # a cut is named by its transposed qubit, which must lie in the register
-    for qubit in (0, 4, -1, np.int64(4), (1, 4)):
-        _refuses_qubit(qubit)
+        np.testing.assert_array_equal(_gather(mixed, qubit), mixed)
 
 
 def test_bipartition_validation():
@@ -333,21 +338,30 @@ def test_bipartition_validation():
     psi[[0b000, 0b101]] = 1 / math.sqrt(2)
     cuts = core.is_ppt(pure_state(psi)).as_dict()["cuts"]
     assert [label for label, cut in cuts.items() if cut["ppt"]] == ["2|13"]
-    # neither no qubit nor the whole register is one side of a cut
-    for qubit in ((), (1, 2, 3)):
-        _refuses_qubit(qubit)
 
 
 def test_ghz_partial_transpose_negative():
     # 8x8 eigensolve of the explicitly transposed projector
     rho = pure_state(states.ghz(+1))
     for qubit in (1, 2, 3):
-        vals = np.linalg.eigvalsh(core.partial_transpose(rho.matrix, qubit))
+        vals = np.linalg.eigvalsh(_partial_transpose(rho.matrix, qubit))
         assert vals[0] == pytest.approx(-0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("path", ["core.maximally_mixed", "core.partial_transpose",
+                                  "tomography.default_experiments",
+                                  "witnesses.white_noise_threshold",
+                                  "witnesses.WitnessParams.symmetric"])
+def test_names_no_command_read_are_removed(path):
+    # each was called only by tests, which now hold what they used as an oracle
+    *owner, name = path.split(".")
+    owner = functools.reduce(getattr, owner, pseudobound)
+    with pytest.raises(AttributeError):
+        getattr(owner, name)
+
+
 def test_is_ppt_verdicts(rho_opt):
-    assert core.is_ppt(core.maximally_mixed()).all_ppt
+    assert core.is_ppt(core.DensityOperator(np.eye(8) / 8)).all_ppt
     ghz_report = core.is_ppt(pure_state(states.ghz(+1)))
     assert not ghz_report.all_ppt
     assert all(not c["ppt"] for c in ghz_report.as_dict()["cuts"].values())
@@ -357,7 +371,7 @@ def test_is_ppt_verdicts(rho_opt):
     assert tuple(report.as_dict()["cuts"]) == core.CUT_LABELS == ("1|23", "2|13", "3|12")
     for tolerance in (np.nan, np.inf, -1.0):
         with pytest.raises(ValueError, match="tolerance"):
-            core.is_ppt(core.maximally_mixed(), tolerance=tolerance)
+            core.is_ppt(core.DensityOperator(np.eye(8) / 8), tolerance=tolerance)
 
 
 def test_is_ppt_of_a_bare_matrix_needs_a_tolerance():
@@ -367,7 +381,7 @@ def test_is_ppt_of_a_bare_matrix_needs_a_tolerance():
         core.is_ppt(mixed)
     with pytest.raises(ValueError, match="8x8"):
         core.is_ppt(np.eye(4) / 4)
-    assert core.is_ppt(mixed, 1e-9) == core.is_ppt(core.maximally_mixed(), 1e-9)
+    assert core.is_ppt(mixed, 1e-9) == core.is_ppt(core.DensityOperator(np.eye(8) / 8), 1e-9)
     assert core.is_ppt(mixed, 1e-9).all_ppt
 
 

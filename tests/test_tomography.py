@@ -3,6 +3,7 @@
 import json
 import re
 import warnings
+from itertools import product
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,9 @@ from pseudobound import core, pipeline, states, tomography as tomo, witnesses
 from conftest import A_OPT, EPS_OPT, pure_state
 
 RHO_OPT = states.bound_entangled_state(states.StateParams.symmetric(A_OPT))
-W_OPT = witnesses.witness(witnesses.WitnessParams.symmetric(A_OPT, EPS_OPT))
+W_OPT = witnesses.witness(witnesses.WitnessParams(states.StateParams.symmetric(A_OPT), EPS_OPT))
+# the 21 (setting, detected spin) experiments of a simulated dataset, in its order
+EXPERIMENTS = tuple(product(tomo.SETTINGS, tomo.DETECT_SPINS))
 
 
 def test_setting_parsing():
@@ -54,7 +57,7 @@ def test_swap_exchanges_marginals(rng):
 
 
 def test_measure_background_is_silent():
-    vals = tomo.measure(core.maximally_mixed(), "Y1E2E3", "C")
+    vals = tomo.measure(core.DensityOperator(np.eye(8) / 8), "Y1E2E3", "C")
     np.testing.assert_allclose(vals, 0.0, atol=1e-15)
 
 
@@ -109,10 +112,10 @@ def _schroedinger_amplitudes(rho, setting, detect):
 def test_design_matrix_agrees_with_measure(rng):
     rho = core.random_density_operator(rng)
     expected = np.concatenate([_schroedinger_amplitudes(rho, s, d)
-                               for s, d in tomo.default_experiments()])
+                               for s, d in EXPERIMENTS])
     predicted = tomo.design_matrix() @ tomo.state_parameters(rho)
     measured = np.concatenate([
-        tomo.measure(rho, s, d) for s, d in tomo.default_experiments()])
+        tomo.measure(rho, s, d) for s, d in EXPERIMENTS])
     assert len(expected) == 168
     np.testing.assert_allclose(predicted, expected, rtol=0, atol=1e-12)
     np.testing.assert_allclose(measured, expected, rtol=0, atol=1e-12)
@@ -151,7 +154,7 @@ def test_readout_table_rows_make_every_gram_diagonal():
 
 
 def test_measure_and_readout_unitary_refuse_bad_ids():
-    rho = core.maximally_mixed()
+    rho = core.DensityOperator(np.eye(8) / 8)
     for setting, detect, message in (("Y1E2E3", ["C"], "bad detected spin"),
                                      (["Y1E2E3"], "C", "bad setting id"),
                                      ("Y1E2E3", "N", "bad detected spin"),
@@ -172,7 +175,7 @@ def test_dataset_generation_determinism():
         hash(ds1)   # like the ndarrays it holds
     exact = tomo.generate_dataset(RHO_OPT, sigma=0.0)
     measured = np.concatenate([
-        tomo.measure(RHO_OPT, s, d) for s, d in tomo.default_experiments()])
+        tomo.measure(RHO_OPT, s, d) for s, d in EXPERIMENTS])
     np.testing.assert_array_equal(exact.value, measured)
 
 
@@ -193,7 +196,7 @@ def test_one_noise_draw_equals_the_per_experiment_draws():
         rng = np.random.default_rng(seed)
         per_experiment = np.concatenate([
             tomo.measure(RHO_OPT, s, d) + rng.normal(0.0, sigma, size=8)
-            for s, d in tomo.default_experiments()])
+            for s, d in EXPERIMENTS])
         np.testing.assert_array_equal(
             tomo.generate_dataset(RHO_OPT, sigma=sigma, seed=seed).value, per_experiment)
 
@@ -317,7 +320,13 @@ def test_dataset_constructor_checks_shapes_and_indices():
             ([-1], zero, zero, r"^record index outside \[0, 648\)$"),
             ([648], zero, zero, r"^record index outside \[0, 648\)$"),
             (*(np.append(a, a[:1]) for a in (full.record, full.value, full.sigma)),
-             "more records")):
+             "more records"),
+            # no entry is coerced: not 1.5 to index 1, nor "3" or True to a number
+            *(([record], zero, zero, r"^dataset record entries must be integers, not ")
+              for record in (1.5, 1.0, "3", True, 2**70, None)),
+            ([0], ["1.5"], zero, r"^dataset value entries must be real numbers, not str"),
+            ([0], [True], zero, r"^dataset value entries must be real numbers, not bool$"),
+            ([0], zero, ["0.001"], r"^dataset sigma entries must be real numbers, not str")):
         with pytest.raises(ValueError, match=message):
             tomo.TomographyDataset(record, value, sigma)
     edge = tomo.TomographyDataset([647, 0], [1.0, -1.0], [0.0, 0.0])
@@ -422,7 +431,7 @@ def test_reconstruct_round_trip(rng):
         rho = core.random_density_operator(rng)
         rec = tomo.reconstruct(tomo.generate_dataset(rho, sigma=0.0))
         assert core.trace_distance(rec.rho_hat, rho) <= 1e-8
-    mixed = core.maximally_mixed()
+    mixed = core.DensityOperator(np.eye(8) / 8)
     rec = tomo.reconstruct(tomo.generate_dataset(mixed, sigma=0.0))
     np.testing.assert_allclose(rec.rho_hat.matrix, mixed.matrix, atol=1e-12)
     assert rec.residual_norm <= 1e-12

@@ -8,16 +8,16 @@ import pytest
 from pseudobound import core, states, witnesses
 from conftest import A_OPT, EPS_OPT, pure_state, random_params, random_product_vectors
 
-W_PARAMS = witnesses.WitnessParams.symmetric(A_OPT, EPS_OPT)
+W_PARAMS = witnesses.WitnessParams(states.StateParams.symmetric(A_OPT), EPS_OPT)
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
         witnesses.WitnessParams(states.StateParams(0.3, 0.3, -0.1), 0.1)
     with pytest.raises(ValueError):
-        witnesses.WitnessParams.symmetric(0.3, -1e-3)
+        witnesses.WitnessParams(states.StateParams.symmetric(0.3), -1e-3)
     with pytest.raises(ValueError):
-        witnesses.WitnessParams.symmetric(0.3, 1.7976931348623157e308)
+        witnesses.WitnessParams(states.StateParams.symmetric(0.3), 1.7976931348623157e308)
 
 
 def test_base_witness_trace_and_corner(rng):
@@ -58,7 +58,7 @@ def test_zero_expectation_on_matching_state(rng):
 
 
 def test_witness_shift():
-    params = witnesses.WitnessParams.symmetric(0.7, 0.0)
+    params = witnesses.WitnessParams(states.StateParams.symmetric(0.7), 0.0)
     np.testing.assert_array_equal(witnesses.witness(params),
                                   witnesses.witness_bar(params.state_params))
 
@@ -68,7 +68,7 @@ def test_witness_expectations(rho_opt):
     assert witnesses.expectation(w, rho_opt) == pytest.approx(-EPS_OPT, abs=1e-12)
     ghz_val = witnesses.expectation(w, pure_state(states.ghz(+1)))
     assert ghz_val == pytest.approx(-1.0339, abs=1e-4)
-    mixed_val = witnesses.expectation(w, core.maximally_mixed())
+    mixed_val = witnesses.expectation(w, core.DensityOperator(np.eye(8) / 8))
     assert mixed_val == pytest.approx((4 - 8 * EPS_OPT) / 8, abs=1e-12)
     assert mixed_val == pytest.approx(0.3931, abs=1e-10)
 
@@ -89,7 +89,7 @@ def test_spectrum_closed_form(rng):
         a = float(rng.uniform(0.1, 3.0))
         eps = float(rng.uniform(0.0, 0.3))
         lo, _ = witnesses.witness_spectrum_extremes(
-            witnesses.WitnessParams.symmetric(a, eps))
+            witnesses.WitnessParams(states.StateParams.symmetric(a), eps))
         assert lo == pytest.approx(-3 * a / (1 + a * a) - eps, abs=1e-10)
 
 
@@ -429,28 +429,6 @@ def test_base_witness_nonnegative_on_separable(rng):
         assert float(weights @ values[picks]) >= -1e-12
 
 
-def test_white_noise_threshold_without_a_positive_noise_term_is_zero(rho_opt):
-    # -Id detects every state, white noise included: no admixture is needed
-    assert witnesses.white_noise_threshold(-np.eye(8), rho_opt) == 0.0
-
-
-def test_white_noise_threshold_values(rho_opt):
-    w = witnesses.witness(W_PARAMS)
-    assert witnesses.white_noise_threshold(w, rho_opt) == pytest.approx(0.7862,
-                                                                        abs=1e-6)
-    # symmetric crossover: expectation on the state equals minus the noise term
-    toy = np.diag([0.9, -0.1, 0, 0, 0, 0, 0, 0]).astype(complex)
-    one = np.zeros(8); one[1] = 1.0
-    assert witnesses.white_noise_threshold(toy, pure_state(one)) == pytest.approx(0.5)
-    # epsilon -> 0 leaves no noise tolerance
-    w_tiny = witnesses.witness(witnesses.WitnessParams.symmetric(A_OPT, 1e-6))
-    assert witnesses.white_noise_threshold(w_tiny, rho_opt) == pytest.approx(1.0,
-                                                                             abs=1e-5)
-    with pytest.raises(ValueError, match="does not detect"):
-        witnesses.white_noise_threshold(
-            witnesses.witness_bar(states.StateParams.symmetric(A_OPT)), rho_opt)
-
-
 def test_optimizer_smoke_and_determinism():
     kwargs = dict(search_range=(0.2, 0.6), restarts=60, seed=5)
     rep1 = witnesses.optimize_parameters(**kwargs)
@@ -473,10 +451,11 @@ def test_optimizer_threshold_matches_white_noise_threshold():
             assert q == 1.0
             continue
         params = states.StateParams.symmetric(a)
-        reference = witnesses.white_noise_threshold(
-            witnesses.witness_bar(params) - eps * np.eye(8),
-            states.bound_entangled_state(params))
-        assert q == pytest.approx(reference, rel=0, abs=1e-12)
+        w = witnesses.witness_bar(params) - eps * np.eye(8)
+        # tr(W [(1 - q) Id/8 + q rho]) = 0, solved for q
+        noise_term = np.trace(w).real / 8
+        state_term = witnesses.expectation(w, states.bound_entangled_state(params))
+        assert q == pytest.approx(noise_term / (noise_term - state_term), rel=0, abs=1e-12)
 
 
 def test_optimizer_trace_holds_python_floats():
