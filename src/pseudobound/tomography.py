@@ -261,10 +261,11 @@ class TomographyDataset:
     (648, 63).  The arrays have equal length.  The constructor is the one validation
     of a dataset from outside the program (a file, or arrays a caller
     passes): integer indices and real values and sigmas (no bool or string is
-    coerced), equal 1-D lengths, at most 168 records, indices in range, each
-    sigma either 0 (exact data) or within ``SIGMA_RANGE``, so that the fit
-    weight 1/sigma^2 is a finite normal float, and each value finite and
-    within ``MAX_VALUE`` in magnitude, so that the fit stays finite.
+    coerced, not even a bool among numbers in a list), equal 1-D lengths, at
+    most 168 records, indices in range, each sigma either 0 (exact data) or
+    within ``SIGMA_RANGE``, so that the fit weight 1/sigma^2 is a finite
+    normal float, and each value finite and within ``MAX_VALUE`` in
+    magnitude, so that the fit stays finite.
     ``generate_dataset``, the one place that simulates data, checks its
     sigma and builds its dataset through ``_trusted`` without these checks.
     """
@@ -281,8 +282,13 @@ class TomographyDataset:
                                          ("value", value, "iuf", float),
                                          ("sigma", sigma, "iuf", float)):
             # the dtype numpy infers decides: "3", True, an index 1.5 and an int
-            # beyond int64 (object) are refused, not coerced
+            # beyond int64 (object) are refused, not coerced; a bool among numbers
+            # takes their dtype, so a list's or tuple's entries are tested too and
+            # such an input is refused as bool
             array = np.array(data)
+            if array.ndim == 1 and not isinstance(data, np.ndarray) and any(
+                    isinstance(entry, (bool, np.bool_)) for entry in data):
+                array = array.astype(bool)
             if array.size and array.dtype.kind not in kinds:
                 raise ValueError(f"dataset {name} entries must be "
                                  f"{'integers' if dtype is np.intp else 'real numbers'}, "
@@ -372,7 +378,9 @@ class TomographyDataset:
             except (KeyError, TypeError):   # TypeError: an unhashable label such as a list
                 _experiment_index(*labels[:2])
                 raise ValueError(f"unknown line/quadrature {labels[2:]!r}") from None
-        return cls(record, value, sigma)
+        # as arrays, which the constructor need not test entry by entry: each
+        # value and sigma passed the type test above, and each index is an int
+        return cls(np.array(record), np.array(value), np.array(sigma))
 
 
 def _records_json(labels, values, sigmas) -> list[dict]:

@@ -168,14 +168,20 @@ def min_over_product_states(w_bar, restarts: int = 200, seed: int = 0) -> Produc
     bound on the product-state minimum, not a certified lower bound.
 
     Every array is contiguous in (qubit, component, start) order.  The
-    starts' Bloch vectors come from the draw in real arithmetic; a block
-    step is one (4, 16) x (16, n) product of a block of T with the held
-    qubits' outer products; stopped starts leave by one ``compress`` of
-    the array packing the vectors, last values and start indices.  With
-    the few hundred starts a call runs, its time follows the number of
-    sweeps, not the number of starts.  Values match the one-start-at-a-time
-    descent of the tests within 1e-14 relative, not bit for bit: the
-    products sum in another order.
+    starts' Bloch vectors come from the draw in real arithmetic, into one
+    array packing the vectors, last values and start indices.  Once per
+    packing the descent makes its buffers: the (4, 4, n) outer products of
+    the held qubits with their (16, n) view, the field g, its squares and
+    norms, and each block step's views of the packed vectors.  A block step
+    is one (4, 16) x (16, n) product of a block of T with those outer
+    products, and every operation of a sweep writes into the buffers: a
+    sweep that stops no start allocates only its stop mask.  Stopped starts
+    leave by one ``compress`` of the packing, and only then are the buffers
+    made anew.  With the few hundred starts a call runs, its time follows
+    the number of sweeps and the NumPy calls in each, not the number of
+    starts.  Values match the one-start-at-a-time descent of the tests
+    within 1e-14 relative, not bit for bit: the products sum in another
+    order.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
@@ -208,20 +214,30 @@ def min_over_product_states(w_bar, restarts: int = 200, seed: int = 0) -> Produc
     np.multiply(re0 * re1 + im0 * im1, inv, out=cur[:, 1])
     np.multiply(re0 * im1 - im0 * re1, inv, out=cur[:, 2])
 
-    stops = []                          # (start, value, vectors) of each stop's best start
+    stops, n = [], 0                    # (start, value, vectors) of each stop's best start
     for sweep in range(MAX_SWEEPS):
-        m = packed.shape[1]
-        for q, (j, k) in enumerate(_OTHERS):
-            outer = (cur[j, :, None] * cur[k, None]).reshape(16, m)
-            g = blocks[q] @ outer
-            size = np.sqrt(np.einsum("ij,ij->j", g[1:], g[1:]))
+        if packed.shape[1] != n:        # a new packing: its views and buffers
+            n = packed.shape[1]
+            cur, value, start = packed[:12].reshape(3, 4, n), packed[12], packed[13]
+            outer, g, squares = np.empty((4, 4, n)), np.empty((4, n)), np.empty((3, n))
+            products, field = outer.reshape(16, n), g[1:]
+            size, val, slack = np.empty(n), np.empty(n), np.empty(n)
+            steps = [(q, cur[j, :, None], cur[k, None], cur[q, 1:]) for q, (j, k) in
+                     enumerate(_OTHERS)]
+        for q, held_j, held_k, new in steps:
+            np.multiply(held_j, held_k, out=outer)
+            np.matmul(blocks[q], products, out=g)
+            np.sqrt(np.add.reduce(np.multiply(field, field, out=squares), out=size), out=size)
             if q == 2:
-                val = g[0] - size       # before the g = 0 patch below
-            if np.count_nonzero(size) < m:
+                np.subtract(g[0], size, out=val)    # before the g = 0 patch below
+            if np.count_nonzero(size) < n:
                 flat = size == 0.0
                 g[3, flat], size[flat] = 1.0, 1.0
-            np.divide(g[1:], size, out=cur[q, 1:])
-        done = value - val < 1e-14 * np.maximum(unit, np.abs(val))
+            np.divide(field, size, out=new)
+        # done: the sweep lowered the value by less than 1e-14 max(1, |value|) in W's
+        # units; value holds the drop until it takes val below
+        np.multiply(np.maximum(np.abs(val, out=slack), unit, out=slack), 1e-14, out=slack)
+        done = np.subtract(value, val, out=value) < slack
         if sweep == MAX_SWEEPS - 1:
             done[:] = True              # the starts that ran out of sweeps stop too
         value[:] = val
@@ -231,7 +247,6 @@ def min_over_product_states(w_bar, restarts: int = 200, seed: int = 0) -> Produc
             packed = packed.compress(~done, axis=1)
             if not packed.size:
                 break
-            cur, value, start = packed[:12].reshape(3, 4, -1), packed[12], packed[13]
     # in start order, argmin keeps the first start on ties, as over all starts at once
     stops.sort(key=lambda stop: stop[0])
     _, best_value, best_r = stops[int(np.argmin([stop[1] for stop in stops]))]

@@ -326,7 +326,14 @@ def test_dataset_constructor_checks_shapes_and_indices():
               for record in (1.5, 1.0, "3", True, 2**70, None)),
             ([0], ["1.5"], zero, r"^dataset value entries must be real numbers, not str"),
             ([0], [True], zero, r"^dataset value entries must be real numbers, not bool$"),
-            ([0], zero, ["0.001"], r"^dataset sigma entries must be real numbers, not str")):
+            ([0], zero, ["0.001"], r"^dataset sigma entries must be real numbers, not str"),
+            # a bool among numbers takes their dtype, and is still refused
+            ([0, True], [1.5, 1.0], [0.0, 0.0],
+             r"^dataset record entries must be integers, not bool$"),
+            ([0, 1], [1.5, True], [0.0, 0.0],
+             r"^dataset value entries must be real numbers, not bool$"),
+            ((0, 1), (1.5, 1.0), (0.0, np.True_),
+             r"^dataset sigma entries must be real numbers, not bool$")):
         with pytest.raises(ValueError, match=message):
             tomo.TomographyDataset(record, value, sigma)
     edge = tomo.TomographyDataset([647, 0], [1.0, -1.0], [0.0, 0.0])

@@ -442,6 +442,17 @@ def test_optimizer_smoke_and_determinism():
         witnesses.optimize_parameters(search_range=(0.5, 0.1))
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+def test_optimizer_pins_the_criterion_06_optimum(seed):
+    # the search at criterion 06's settings, as recorded from it: a change to the
+    # descent's arithmetic that moves the optimum by more than rounding shows here
+    report = witnesses.optimize_parameters((0.05, 1.0), restarts=250, seed=seed)
+    assert abs(report.a - 0.34601433231408857) <= 1e-12
+    assert report.epsilon_certified == pytest.approx(0.10692430730082758, rel=1e-13, abs=0)
+    assert report.noise_threshold == pytest.approx(0.7861513853983448, rel=1e-13, abs=0)
+    assert report.total_restarts == 12500
+
+
 def test_optimizer_threshold_matches_white_noise_threshold():
     # the range ends on the separable boundary a = 1, where epsilon is zero
     report = witnesses.optimize_parameters(search_range=(0.2, 1.0), restarts=60, seed=5)
