@@ -184,33 +184,6 @@ def readout_table_exact(rng) -> str:
             f"equal to the conjugation rounded by at most {worst:.1e}")
 
 
-def known_layout(rng) -> str:
-    # the rows, squares and whole-experiment layout a simulated dataset is given,
-    # against those derived from its record indices, and its fit against the fit
-    # of the same arrays through the constructor, which derives them
-    table = tomography._readout_table().reshape(-1, 63)
-    sigmas = (0.0, 1e-6, 1e-3, 1e-1)
-    for sigma in sigmas:
-        given = tomography.generate_dataset(core.random_density_operator(rng), sigma=sigma,
-                                            seed=int(rng.integers(1 << 31)))
-        rows, squares = given._layout
-        derived = table[given.record]
-        _require(np.array_equal(rows, derived), f"sigma={sigma:g}: given rows off the table's")
-        _require(np.array_equal(squares, derived * derived),
-                 f"sigma={sigma:g}: given squares off the squared rows")
-        _require(tomography._whole_experiments(given),
-                 f"sigma={sigma:g}: given a layout that is not whole experiments")
-        fit = tomography.reconstruct(given)
-        again = tomography.reconstruct(
-            tomography.TomographyDataset(given.record, given.value, given.sigma))
-        _require(np.array_equal(fit.theta, again.theta)
-                 and np.array_equal(fit.covariance, again.covariance)
-                 and fit.residual_norm == again.residual_norm,
-                 f"sigma={sigma:g}: the given layout fits otherwise than the derived one")
-    return (f"{len(sigmas)} simulated datasets' given rows, squares and layout equal the "
-            f"derived ones and fit bit for bit alike")
-
-
 def _require_known_spectrum(name: str, rho: core.DensityOperator, bound: float = 1e-15) -> float:
     # the spectrum a construction gave against the dense one, to bound max(1, |lam|)
     m = rho.matrix
@@ -399,12 +372,20 @@ def diagonal_normal_matrix(rng) -> str:
 def whole_experiment_covariance(rng) -> str:
     # one sigma over whole experiments: the covariance is sigma^2 / diag(A^T A)
     sigma = 1e-3
-    rec = tomography.reconstruct(
-        tomography.generate_dataset(core.random_density_operator(rng), sigma=sigma))
+    dataset = tomography.generate_dataset(core.random_density_operator(rng), sigma=sigma)
+    rec = tomography.reconstruct(dataset)
     expected = np.diag(sigma ** 2 / np.sum(tomography.design_matrix() ** 2, axis=0))
     gap = float(np.max(np.abs(rec.covariance - expected)) / np.max(expected))
     _require(gap <= 1e-12, f"covariance off sigma^2/diag(A^T A) by {gap:.1e} relative")
-    return f"covariance equals sigma^2/diag(A^T A) to {gap:.1e} relative"
+    # the same records in reverse experiment order, which are whole experiments
+    # but not the default layout: they gather their rows and take the closed form
+    again = tomography.reconstruct(tomography.TomographyDataset(
+        *(a.reshape(-1, 8)[::-1].ravel() for a in (dataset.record, dataset.value, dataset.sigma))))
+    moved = float(np.max(np.abs(again.theta - rec.theta)) / np.max(np.abs(rec.theta)))
+    _require(moved <= 1e-12 and np.array_equal(again.covariance, rec.covariance),
+             f"reverse experiment order moves theta by {moved:.1e} relative or the covariance")
+    return (f"covariance equals sigma^2/diag(A^T A) to {gap:.1e} relative; reverse "
+            f"experiment order moves theta by {moved:.1e} relative")
 
 
 def error_propagation(rng) -> str:
@@ -511,9 +492,6 @@ CHECKS = (
     # before every entry that simulates or fits data with the table: a wrong
     # table is named here, not as a failed fit there
     ("readout table is exact", readout_table_exact),
-    # before "known spectra", whose projections fit simulated datasets: a wrong
-    # given layout is named here, not as an unfit projection there
-    ("known layout", known_layout),
     ("known spectra", known_spectra),
     ("preparation unitary and factorization", preparation),
     ("temporal averaging weld", temporal_weld),  # criterion 05

@@ -18,9 +18,10 @@ gates, kept as its independent oracle.  A dataset is three read-only
 arrays (record, value, sigma) from the JSON file or the simulation to the
 fit.  One index, experiment * 8 + row, names a record's labels and its row
 of the table viewed as (648, 63); the constructor validates the arrays of a
-file, and the simulation builds its own without re-checking them and hands
-its dataset the rows and squares of the default layout, kept once per
-process, so that its fit derives neither.  The
+file, and the simulation builds its own without re-checking them.  The fit
+takes its rows from the record indices alone: records in the default
+layout, simulated or read from a file, read its rows and squares, kept once
+per process, and any other records gather theirs from the table.  The
 same index names a record's text in a dataset file:
 ``TomographyDataset.json_text`` formats each record's labels, value and
 sigma into one record text cut once from ``core.json_text``, byte for byte
@@ -213,9 +214,9 @@ def _readout_table() -> np.ndarray:
 def _default_layout() -> tuple[np.ndarray, np.ndarray]:
     """The default layout's (168, 63) readout rows and their squares, read-only.
 
-    The rows are the readout table's at ``_DEFAULT_RECORD``; every simulated
-    dataset is given both (``TomographyDataset._trusted``), so that its fit
-    gathers and squares nothing.
+    The rows are the readout table's at ``_DEFAULT_RECORD``; the fit of every
+    dataset with those records and one sigma per experiment reads both
+    (``_fit_rows``), so that it gathers and squares nothing.
     """
     rows = _readout_table().reshape(-1, 63)[_DEFAULT_RECORD]
     squares = rows * rows
@@ -228,7 +229,7 @@ def design_matrix() -> np.ndarray:
     """The (168, 63) linear map from the deviation parameters to the default amplitudes.
 
     The kept rows of ``_default_layout``, read-only: the one gather of the
-    default layout, which every simulated dataset's fit reads too.
+    default layout, which the fit of every dataset in that layout reads too.
     """
     return _default_layout()[0]
 
@@ -273,9 +274,6 @@ class TomographyDataset:
     record: np.ndarray
     value: np.ndarray
     sigma: np.ndarray
-    # (rows, squares) of whole experiments with one sigma each, given by the
-    # construction that knows them; None: ``reconstruct`` derives the layout
-    _layout = None
 
     def __init__(self, record, value, sigma):
         for name, data, kinds, dtype in (("record", record, "iu", np.intp),
@@ -311,21 +309,17 @@ class TomographyDataset:
                              f"within {MAX_VALUE:g} in magnitude")
 
     @classmethod
-    def _trusted(cls, record: np.ndarray, value: np.ndarray, sigma: np.ndarray,
-                 layout: tuple[np.ndarray, np.ndarray]) -> "TomographyDataset":
+    def _trusted(cls, record: np.ndarray, value: np.ndarray,
+                 sigma: np.ndarray) -> "TomographyDataset":
         """A dataset of arrays that meet the constructor's conditions, made read-only, uncopied.
 
-        ``layout`` holds the facts its construction knows about the records:
-        their readout rows and the rows' squares, read-only, for records that
-        are whole experiments with one sigma each.  ``reconstruct`` reads
-        them instead of gathering, squaring and testing the layout; both are
-        taken as given, and ``checks`` compares them with the derived ones.
+        It skips only the constructor's validation; the dataset is the one the
+        constructor builds from the same arrays, and its fit is the same.
         """
         dataset = object.__new__(cls)
         for name, array in (("record", record), ("value", value), ("sigma", sigma)):
             array.setflags(write=False)
             object.__setattr__(dataset, name, array)
-        object.__setattr__(dataset, "_layout", layout)
         return dataset
 
     def __eq__(self, other):
@@ -421,10 +415,9 @@ def generate_dataset(rho: DensityOperator, sigma: float = 0.0,
     file gets.  The dataset is then built without the validating
     constructor's checks (``TomographyDataset._trusted``): its indices are
     the default layout's, and its exact amplitudes lie within ``MAX_VALUE``
-    because a state's entries lie within ``core.MAX_ENTRY``.  It is given
-    what the construction knows of that layout, the kept rows and squares
-    of ``_default_layout`` for whole experiments with one sigma, so that
-    its fit derives none of them.
+    because a state's entries lie within ``core.MAX_ENTRY``.  Its records
+    are ``_DEFAULT_RECORD`` itself, so its fit reads the kept rows and
+    squares of ``_default_layout``, as a file in that layout does.
     """
     if not 0.0 <= sigma < math.inf:
         raise ValueError(f"sigma {sigma} must be finite and non-negative")
@@ -438,8 +431,7 @@ def generate_dataset(rho: DensityOperator, sigma: float = 0.0,
     if sigma > 0:
         values += np.random.default_rng(seed).normal(0.0, sigma, size=values.shape)
     return TomographyDataset._trusted(_DEFAULT_RECORD, values,
-                                      np.full(len(_DEFAULT_RECORD), float(sigma)),
-                                      _default_layout())
+                                      np.full(len(_DEFAULT_RECORD), float(sigma)))
 
 
 # ---------------------------------------------------------------------------
@@ -456,23 +448,32 @@ class ReconstructionResult:
     residual_norm: float
 
 
-def _whole_experiments(dataset: TomographyDataset) -> bool:
-    """True if the records are whole experiments, in row order, with one sigma each.
+def _fit_rows(dataset: TomographyDataset) -> tuple[np.ndarray, np.ndarray | None]:
+    """The fit's readout rows, and their squares if the closed form applies.
 
-    Each block of 8 record indices must start at a multiple of 8 and run
+    The rows are the readout table's at the record indices.  The squares are
+    returned when the records are whole experiments, in row order, with one
+    sigma each, and are None otherwise, so that the fit takes the SVD.  The
+    sigmas compare with ==, so that 0.0 and -0.0 are one exact sigma.
+    Records byte for byte ``_DEFAULT_RECORD``, as a simulated dataset's and
+    a default-layout file's are, read the kept rows and squares of
+    ``_default_layout``.  Any other records gather their rows, and each of
+    their blocks of 8 indices must start at a multiple of 8 and run
     consecutively.  The default layout's blocks do, so a block does exactly
     when its offset from the default layout is one multiple of 8 throughout:
     the offsets compare as bytes against each block's first offset rounded
-    down to a multiple of 8 and repeated.  The sigmas compare with ==, so
-    that 0.0 and -0.0 are one exact sigma.
+    down to a multiple of 8 and repeated.
     """
     n = len(_ROW_LABELS)
     record, sigma = dataset.record, dataset.sigma
-    if len(record) % n:
-        return False
+    one_sigma = not len(record) % n and bool((sigma == sigma[::n].repeat(n)).all())
+    if one_sigma and record.tobytes() == _DEFAULT_RECORD.tobytes():
+        return _default_layout()
+    rows = _readout_table().reshape(-1, 63)[record]
     offset = record - _DEFAULT_RECORD[:len(record)]
-    return (offset.tobytes() == (offset[::n] & -n).repeat(n).tobytes()
-            and bool((sigma == sigma[::n].repeat(n)).all()))
+    if one_sigma and offset.tobytes() == (offset[::n] & -n).repeat(n).tobytes():
+        return rows, rows * rows
+    return rows, None
 
 
 _EPS = float(np.finfo(float).eps)
@@ -494,13 +495,12 @@ def reconstruct(dataset: TomographyDataset) -> ReconstructionResult:
     """Solve the overdetermined linear system for the deviation parameters.
 
     Each record's row is read from the readout table that simulates the
-    data, at the record's index, with weight 1/sigma.  A simulated dataset
-    was given its rows, their squares and the fact that its records are
-    whole experiments with one sigma each (``TomographyDataset._trusted``),
-    and the fit reads them; any other dataset gathers its rows and tests
-    its layout (``_whole_experiments``).  Both then take the one fit below.
-    When the records are whole experiments with one sigma each, as every
-    generated dataset is, the normal matrix A^T W A is diagonal (every
+    data, at the record's index, with weight 1/sigma.  ``_fit_rows`` reads
+    the rows, and their squares for the closed form, from the record
+    indices and the sigmas alone: records in the default layout read the
+    kept ones, any others gather theirs.  When the records are whole
+    experiments with one sigma each, as every generated dataset's are, the
+    normal matrix A^T W A is diagonal (every
     experiment's Gram B^T B is; ``checks`` asserts it), so the estimate is
     (A^T W b) / diag(A^T W A), the covariance diag(1/diag(A^T W A)) and
     the singular values sqrt(diag(A^T W A)).  Any other dataset (shuffled,
@@ -520,11 +520,7 @@ def reconstruct(dataset: TomographyDataset) -> ReconstructionResult:
     if not exact and not sigmas.all():
         raise ValueError("datasets mixing exact and noisy records are not supported")
     weights = np.ones_like(sigmas) if exact else 1.0 / sigmas
-    if dataset._layout is not None:
-        rows, squares = dataset._layout
-    else:
-        rows = _readout_table().reshape(-1, 63)[dataset.record]
-        squares = rows * rows if _whole_experiments(dataset) else None
+    rows, squares = _fit_rows(dataset)
 
     if squares is not None:
         w2 = weights * weights

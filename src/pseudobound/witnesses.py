@@ -145,7 +145,7 @@ def _state_vectors(r: np.ndarray) -> np.ndarray:
 
 _OTHERS = ((1, 2), (0, 2), (0, 1))
 _NEGATE_BLOCH = np.array([[1.0], [-1.0], [-1.0], [-1.0]])
-MAX_RESTARTS = 10**5     # the descent peaks at about 0.68 KB per start (tracemalloc, 10^5 starts)
+MAX_RESTARTS = 10**5     # the descent peaks at about 0.86 KiB per start (tracemalloc, 10^5 starts)
 MAX_SWEEPS = 200         # sweeps a start may run before it stops
 
 

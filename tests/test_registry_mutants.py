@@ -35,6 +35,7 @@ _seed_orders = nmr._seed_orders
 _preparation_unitary = nmr.preparation_unitary
 _x_state_forms = states._x_state_forms
 _default_layout = tomography._default_layout
+_fit_rows = tomography._fit_rows
 _readout_table = tomography._readout_table
 
 
@@ -149,9 +150,24 @@ def _rolled_layout():
 
 
 def _unsquared_layout():
-    # the rows given in place of their squares
+    # the rows kept in place of their squares
     rows, _ = _default_layout()
     return rows, rows
+
+
+def _kept_rows_for_every_whole_layout(dataset):
+    # the default layout's rows for any whole experiments with one sigma each,
+    # not only for the default records
+    rows, squares = _fit_rows(dataset)
+    return (rows, squares) if squares is None else _default_layout()
+
+
+def _reversed_rows():
+    # the rows a fit reads for the default records in reverse experiment order
+    dataset = tomography.generate_dataset(FAMILY)
+    reverse = (a.reshape(-1, 8)[::-1].ravel() for a in (dataset.record, dataset.value,
+                                                           dataset.sigma))
+    return tomography._fit_rows(tomography.TomographyDataset(*reverse))[0]
 
 
 def _family_known_forms():
@@ -159,8 +175,9 @@ def _family_known_forms():
     return np.concatenate([rho.eigenvalues(), rho.known_root.ravel()])
 
 
-def _given_layout():
-    return np.concatenate([a.ravel() for a in tomography.generate_dataset(FAMILY)._layout])
+def _kept_layout():
+    return np.concatenate([a.ravel()
+                           for a in tomography._fit_rows(tomography.generate_dataset(FAMILY))])
 
 
 def _mixed_spectrum():
@@ -235,10 +252,13 @@ MUTANTS = [
      _family_known_forms, "known spectra"),
     ("E_t spectrum without its identity shift", (core, "mix_state", _unshifted_mix_state),
      _mixed_spectrum, "known spectra"),
-    ("given rows rolled by one experiment", (tomography, "_default_layout", _rolled_layout),
-     _given_layout, "known layout"),
-    ("given squares that are the unsquared rows",
-     (tomography, "_default_layout", _unsquared_layout), _given_layout, "known layout"),
+    ("kept rows rolled by one experiment", (tomography, "_default_layout", _rolled_layout),
+     _kept_layout, "tomography design rank and round trip"),
+    ("kept squares that are the unsquared rows",
+     (tomography, "_default_layout", _unsquared_layout), _kept_layout, "known spectra"),
+    ("kept rows for every whole-experiment layout",
+     (tomography, "_fit_rows", _kept_rows_for_every_whole_layout), _reversed_rows,
+     "whole-experiment covariance"),
     ("H detection swapped onto the F qubit",
      (tomography, "_DETECT_SLOTS", {**tomography._DETECT_SLOTS, "H": (2, 1, 0)}),
      _readout_table, "readout table is exact"),

@@ -303,7 +303,7 @@ def test_dataset_values_are_bounded_so_the_fit_stays_finite():
     ds = tomo.generate_dataset(RHO_OPT)
     heavy = tomo.TomographyDataset(ds.record, np.full(168, bound),
                                    np.full(168, tomo.SIGMA_RANGE[0]))
-    assert tomo._whole_experiments(heavy)
+    assert tomo._fit_rows(heavy)[1] is not None
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"^record values up to 8e\+150 in magnitude fit .*: "
@@ -448,7 +448,7 @@ def test_reconstruct_round_trip(rng):
 def test_reconstruct_rejects_deficient_dataset():
     full = tomo.generate_dataset(RHO_OPT)
     ds = tomo.TomographyDataset(full.record[:8], full.value[:8], full.sigma[:8])
-    assert tomo._whole_experiments(ds)   # the closed form refuses it
+    assert tomo._fit_rows(ds)[1] is not None   # the closed form refuses it
     with pytest.raises(ValueError, match="rank"):
         tomo.reconstruct(ds)
 
@@ -499,7 +499,7 @@ def test_closed_form_matches_the_svd():
     for ds in (default, per_experiment):
         order = rng.permutation(len(ds.value))
         shuffled = tomo.TomographyDataset(ds.record[order], ds.value[order], ds.sigma[order])
-        assert tomo._whole_experiments(ds) and not tomo._whole_experiments(shuffled)
+        assert tomo._fit_rows(ds)[1] is not None and tomo._fit_rows(shuffled)[1] is None
         closed, svd = tomo.reconstruct(ds), tomo.reconstruct(shuffled)
         assert rel(closed.theta, svd.theta) <= 1e-12
         assert rel(closed.covariance, svd.covariance) <= 1e-12
@@ -586,7 +586,7 @@ def test_cached_rows_fit_bit_for_bit_like_uncached_rows(name):
     ds = _layouts()[name]
     theta, cov, residual, whole = _uncached_fit(ds)
     rec = tomo.reconstruct(ds)
-    assert tomo._whole_experiments(ds) == whole
+    assert (tomo._fit_rows(ds)[1] is not None) == whole
     assert np.array_equal(rec.theta, theta) and np.array_equal(rec.covariance, cov)
     assert rec.residual_norm == residual
 
@@ -632,8 +632,8 @@ def test_fit_path_follows_each_dataset_layout():
     layouts = _layouts()
     assert np.signbit(layouts["signed-zero exact"].sigma).any()
     # 8 consecutive record indices that cross into the next experiment are no whole experiment
-    assert not tomo._whole_experiments(tomo.TomographyDataset(np.arange(4, 12), np.zeros(8),
-                                                              np.zeros(8)))
+    assert tomo._fit_rows(tomo.TomographyDataset(np.arange(4, 12), np.zeros(8),
+                                                 np.zeros(8)))[1] is None
     runs = [("default", False), ("shuffled", True), ("default", False),
             ("per-experiment sigma", False), ("per-record sigma", True),
             ("per-experiment sigma", False), ("signed-zero exact", False),
@@ -649,24 +649,36 @@ def test_fit_path_follows_each_dataset_layout():
 
 
 @pytest.mark.parametrize("sigma", [0.0, 1e-3])
-def test_only_a_simulated_dataset_is_given_its_layout(sigma):
-    # a generated dataset's fit reads the rows, squares and layout its construction
-    # gave: no gather from the table and no layout test; the same arrays from a
-    # file or from a caller derive both, and all three fit bit for bit alike
+def test_the_fit_takes_its_rows_from_the_record_indices(sigma):
+    # records in the default layout read the kept rows and squares wherever the
+    # dataset comes from: simulated, read back from its file or built by the
+    # constructor, with no gather from the table, and all three fit bit for bit
+    # alike; a sigma per record, or the experiments in reverse order, gather theirs
     generated = tomo.generate_dataset(RHO_OPT, sigma=sigma, seed=4)
     copies = [tomo.TomographyDataset.from_json(json.loads(generated.json_text())),
               tomo.TomographyDataset(generated.record, generated.value, generated.sigma)]
+    kept = tomo._default_layout()
     fits = []
-    for ds, derives in [(generated, 0), *((copy, 1) for copy in copies)]:
+    for ds in (generated, *copies):
         assert ds == generated
-        with mock.patch.object(tomo, "_whole_experiments", wraps=tomo._whole_experiments) as whole, \
-                mock.patch.object(tomo, "_readout_table", wraps=tomo._readout_table) as table:
+        with mock.patch.object(tomo, "_readout_table", wraps=tomo._readout_table) as table:
+            rows, squares = tomo._fit_rows(ds)
             fits.append(tomo.reconstruct(ds))
-        assert (whole.call_count, table.call_count) == (derives, derives)
+        assert table.call_count == 0
+        assert rows is kept[0] and squares is kept[1]
     for fit in fits[1:]:
         assert np.array_equal(fit.theta, fits[0].theta)
         assert np.array_equal(fit.covariance, fits[0].covariance)
         assert fit.residual_norm == fits[0].residual_norm
+    r, v, s = generated.record, generated.value, generated.sigma
+    per_record = tomo.TomographyDataset(r, v, np.linspace(1e-3, 2e-3, len(v)))
+    reverse = tomo.TomographyDataset(*(a.reshape(-1, 8)[::-1].ravel() for a in (r, v, s)))
+    for ds, whole in ((per_record, False), (reverse, True)):
+        with mock.patch.object(tomo, "_readout_table", wraps=tomo._readout_table) as table:
+            rows, squares = tomo._fit_rows(ds)
+        assert table.call_count == 1 and rows is not kept[0]
+        assert np.array_equal(rows, tomo._readout_table().reshape(-1, 63)[ds.record])
+        assert (squares is not None) == whole
 
 
 def test_reconstruction_unbiased():
