@@ -123,8 +123,12 @@ def bloch_tensor(w) -> np.ndarray:
     <abc| W |abc> = sum T[i, j, k] a_i b_j c_k for the qubits' Bloch vectors
     (1, x, y, z); only the Hermitian part of W enters.
     """
-    m = check_operator(w)
-    return np.concatenate(([np.trace(m).real / 8.0], _pauli_coordinates(m))).reshape(4, 4, 4)
+    return _bloch_coefficients(check_operator(w)).reshape(4, 4, 4)
+
+
+def _bloch_coefficients(m: np.ndarray) -> np.ndarray:
+    """``bloch_tensor`` of a checked 8x8 matrix, flat: T[i, j, k] at 16 i + 4 j + k."""
+    return np.concatenate(([np.trace(m).real / 8.0], _pauli_coordinates(m)))
 
 
 def _state_vectors(r: np.ndarray) -> np.ndarray:
@@ -144,8 +148,12 @@ def _state_vectors(r: np.ndarray) -> np.ndarray:
 
 
 _OTHERS = ((1, 2), (0, 2), (0, 1))
+# _BLOCK_INDEX[q, i, 4 j' + k']: the flat index in T of qubit q in i and the other
+# two, _OTHERS[q], in j' and k'; one gather of T's 64 entries makes the three blocks
+_BLOCK_INDEX = np.stack([np.arange(64).reshape(4, 4, 4).transpose(q, j, k).reshape(4, 16)
+                         for q, (j, k) in enumerate(_OTHERS)])
 _NEGATE_BLOCH = np.array([[1.0], [-1.0], [-1.0], [-1.0]])
-MAX_RESTARTS = 10**5     # the descent peaks at about 0.86 KiB per start (tracemalloc, 10^5 starts)
+MAX_RESTARTS = 10**5     # the descent peaks below 0.7 KiB per start (0.65 by tracemalloc at 10^5)
 MAX_SWEEPS = 200         # sweeps a start may run before it stops
 
 
@@ -158,30 +166,38 @@ def min_over_product_states(w_bar, restarts: int = 200, seed: int = 0) -> Produc
     g_0 + g . r in the third, minimal at r = -g/|g| (|0> when g = 0) with
     value g_0 - |g|, so no sweep raises the value.  A start stops when a
     sweep lowers it by less than 1e-14 max(1, |value|), or after
-    ``MAX_SWEEPS`` sweeps; the lowest final value wins, the first start on
-    ties.  The descent runs on W scaled by a power of two, which is exact,
-    so that the field of a huge or tiny W neither overflows nor underflows;
-    the stopping rule stays in W's units.  The
+    ``MAX_SWEEPS`` sweeps; the lowest value a start stopped at wins, the
+    first start on ties.  The descent runs on W scaled by a power of two,
+    which is exact, so that the field of a huge or tiny W neither
+    overflows nor underflows; the stopping rule stays in W's units.  The
     starts are one seeded draw, start by start, so the result is
-    deterministic and non-increasing in ``restarts``.  Only the Hermitian
+    deterministic and non-increasing in ``restarts`` within
+    1e-14 max(1, |value|): a start's rounding depends, through the matrix
+    product, on how many starts share its packing.  Only the Hermitian
     part of W enters.  The value is the best local minimum found: an upper
     bound on the product-state minimum, not a certified lower bound.
 
-    Every array is contiguous in (qubit, component, start) order.  The
-    starts' Bloch vectors come from the draw in real arithmetic, into one
-    array packing the vectors, last values and start indices.  Once per
-    packing the descent makes its buffers: the (4, 4, n) outer products of
-    the held qubits with their (16, n) view, the field g, its squares and
-    norms, and each block step's views of the packed vectors.  A block step
-    is one (4, 16) x (16, n) product of a block of T with those outer
-    products, and every operation of a sweep writes into the buffers: a
-    sweep that stops no start allocates only its stop mask.  Stopped starts
-    leave by one ``compress`` of the packing, and only then are the buffers
-    made anew.  With the few hundred starts a call runs, its time follows
-    the number of sweeps and the NumPy calls in each, not the number of
-    starts.  Values match the one-start-at-a-time descent of the tests
-    within 1e-14 relative, not bit for bit: the products sum in another
-    order.
+    The operator is checked once, and T is computed once from it; one
+    gather of T makes the three (4, 16) blocks.  Every array is contiguous
+    in (qubit, component, start) order.  The starts' Bloch vectors come
+    from the draw in real arithmetic, into one array packing the vectors,
+    last values, start indices and a hold that is 0 while a start
+    descends.  Once per packing the descent makes its buffers: the
+    (4, 4, n) outer products of the held qubits with their (16, n) view, the
+    field g, its squares and norms, and each block step's views of the
+    packed vectors.  A block step is one (4, 16) x (16, n) product of a
+    block with those outer products, and every operation of a sweep writes
+    into the buffers: a sweep that stops no start allocates no array
+    buffer.  A start that stops is recorded then, with that sweep's value
+    and vectors, and stays in the packing with its hold set to inf: its
+    last value is then inf, the stopping rule's initial value, so it never
+    stops again.  Only when at least half the packing has stopped do the
+    stopped starts leave, by one ``compress``, and the buffers get made
+    anew, so a call repacks at most log2(restarts) + 1 times.  With the few
+    hundred starts a call runs, its time follows the number of sweeps and
+    the NumPy calls in each, not the number of starts.  Values match the
+    one-start-at-a-time descent of the tests within 1e-14 relative, not
+    bit for bit: the products sum in another order.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
@@ -193,18 +209,17 @@ def min_over_product_states(w_bar, restarts: int = 200, seed: int = 0) -> Produc
     # 1 in W's units) and the value is scaled back.  e >= -1021 keeps 2^-e finite.
     e = max(int(np.frexp(np.abs(m.view(float)).max())[1]), -1021)
     unit = math.ldexp(1.0, -e)
-    t = bloch_tensor(m * unit)
     # blocks[q][i, (j, k)]: T with qubit q in i, the other two jointly in (j, k);
     # rows 1-3 negated, so that a block step's g[1:] is -g, the update direction
-    blocks = [t.transpose(q, j, k).reshape(4, 16) * _NEGATE_BLOCH for q, (j, k) in
-              enumerate(_OTHERS)]
+    blocks = _bloch_coefficients(m * unit)[_BLOCK_INDEX] * _NEGATE_BLOCH
 
     draws = np.random.default_rng(seed).standard_normal((restarts, 3, 2, 2))
-    # the starts still descending, packed as rows 0-11 the Bloch vectors
-    # (qubit, component), row 12 the last sweep's value, row 13 the start's index
-    packed = np.empty((14, restarts))
-    cur, value, start = packed[:12].reshape(3, 4, restarts), packed[12], packed[13]
-    value[:], start[:] = np.inf, np.arange(restarts)    # value inf: sweep 1 stops none
+    # the starts in the packing, as rows 0-11 the Bloch vectors (qubit, component),
+    # row 12 the last sweep's value, row 13 the start's index and row 14 its hold;
+    # value inf: sweep 1 stops none
+    packed = np.empty((15, restarts))
+    cur, (value, start, hold) = packed[:12].reshape(3, 4, restarts), packed[12:]
+    value[:], start[:], hold[:] = np.inf, np.arange(restarts), 0.0
     (re0, re1), (im0, im1) = np.ascontiguousarray(draws.transpose(2, 3, 1, 0))
     cur[:, 0] = 1.0
     p0, p1 = re0 * re0 + im0 * im0, re1 * re1 + im1 * im1
@@ -214,39 +229,51 @@ def min_over_product_states(w_bar, restarts: int = 200, seed: int = 0) -> Produc
     np.multiply(re0 * re1 + im0 * im1, inv, out=cur[:, 1])
     np.multiply(re0 * im1 - im0 * re1, inv, out=cur[:, 2])
 
-    stops, n = [], 0                    # (start, value, vectors) of each stop's best start
+    # bound once, and out passed by position, which costs less per call than out=;
+    # maximum keeps out=, as NumPy 2 deprecates its positional out
+    multiply, matmul, divide, add, subtract, sqrt, absolute, less, equal, maximum = (
+        np.multiply, np.matmul, np.divide, np.add, np.subtract, np.sqrt, np.abs, np.less,
+        np.equal, np.maximum)
+    reduce = np.add.reduce
+    stops, n, stopped = [], 0, 0        # (start, value, vectors) of each stop's best start
     for sweep in range(MAX_SWEEPS):
         if packed.shape[1] != n:        # a new packing: its views and buffers
             n = packed.shape[1]
-            cur, value, start = packed[:12].reshape(3, 4, n), packed[12], packed[13]
+            cur, (value, start, hold) = packed[:12].reshape(3, 4, n), packed[12:]
             outer, g, squares = np.empty((4, 4, n)), np.empty((4, n)), np.empty((3, n))
             products, field = outer.reshape(16, n), g[1:]
-            size, val, slack = np.empty(n), np.empty(n), np.empty(n)
-            steps = [(q, cur[j, :, None], cur[k, None], cur[q, 1:]) for q, (j, k) in
-                     enumerate(_OTHERS)]
-        for q, held_j, held_k, new in steps:
-            np.multiply(held_j, held_k, out=outer)
-            np.matmul(blocks[q], products, out=g)
-            np.sqrt(np.add.reduce(np.multiply(field, field, out=squares), out=size), out=size)
+            size, val, slack, done = np.empty(n), np.empty(n), np.empty(n), np.empty(n, bool)
+            steps = [(q, blocks[q], cur[j, :, None], cur[k, None], cur[q, 1:])
+                     for q, (j, k) in enumerate(_OTHERS)]
+        for q, block, held_j, held_k, new in steps:
+            multiply(held_j, held_k, outer)
+            matmul(block, products, g)
+            sqrt(reduce(multiply(field, field, squares), 0, None, size), size)
             if q == 2:
-                np.subtract(g[0], size, out=val)    # before the g = 0 patch below
+                subtract(g[0], size, val)   # before the g = 0 patch below
             if np.count_nonzero(size) < n:
                 flat = size == 0.0
                 g[3, flat], size[flat] = 1.0, 1.0
-            np.divide(field, size, out=new)
+            divide(field, size, new)
         # done: the sweep lowered the value by less than 1e-14 max(1, |value|) in W's
-        # units; value holds the drop until it takes val below
-        np.multiply(np.maximum(np.abs(val, out=slack), unit, out=slack), 1e-14, out=slack)
-        done = np.subtract(value, val, out=value) < slack
+        # units; value holds the drop until it takes val plus the hold below.  A
+        # stopped start's last value is inf, so its drop is inf and it stays stopped.
+        multiply(maximum(absolute(val, slack), unit, out=slack), 1e-14, slack)
+        less(subtract(value, val, value), slack, done)
         if sweep == MAX_SWEEPS - 1:
-            done[:] = True              # the starts that ran out of sweeps stop too
-        value[:] = val
-        if np.count_nonzero(done):
+            equal(hold, 0.0, done)      # the live starts that ran out of sweeps stop too
+        add(val, hold, value)
+        newly = np.count_nonzero(done)
+        if newly:
             i = int(np.argmin(np.where(done, val, np.inf)))
             stops.append((start[i], val[i], cur[:, :, i].copy()))
-            packed = packed.compress(~done, axis=1)
-            if not packed.size:
-                break
+            hold[done] = np.inf
+            stopped += newly
+            if 2 * stopped >= n:        # half the packing has stopped: the stopped leave
+                packed = packed.compress(hold == 0.0, axis=1)
+                stopped = 0
+                if not packed.size:
+                    break
     # in start order, argmin keeps the first start on ties, as over all starts at once
     stops.sort(key=lambda stop: stop[0])
     _, best_value, best_r = stops[int(np.argmin([stop[1] for stop in stops]))]
