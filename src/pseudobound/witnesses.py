@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -127,8 +128,12 @@ def bloch_tensor(w) -> np.ndarray:
 
 
 def _bloch_coefficients(m: np.ndarray) -> np.ndarray:
-    """``bloch_tensor`` of a checked 8x8 matrix, flat: T[i, j, k] at 16 i + 4 j + k."""
-    return np.concatenate(([np.trace(m).real / 8.0], _pauli_coordinates(m)))
+    """``bloch_tensor`` of a checked 8x8 matrix or of each in a (..., 8, 8) stack, flat.
+
+    T[i, j, k] sits at 16 i + 4 j + k of the last axis.
+    """
+    trace = np.trace(m, axis1=-2, axis2=-1).real / 8.0
+    return np.concatenate((np.expand_dims(trace, -1), _pauli_coordinates(m)), axis=-1)
 
 
 def _state_vectors(r: np.ndarray) -> np.ndarray:
@@ -149,12 +154,53 @@ def _state_vectors(r: np.ndarray) -> np.ndarray:
 
 _OTHERS = ((1, 2), (0, 2), (0, 1))
 # _BLOCK_INDEX[q, i, 4 j' + k']: the flat index in T of qubit q in i and the other
-# two, _OTHERS[q], in j' and k'; one gather of T's 64 entries makes the three blocks
+# two, _OTHERS[q], in j' and k'; it gathers the three blocks' rows of _block_projection
 _BLOCK_INDEX = np.stack([np.arange(64).reshape(4, 4, 4).transpose(q, j, k).reshape(4, 16)
                          for q, (j, k) in enumerate(_OTHERS)])
 _NEGATE_BLOCH = np.array([[1.0], [-1.0], [-1.0], [-1.0]])
-MAX_RESTARTS = 10**5     # the descent peaks below 0.7 KiB per start (0.65 by tracemalloc at 10^5)
+# a start's x and y are 2 Re and 2 Im of conj(c_0) c_1 over |c|^2, its z (|c_0|^2 - |c_1|^2)
+# over |c|^2: the factors 2, 2, 1 of its components
+_START_SCALE = np.array([[2.0], [2.0], [1.0]])
+MAX_RESTARTS = 10**5     # the descent peaks below 0.7 KiB per start (0.54 by tracemalloc at 10^5)
 MAX_SWEEPS = 200         # sweeps a start may run before it stops
+
+
+@lru_cache(maxsize=None)
+def _block_projection() -> np.ndarray:
+    """The (192, 128) real matrix taking an 8x8 matrix's parts to the descent's blocks.
+
+    Column c is the image of the matrix whose real (c even) or imaginary (c odd)
+    part of flat entry c // 2 is 1, the order of ``m.view(float)``; row
+    64 q + 16 i + l holds ``_bloch_coefficients``' entry ``_BLOCK_INDEX[q, i, l]``,
+    negated for i = 1-3.  So the columns come from the one Bloch map, and its
+    entries, 0 and +-1/8, are exact.  Made on first use; read-only.
+    """
+    images = _bloch_coefficients(np.eye(128).view(complex).reshape(128, 8, 8))
+    projection = np.ascontiguousarray(
+        (images[:, _BLOCK_INDEX] * _NEGATE_BLOCH).reshape(128, 192).T)
+    projection.setflags(write=False)
+    return projection
+
+
+def _start_vectors(draws: np.ndarray, cur: np.ndarray) -> None:
+    """Write the Bloch vectors of the (n, 3, 2, 2) Gaussian draws into ``cur``, (3, 4, n).
+
+    Start s of qubit q is c = draws[s, q, 0] + i draws[s, q, 1] up to norm, with
+    Bloch vector (1, 2 Re(conj(c_0) c_1), 2 Im(conj(c_0) c_1), |c_0|^2 - |c_1|^2)
+    over |c|^2, all in real arithmetic (2/|c|^2 is exactly twice 1/|c|^2); the
+    temporaries leave with the call, before the descent makes its buffers.
+    """
+    # c[r, a]: the real (r = 0) or imaginary part of amplitude a of each qubit and start
+    c = np.ascontiguousarray(draws.transpose(2, 3, 1, 0))
+    dots = np.multiply(c[:, 0], c[:, 1])               # re0 re1, im0 im1
+    crosses = np.multiply(c[:, 0], c[::-1, 1])         # re0 im1, im0 re1
+    cur[:, 0] = 1.0
+    np.add(dots[0], dots[1], cur[:, 1])
+    np.subtract(crosses[0], crosses[1], cur[:, 2])
+    squares = np.multiply(c, c, c)                     # in place: c is read no more
+    p = np.add(squares[0], squares[1])                 # |c_0|^2, |c_1|^2
+    np.subtract(p[0], p[1], cur[:, 3])
+    np.multiply(cur[:, 1:], np.divide(_START_SCALE, np.add(p[0], p[1])[:, None]), cur[:, 1:])
 
 
 def min_over_product_states(w_bar, restarts: int = 200, seed: int = 0) -> ProductStateMinimum:
@@ -166,8 +212,12 @@ def min_over_product_states(w_bar, restarts: int = 200, seed: int = 0) -> Produc
     g_0 + g . r in the third, minimal at r = -g/|g| (|0> when g = 0) with
     value g_0 - |g|, so no sweep raises the value.  A start stops when a
     sweep lowers it by less than 1e-14 max(1, |value|), or after
-    ``MAX_SWEEPS`` sweeps; the lowest value a start stopped at wins, the
-    first start on ties.  The descent runs on W scaled by a power of two,
+    ``MAX_SWEEPS`` sweeps; the lowest value a start stopped at wins, and of
+    computed values that are exactly equal the first start's.  Minima equal
+    in exact arithmetic differ in their last bits, which depend on the
+    packing width and the projection below, so the returned states may
+    change with ``restarts`` while the value stays within
+    1e-14 max(1, |value|).  The descent runs on W scaled by a power of two,
     which is exact, so that the field of a huge or tiny W neither
     overflows nor underflows; the stopping rule stays in W's units.  The
     starts are one seeded draw, start by start, so the result is
@@ -177,10 +227,12 @@ def min_over_product_states(w_bar, restarts: int = 200, seed: int = 0) -> Produc
     part of W enters.  The value is the best local minimum found: an upper
     bound on the product-state minimum, not a certified lower bound.
 
-    The operator is checked once, and T is computed once from it; one
-    gather of T makes the three (4, 16) blocks.  Every array is contiguous
-    in (qubit, component, start) order.  The starts' Bloch vectors come
-    from the draw in real arithmetic, into one array packing the vectors,
+    The operator is checked and read once, as a C-contiguous copy, so any
+    memory layout gives the same result; one real (192, 128) projection
+    takes its 128 real and imaginary parts to the three (4, 16) blocks of T.
+    Every array is contiguous in (qubit, component, start) order.  The
+    starts' Bloch vectors come from the draw in real arithmetic, a dozen
+    array passes over all starts, into one array packing the vectors,
     last values, start indices and a hold that is 0 while a start
     descends.  Once per packing the descent makes its buffers: the
     (4, 4, n) outer products of the held qubits with their (16, n) view, the
@@ -203,31 +255,24 @@ def min_over_product_states(w_bar, restarts: int = 200, seed: int = 0) -> Produc
         raise ValueError("need at least one restart")
     if restarts > MAX_RESTARTS:
         raise ValueError(f"restarts {restarts} exceeds MAX_RESTARTS = {MAX_RESTARTS}")
-    m = check_operator(w_bar)
+    # the parts of W, real and imaginary interleaved: a view of a C-contiguous copy
+    parts = np.ascontiguousarray(check_operator(w_bar)).view(float).reshape(128)
     # the descent runs on 2^-e W, its largest real or imaginary part in [1/2, 1);
     # every step scales exactly with W, so the stopping rule is W's (``unit`` is
     # 1 in W's units) and the value is scaled back.  e >= -1021 keeps 2^-e finite.
-    e = max(int(np.frexp(np.abs(m.view(float)).max())[1]), -1021)
+    e = max(math.frexp(np.abs(parts).max())[1], -1021)
     unit = math.ldexp(1.0, -e)
     # blocks[q][i, (j, k)]: T with qubit q in i, the other two jointly in (j, k);
     # rows 1-3 negated, so that a block step's g[1:] is -g, the update direction
-    blocks = _bloch_coefficients(m * unit)[_BLOCK_INDEX] * _NEGATE_BLOCH
+    blocks = (_block_projection() @ (parts * unit)).reshape(3, 4, 16)
 
-    draws = np.random.default_rng(seed).standard_normal((restarts, 3, 2, 2))
     # the starts in the packing, as rows 0-11 the Bloch vectors (qubit, component),
     # row 12 the last sweep's value, row 13 the start's index and row 14 its hold;
     # value inf: sweep 1 stops none
     packed = np.empty((15, restarts))
     cur, (value, start, hold) = packed[:12].reshape(3, 4, restarts), packed[12:]
     value[:], start[:], hold[:] = np.inf, np.arange(restarts), 0.0
-    (re0, re1), (im0, im1) = np.ascontiguousarray(draws.transpose(2, 3, 1, 0))
-    cur[:, 0] = 1.0
-    p0, p1 = re0 * re0 + im0 * im0, re1 * re1 + im1 * im1
-    inv = 1.0 / (p0 + p1)
-    np.multiply(p0 - p1, inv, out=cur[:, 3])
-    inv += inv
-    np.multiply(re0 * re1 + im0 * im1, inv, out=cur[:, 1])
-    np.multiply(re0 * im1 - im0 * re1, inv, out=cur[:, 2])
+    _start_vectors(np.random.default_rng(seed).standard_normal((restarts, 3, 2, 2)), cur)
 
     # bound once, and out passed by position, which costs less per call than out=;
     # maximum keeps out=, as NumPy 2 deprecates its positional out
@@ -235,7 +280,7 @@ def min_over_product_states(w_bar, restarts: int = 200, seed: int = 0) -> Produc
         np.multiply, np.matmul, np.divide, np.add, np.subtract, np.sqrt, np.abs, np.less,
         np.equal, np.maximum)
     reduce = np.add.reduce
-    stops, n, stopped = [], 0, 0        # (start, value, vectors) of each stop's best start
+    stops, n, stopped = [], 0, 0        # (value, start, vectors) of each stop's best start
     for sweep in range(MAX_SWEEPS):
         if packed.shape[1] != n:        # a new packing: its views and buffers
             n = packed.shape[1]
@@ -265,8 +310,8 @@ def min_over_product_states(w_bar, restarts: int = 200, seed: int = 0) -> Produc
         add(val, hold, value)
         newly = np.count_nonzero(done)
         if newly:
-            i = int(np.argmin(np.where(done, val, np.inf)))
-            stops.append((start[i], val[i], cur[:, :, i].copy()))
+            i = int(np.where(done, val, np.inf).argmin())
+            stops.append((val[i], start[i], cur[:, :, i].copy()))
             hold[done] = np.inf
             stopped += newly
             if 2 * stopped >= n:        # half the packing has stopped: the stopped leave
@@ -274,9 +319,8 @@ def min_over_product_states(w_bar, restarts: int = 200, seed: int = 0) -> Produc
                 stopped = 0
                 if not packed.size:
                     break
-    # in start order, argmin keeps the first start on ties, as over all starts at once
-    stops.sort(key=lambda stop: stop[0])
-    _, best_value, best_r = stops[int(np.argmin([stop[1] for stop in stops]))]
+    # the lowest value, and of equal values the first start, as over all starts at once
+    best_value, _, best_r = min(stops, key=lambda stop: stop[:2])
     return ProductStateMinimum(value=math.ldexp(float(best_value), e),
                                states=_state_vectors(best_r))
 

@@ -283,6 +283,50 @@ def test_gathered_blocks_are_the_transposed_blocks(rng):
         assert gathered[q].tobytes() == transposed[q].tobytes()
 
 
+def test_projected_blocks_are_the_blocks_of_the_bloch_tensor():
+    # each block entry is +-1/8 times a sum of eight parts of W, each at most M,
+    # W's largest real or imaginary part: the projection and bloch_tensor sum them
+    # in different orders, each rounding by at most ulp(M)/2 per addition; 4 ulps
+    # of M is the budget, 0.5 the largest difference seen
+    projection = witnesses._block_projection()
+    assert projection.shape == (192, 128) and not projection.flags.writeable
+    assert witnesses._block_projection() is projection
+    assert set(np.unique(projection)) == {-0.125, 0.0, 0.125}
+    wb = witnesses.witness_bar(states.StateParams.symmetric(A_OPT))
+    g = np.random.default_rng(3).standard_normal((2, 8, 8))
+    operators = [*(witnesses.witness_bar(states.StateParams.symmetric(a))
+                   for a in (0.1, A_OPT, 0.5, 1.0)),
+                 *(_random_hermitian(k) for k in range(10)),
+                 g[0] + 1j * g[1],      # not Hermitian: only its Hermitian part may enter
+                 2.0**600 * wb, witnesses.pseudo_witness(wb, 1e-2),
+                 witnesses.pseudo_witness(wb, 2.3e-5)]
+    for w in operators:
+        parts = np.ascontiguousarray(w, dtype=complex).view(float).reshape(128)
+        blocks = (projection @ parts).reshape(3, 4, 16)
+        t = witnesses.bloch_tensor((w + w.conj().T) / 2.0)
+        for q, (j, k) in enumerate(witnesses._OTHERS):
+            want = t.transpose(q, j, k).reshape(4, 16) * [[1.0], [-1.0], [-1.0], [-1.0]]
+            np.testing.assert_array_less(np.abs(blocks[q] - want),
+                                         4 * np.spacing(np.abs(parts).max()) + 1e-300)
+
+
+def test_product_minimum_reads_any_memory_layout():
+    # the operator's parts are read as a view of a C-contiguous copy: a Fortran-
+    # ordered copy, a strided view and a transpose raised ValueError before
+    wb = witnesses.witness_bar(states.StateParams.symmetric(A_OPT))
+    h = _random_hermitian(17)
+    frame = np.zeros((16, 16), dtype=complex)
+    frame[::2, 1::2] = h
+    for layout, c_ordered in ((np.asfortranarray(h), h), (frame[::2, 1::2], h),
+                              (wb.T, wb), (h.T, np.ascontiguousarray(h.T))):
+        assert not layout.flags.c_contiguous
+        for seed in (0, 1):
+            got = witnesses.min_over_product_states(layout, restarts=40, seed=seed)
+            want = witnesses.min_over_product_states(c_ordered, restarts=40, seed=seed)
+            assert got.value == want.value
+            assert got.states.tobytes() == want.states.tobytes()
+
+
 @pytest.mark.parametrize("diagonal", [np.arange(8.0), [0, 1, 1, 1, 1, 1, 1, 0]],
                          ids=["ascending", "tied"])
 def test_product_minimum_degenerate_fallback(diagonal):
